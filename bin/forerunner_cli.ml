@@ -306,34 +306,34 @@ let fuzz_cmd =
   in
   let run seed iters corpus fork mutate metrics metrics_json =
     with_metrics ~metrics ~metrics_json @@ fun () ->
-    if mutate then Ap.Exec.miscompile_add_for_tests := true;
-    let corpus_failures, n_replayed = Fuzz.Driver.replay_corpus corpus in
-    if n_replayed > 0 then begin
+    let fault = if mutate then Some Fuzz.Runner.Add else None in
+    let r = Fuzz.Runner.sweep ~lanes:Fuzz.Runner.oracle ?fault ~corpus ~seed ~iters:0 () in
+    if r.corpus_files > 0 then begin
       Printf.printf "corpus: replayed %d entries (fork-pinned once, unpinned under all %d \
                      forks), %d diverged\n%!"
-        n_replayed Spec.n_forks
-        (List.length corpus_failures);
-      List.iter
-        (fun (f : Fuzz.Driver.corpus_failure) -> Printf.printf "  %s: %s\n" f.path f.problem)
-        corpus_failures
+        r.corpus_files Spec.n_forks
+        (List.length r.corpus_failed + List.length r.corpus_errors);
+      List.iter (fun (f, e) -> Printf.printf "  %s: %s\n" f e) r.corpus_errors;
+      List.iter (fun f -> Fmt.pr "  %a@." Fuzz.Runner.pp_finding f) r.findings
     end;
+    let corpus_broken = r.findings <> [] || r.corpus_errors <> [] in
     Printf.printf "fuzzing: %d iterations, seed %d, fork %s%s\n%!" iters seed
       (match fork with None -> "random" | Some f -> Spec.fork_name f)
       (if mutate then " [AP EXECUTOR MUTATED]" else "");
-    let s = Fuzz.Driver.fuzz ~corpus_dir:corpus ?fork ~seed ~iters () in
+    let s = Fuzz.Driver.fuzz ~corpus_dir:corpus ?fork ?fault ~seed ~iters () in
+    let t = s.tally in
     Printf.printf
       "ran %d iterations: %d txs, %d build fallbacks, %d perturbed violations, %d perturbed \
        hits, %d warm-built cold-replay violations\n%!"
-      s.iters_run s.total_txs s.build_fallbacks s.perturbed_violations s.perturbed_hits
-      s.warm_violations;
-    match s.finding with
+      s.iters_run t.txs t.fallbacks t.perturbed_violations t.perturbed_hits t.warm_violations;
+    match s.counterexample with
     | None ->
       Printf.printf "no divergences: EVM, S-EVM replay and AP fast path agree.\n%!";
-      if corpus_failures <> [] then exit 1
+      if corpus_broken then exit 1
     | Some f ->
       Printf.printf "DIVERGENCE at iteration %d (scenario size %d, shrunk to %d):\n%!" f.iter
         (Fuzz.Scenario.size f.original) (Fuzz.Scenario.size f.scenario);
-      List.iter (fun d -> Fmt.pr "  %a@." Fuzz.Oracle.pp_divergence d) f.divergences;
+      List.iter (fun d -> Fmt.pr "  %a@." Fuzz.Runner.pp_finding d) f.findings;
       (match f.file with
       | Some file -> Printf.printf "shrunk counterexample saved to %s\n%!" file
       | None -> ());
@@ -368,7 +368,7 @@ let check_cmd =
     Arg.(
       value
       & opt
-          (some (enum [ ("add", Fuzz.Checkrun.M_add); ("drop-guard", Fuzz.Checkrun.M_drop_guard) ]))
+          (some (enum [ ("add", Fuzz.Runner.Add); ("drop-guard", Fuzz.Runner.Drop_guard) ]))
           None
       & info [ "mutate" ] ~docv:"KIND"
           ~doc:
@@ -379,53 +379,47 @@ let check_cmd =
   in
   let run seed iters corpus mutate metrics metrics_json =
     with_metrics ~metrics ~metrics_json @@ fun () ->
-    let r = Fuzz.Checkrun.run ?mutate ~corpus ~seed ~iters () in
+    let r =
+      Fuzz.Runner.sweep ~lanes:[ Fuzz.Runner.Verifier ] ?fault:mutate ~corpus ~seed ~iters ()
+    in
     List.iter (fun (f, e) -> Printf.printf "corpus error: %s: %s\n" f e) r.corpus_errors;
-    let s = r.summary in
+    let t = r.tally in
     Printf.printf
       "verified %d programs (%d linear paths) from %d corpus entries + %d generated \
        scenarios; %d builder fallbacks%s\n%!"
-      s.programs s.paths r.corpus_files
-      (max 0 (s.scenarios - r.corpus_files))
-      s.fallbacks
+      t.programs t.programs r.corpus_files iters t.fallbacks
       (match mutate with
       | None -> ""
       | Some m ->
-        Printf.sprintf "; mutation %s in effect on %d" (Fuzz.Checkrun.mutation_name m) s.mutated);
+        Printf.sprintf "; mutation %s in effect on %d" (Fuzz.Runner.fault_name m) t.mutated);
     let shown = 12 in
-    List.iteri
-      (fun i (ctx, v) ->
-        if i < shown then Fmt.pr "  %s: %a@." ctx Analysis.Report.pp v)
-      s.violations;
-    if List.length s.violations > shown then
-      Printf.printf "  ... and %d more\n" (List.length s.violations - shown);
+    List.iteri (fun i f -> if i < shown then Fmt.pr "  %a@." Fuzz.Runner.pp_finding f) r.findings;
+    if List.length r.findings > shown then
+      Printf.printf "  ... and %d more\n" (List.length r.findings - shown);
     let corpus_broken = r.corpus_errors <> [] in
     match mutate with
     | None ->
-      if s.violations = [] && not corpus_broken then
+      if r.findings = [] && not corpus_broken then
         Printf.printf
           "all programs verify: def-before-use, rollback-freedom, guard coverage, memo \
            soundness, well-formedness.\n\
            %!"
       else begin
-        Printf.printf "%d violation(s)\n" (List.length s.violations);
+        Printf.printf "%d violation(s)\n" (List.length r.findings);
         exit 1
       end
     | Some m ->
-      let want = Fuzz.Checkrun.expected_kind m in
-      let hits =
-        List.filter (fun (_, (v : Analysis.Report.violation)) -> v.kind = want) s.violations
-      in
+      (* the verifier kind the fault's rejection contract names *)
+      let kind = Option.get (List.assoc Fuzz.Runner.Verifier (Fuzz.Runner.rejected_by m)) in
+      let hits = List.filter (Fuzz.Runner.rejects (Fuzz.Runner.Verifier, Some kind)) r.findings in
       if hits = [] || corpus_broken then begin
         Printf.printf "mutation %s NOT rejected: no %s violation reported\n"
-          (Fuzz.Checkrun.mutation_name m)
-          (Analysis.Report.kind_name want);
+          (Fuzz.Runner.fault_name m) kind;
         exit 1
       end
       else
         Printf.printf "mutation %s rejected: %d %s violation(s) with path-level diagnostics\n%!"
-          (Fuzz.Checkrun.mutation_name m) (List.length hits)
-          (Analysis.Report.kind_name want)
+          (Fuzz.Runner.fault_name m) (List.length hits) kind
   in
   Cmd.v
     (Cmd.info "check"
@@ -477,9 +471,13 @@ let analyze_cmd =
   in
   let run seed iters corpus narrow metrics metrics_json =
     with_metrics ~metrics ~metrics_json @@ fun () ->
-    let r = Fuzz.Bcarun.run ?narrow ~corpus ~seed ~iters () in
+    let r =
+      Fuzz.Runner.sweep ~lanes:[ Fuzz.Runner.Footprint ]
+        ?fault:(Option.map (fun n -> Fuzz.Runner.Narrow n) narrow)
+        ~corpus ~seed ~iters ()
+    in
     List.iter (fun (f, e) -> Printf.printf "corpus error: %s: %s\n" f e) r.corpus_errors;
-    let s = r.report in
+    let s = r.tally in
     Printf.printf
       "analyzed %d scenarios (%d corpus entries + sentinels + %d generated per fork x %d \
        forks), %d txs%s\n\
@@ -489,14 +487,12 @@ let analyze_cmd =
       (match narrow with
       | None -> ""
       | Some n -> Printf.sprintf "; narrowing %s SEEDED" (Bca.narrowing_name n))
-      s.touches_checked s.changes_checked s.wild s.flips;
+      s.touches s.changes s.wild s.flips;
     let shown = 12 in
-    List.iteri
-      (fun i v -> if i < shown then Fmt.pr "  %a@." Fuzz.Bcarun.pp_violation v)
-      s.violations;
-    if List.length s.violations > shown then
-      Printf.printf "  ... and %d more\n" (List.length s.violations - shown);
-    let nv = List.length s.violations in
+    List.iteri (fun i f -> if i < shown then Fmt.pr "  %a@." Fuzz.Runner.pp_finding f) r.findings;
+    if List.length r.findings > shown then
+      Printf.printf "  ... and %d more\n" (List.length r.findings - shown);
+    let nv = List.length r.findings in
     match narrow with
     | None ->
       if nv = 0 && r.corpus_errors = [] then

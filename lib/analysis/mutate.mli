@@ -1,6 +1,6 @@
 (** Seeded miscompilations for the verifier's negative tests: each mutation
     models a realistic builder/executor bug and must be rejected by the
-    matching checker (see [Fuzz.Checkrun.expected_kind]). *)
+    matching checker (see [Fuzz.Runner.rejected_by]). *)
 
 val drop_guard : ?index:int -> Sevm.Ir.path -> Sevm.Ir.path option
 (** Remove the [index]-th guard (default: the first — the nonce guard every

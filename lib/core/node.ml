@@ -84,11 +84,6 @@ type config = {
       (* the shared template store (lib/apstore): speculation publishes
          input-lifted template APs keyed by call shape; execution serves
          them to structurally-equivalent txs that have no usable per-tx AP *)
-  drop_stale_spec : bool;
-      (* async invalidation: on a head-extending block, cancel queued
-         speculations for the now-included txs and prune every other hash
-         to its newest queued job (keep-latest) instead of completing the
-         whole backlog first *)
 }
 
 let default_config =
@@ -102,7 +97,6 @@ let default_config =
     seed = 7;
     jobs = 1;
     use_apstore = false;
-    drop_stale_spec = false;
   }
 
 (* Single-future ablation: the traditional one-prediction pipeline. *)
@@ -428,16 +422,8 @@ let replay ?(config = default_config) ~policy (record : Netsim.Record.t) : resul
           let extends_head = String.equal b.header.parent_hash !head_hash in
           (* Block boundary: quiesce the workers before executing — the
              commit below writes trie nodes into the shared backend the
-             workers read.  In drop-stale mode a head-extending block first
-             sheds the superseded backlog: queued speculation for the
-             included txs is cancelled outright and every other hash is
-             pruned to its newest queued job (keep-latest — still-valid
-             speculations survive the head change). *)
+             workers read. *)
           if is_speculative policy then begin
-            if config.drop_stale_spec && extends_head then begin
-              Sched.cancel sched (List.map Evm.Env.tx_hash b.txs);
-              ignore (Sched.invalidate sched ~root:b.header.state_root : int)
-            end;
             Obs.span l_barrier (fun () -> Sched.barrier sched);
             apply_results ()
           end;

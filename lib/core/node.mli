@@ -81,10 +81,6 @@ type config = {
           once per call shape; execution serves them to structurally
           equivalent transactions that have no usable per-tx AP (off by
           default so the classic pipeline's outcomes are unchanged) *)
-  drop_stale_spec : bool;
-      (** async invalidation: on a head-extending block, cancel queued
-          speculation for the included txs and requeue the rest against the
-          new head, instead of completing the whole backlog first *)
 }
 
 val default_config : config

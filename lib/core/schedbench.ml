@@ -1,11 +1,9 @@
 (* jobs=1 vs jobs=N comparison harness for the speculation scheduler.
 
-   The same Record.t is replayed three times under Forerunner: inline
-   (jobs=1), parallel with barrier semantics (jobs=N, the default node
+   The same Record.t is replayed twice under Forerunner: inline (jobs=1)
+   and parallel with barrier semantics (jobs=N, the default node
    configuration — bitwise-identical speculation results, just produced on
-   worker domains), and parallel with drop-stale invalidation (sheds the
-   queued backlog at every head-extending block, exercising the
-   cancel/requeue protocol).  Replays share the backend (the trie store is
+   worker domains).  Replays share the backend (the trie store is
    content-addressed and append-only), so later runs see a warmer node
    database — which favours the FIRST run, so a throughput ratio above 1
    understates, never overstates, the parallel speedup. *)
@@ -14,7 +12,6 @@ open State
 
 type run_stats = {
   jobs : int;
-  drop_stale : bool;
   replay_wall_ns : int;
   speculated : int;
   spec_txs_per_sec : float;
@@ -24,7 +21,6 @@ type run_stats = {
   missed : int;
   unheard : int;
   cancelled : int;
-  requeued : int;
   merged : int;
   deduped : int;
   high_water : int;
@@ -51,7 +47,6 @@ type par_workload = {
 type comparison = {
   seq : run_stats;
   par : run_stats;
-  stale : run_stats;
   throughput_ratio : float;
   outcomes_match : bool;
   blocks_match : bool;
@@ -61,8 +56,8 @@ type comparison = {
 let count_outcome (r : Node.result) o =
   List.length (List.filter (fun (t : Node.tx_record) -> t.outcome = o) r.txs)
 
-let one_run ~jobs ~drop_stale ~config record =
-  let config = { config with Node.jobs; drop_stale_spec = drop_stale } in
+let one_run ~jobs ~config record =
+  let config = { config with Node.jobs } in
   let result, wall_ns =
     Clock.time (fun () -> Node.replay ~config ~policy:Node.Forerunner record)
   in
@@ -75,7 +70,6 @@ let one_run ~jobs ~drop_stale ~config record =
   ( result,
     {
       jobs;
-      drop_stale;
       replay_wall_ns = wall_ns;
       speculated = s.completed;
       spec_txs_per_sec =
@@ -87,7 +81,6 @@ let one_run ~jobs ~drop_stale ~config record =
       missed;
       unheard;
       cancelled = s.cancelled;
-      requeued = s.requeued;
       merged = s.merged;
       deduped = s.deduped;
       high_water = s.high_water;
@@ -234,13 +227,11 @@ let parallel_suite ?(with_ap = true) ?(scale = 1.0) ~jobs () =
     ]
 
 let compare_jobs ?(config = Node.default_config) ?(par_suite = true) ~jobs record =
-  let r_seq, seq = one_run ~jobs:1 ~drop_stale:false ~config record in
-  let r_par, par = one_run ~jobs ~drop_stale:false ~config record in
-  let _, stale = one_run ~jobs ~drop_stale:true ~config record in
+  let r_seq, seq = one_run ~jobs:1 ~config record in
+  let r_par, par = one_run ~jobs ~config record in
   {
     seq;
     par;
-    stale;
     throughput_ratio = par.spec_txs_per_sec /. Float.max 1e-9 seq.spec_txs_per_sec;
     outcomes_match =
       List.map tx_key r_seq.txs = List.map tx_key r_par.txs;
@@ -255,16 +246,15 @@ let print c =
      sync), so only a multicore run can show the scaling *)
   Printf.printf "host parallelism: %d recommended domain(s)\n\n"
     (Domain.recommended_domain_count ());
-  Printf.printf "%-22s %8s %10s %12s %9s %9s %9s %8s %8s\n" "variant" "jobs" "wall (s)"
-    "spec tx/s" "hit rate" "cancelled" "requeued" "merged" "deduped";
+  Printf.printf "%-22s %8s %10s %12s %9s %9s %8s %8s\n" "variant" "jobs" "wall (s)"
+    "spec tx/s" "hit rate" "cancelled" "merged" "deduped";
   let row name (s : run_stats) =
-    Printf.printf "%-22s %8d %10.2f %12.1f %8.2f%% %9d %9d %8d %8d\n" name s.jobs
+    Printf.printf "%-22s %8d %10.2f %12.1f %8.2f%% %9d %8d %8d\n" name s.jobs
       (float_of_int s.replay_wall_ns /. 1e9)
-      s.spec_txs_per_sec s.hit_rate_pct s.cancelled s.requeued s.merged s.deduped
+      s.spec_txs_per_sec s.hit_rate_pct s.cancelled s.merged s.deduped
   in
   row "sequential" c.seq;
   row "parallel (barrier)" c.par;
-  row "parallel (drop-stale)" c.stale;
   Printf.printf "\nthroughput ratio (parallel/sequential): %.2fx\n" c.throughput_ratio;
   Printf.printf "per-tx outcomes identical: %b; per-block results identical: %b\n"
     c.outcomes_match c.blocks_match;
@@ -297,9 +287,12 @@ let print c =
    v2: BENCH_sched.json's parallel_blocks array carries each workload
    twice, keyed by the new static_partition field (the lib/bca
    pre-partitioning comparison), so per-workload consumers must group by
-   (workload, static_partition) instead of workload alone. *)
+   (workload, static_partition) instead of workload alone.
 
-let schema_version = 2
+   v3: BENCH_sched.json drops the drop-stale replay object and the per-run
+   drop-stale flag and requeue count, with the drop-stale mode itself. *)
+
+let schema_version = 3
 
 let meta_header ?(extra = []) ~experiment () =
   let kvs =
@@ -338,13 +331,12 @@ let validate_header ~experiment file =
 
 let json_of_run (s : run_stats) =
   Printf.sprintf
-    "{\"jobs\":%d,\"drop_stale\":%b,\"replay_wall_ns\":%d,\"speculated\":%d,\
+    "{\"jobs\":%d,\"replay_wall_ns\":%d,\"speculated\":%d,\
      \"spec_txs_per_sec\":%.3f,\"hit_rate_pct\":%.3f,\"perfect\":%d,\
      \"imperfect\":%d,\"missed\":%d,\"unheard\":%d,\"cancelled\":%d,\
-     \"requeued\":%d,\"merged\":%d,\"deduped\":%d,\"queue_high_water\":%d}"
-    s.jobs s.drop_stale s.replay_wall_ns s.speculated s.spec_txs_per_sec s.hit_rate_pct
-    s.perfect s.imperfect s.missed s.unheard s.cancelled s.requeued s.merged s.deduped
-    s.high_water
+     \"merged\":%d,\"deduped\":%d,\"queue_high_water\":%d}"
+    s.jobs s.replay_wall_ns s.speculated s.spec_txs_per_sec s.hit_rate_pct s.perfect
+    s.imperfect s.missed s.unheard s.cancelled s.merged s.deduped s.high_water
 
 let json_of_workload (pw : par_workload) =
   Printf.sprintf
@@ -358,10 +350,10 @@ let json_of_workload (pw : par_workload) =
 
 let to_json c =
   Printf.sprintf
-    "{%s,\"seq\":%s,\"par\":%s,\"drop_stale\":%s,\"throughput_ratio\":%.3f,\
+    "{%s,\"seq\":%s,\"par\":%s,\"throughput_ratio\":%.3f,\
      \"outcomes_match\":%b,\"blocks_match\":%b,\"parallel_blocks\":[%s]}"
     (meta_header ~experiment:"sched" ())
-    (json_of_run c.seq) (json_of_run c.par) (json_of_run c.stale) c.throughput_ratio
+    (json_of_run c.seq) (json_of_run c.par) c.throughput_ratio
     c.outcomes_match c.blocks_match
     (String.concat "," (List.map json_of_workload c.parallel))
 

@@ -2,8 +2,7 @@
     the Forerunner policy with [jobs = 1] and [jobs = N] and compare —
     speculation throughput should scale with workers while every
     speculation-visible result (per-tx outcomes, gas, block roots) stays
-    identical.  A third replay in drop-stale mode exercises the
-    invalidation protocol (cancelled / requeued counters) at scale.
+    identical.
 
     The comparison also measures conflict-aware {e parallel block apply}
     ({!Chain.Stf.apply_txs_parallel}) on three pure-workload recordings:
@@ -14,7 +13,6 @@
 
 type run_stats = {
   jobs : int;
-  drop_stale : bool;
   replay_wall_ns : int;
   speculated : int;  (** speculation jobs completed *)
   spec_txs_per_sec : float;  (** completed jobs per replay wall second *)
@@ -24,7 +22,6 @@ type run_stats = {
   missed : int;
   unheard : int;
   cancelled : int;
-  requeued : int;
   merged : int;
   deduped : int;  (** redundant submissions skipped by the dedupe memo *)
   high_water : int;
@@ -52,7 +49,6 @@ type par_workload = {
 type comparison = {
   seq : run_stats;  (** jobs = 1 *)
   par : run_stats;  (** jobs = N, barrier semantics *)
-  stale : run_stats;  (** jobs = N, keep-latest invalidation *)
   throughput_ratio : float;  (** par.spec_txs_per_sec / seq.spec_txs_per_sec *)
   outcomes_match : bool;
       (** per-tx (hash, outcome, gas) sequences of [seq] and [par] are equal *)
@@ -83,8 +79,8 @@ val parallel_suite :
 
 val compare_jobs :
   ?config:Node.config -> ?par_suite:bool -> jobs:int -> Netsim.Record.t -> comparison
-(** [config] defaults to {!Node.default_config}; its [jobs]/[drop_stale_spec]
-    fields are overridden per run.  [par_suite] (default true) also runs
+(** [config] defaults to {!Node.default_config}; its [jobs] field is
+    overridden per run.  [par_suite] (default true) also runs
     {!parallel_suite} and fills [comparison.parallel]. *)
 
 val print : comparison -> unit

@@ -1,38 +1,28 @@
-(* The fuzzing loop: per-iteration deterministic RNG -> generate -> oracle;
-   on the first divergence, shrink to a minimal scenario and (optionally)
-   save it to the corpus directory.  Corpus entries double as regression
-   tests: [replay_corpus] re-runs every saved counterexample through the
-   oracle and reports any that still diverge. *)
+(* The fuzzing loop: per-iteration deterministic scenario -> the runner's
+   oracle lanes; on the first finding, shrink to a minimal scenario and
+   (optionally) save it to the corpus directory, where it doubles as a
+   regression test ({!Runner.sweep} replays the corpus). *)
 
-type finding = {
+type counterexample = {
   iter : int;
   original : Scenario.t;
   scenario : Scenario.t;  (** shrunk *)
-  divergences : Oracle.divergence list;  (** of the shrunk scenario *)
+  findings : Runner.finding list;  (** of the shrunk scenario *)
   file : string option;
 }
 
 type summary = {
   iters_run : int;
-  finding : finding option;
-  total_txs : int;
-  build_fallbacks : int;
-  perturbed_hits : int;
-  perturbed_violations : int;
-  warm_violations : int;
+  counterexample : counterexample option;
+  tally : Runner.tally;
 }
 
 let obs_iters = Obs.counter "fuzz.iterations"
 let obs_findings = Obs.counter "fuzz.findings"
 let obs_shrink_probes = Obs.counter "fuzz.shrink_probes"
 
-(* Every iteration reseeds from (seed, iteration), so iteration [i] of
-   [--seed n] is reproducible in isolation no matter what ran before. *)
-let iteration_rng ~seed iter = Random.State.make [| 0xF0E2; seed; iter |]
-
-let generate ~seed iter = Generate.scenario (iteration_rng ~seed iter)
-
-let diverges s = (Oracle.run s).divergences <> []
+let check s = Runner.run ~lanes:Runner.oracle ~label:"fuzz" s
+let diverges s = check s <> []
 
 let mkdir_p dir =
   let rec go d =
@@ -46,29 +36,23 @@ let mkdir_p dir =
 let save_counterexample ~dir ~seed ~iter s =
   mkdir_p dir;
   let file = Filename.concat dir (Printf.sprintf "cx-seed%d-iter%d.sexp" seed iter) in
-  let oc = open_out file in
-  output_string oc (Scenario.to_string s);
-  close_out oc;
+  Out_channel.with_open_bin file (fun oc -> output_string oc (Scenario.to_string s));
   file
 
-let fuzz ?corpus_dir ?(shrink = true) ?fork ~seed ~iters () : summary =
-  let total_txs = ref 0 and fallbacks = ref 0 and p_hits = ref 0 and p_viols = ref 0 in
-  let w_viols = ref 0 in
-  let finding = ref None in
+let fuzz ?corpus_dir ?(shrink = true) ?fork ?fault ~seed ~iters () : summary =
+  Runner.with_fault fault @@ fun () ->
+  let tally = Runner.new_tally () in
+  let found = ref None in
   let i = ref 0 in
-  while !finding = None && !i < iters do
+  while !found = None && !i < iters do
     Obs.incr obs_iters;
-    let s = generate ~seed !i in
+    let s = Generate.seeded ~seed !i in
     (* [fork] pins every scenario to one hardfork; without it the
        generator's per-scenario random draw stands *)
     let s = match fork with None -> s | Some f -> { s with Scenario.fork = Some f } in
-    let r = Oracle.run s in
-    total_txs := !total_txs + r.txs;
-    fallbacks := !fallbacks + r.build_fallbacks;
-    p_hits := !p_hits + r.perturbed_hits;
-    p_viols := !p_viols + r.perturbed_violations;
-    w_viols := !w_viols + r.warm_violations;
-    if r.divergences <> [] then begin
+    let label = Printf.sprintf "gen(seed=%d,iter=%d)" seed !i in
+    let fs = Runner.run ~tally ~lanes:Runner.oracle ~label s in
+    if fs <> [] then begin
       Obs.incr obs_findings;
       let shrunk =
         if shrink then
@@ -79,78 +63,15 @@ let fuzz ?corpus_dir ?(shrink = true) ?fork ~seed ~iters () : summary =
             s
         else s
       in
-      let divs = (Oracle.run shrunk).divergences in
-      (* shrinking preserves *some* divergence by construction, but guard
+      (* shrinking preserves *some* finding by construction, but guard
          against a flaky predicate: fall back to the original if the
          minimal form stopped reproducing *)
-      let shrunk, divs = if divs = [] then (s, r.divergences) else (shrunk, divs) in
+      let shrunk, fs = match check shrunk with [] -> (s, fs) | fs' -> (shrunk, fs') in
       let file =
         Option.map (fun dir -> save_counterexample ~dir ~seed ~iter:!i shrunk) corpus_dir
       in
-      finding :=
-        Some { iter = !i; original = s; scenario = shrunk; divergences = divs; file }
+      found := Some { iter = !i; original = s; scenario = shrunk; findings = fs; file }
     end;
     incr i
   done;
-  {
-    iters_run = !i;
-    finding = !finding;
-    total_txs = !total_txs;
-    build_fallbacks = !fallbacks;
-    perturbed_hits = !p_hits;
-    perturbed_violations = !p_viols;
-    warm_violations = !w_viols;
-  }
-
-(* ---- corpus replay ---- *)
-
-type corpus_failure = { path : string; problem : string }
-
-let replay_file path : corpus_failure option =
-  match
-    let ic = open_in_bin path in
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    Scenario.of_string s
-  with
-  | exception exn -> Some { path; problem = "read error: " ^ Printexc.to_string exn }
-  | Error m -> Some { path; problem = "parse error: " ^ m }
-  | Ok scenario -> (
-    (* the N-fork matrix: an entry pinned to a fork replays there; an
-       unpinned (pre-spec) entry must hold under every fork *)
-    let runs =
-      match scenario.Scenario.fork with
-      | Some _ -> [ scenario ]
-      | None ->
-        List.map (fun f -> { scenario with Scenario.fork = Some f }) Spec.all_forks
-    in
-    let failures =
-      List.filter_map
-        (fun s ->
-          match (Oracle.run s).divergences with
-          | [] -> None
-          | ds ->
-            Some
-              (Fmt.str "[%s] %d divergence(s): %a"
-                 (match s.Scenario.fork with Some f -> Spec.fork_name f | None -> "default")
-                 (List.length ds)
-                 Fmt.(list ~sep:semi Oracle.pp_divergence)
-                 ds))
-        runs
-    in
-    match failures with
-    | [] -> None
-    | fs -> Some { path; problem = String.concat "; " fs })
-
-let replay_corpus dir : corpus_failure list * int =
-  if not (Sys.file_exists dir) then ([], 0)
-  else begin
-    let files =
-      Sys.readdir dir |> Array.to_list
-      |> List.filter (fun f -> Filename.check_suffix f ".sexp")
-      |> List.sort String.compare
-      |> List.map (Filename.concat dir)
-    in
-    (List.filter_map replay_file files, List.length files)
-  end
+  { iters_run = !i; counterexample = !found; tally }

@@ -1,5 +1,5 @@
 (* Random scenario generation.  All randomness flows through an explicit
-   [Random.State.t]; the driver derives one per iteration from
+   [Random.State.t]; {!seeded} derives one per iteration from
    (seed, iteration), so any failing scenario is reproducible from the CLI
    seed alone. *)
 
@@ -87,6 +87,10 @@ let scenario rng : Scenario.t =
         (List.init n_contracts Fun.id);
     txs = List.init (2 + int rng 5) (fun _ -> tx_spec ~n_contracts rng);
     (* every scenario runs under a uniformly random hardfork, so the
-       four-engine oracle is an N-fork differential matrix for free *)
+       oracle lanes are an N-fork differential matrix for free *)
     fork = Some (List.nth Spec.all_forks (int rng Spec.n_forks));
   }
+
+(* Scenario [iter] of a seeded run: reseeded from (seed, iter), so any
+   iteration reproduces in isolation no matter what ran before. *)
+let seeded ~seed iter = scenario (Random.State.make [| 0xF0E2; seed; iter |])

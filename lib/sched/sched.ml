@@ -7,8 +7,8 @@
    the cell and then runs the cell's whole chain to empty, which is what
    serialises same-tx jobs (they mutate the same spec record) without any
    per-job locking.  Stale queue entries (their cell was cancelled or
-   claimed meanwhile) are simply skipped on pop, which lets cancel and
-   invalidate edit cells without having to reach into the queue. *)
+   claimed meanwhile) are simply skipped on pop, which lets cancel edit
+   cells without having to reach into the queue. *)
 
 (* re-exported: the library wrapper hides sibling modules behind [Sched] *)
 module Workq = Workq
@@ -36,7 +36,6 @@ type stats = {
   submitted : int;
   completed : int;
   cancelled : int;
-  requeued : int;
   merged : int;
   deduped : int;
   queued : int;
@@ -51,7 +50,6 @@ type 'r t = {
   idle : Condition.t;
   cells : (string, 'r cell) Hashtbl.t;
   memo : (string, string) Hashtbl.t; (* hash -> dedupe key of latest live submission *)
-  latest : (string, int) Hashtbl.t; (* hash -> seq of newest enqueued submission *)
   results : 'r result Mailbox.t;
   mutable next_seq : int;
   mutable n_queued : int; (* requests sitting in chains *)
@@ -59,7 +57,6 @@ type 'r t = {
   mutable s_submitted : int;
   mutable s_completed : int;
   mutable s_cancelled : int;
-  mutable s_requeued : int;
   mutable s_merged : int;
   mutable s_deduped : int;
   mutable domains : unit Domain.t list;
@@ -72,7 +69,6 @@ let empty_stats =
     submitted = 0;
     completed = 0;
     cancelled = 0;
-    requeued = 0;
     merged = 0;
     deduped = 0;
     queued = 0;
@@ -83,7 +79,6 @@ let empty_stats =
 let obs_submitted = Obs.counter "sched.submitted"
 let obs_completed = Obs.counter "sched.completed"
 let obs_cancelled = Obs.counter "sched.cancelled"
-let obs_requeued = Obs.counter "sched.requeued"
 let obs_deduped = Obs.counter "sched.deduped"
 let obs_depth = Obs.gauge "sched.queue_depth"
 
@@ -178,7 +173,6 @@ let create ?(capacity = 4096) ~jobs () =
       idle = Condition.create ();
       cells = Hashtbl.create 256;
       memo = Hashtbl.create 256;
-      latest = Hashtbl.create 256;
       results = Mailbox.create ();
       next_seq = 0;
       n_queued = 0;
@@ -186,7 +180,6 @@ let create ?(capacity = 4096) ~jobs () =
       s_submitted = 0;
       s_completed = 0;
       s_cancelled = 0;
-      s_requeued = 0;
       s_merged = 0;
       s_deduped = 0;
       domains = [];
@@ -228,7 +221,6 @@ let submit ?dedupe_key t ~hash ~root ~priority job =
       t.s_submitted <- t.s_submitted + 1;
       Obs.incr obs_submitted;
       let req = { seq; hash; root; prio = priority; job } in
-      Hashtbl.replace t.latest hash seq;
       publish t req (run_job job);
       t.s_completed <- t.s_completed + 1;
       Obs.incr obs_completed
@@ -247,7 +239,6 @@ let submit ?dedupe_key t ~hash ~root ~priority job =
       t.s_submitted <- t.s_submitted + 1;
       Obs.incr obs_submitted;
       let req = { seq; hash; root; prio = priority; job } in
-      Hashtbl.replace t.latest hash seq;
       let need_push =
         match Hashtbl.find_opt t.cells hash with
         | Some c ->
@@ -285,15 +276,11 @@ let barrier t =
   end
 
 let cancel t hashes =
-  (* The dedupe memo and keep-latest table forget cancelled hashes in both
-     modes (inline mode has nothing queued to drop, but keeping bookkeeping
-     behaviour identical across job counts is what preserves jobs=1 ≡ jobs=N
-     outcome parity). *)
-  List.iter
-    (fun h ->
-      Hashtbl.remove t.memo h;
-      Hashtbl.remove t.latest h)
-    hashes;
+  (* The dedupe memo forgets cancelled hashes in both modes (inline mode
+     has nothing queued to drop, but keeping bookkeeping behaviour
+     identical across job counts is what preserves jobs=1 ≡ jobs=N outcome
+     parity). *)
+  List.iter (Hashtbl.remove t.memo) hashes;
   if t.n_jobs > 1 then begin
     Mutex.lock t.mu;
     List.iter
@@ -315,79 +302,24 @@ let cancel t hashes =
 
 (* Bookkeeping-only: no queue or cell state is touched, so (unlike
    [cancel]) this is safe to call for hashes with live work — although the
-   node only calls it for retired ones.  Both per-hash tables grow
-   monotonically with the set of hashes ever submitted, so both must be
-   dropped here: forgetting only the dedupe memo left the keep-latest
-   entries to leak one per retired transaction, unbounded over a long
-   chain.  Taking the mutex in parallel mode mirrors [memo_check]'s
-   locking discipline. *)
+   node only calls it for retired ones.  The memo grows monotonically with
+   the set of hashes ever submitted otherwise.  Taking the mutex in
+   parallel mode mirrors [memo_check]'s locking discipline. *)
 let forget t hashes =
-  let drop h =
-    Hashtbl.remove t.memo h;
-    Hashtbl.remove t.latest h
-  in
-  if t.n_jobs <= 1 then List.iter drop hashes
+  if t.n_jobs <= 1 then List.iter (Hashtbl.remove t.memo) hashes
   else begin
     Mutex.lock t.mu;
-    List.iter drop hashes;
+    List.iter (Hashtbl.remove t.memo) hashes;
     Mutex.unlock t.mu
   end
 
-let sized t tbl =
-  if t.n_jobs <= 1 then Hashtbl.length tbl
+let memo_size t =
+  if t.n_jobs <= 1 then Hashtbl.length t.memo
   else begin
     Mutex.lock t.mu;
-    let n = Hashtbl.length tbl in
+    let n = Hashtbl.length t.memo in
     Mutex.unlock t.mu;
     n
-  end
-
-let memo_size t = sized t t.memo
-let invalidate_size t = sized t t.latest
-
-(* Keep-latest-per-hash pruning.  The old policy dropped every queued job
-   whose root differed from the new head, discarding still-valid
-   speculations wholesale — APs accumulated against the previous head are
-   usually still satisfiable (their constraints, not their root, decide),
-   and blanket dropping cratered the AP hit rate to 15%.  Now a head change
-   only sheds *superseded* work: when several jobs are queued for one hash,
-   the newest (freshest contexts) subsumes the older ones. *)
-let invalidate t ~root:_ =
-  if t.n_jobs <= 1 then 0
-  else begin
-    Mutex.lock t.mu;
-    let pruned = ref 0 in
-    Hashtbl.iter
-      (fun hash c ->
-        match c.chain with
-        | [] | [ _ ] -> ()
-        | chain ->
-          let rec last = function
-            | [ x ] -> x
-            | _ :: tl -> last tl
-            | [] -> assert false
-          in
-          (* the keep-latest table names the newest submission explicitly;
-             chains append in submission order, so the fallback (the chain's
-             tail) only differs if that invariant is ever broken *)
-          let keep =
-            match Hashtbl.find_opt t.latest hash with
-            | Some seq -> (
-              match List.find_opt (fun r -> r.seq = seq) chain with
-              | Some r -> r
-              | None -> last chain)
-            | None -> last chain
-          in
-          let n = List.length chain - 1 in
-          c.chain <- [ keep ];
-          t.n_queued <- t.n_queued - n;
-          t.s_requeued <- t.s_requeued + n;
-          Obs.add obs_requeued n;
-          pruned := !pruned + n)
-      t.cells;
-    if !Obs.enabled then Obs.set obs_depth (float_of_int t.n_queued);
-    Mutex.unlock t.mu;
-    !pruned
   end
 
 let stats t =
@@ -397,7 +329,6 @@ let stats t =
       submitted = t.s_submitted;
       completed = t.s_completed;
       cancelled = t.s_cancelled;
-      requeued = t.s_requeued;
       merged = t.s_merged;
       deduped = t.s_deduped;
       queued = 0;
@@ -412,7 +343,6 @@ let stats t =
         submitted = t.s_submitted;
         completed = t.s_completed;
         cancelled = t.s_cancelled;
-        requeued = t.s_requeued;
         merged = t.s_merged;
         deduped = t.s_deduped;
         queued = t.n_queued;

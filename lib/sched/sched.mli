@@ -14,7 +14,7 @@
     path, which is what the tier-1 tests and the fuzzer pin.
 
     The producer side is single-threaded: {!submit}, {!drain}, {!barrier},
-    {!cancel}, {!invalidate} and {!shutdown} must all be called from the
+    {!cancel}, {!forget} and {!shutdown} must all be called from the
     domain that called {!create} (in this codebase, the node's replay
     loop).  Worker domains never call back into the scheduler API. *)
 
@@ -42,7 +42,6 @@ type stats = {
   submitted : int;
   completed : int;  (** results published (inline or by a worker) *)
   cancelled : int;  (** queued jobs dropped + in-flight results suppressed *)
-  requeued : int;  (** superseded jobs pruned by {!invalidate} (keep-latest) *)
   merged : int;  (** submissions chained behind existing work for the same hash *)
   deduped : int;  (** submissions skipped: identical [dedupe_key] already live *)
   queued : int;  (** jobs currently waiting (snapshot) *)
@@ -96,35 +95,17 @@ val cancel : 'r t -> string list -> unit
     speculations are moot).  Already-published results are not recalled. *)
 
 val forget : 'r t -> string list -> unit
-(** Drop the per-hash bookkeeping — the dedupe-memo entry {e and} the
-    keep-latest entry {!invalidate} consults — for these hashes, without
-    touching any queued or running work.  Both tables otherwise grow
-    monotonically (one entry per tx hash ever submitted), so the node
-    calls this at block commit for the hashes it retires (included or
-    stale), bounding them to the live pending set.  Safe in both modes
-    and identical across job counts (pure bookkeeping), so it preserves
-    jobs=1 ≡ jobs=N parity.  Forgetting a hash that later resubmits
+(** Drop the dedupe-memo entries for these hashes, without touching any
+    queued or running work.  The memo otherwise grows monotonically (one
+    entry per tx hash ever submitted), so the node calls this at block
+    commit for the hashes it retires (included or stale), bounding it to
+    the live pending set.  Safe in both modes and identical across job
+    counts (pure bookkeeping), so it preserves jobs=1 ≡ jobs=N parity.  Forgetting a hash that later resubmits
     merely costs one redundant speculation; it never changes results. *)
 
 val memo_size : 'r t -> int
 (** Number of entries currently in the dedupe memo (for the bound's
     regression test and leak diagnosis). *)
-
-val invalidate_size : 'r t -> int
-(** Number of per-hash keep-latest entries currently retained (the table
-    {!invalidate} consults to pick each hash's newest submission).  Like
-    {!memo_size}, exists so the {!forget} bound is testable: after a block
-    retires its hashes, both sizes must return to the pending-set size. *)
-
-val invalidate : 'r t -> root:string -> int
-(** Keep-latest-per-hash pruning at a head change to [root]: for every tx
-    hash with several queued jobs, keep only the newest (its contexts
-    subsume the older submissions') and drop the rest; returns how many
-    were dropped (counted as [requeued]).  Still-valid speculations — one
-    queued job per hash — survive: an AP built against the previous head
-    remains satisfiable whenever its constraints hold, so dropping every
-    stale-root job (the old policy) threw away mostly-good work and
-    cratered the hit rate.  In-flight jobs are left to finish. *)
 
 val stats : 'r t -> stats
 

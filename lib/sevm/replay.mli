@@ -1,9 +1,10 @@
 (** Linear replay of a single synthesized S-EVM path.
 
-    This is the "trace build + replay" leg of the three-engine conformance
-    oracle: it walks [Ir.path.instrs] in order against a concrete state and
-    block environment, checks every guard, and — only if all guards held —
-    applies the deferred write set and rebuilds the receipt.
+    This is the "trace build + replay" leg of the conformance oracle (the
+    scenario runner's Sevm lane): it walks [Ir.path.instrs] in order
+    against a concrete state and block environment, checks every guard,
+    and — only if all guards held — applies the deferred write set and
+    rebuilds the receipt.
 
     It deliberately shares no evaluation code with [Ap.Exec]: the point is an
     independent re-implementation of the S-EVM semantics, so a bug in the AP

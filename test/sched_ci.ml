@@ -1,16 +1,14 @@
-(* The @sched alias: the fuzz corpus plus a bounded generated sweep through
-   the parallel speculation path.  jobs=4 must produce byte-identical APs
-   (structural fingerprints) and identical constraint-satisfaction outcomes
-   as jobs=1 on every scenario — exit non-zero on any mismatch.
+(* The @sched alias: the Fuzz.Runner Sched lane over the fuzz corpus (all
+   forks) plus a bounded generated sweep.  jobs=4 must produce
+   byte-identical APs (structural fingerprints) and identical
+   constraint-satisfaction outcomes as jobs=1 on every scenario — exit
+   non-zero on any mismatch.
 
-   Also pins the two fixed scheduler policies at CI scale, so the old
-   behaviours cannot silently return: the dedupe memo must skip
-   duplicate-key submissions instead of chaining redundant jobs (the
-   jobs=4 merged=6881 waste), and invalidate must keep the latest queued
-   job per hash instead of blanket-dropping by root (which cratered the
-   AP hit rate to 15%). *)
+   Also pins two scheduler policies at CI scale, so the old behaviours
+   cannot silently return: the dedupe memo must skip duplicate-key
+   submissions instead of chaining redundant jobs (the jobs=4 merged=6881
+   waste), and [forget] must bound the memo to the live pending set. *)
 
-let jobs = 4
 let sweep_iters = 8
 let seed = 42
 
@@ -42,70 +40,8 @@ let dedupe_regression ~jobs =
     fail "sched-ci: DEDUPE REGRESSION (jobs=%d): %d deduped, expected %d" jobs
       st.Sched.deduped (hashes * dups)
 
-(* Superseded-chain pruning: several queued jobs per hash, invalidate must
-   keep exactly the newest of each (the old policy dropped whole hashes
-   whose root was stale, still-valid speculations included). *)
-let keep_latest_regression () =
-  let s : int Sched.t = Sched.create ~jobs:1 () in
-  (* jobs=1 has no queue: invalidate is a no-op by contract *)
-  if Sched.invalidate s ~root:"h" <> 0 then begin
-    prerr_endline "sched-ci: KEEP-LATEST REGRESSION: inline invalidate pruned";
-    exit 1
-  end;
-  Sched.shutdown s;
-  let s : int Sched.t = Sched.create ~jobs:2 () in
-  (* pin both workers so the queue stays put while we prune it *)
-  let mu = Mutex.create () and cv = Condition.create () and go = ref false in
-  let started = Atomic.make 0 in
-  let pin h =
-    Sched.submit s ~hash:h ~root:"h" ~priority:(U256.of_int 9) (fun () ->
-        Atomic.incr started;
-        Mutex.lock mu;
-        while not !go do
-          Condition.wait cv mu
-        done;
-        Mutex.unlock mu;
-        0)
-  in
-  pin "g1";
-  pin "g2";
-  while Atomic.get started < 2 do
-    Domain.cpu_relax ()
-  done;
-  let hashes = 16 and per_hash = 4 in
-  for h = 0 to hashes - 1 do
-    for v = 0 to per_hash - 1 do
-      Sched.submit s
-        ~hash:(Printf.sprintf "tx%d" h)
-        ~root:(Printf.sprintf "old%d" v)
-        ~priority:(U256.of_int 1)
-        (fun () -> (h * 10) + v)
-    done
-  done;
-  let pruned = Sched.invalidate s ~root:"h" in
-  Mutex.lock mu;
-  go := true;
-  Condition.broadcast cv;
-  Mutex.unlock mu;
-  Sched.barrier s;
-  let st = Sched.stats s in
-  let results = List.length (Sched.drain s) in
-  Sched.shutdown s;
-  let fail fmt = Printf.ksprintf (fun m -> prerr_endline m; exit 1) fmt in
-  if pruned <> hashes * (per_hash - 1) then
-    fail "sched-ci: KEEP-LATEST REGRESSION: pruned %d, expected %d" pruned
-      (hashes * (per_hash - 1));
-  if results <> hashes + 2 then
-    fail "sched-ci: KEEP-LATEST REGRESSION: %d results, expected %d (latest per hash)"
-      results (hashes + 2);
-  if st.Sched.requeued <> hashes * (per_hash - 1) then
-    fail "sched-ci: KEEP-LATEST REGRESSION: requeued=%d, expected %d" st.Sched.requeued
-      (hashes * (per_hash - 1))
-
-(* Bookkeeping bound: submitting under a hash populates BOTH per-hash
-   tables (dedupe memo + keep-latest entry); [forget] must empty both.
-   The broken version dropped only the memo, leaking one keep-latest
-   entry per retired transaction forever. *)
+(* Bookkeeping bound: submitting under a hash populates the dedupe memo;
+   [forget] must shrink it to exactly the survivors. *)
 let forget_bound_regression ~jobs =
   let s : int Sched.t = Sched.create ~jobs () in
   let n = 24 in
@@ -121,55 +57,33 @@ let forget_bound_regression ~jobs =
   if Sched.memo_size s <> n then
     fail "sched-ci: FORGET-BOUND REGRESSION (jobs=%d): memo_size=%d, expected %d" jobs
       (Sched.memo_size s) n;
-  if Sched.invalidate_size s <> n then
-    fail "sched-ci: FORGET-BOUND REGRESSION (jobs=%d): invalidate_size=%d, expected %d"
-      jobs (Sched.invalidate_size s) n;
-  (* retire half the block: both tables shrink to the survivors, exactly *)
+  (* retire half the block: the memo shrinks to the survivors, exactly *)
   let retired, live = (List.filteri (fun i _ -> i < n / 2) hashes, n - (n / 2)) in
   Sched.forget s retired;
   if Sched.memo_size s <> live then
     fail "sched-ci: FORGET-BOUND REGRESSION (jobs=%d): memo_size=%d after forget, expected %d"
       jobs (Sched.memo_size s) live;
-  if Sched.invalidate_size s <> live then
-    fail
-      "sched-ci: FORGET-BOUND REGRESSION (jobs=%d): invalidate_size=%d after forget, expected %d (keep-latest leak)"
-      jobs
-      (Sched.invalidate_size s)
-      live;
   Sched.forget s hashes;
-  if Sched.memo_size s <> 0 || Sched.invalidate_size s <> 0 then
-    fail "sched-ci: FORGET-BOUND REGRESSION (jobs=%d): tables not empty after full forget"
-      jobs;
+  if Sched.memo_size s <> 0 then
+    fail "sched-ci: FORGET-BOUND REGRESSION (jobs=%d): memo not empty after full forget" jobs;
   Sched.shutdown s
 
 let () =
   dedupe_regression ~jobs:1;
   dedupe_regression ~jobs:4;
-  keep_latest_regression ();
   forget_bound_regression ~jobs:1;
   forget_bound_regression ~jobs:4;
-  print_string "sched-ci: dedupe, keep-latest and forget-bound policies hold (jobs=1 and jobs=4)\n";
-  let failures, n = Fuzz.Parallel.check_corpus ~jobs "corpus" in
-  Printf.printf "sched-ci: corpus %d/%d scenarios parallel-deterministic\n%!"
-    (n - List.length failures)
-    n;
+  print_string "sched-ci: dedupe and forget-bound policies hold (jobs=1 and jobs=4)\n";
+  let r =
+    Fuzz.Runner.sweep ~lanes:[ Fuzz.Runner.Sched ] ~corpus:"corpus" ~seed ~iters:sweep_iters ()
+  in
   List.iter
-    (fun (f : Fuzz.Parallel.corpus_failure) ->
-      Printf.printf "sched-ci: CORPUS MISMATCH %s: %s\n%!" f.path f.problem)
-    failures;
-  let bad = ref (List.length failures) in
-  let txs = ref 0 and aps = ref 0 in
-  for iter = 0 to sweep_iters - 1 do
-    let r = Fuzz.Parallel.check ~jobs (Fuzz.Driver.generate ~seed iter) in
-    txs := !txs + r.txs;
-    aps := !aps + r.aps_checked;
-    if r.mismatches <> [] then begin
-      incr bad;
-      Printf.printf "sched-ci: MISMATCH seed %d iter %d:\n%!" seed iter;
-      List.iter (fun m -> Fmt.pr "sched-ci:   %a@." Fuzz.Parallel.pp_mismatch m) r.mismatches
-    end
-  done;
-  Printf.printf "sched-ci: sweep %d iterations (seed %d): %d txs, %d AP fingerprints compared\n%!"
-    sweep_iters seed !txs !aps;
-  if !bad > 0 then exit 1
+    (fun (f, e) -> Printf.printf "sched-ci: CORPUS ERROR %s: %s\n%!" f e)
+    r.corpus_errors;
+  List.iter (fun f -> Fmt.pr "sched-ci: MISMATCH %a@." Fuzz.Runner.pp_finding f) r.findings;
+  Printf.printf
+    "sched-ci: %d scenarios (%d corpus files, all forks, + %d generated, seed %d): %d txs, \
+     %d AP fingerprints compared\n%!"
+    r.tally.scenarios r.corpus_files sweep_iters seed r.tally.txs r.tally.fingerprints;
+  if r.findings <> [] || r.corpus_errors <> [] then exit 1
   else print_string "sched-ci: jobs=4 and jobs=1 speculation agree everywhere\n"

@@ -213,12 +213,15 @@ let ap_tests =
 
 let hook_tests =
   [ t "builder output from a generated scenario verifies" (fun () ->
-        let s = Fuzz.Driver.generate ~seed:1 0 in
-        let sum = Fuzz.Checkrun.verify_scenario ~label:"gen" s in
-        Alcotest.(check bool) "built at least one program" true (sum.programs > 0);
+        let tally = Fuzz.Runner.new_tally () in
+        let fs =
+          Fuzz.Runner.run ~tally ~lanes:[ Fuzz.Runner.Verifier ] ~label:"gen"
+            (Fuzz.Generate.seeded ~seed:1 0)
+        in
+        Alcotest.(check bool) "built at least one program" true (tally.programs > 0);
         Alcotest.(check (list string))
           "no violations" []
-          (List.map (fun (c, v) -> c ^ ": " ^ Fmt.str "%a" R.pp v) sum.violations));
+          (List.map (Fmt.str "%a" Fuzz.Runner.pp_finding) fs));
     t "raising add_path hook rejects a broken path" (fun () ->
         let saved = !P.add_path_hook in
         Fun.protect

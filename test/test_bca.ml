@@ -2,7 +2,7 @@
    footprint ⊇ runtime touch log, across every hardfork) on generated
    scenarios, plus one negative case per analysis domain — each seeded
    [Bca.narrowing] must trip its matching sentinel.  The heavyweight
-   corpus + 200-per-fork sweep lives in bca_ci (`dune build @bca`); this
+   corpus + 200-per-fork sweep lives in lanes_ci (`dune build @bca`); this
    suite keeps a lighter property inside `dune test`. *)
 
 let checkb = Alcotest.(check bool)
@@ -20,14 +20,12 @@ let footprint_sound =
          List.for_all
            (fun fork ->
              let s =
-               { (Fuzz.Driver.generate ~seed:97 i) with Fuzz.Scenario.fork = Some fork }
+               { (Fuzz.Generate.seeded ~seed:97 i) with Fuzz.Scenario.fork = Some fork }
              in
              let label = Printf.sprintf "qcheck(iter=%d)" i in
-             let r = Fuzz.Bcarun.check_scenario ~label s in
-             if r.violations <> [] then
-               QCheck.Test.fail_reportf "iter %d [%s]: %a" i (Spec.fork_name fork)
-                 Fuzz.Bcarun.pp_violation (List.hd r.violations)
-             else true)
+             match Fuzz.Runner.run ~lanes:[ Fuzz.Runner.Footprint ] ~label s with
+             | [] -> true
+             | f :: _ -> QCheck.Test.fail_reportf "%a" Fuzz.Runner.pp_finding f)
            Spec.all_forks))
 
 (* ---- negative cases: each narrowing must trip its sentinel ---- *)
@@ -38,31 +36,27 @@ let sentinel_of = function
   | Bca.N_footprint -> "footprint-sstore"
   | Bca.N_calldata -> "calldata-eq-branch"
 
+let sentinels () = Fuzz.Runner.run_sentinels (Fuzz.Runner.new_tally ())
+
 let narrowing_tripped n () =
-  Fun.protect
-    ~finally:(fun () -> Bca.seeded_narrowing := None)
-    (fun () ->
-      Bca.seeded_narrowing := Some n;
-      let r = Fuzz.Bcarun.check_sentinels () in
+  Fuzz.Runner.with_fault (Some (Fuzz.Runner.Narrow n)) (fun () ->
+      let fs = sentinels () in
       let name = Bca.narrowing_name n and want = sentinel_of n in
-      checkb
-        (Printf.sprintf "narrowing %s yields violations" name)
-        true (r.violations <> []);
+      checkb (Printf.sprintf "narrowing %s yields violations" name) true (fs <> []);
       let contains hay sub =
         let n = String.length hay and m = String.length sub in
         let rec go i = i + m <= n && (String.sub hay i m = sub || go (i + 1)) in
         go 0
       in
-      let in_ctx sub (v : Fuzz.Bcarun.violation) = contains v.v_ctx sub in
+      let in_ctx sub (f : Fuzz.Runner.finding) = contains f.ctx sub in
       checkb
         (Printf.sprintf "narrowing %s trips sentinel %s" name want)
         true
-        (List.exists (in_ctx want) r.violations))
+        (List.exists (in_ctx want) fs))
 
 let narrowing_does_not_leak () =
   checkb "no narrowing active after the negative cases" true (!Bca.seeded_narrowing = None);
-  let r = Fuzz.Bcarun.check_sentinels () in
-  checkb "sentinels are clean without a narrowing" true (r.violations = [])
+  checkb "sentinels are clean without a narrowing" true (sentinels () = [])
 
 let suite =
   [ footprint_sound;

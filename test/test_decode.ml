@@ -1,21 +1,19 @@
 (* The @decode alias: the decoded-dispatch engine pinned byte-for-byte
    against the legacy match-dispatch interpreter (DESIGN.md §11).
 
-   Five batteries, exit non-zero on any divergence:
-   1. every checked-in corpus scenario, both engines, per-tx receipts +
-      committed roots + touched-account sets;
-   2. a fixed-seed generated-scenario sweep (structured gadget programs);
-   3. a qcheck-generated random-bytecode sweep biased at the decoder's
+   Three batteries, exit non-zero on any divergence (corpus and generated
+   scenarios run through the same Legacy lane under @fuzz):
+   1. a qcheck-generated random-bytecode sweep biased at the decoder's
       corners — truncated PUSH tails, PUSH data that looks like JUMPDEST,
-      out-of-range jumps, unassigned opcode bytes;
-   4. a 4-domain cache hammer: lib/sched workers decoding and executing
+      out-of-range jumps, unassigned opcode bytes — through the Legacy
+      lane's raw-bytecode differential (Fuzz.Runner.diff_code);
+   2. a 4-domain cache hammer: lib/sched workers decoding and executing
       the same code hash concurrently must agree on every receipt and
       leave exactly one cached program behind;
-   5. a mixed-spec cache audit: the same code hash hammered under all
+   3. a mixed-spec cache audit: the same code hash hammered under all
       five hardfork specs concurrently — one cached program per spec,
       each wearing its own fork's gas column, never shared. *)
 
-let scenario_iters = 200
 let raw_iters = 1200
 let seed = 42
 
@@ -25,46 +23,13 @@ let report ~battery ~case divs =
   if divs <> [] then begin
     incr failures;
     Printf.printf "decode-ci: DIVERGENCE [%s] %s:\n%!" battery case;
-    List.iter (fun d -> Fmt.pr "decode-ci:   %a@." Fuzz.Oracle.pp_divergence d) divs
+    List.iter (fun d -> Fmt.pr "decode-ci:   %a@." Fuzz.Runner.pp_finding d) divs
   end
 
-(* ---- 1: corpus scenarios ---- *)
-
-let corpus_battery () =
-  let files =
-    if Sys.file_exists "corpus" then
-      Sys.readdir "corpus" |> Array.to_list
-      |> List.filter (fun f -> Filename.check_suffix f ".sexp")
-      |> List.sort String.compare
-    else []
-  in
-  List.iter
-    (fun f ->
-      let path = Filename.concat "corpus" f in
-      let ic = open_in_bin path in
-      let s = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      match Fuzz.Scenario.of_string s with
-      | Error m ->
-        incr failures;
-        Printf.printf "decode-ci: CORPUS PARSE ERROR %s: %s\n%!" path m
-      | Ok sc -> report ~battery:"corpus" ~case:path (Fuzz.Enginediff.diff_scenario sc))
-    files;
-  List.length files
-
-(* ---- 2: generated scenarios ---- *)
-
-let scenario_battery () =
-  for iter = 0 to scenario_iters - 1 do
-    let sc = Fuzz.Driver.generate ~seed iter in
-    report ~battery:"scenario" ~case:(Printf.sprintf "iter %d" iter)
-      (Fuzz.Enginediff.diff_scenario sc)
-  done
-
-(* ---- 3: random bytecode via a qcheck generator ---- *)
+(* ---- 1: random bytecode via a qcheck generator ---- *)
 
 let raw_case_gen : (string * string) QCheck.Gen.t =
- fun rng -> (Fuzz.Enginediff.random_code rng, Fuzz.Enginediff.random_data rng)
+ fun rng -> (Fuzz.Runner.random_code rng, Fuzz.Runner.random_data rng)
 
 let raw_battery () =
   let rand = Random.State.make [| 0xDEC0DE; seed |] in
@@ -73,10 +38,10 @@ let raw_battery () =
     (fun i (code, data) ->
       report ~battery:"raw"
         ~case:(Printf.sprintf "case %d (%s)" i (Fuzz.Sexp.hex_of_string code))
-        (Fuzz.Enginediff.diff_code ~data ~tx:i code))
+        (Fuzz.Runner.diff_code ~data ~tx:i code))
     cases
 
-(* ---- 4: concurrent decode-cache hammer ---- *)
+(* ---- 2: concurrent decode-cache hammer ---- *)
 
 (* A keccak-loop kernel: hot enough that every job really executes, small
    enough to decode in microseconds.  All 64 jobs hit the same code hash. *)
@@ -102,7 +67,7 @@ let hammer_battery () =
       ~root:"r" ~priority:(U256.of_int 1)
       (fun () ->
         let r, root =
-          Fuzz.Enginediff.run_code ~engine:Evm.Interp.Decoded ~code:hammer_code ~data:""
+          Fuzz.Runner.run_code ~engine:Evm.Interp.Decoded ~code:hammer_code ~data:""
             ~gas_limit:200_000 ~value:U256.zero ()
         in
         (Fuzz.Sexp.hex_of_string root, r.Evm.Processor.gas_used))
@@ -152,7 +117,7 @@ let hammer_battery () =
       hits misses n
   end
 
-(* ---- 5: mixed-spec cache audit ---- *)
+(* ---- 3: mixed-spec cache audit ---- *)
 
 (* The decode cache is keyed by code hash x spec id: two forks must never
    share a cached artifact, or one fork executes under the other's gas
@@ -186,7 +151,7 @@ let mixed_spec_battery () =
           (fun () ->
             let spec = Spec.resolve fork in
             let r, root =
-              Fuzz.Enginediff.run_code ~spec ~engine:Evm.Interp.Decoded ~code:mixed_code
+              Fuzz.Runner.run_code ~spec ~engine:Evm.Interp.Decoded ~code:mixed_code
                 ~data:"" ~gas_limit:200_000 ~value:U256.zero ()
             in
             (Spec.fork_name fork, Fuzz.Sexp.hex_of_string root, r.Evm.Processor.gas_used))
@@ -257,10 +222,6 @@ let mixed_spec_battery () =
     Spec.all_forks
 
 let () =
-  let n_corpus = corpus_battery () in
-  Printf.printf "decode-ci: corpus: %d scenarios\n%!" n_corpus;
-  scenario_battery ();
-  Printf.printf "decode-ci: generated: %d scenarios (seed %d)\n%!" scenario_iters seed;
   raw_battery ();
   Printf.printf "decode-ci: raw bytecode: %d cases (seed %d)\n%!" raw_iters seed;
   hammer_battery ();

@@ -105,11 +105,13 @@ let test_jobs4_roots () =
   Alcotest.(check int) "all receipts present" 3 (List.length par.Chain.Stf.receipts)
 
 (* Random scenarios: storage-heavy generated contracts, applied as one
-   block.  check_apply compares the committed root and every receipt field
-   at jobs=1 and jobs=4 against the sequential apply. *)
+   block.  The runner's Apply lane compares the committed root and every
+   receipt field at jobs=1 and jobs=4, static partitioning off and on,
+   against the sequential apply. *)
 let prop_random_root iter =
-  let r = Fuzz.Parallel.check_apply ~jobs:4 (Fuzz.Driver.generate ~seed:1301 iter) in
-  r.Fuzz.Parallel.a_mismatches = []
+  Fuzz.Runner.run ~lanes:[ Fuzz.Runner.Apply ] ~label:"qcheck"
+    (Fuzz.Generate.seeded ~seed:1301 iter)
+  = []
 
 let suite =
   [ t "disjoint transfers commit with zero aborts" test_disjoint;

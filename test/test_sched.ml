@@ -1,7 +1,7 @@
 (* lib/sched tests: qcheck properties over the bounded priority work queue
    (ordering, nothing lost under concurrent producers/consumers, the
    backpressure bound), scheduler semantics (inline mode, per-hash
-   chaining, cancel, invalidate, barrier quiescence), the 4-domain
+   chaining, cancel, dedupe, forget, barrier quiescence), the 4-domain
    observability hammer, and the parallel-speculation determinism oracle
    on generated EVM scenarios. *)
 
@@ -192,44 +192,6 @@ let test_cancel () =
   Alcotest.(check int) "cancelled count" 2 (Sched.stats s).Sched.cancelled;
   Sched.shutdown s
 
-(* Keep-latest invalidation: a head change sheds only *superseded* queued
-   work — when several jobs are chained for one hash, the newest survives;
-   singleton chains (still-valid speculations) are untouched.  The old
-   blanket root-match dropping cratered the AP hit rate to 15%; this test
-   fails if that behaviour returns (it would drop "a" and "b" entirely). *)
-let test_invalidate () =
-  let s : string Sched.t = Sched.create ~jobs:2 () in
-  let wait, release = gate () in
-  let started = Atomic.make 0 in
-  let pin hash =
-    Sched.submit s ~hash ~root:"new" ~priority:(u 9) (fun () ->
-        Atomic.incr started;
-        wait ();
-        hash)
-  in
-  pin "g1";
-  pin "g2";
-  await "both workers pinned" (fun () -> Atomic.get started = 2);
-  (* hash "a": three chained submissions, speculated against successive
-     stale roots; hash "b": one still-valid speculation *)
-  Sched.submit s ~hash:"a" ~root:"old1" ~priority:(u 5) (fun () -> "a1");
-  Sched.submit s ~hash:"a" ~root:"old2" ~priority:(u 5) (fun () -> "a2");
-  Sched.submit s ~hash:"a" ~root:"new" ~priority:(u 5) (fun () -> "a3");
-  Sched.submit s ~hash:"b" ~root:"old1" ~priority:(u 4) (fun () -> "b1");
-  let pruned = Sched.invalidate s ~root:"new" in
-  Alcotest.(check int) "superseded jobs pruned (keep-latest)" 2 pruned;
-  release ();
-  Sched.barrier s;
-  let st = Sched.stats s in
-  Alcotest.(check int) "requeued count" 2 st.Sched.requeued;
-  Alcotest.(check int) "barrier: nothing queued" 0 st.Sched.queued;
-  Alcotest.(check int) "barrier: nothing running" 0 st.Sched.running;
-  Alcotest.(check (list string)) "latest-per-hash and singletons survived"
-    [ "g1"; "g2"; "a3"; "b1" ]
-    (List.map r_ok (Sched.drain s));
-  Alcotest.(check int) "second invalidate finds nothing" 0 (Sched.invalidate s ~root:"new");
-  Sched.shutdown s
-
 (* ---- dedupe memo (the jobs=4 merged-waste regression) ---- *)
 
 (* Run one submission script against a scheduler and return (result hashes
@@ -358,12 +320,12 @@ let test_obs_hammer () =
 
 let test_parallel_oracle () =
   for iter = 0 to 1 do
-    let s = Fuzz.Driver.generate ~seed:7 iter in
-    let r = Fuzz.Parallel.check ~jobs:4 s in
-    Alcotest.(check int)
-      (Printf.sprintf "iter %d: jobs=4 matches jobs=1 on %d txs" iter r.Fuzz.Parallel.txs)
-      0
-      (List.length r.Fuzz.Parallel.mismatches)
+    let label = Printf.sprintf "iter %d" iter in
+    Alcotest.(check (list string))
+      (label ^ ": jobs=4 matches jobs=1")
+      []
+      (List.map (Fmt.str "%a" Fuzz.Runner.pp_finding)
+         (Fuzz.Runner.run ~lanes:[ Fuzz.Runner.Sched ] ~label (Fuzz.Generate.seeded ~seed:7 iter)))
   done
 
 let suite =
@@ -379,12 +341,11 @@ let suite =
     t "job exceptions are captured, not propagated" test_exn;
     t "same-hash jobs chain in submission order" test_chaining;
     t "cancel drops queued work and suppresses in-flight results" test_cancel;
-    t "invalidate keeps the latest job per hash, prunes superseded" test_invalidate;
+    t "parallel speculation is deterministic on fuzz scenarios" test_parallel_oracle;
     t "dedupe memo skips duplicate submissions" test_dedupe;
     t "dedupe decisions identical at jobs=1 and jobs=4 (merged-waste)"
       test_dedupe_jobs4_parity;
     t "forget bounds the dedupe memo to the live pending set" test_memo_bound;
     t "forget bounds the memo at jobs=4 too" test_memo_bound_jobs4;
     t "barrier quiesces; shutdown is idempotent" test_barrier_quiesces;
-    t "obs counters are exact under 4 hammering domains" test_obs_hammer;
-    t "parallel speculation is deterministic on fuzz scenarios" test_parallel_oracle ]
+    t "obs counters are exact under 4 hammering domains" test_obs_hammer ]
