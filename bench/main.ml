@@ -262,47 +262,6 @@ let ablation () =
     | Some p -> p
     | None -> Node.replay ~policy:Node.Perfect_multi r.record)
 
-(* Every artifact the bench writes must open with the shared schema
-   header; a regression here breaks downstream consumers silently, so it
-   fails the benchmark run instead. *)
-let check_artifact ~experiment file =
-  match Schedbench.validate_header ~experiment file with
-  | Ok () -> ()
-  | Error e ->
-    Printf.eprintf "artifact header validation failed: %s\n" e;
-    exit 1
-
-(* ---- Scheduler: parallel speculation throughput (lib/sched) ---- *)
-
-let sched () =
-  section "Scheduler: parallel speculation (jobs=1 vs jobs=N, DESIGN.md)";
-  let jobs =
-    match Sys.getenv_opt "FORERUNNER_JOBS" with
-    | Some s -> (try max 2 (int_of_string s) with _ -> 4)
-    | None -> min 4 (max 2 (Domain.recommended_domain_count () - 1))
-  in
-  let params =
-    {
-      Netsim.Sim.default_params with
-      seed = 4242;
-      duration = 120.0 *. Datasets.scale ();
-      tx_rate = 14.0;
-      n_users = 120;
-      tick_interval = Some 1.0;
-    }
-  in
-  Printf.printf "simulating %.0fs of traffic (seed %d)...\n%!" params.duration params.seed;
-  let record = Netsim.Sim.run ~params () in
-  Printf.printf "%d blocks / %d txs; replaying with jobs=1 and jobs=%d...\n%!"
-    record.n_blocks record.n_txs jobs;
-  let c = Schedbench.compare_jobs ~jobs record in
-  Schedbench.print c;
-  (* always emitted, and always at the repo root regardless of the cwd *)
-  let file = Schedbench.at_repo_root "BENCH_sched.json" in
-  Schedbench.write_json ~file c;
-  check_artifact ~experiment:"sched" file;
-  Printf.printf "scheduler benchmark written to %s\n%!" file
-
 (* ---- Bechamel micro-benchmarks: one kernel per table/figure ---- *)
 
 let micro () =
@@ -406,195 +365,6 @@ let micro () =
       | Some _ | None -> Printf.printf "%-45s (no estimate)\n" name)
     (List.sort compare rows)
 
-(* ---- Interpreter: decoded dispatch vs the legacy match loop ---- *)
-
-(* Three kernels through Interp.call_message under both engines, ns per
-   executed instruction from ctx.steps_executed, written to
-   BENCH_interp.json at the repo root (Schedbench-style anchoring).  The
-   run is also a differential gate: any divergence in receipts, step
-   counts or committed roots between the engines exits non-zero. *)
-
-let interp () =
-  section "Interpreter: decoded dispatch vs legacy match loop (DESIGN.md §11)";
-  let open State in
-  let alice = Address.of_int 0xA11CE in
-  let bob = Address.of_int 0xB0B in
-  let addr_loop = Address.of_int 0x100F in
-  let addr_keccak = Address.of_int 0x200F in
-  let token = Address.of_int 0x300F in
-  (* tight ADD/MLOAD/JUMP countdown: mem[0] counter, mem[32] accumulator *)
-  let tight_code =
-    Evm.Asm.(
-      assemble
-        ([ push_int 3000; push_int 0; op MSTORE;
-           label "loop";
-           push_int 0; op MLOAD;                                  (* n *)
-           op (DUP 1); push_int 32; op MLOAD; op ADD;
-           push_int 32; op MSTORE;                                (* acc += n *)
-           push_int 1; op (SWAP 1); op SUB;                       (* n-1 *)
-           op (DUP 1); push_int 0; op MSTORE ]
-        @ jumpi "loop" @ [ op STOP ]))
-  in
-  (* keccak over a 64-byte window, 500 rounds *)
-  let keccak_code =
-    Evm.Asm.(
-      assemble
-        ([ push_int 500; push_int 0; op MSTORE;
-           label "loop";
-           push_int 64; push_int 0; op SHA3; op POP;
-           push_int 0; op MLOAD; push_int 1; op (SWAP 1); op SUB;
-           op (DUP 1); push_int 0; op MSTORE ]
-        @ jumpi "loop" @ [ op STOP ]))
-  in
-  let bk = Statedb.Backend.create () in
-  let st0 = Statedb.create bk ~root:Statedb.empty_root in
-  Statedb.set_balance st0 alice (U256.of_string "1000000000000000000000");
-  Statedb.set_code st0 addr_loop tight_code;
-  Statedb.set_code st0 addr_keccak keccak_code;
-  Statedb.set_code st0 (Address.of_int 0x400F)
-    (String.make 4000 '\x5b' ^ "\x00");
-  Contracts.Deploy.install_code st0 token Contracts.Erc20.code;
-  Statedb.set_storage st0 token (Contracts.Erc20.balance_slot alice)
-    (U256.of_int 1_000_000);
-  let root = Statedb.commit st0 in
-  let benv : Evm.Env.block_env =
-    {
-      coinbase = Address.of_int 0xC0FFEE;
-      timestamp = 1_700_000_000L;
-      number = 1000L;
-      difficulty = U256.one;
-      gas_limit = 12_000_000;
-      chain_id = 1;
-      block_hash = (fun n -> U256.of_int64 n);
-    }
-  in
-  let kernels =
-    [ ("nop-floor", Address.of_int 0x400F, "", 2_000_000, 400);
-      ("tight-loop", addr_loop, "", 2_000_000, 400);
-      ("keccak", addr_keccak, "", 2_000_000, 400);
-      ( "erc20-transfer",
-        token,
-        Contracts.Erc20.transfer_call ~to_:bob ~amount:(U256.of_int 7),
-        200_000,
-        4000 ) ]
-  in
-  let st = Statedb.create bk ~root in
-  let run ~engine ~target ~data ~gas =
-    let snap = Statedb.snapshot st in
-    let ctx = Evm.Interp.make_ctx ~engine st benv ~origin:alice ~gas_price:U256.one in
-    let r =
-      Evm.Interp.call_message ctx ~caller:alice ~target ~value:U256.zero ~data ~gas
-    in
-    Statedb.revert st snap;
-    (r, ctx.Evm.Interp.steps_executed)
-  in
-  (* Best-of-5 batches: the minimum is the least-noise estimate of the
-     true per-call cost (scheduler preemption and frequency shifts only
-     ever inflate a batch, never deflate it). *)
-  let time ~engine ~target ~data ~gas ~reps =
-    let r0, steps = run ~engine ~target ~data ~gas in
-    for _ = 1 to 3 do
-      ignore (run ~engine ~target ~data ~gas)
-    done;
-    let best = ref infinity in
-    for _ = 1 to 5 do
-      let t0 = Obs.now_ns () in
-      for _ = 1 to reps do
-        ignore (run ~engine ~target ~data ~gas)
-      done;
-      let t1 = Obs.now_ns () in
-      let per = Int64.to_float (Int64.sub t1 t0) /. float_of_int reps in
-      if per < !best then best := per
-    done;
-    (r0, steps, !best)
-  in
-  (* committed-root differential: one full tx per engine on fresh statedbs *)
-  let committed_root ~engine ~target ~data ~gas =
-    let st = Statedb.create bk ~root in
-    let tx : Evm.Env.tx =
-      { sender = alice; to_ = Some target; nonce = 0; value = U256.zero; data;
-        gas_limit = gas; gas_price = U256.one }
-    in
-    ignore (Evm.Processor.execute_tx ~engine st benv tx);
-    Statedb.commit st
-  in
-  let divergences = ref 0 in
-  let obs_was = !Obs.enabled in
-  Obs.set_enabled true;
-  (* the triple/DUP fusions exist only under lib/bca's CFG certifier; the
-     live pipeline installs it in Stf, the bench drives Interp directly *)
-  Bca.ensure_installed ();
-  Evm.Decode.clear_cache ();
-  let rows =
-    List.map
-      (fun (name, target, data, gas, reps) ->
-        let r_d, steps_d, per_d = time ~engine:Evm.Interp.Decoded ~target ~data ~gas ~reps in
-        let r_l, steps_l, per_l = time ~engine:Evm.Interp.Legacy ~target ~data ~gas ~reps in
-        let check what ok =
-          if not ok then begin
-            incr divergences;
-            Printf.printf "interp: DIVERGENCE [%s] %s\n%!" name what
-          end
-        in
-        check "success" (r_d.Evm.Interp.success = r_l.Evm.Interp.success);
-        check "gas_left" (r_d.Evm.Interp.gas_left = r_l.Evm.Interp.gas_left);
-        check "output" (String.equal r_d.Evm.Interp.output r_l.Evm.Interp.output);
-        check "steps" (steps_d = steps_l);
-        check "state_root"
-          (String.equal
-             (committed_root ~engine:Evm.Interp.Decoded ~target ~data ~gas:(gas + 21_000))
-             (committed_root ~engine:Evm.Interp.Legacy ~target ~data ~gas:(gas + 21_000)));
-        let ns_d = per_d /. float_of_int steps_d
-        and ns_l = per_l /. float_of_int steps_l in
-        Printf.printf "%-16s %8d steps  legacy %7.2f ns/op  decoded %7.2f ns/op  %5.2fx\n%!"
-          name steps_d ns_l ns_d (ns_l /. ns_d);
-        (name, steps_d, ns_l, ns_d))
-      kernels
-  in
-  Obs.set_enabled obs_was;
-  let count n = Obs.count (Obs.counter n) in
-  let hits = count "interp.decode.hits"
-  and misses = count "interp.decode.misses"
-  and bytes = count "interp.decode.bytes"
-  and triples = count "interp.decode.fused_triples"
-  and dups = count "interp.decode.fused_dups" in
-  Printf.printf
-    "decode cache: %d hits, %d misses, %d bytes decoded; %d fused triples, %d fused dups\n%!"
-    hits misses bytes triples dups;
-  (* the tight-loop and keccak kernels carry PUSH-PUSH-op runs, so a zero
-     here means the certifier or the triple fuser regressed *)
-  if triples = 0 then begin
-    Printf.printf "interp: no fused triples across the kernels — fusion regressed\n%!";
-    incr divergences
-  end;
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf
-    (Printf.sprintf "{%s,\n  \"kernels\": [" (Schedbench.meta_header ~experiment:"interp" ()));
-  List.iteri
-    (fun i (name, steps, ns_l, ns_d) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf
-           "\n    {\"name\": %S, \"steps\": %d, \"legacy_ns_per_op\": %.2f, \
-            \"decoded_ns_per_op\": %.2f, \"speedup\": %.2f}"
-           name steps ns_l ns_d (ns_l /. ns_d)))
-    rows;
-  Buffer.add_string buf
-    (Printf.sprintf
-       "\n  ],\n  \"decode_cache\": {\"hits\": %d, \"misses\": %d, \"bytes\": %d, \
-        \"fused_triples\": %d, \"fused_dups\": %d},\n  \"divergences\": %d\n}\n"
-       hits misses bytes triples dups !divergences);
-  let file = Schedbench.at_repo_root "BENCH_interp.json" in
-  let oc = open_out file in
-  Buffer.output_buffer oc buf;
-  close_out oc;
-  check_artifact ~experiment:"interp" file;
-  Printf.printf "interpreter benchmark written to %s\n%!" file;
-  if !divergences > 0 then begin
-    Printf.printf "interp: %d divergence(s) between engines\n%!" !divergences;
-    exit 1
-  end
-
 (* ---- Apstore: template AP cache on an airdrop storm (DESIGN.md §13) ---- *)
 
 (* Many distinct senders hammer one ERC-20 `transfer` shape.  With the
@@ -604,7 +374,8 @@ let interp () =
    With the store OFF, the classic pipeline traces and synthesizes a
    fresh per-transaction AP for every single transaction.  Both modes
    replay the identical storm (same seed) and must commit the identical
-   final state root — the bench doubles as a differential oracle. *)
+   final state root — the bench doubles as a differential oracle — and the
+   store must serve at least 90% of the storm from templates. *)
 
 let apstore () =
   section "Apstore: template AP cache on an airdrop storm (DESIGN.md §13)";
@@ -705,27 +476,6 @@ let apstore () =
   Printf.printf "templates published: %d; coalesced misses: %d; evictions: %d\n"
     s_on.Apstore.published s_on.Apstore.coalesced s_on.Apstore.evictions;
   Printf.printf "final state roots identical across modes: %b\n" roots_match;
-  let json =
-    Printf.sprintf
-      "{%s,\"n_txs\":%d,\"n_senders\":64,\
-       \"on\":{\"hits\":%d,\"misses\":%d,\"violations\":%d,\"hit_rate_pct\":%.3f,\
-       \"spec_ns\":%d,\"exec_ns\":%d,\"published\":%d,\"coalesced\":%d,\
-       \"evictions\":%d},\
-       \"off\":{\"hits\":%d,\"misses\":%d,\"violations\":%d,\"hit_rate_pct\":%.3f,\
-       \"spec_ns\":%d,\"exec_ns\":%d},\
-       \"spec_speedup\":%.3f,\"roots_match\":%b}"
-      (Schedbench.meta_header ~experiment:"apstore" ())
-      n_txs h_on m_on v_on (pct h_on) spec_on exec_on s_on.Apstore.published
-      s_on.Apstore.coalesced s_on.Apstore.evictions h_off m_off v_off (pct h_off) spec_off
-      exec_off spec_speedup roots_match
-  in
-  let file = Schedbench.at_repo_root "BENCH_apstore.json" in
-  let oc = open_out file in
-  output_string oc json;
-  output_char oc '\n';
-  close_out oc;
-  check_artifact ~experiment:"apstore" file;
-  Printf.printf "apstore benchmark written to %s\n%!" file;
   if not roots_match then begin
     Printf.printf "apstore: final state roots DIVERGED between modes\n%!";
     exit 1
@@ -741,7 +491,7 @@ let experiments =
   [ ("fig2", fig2); ("table1", table1); ("fig11", fig11); ("table2", table2);
     ("table3", table3); ("fig12", fig12); ("fig13", fig13); ("fig14", fig14);
     ("fig15", fig15); ("sec55", sec55); ("sec56", sec56); ("ablation", ablation);
-    ("sched", sched); ("micro", micro); ("interp", interp); ("apstore", apstore) ]
+    ("micro", micro); ("apstore", apstore) ]
 
 (* [--metrics] / [--metrics-json FILE] enable the Obs registry around the
    experiments; [--fork NAME] sets the process-default hardfork spec every

@@ -50,23 +50,6 @@ let jobs_arg ~default =
            deterministic sequential pipeline); N>1 drains the pending set on N OCaml \
            domains in parallel.")
 
-let apstore_arg =
-  let onoff =
-    let parse = function
-      | "on" -> Ok true
-      | "off" -> Ok false
-      | s -> Error (`Msg (Printf.sprintf "expected on or off, got %S" s))
-    in
-    Arg.conv (parse, fun ppf b -> Fmt.string ppf (if b then "on" else "off"))
-  in
-  Arg.(
-    value & opt onoff false
-    & info [ "apstore" ] ~docv:"on|off"
-        ~doc:
-          "Enable the shared template-AP store (lib/apstore): speculation also \
-           publishes input-lifted template APs, and execution serves them to \
-           structurally equivalent transactions that missed per-tx speculation.")
-
 let metrics_arg =
   Arg.(
     value & flag
@@ -184,58 +167,6 @@ let compare_cmd =
     Term.(
       const run $ seed_arg $ duration_arg $ rate_arg $ jobs_arg ~default:1 $ metrics_arg
       $ metrics_json_arg)
-
-let bench_cmd =
-  let run seed duration rate jobs use_apstore metrics metrics_json =
-    (* exit only after with_metrics has dumped, so a divergence still
-       leaves the metrics JSON behind for diagnosis *)
-    let ok =
-      with_metrics ~metrics ~metrics_json @@ fun () ->
-      let params =
-        {
-          Netsim.Sim.default_params with
-          seed;
-          duration;
-          tx_rate = rate;
-          (* a tick each simulated second lets the replay collect finished
-             speculation between deliveries, like the live pipeline *)
-          tick_interval = Some 1.0;
-        }
-      in
-      Printf.printf "simulating %.0fs of traffic (seed %d, %.0f tx/s)...\n%!" duration seed
-        rate;
-      let record = Netsim.Sim.run ~params () in
-      (* with metrics on, statically verify every AP the speculator builds
-         (counting only: the analysis.* counters land in the dump) *)
-      if metrics || metrics_json <> None then
-        Analysis.Verify.install_builder_hook ~raise_on_violation:false ();
-      Printf.printf "-> %d blocks, %d txs; replaying with jobs=1, jobs=%d...\n%!"
-        record.n_blocks record.n_txs jobs;
-      let config = { Core.Node.default_config with use_apstore } in
-      let c = Core.Schedbench.compare_jobs ~config ~jobs record in
-      Core.Schedbench.print c;
-      if metrics_json <> None then begin
-        let file = Core.Schedbench.at_repo_root "BENCH_sched.json" in
-        Core.Schedbench.write_json ~file c;
-        Printf.printf "scheduler benchmark written to %s\n%!" file
-      end;
-      c.outcomes_match && c.blocks_match
-      && List.for_all (fun (pw : Core.Schedbench.par_workload) -> pw.pw_roots_match) c.parallel
-    in
-    if not ok then begin
-      Printf.eprintf "ERROR: parallel replay diverged from sequential replay\n";
-      exit 1
-    end
-  in
-  Cmd.v
-    (Cmd.info "bench"
-       ~doc:
-         "Benchmark the speculation scheduler: replay the same traffic with jobs=1 and \
-          jobs=N and compare speculation throughput; per-tx outcomes and block results \
-          must be identical.  With --metrics-json, also writes BENCH_sched.json.")
-    Term.(
-      const run $ seed_arg $ duration_arg $ rate_arg $ jobs_arg ~default:4 $ apstore_arg
-      $ metrics_arg $ metrics_json_arg)
 
 let contracts_cmd =
   let run () =
@@ -531,6 +462,6 @@ let main =
   Cmd.group ~default:run_term
     (Cmd.info "forerunner" ~version:"1.0.0"
        ~doc:"Constraint-based speculative transaction execution (SOSP'21) in OCaml.")
-    [ run_cmd; compare_cmd; bench_cmd; contracts_cmd; fuzz_cmd; check_cmd; analyze_cmd ]
+    [ run_cmd; compare_cmd; contracts_cmd; fuzz_cmd; check_cmd; analyze_cmd ]
 
 let () = exit (Cmd.eval main)

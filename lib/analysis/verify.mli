@@ -40,12 +40,9 @@ val verify : ?max_paths:int -> Ap.Program.t -> Report.violation list
 val verify_exn : Ap.Program.t -> unit
 (** @raise Verification_failed on any violation. *)
 
-val install_builder_hook : ?raise_on_violation:bool -> unit -> unit
+val install_builder_hook : unit -> unit
 (** Point {!Ap.Program.add_path_hook} at the verifier so every program the
-    builder grows is checked as it is built.  With [raise_on_violation]
-    (the default) a violation raises {!Verification_failed} out of
-    [add_path] — the test-suite mode; with [~raise_on_violation:false] the
-    hook only feeds the Obs counters — the metrics mode used by
-    [forerunner bench]. *)
+    builder grows is checked as it is built: a violation raises
+    {!Verification_failed} out of [add_path] (the test-suite mode). *)
 
 val remove_builder_hook : unit -> unit

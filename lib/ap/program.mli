@@ -75,9 +75,8 @@ val add_path : t -> I.path -> unit
 
 val add_path_hook : (t -> unit) ref
 (** Self-check hook run at the end of every {!add_path}.  The static
-    verifier (lib/analysis) installs itself here: raising in tests so a
-    miscompiled program fails loudly at build time, counting-only under
-    [forerunner bench --metrics].  Defaults to a no-op. *)
+    verifier (lib/analysis) installs itself here in tests, raising so a
+    miscompiled program fails loudly at build time.  Defaults to a no-op. *)
 
 val block_io : I.instr array -> int array * int array
 (** [(inputs, outputs)] of one instruction run: registers read before being

@@ -277,7 +277,7 @@ let static_partition_plan ~spec st (benv : Evm.Env.block_env) txs_arr =
     txs_arr;
   serial
 
-let apply_txs_parallel ?pool ?(ap = no_ap) ?spec ?(static_partition = false) st
+let apply_txs_parallel ?pool ?(ap = no_ap) ?spec ?(static_partition = true) st
     (benv : Evm.Env.block_env) txs =
   (* resolve once on the caller's domain: worker-domain speculation and the
      commit-phase reruns must run under the same fork *)
@@ -405,9 +405,3 @@ let apply_txs_parallel ?pool ?(ap = no_ap) ?spec ?(static_partition = false) st
       par_ap_hits = !ap_hits;
       par_commit_ns = !commit_ns;
     } )
-
-let apply_block_parallel ?pool ?ap ?spec ?static_partition st ~block_hash (b : Block.t) =
-  let benv = block_env_of_header b.header ~block_hash in
-  let r, stats = apply_txs_parallel ?pool ?ap ?spec ?static_partition st benv b.txs in
-  check_valid ~what:"apply_block_parallel" r.receipts;
-  (r, stats)

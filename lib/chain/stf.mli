@@ -77,7 +77,7 @@ val apply_txs_parallel :
     any (never consulted for creations); default: none, interpreter only.
     [spec] is resolved once on the submitting domain so speculation and
     commit-phase reruns agree on the fork.  Without [pool] an ephemeral
-    inline pool is used.  With [static_partition] (default off) each
+    inline pool is used.  With [static_partition] (default on) each
     transaction's static footprint ({!Bca.predict_tx}) is concretized
     first and transactions that provably conflict with an earlier one
     skip speculation entirely, executing in consensus order at commit
@@ -85,15 +85,3 @@ val apply_txs_parallel :
     conflict check still guards every speculated commit and the root is
     byte-identical either way.
     @raise Invalid_argument if [st] has uncommitted state. *)
-
-val apply_block_parallel :
-  ?pool:pool ->
-  ?ap:(Evm.Env.tx -> Ap.Program.t option) ->
-  ?spec:Spec.t ->
-  ?static_partition:bool ->
-  Statedb.t ->
-  block_hash:(int64 -> U256.t) ->
-  Block.t ->
-  block_result * par_stats
-(** {!apply_txs_parallel} under the block's header environment.
-    @raise Invalid_argument on an invalid transaction, like {!apply_block}. *)

@@ -57,9 +57,9 @@ type program = {
 let max_stack = 1024
 
 (* Static charges come from the spec's byte-indexed table (DESIGN.md §12);
-   the gas-table pin tests assert the Istanbul entries equal
-   [Gas.static_cost] so the spec can never silently diverge from
-   lib/evm/gas.ml.  Unavailable bytes charge 0, like unassigned ones. *)
+   the gas-table pin tests assert the Istanbul entries equal the literal
+   Istanbul class charges.  Unavailable bytes charge 0, like unassigned
+   ones. *)
 let static_gas_of_byte (spec : Spec.t) b =
   if Spec.available spec b then Spec.static_gas spec b else 0
 

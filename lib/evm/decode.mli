@@ -5,7 +5,7 @@
     every byte position of the code gets a flat {!instr} record carrying
     the opcode id, the PUSH immediate already materialized as a {!U256.t}
     (truncated tails zero-padded exactly like the legacy loop), the static
-    gas charge hoisted from {!Gas.static_cost}, and the two precomputed
+    gas charge hoisted from {!Spec.static_gas}, and the two precomputed
     stack bounds that collapse per-step validation to two comparisons.
     The JUMPDEST bitmap is folded into the same cached artifact, so
     CALL-family re-entry reuses one decoded object instead of re-scanning
@@ -17,7 +17,7 @@ type instr = {
   imm : U256.t;  (** PUSH immediate, zero-padded on truncation; zero otherwise *)
   imm_i : int;  (** [imm] as a native int, or -1 when it does not fit — lets
                     fused handlers skip [U256.to_int_opt] on offsets/targets *)
-  static_gas : int;  (** hoisted {!Gas.static_cost} (0 for unassigned bytes) *)
+  static_gas : int;  (** hoisted {!Spec.static_gas} (0 for unassigned bytes) *)
   stack_in : int;  (** underflow iff [sp < stack_in] *)
   max_sp : int;  (** overflow iff [sp > max_sp] *)
   steps : int;  (** contribution to [steps_executed]: 1, or 0 for unassigned bytes *)
@@ -61,7 +61,7 @@ val fusable_ids : int list
 val static_gas_of_byte : Spec.t -> int -> int
 (** The hoisted per-byte static charge exactly as stored in instructions
     decoded under [spec] — the gas-table tests pin the Istanbul column
-    against {!Gas.static_cost} and every fork's column against the
+    against literal class charges and every fork's column against the
     spec's resolved table. Unassigned and unavailable bytes charge 0. *)
 
 val triple_ids : int list

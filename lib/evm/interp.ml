@@ -17,8 +17,8 @@
      inlined, static gas hoisted, stack validation collapsed to two
      precomputed comparisons.
    - [Legacy]: the original byte-at-a-time [match] dispatch, kept compiled
-     as the differential reference (test/test_decode.ml, the fuzz oracle
-     and `bench interp` pin the two engines byte-for-byte). *)
+     as the differential reference (test/test_decode.ml and the fuzz
+     oracle pin the two engines byte-for-byte). *)
 
 open State
 
@@ -258,8 +258,8 @@ let is_precompile addr = precompile_of addr <> None
 (* Returns (gas cost, output). *)
 let run_precompile kind data =
   match kind with
-  | P_identity -> (15 + (3 * Gas.words (String.length data)), data)
-  | P_sha256 -> (60 + (12 * Gas.words (String.length data)), Khash.Sha256.digest data)
+  | P_identity -> (15 + (3 * Memory.words (String.length data)), data)
+  | P_sha256 -> (60 + (12 * Memory.words (String.length data)), Khash.Sha256.digest data)
 
 (* ---- the dispatch table ----
 
@@ -475,7 +475,7 @@ and exec_op ctx f (op : Op.t) =
     | _ -> push f (if U256.testbit x 255 then U256.max_value else U256.zero))
   | SHA3 ->
     let off = as_offset (pop f) and len = as_offset (pop f) in
-    charge f (Gas.g_sha3_word * Gas.words len);
+    charge f (Spec.g_sha3_word * Memory.words len);
     charge_mem f off len;
     push f (Khash.Keccak.digest_u256 (Memory.load f.mem off len))
   | ADDRESS -> push f (Address.to_u256 f.ctx_address)
@@ -513,7 +513,7 @@ and exec_op ctx f (op : Op.t) =
   | RETURNDATACOPY ->
     let dst = as_offset (pop f) and src = as_offset (pop f) and len = as_offset (pop f) in
     if src + len > String.length f.returndata then raise (Fail Return_data_oob);
-    charge f (Gas.g_copy_word * Gas.words len);
+    charge f (Spec.g_copy_word * Memory.words len);
     charge_mem f dst len;
     Memory.store_slice f.mem ~dst ~src:f.returndata ~src_off:src ~len
   | BLOCKHASH ->
@@ -579,7 +579,7 @@ and exec_op ctx f (op : Op.t) =
     if f.is_static then raise (Fail Static_violation);
     let off = as_offset (pop f) and len = as_offset (pop f) in
     let topics = List.init n (fun _ -> pop f) in
-    charge f (Gas.g_log_byte * len);
+    charge f (Spec.g_log_byte * len);
     charge_mem f off len;
     add_log ctx
       { Env.log_address = f.ctx_address; topics; log_data = Memory.load f.mem off len }
@@ -636,7 +636,7 @@ and load_padded_code code off len = load_padded code off len
 
 and copy_to_mem f src =
   let dst = as_offset (pop f) and src_off = as_offset (pop f) and len = as_offset (pop f) in
-  charge f (Gas.g_copy_word * Gas.words len);
+  charge f (Spec.g_copy_word * Memory.words len);
   charge_mem f dst len;
   Memory.store_slice f.mem ~dst ~src ~src_off ~len
 
@@ -658,9 +658,9 @@ and exec_call ctx f op =
   charge_cold_account ctx f target;
   let has_value = not (U256.is_zero value) in
   if has_value then begin
-    charge f Gas.g_call_value;
+    charge f Spec.g_call_value;
     if op = Op.CALL && not (Statedb.account_exists st target) then
-      charge f Gas.g_new_account
+      charge f Spec.g_new_account
   end;
   charge_mem f in_off in_len;
   charge_mem f out_off out_len;
@@ -672,7 +672,7 @@ and exec_call ctx f op =
   let requested = match U256.to_int_opt gas_req with Some g -> g | None -> max_int in
   let forwarded = min requested max_forward in
   charge f forwarded;
-  let callee_gas = if has_value then forwarded + Gas.g_call_stipend else forwarded in
+  let callee_gas = if has_value then forwarded + Spec.g_call_stipend else forwarded in
   let data = Memory.load f.mem in_off in_len in
   let ctx_addr, code_addr, caller, call_value, transfer, static =
     match op with
@@ -804,7 +804,7 @@ and exec_create ctx f op =
   let off = as_offset (pop f) in
   let len = as_offset (pop f) in
   let salt = if op = Op.CREATE2 then pop f else U256.zero in
-  if op = Op.CREATE2 then charge f (Gas.g_sha3_word * Gas.words len);
+  if op = Op.CREATE2 then charge f (Spec.g_sha3_word * Memory.words len);
   charge_mem f off len;
   let initcode = Memory.load f.mem off len in
   let max_forward =
@@ -894,7 +894,7 @@ and exec_create ctx f op =
       let deploy st_result =
         match st_result with
         | Returned deployed ->
-          let deposit = Gas.g_code_deposit_byte * String.length deployed in
+          let deposit = Spec.g_code_deposit_byte * String.length deployed in
           if String.length deployed > max_code_size then begin
             Statedb.revert st snap;
             log_revert ctx lsnap;
@@ -981,7 +981,7 @@ let () =
   delegate 0x1d (* SAR *);
   h 0x20 (fun _ f _ ->
       let off = as_offset (pop f) and len = as_offset (pop f) in
-      charge f (Gas.g_sha3_word * Gas.words len);
+      charge f (Spec.g_sha3_word * Memory.words len);
       charge_mem f off len;
       push f (Khash.Keccak.digest_u256 (Memory.load f.mem off len)));
   h 0x30 (fun _ f _ -> push f (Address.to_u256 f.ctx_address));
@@ -1096,7 +1096,7 @@ let () =
      indirect call through a wrapper. *)
   let fuse id mk =
     let op = match Op.of_byte id with Some op -> op | None -> assert false in
-    xtable.(0x100 lor id) <- mk (Op.stack_in op - 1) (Gas.static_cost op)
+    xtable.(0x100 lor id) <- mk (Op.stack_in op - 1) (Spec.static_gas (Spec.default ()) id)
   in
   (* a = the pushed word: it sits on top, so it is the first legacy pop *)
   let fuse_binop id g =
@@ -1361,7 +1361,7 @@ let create_message ctx ~caller ~value ~initcode ~gas =
     in
     match run_frame ctx f with
     | Returned deployed ->
-      let deposit = Gas.g_code_deposit_byte * String.length deployed in
+      let deposit = Spec.g_code_deposit_byte * String.length deployed in
       if String.length deployed > max_code_size || f.gas < deposit then begin
         Statedb.revert st snap;
         log_revert ctx lsnap;

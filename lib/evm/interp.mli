@@ -30,8 +30,8 @@ type engine =
           hash) driven through a 256-entry handler table.  The default. *)
   | Legacy
       (** The original byte-at-a-time [match] dispatch.  Test-only: the
-          differential battery ([@decode], the fuzz oracle, [bench interp])
-          pins [Decoded] against it byte-for-byte. *)
+          differential battery ([@decode], the fuzz oracle) pins
+          [Decoded] against it byte-for-byte. *)
 
 val default_engine : engine ref
 (** What {!make_ctx} uses when no [?engine] is given; [Decoded]. *)

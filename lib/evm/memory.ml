@@ -1,21 +1,29 @@
 (* EVM linear memory: byte-addressed, zero-initialised, growing in 32-byte
-   words.  Growth cost is quadratic (see {!Gas.memory_cost}); the interpreter
+   words.  Growth cost is quadratic (see {!memory_cost}); the interpreter
    charges the cost difference before calling {!ensure}. *)
 
 type t = { mutable buf : Bytes.t; mutable hwm : int (* word-aligned high-water mark *) }
+
+let words n = (n + 31) / 32
+
+(* Total cost of a memory of [n] bytes: 3 gas per word plus the quadratic
+   term, unchanged across every fork in the spec ladder. *)
+let memory_cost n =
+  let w = words n in
+  (3 * w) + (w * w / 512)
 
 let create () = { buf = Bytes.make 4096 '\000'; hwm = 0 }
 let size m = m.hwm
 
 (* Word-aligned size needed to touch [off, off+len).  Same value as
-   [Gas.words (off + len) * 32], written out locally so the size checks on
+   [words (off + len) * 32], written out locally so the size checks on
    every MLOAD/MSTORE stay a couple of integer ops. *)
 let needed off len = if len = 0 then 0 else (off + len + 31) land lnot 31
 
 (* Gas cost of expanding to cover [off, off+len); 0 if already covered. *)
 let expansion_cost m off len =
   let n = needed off len in
-  if n <= m.hwm then 0 else Gas.memory_cost n - Gas.memory_cost m.hwm
+  if n <= m.hwm then 0 else memory_cost n - memory_cost m.hwm
 
 let ensure m off len =
   let n = needed off len in

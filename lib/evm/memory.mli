@@ -1,5 +1,11 @@
 (** EVM linear memory: byte-addressed, zero-initialised, growing in 32-byte
-    words with the quadratic expansion cost of {!Gas.memory_cost}. *)
+    words with the quadratic expansion cost of {!memory_cost}. *)
+
+val words : int -> int
+(** Bytes rounded up to 32-byte words. *)
+
+val memory_cost : int -> int
+(** Total cost of a memory of [n] bytes (linear + quadratic term). *)
 
 type t
 

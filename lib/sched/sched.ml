@@ -6,9 +6,8 @@
    queue at most once per cell generation — a worker that pops it claims
    the cell and then runs the cell's whole chain to empty, which is what
    serialises same-tx jobs (they mutate the same spec record) without any
-   per-job locking.  Stale queue entries (their cell was cancelled or
-   claimed meanwhile) are simply skipped on pop, which lets cancel edit
-   cells without having to reach into the queue. *)
+   per-job locking.  Stale queue entries (their cell was claimed
+   meanwhile) are simply skipped on pop. *)
 
 (* re-exported: the library wrapper hides sibling modules behind [Sched] *)
 module Workq = Workq
@@ -28,14 +27,12 @@ type 'r cell = {
   mutable chain : 'r req list; (* submission order *)
   mutable running : bool;
   mutable in_queue : bool;
-  mutable kill : bool; (* cancel arrived while running: suppress result *)
 }
 
 type stats = {
   jobs : int;
   submitted : int;
   completed : int;
-  cancelled : int;
   merged : int;
   deduped : int;
   queued : int;
@@ -56,7 +53,6 @@ type 'r t = {
   mutable n_running : int;
   mutable s_submitted : int;
   mutable s_completed : int;
-  mutable s_cancelled : int;
   mutable s_merged : int;
   mutable s_deduped : int;
   mutable domains : unit Domain.t list;
@@ -68,7 +64,6 @@ let empty_stats =
     jobs = 1;
     submitted = 0;
     completed = 0;
-    cancelled = 0;
     merged = 0;
     deduped = 0;
     queued = 0;
@@ -78,7 +73,6 @@ let empty_stats =
 
 let obs_submitted = Obs.counter "sched.submitted"
 let obs_completed = Obs.counter "sched.completed"
-let obs_cancelled = Obs.counter "sched.cancelled"
 let obs_deduped = Obs.counter "sched.deduped"
 let obs_depth = Obs.gauge "sched.queue_depth"
 
@@ -95,11 +89,11 @@ let signal_if_idle t = if t.n_queued = 0 && t.n_running = 0 then Condition.broad
 
 (* Worker side.  [claim] pops the head request of [hash]'s cell, if the cell
    is still live and unclaimed; [run_chain] then executes requests for that
-   hash until the chain is empty (or a cancel kills it). *)
+   hash until the chain is empty. *)
 
 let claim t hash =
   match Hashtbl.find_opt t.cells hash with
-  | None -> None (* cancelled since queued *)
+  | None -> None
   | Some c ->
     c.in_queue <- false;
     if c.running then None (* fresher queue entry already claimed it *)
@@ -127,29 +121,16 @@ let retire t hash (c : _ cell) =
 let rec run_chain t hash (c : _ cell) req =
   let value = run_job req.job in
   Mutex.lock t.mu;
-  if c.kill then begin
-    (* the tx got included (or otherwise cancelled) while we ran: drop the
-       result and whatever is still chained behind it *)
-    let n_dropped = 1 + List.length c.chain in
-    t.n_queued <- t.n_queued - List.length c.chain;
-    c.chain <- [];
-    c.kill <- false;
-    t.s_cancelled <- t.s_cancelled + n_dropped;
-    Obs.add obs_cancelled n_dropped;
-    retire t hash c
-  end
-  else begin
-    publish t req value;
-    t.s_completed <- t.s_completed + 1;
-    Obs.incr obs_completed;
-    match c.chain with
-    | next :: rest ->
-      c.chain <- rest;
-      t.n_queued <- t.n_queued - 1;
-      Mutex.unlock t.mu;
-      run_chain t hash c next
-    | [] -> retire t hash c
-  end
+  publish t req value;
+  t.s_completed <- t.s_completed + 1;
+  Obs.incr obs_completed;
+  match c.chain with
+  | next :: rest ->
+    c.chain <- rest;
+    t.n_queued <- t.n_queued - 1;
+    Mutex.unlock t.mu;
+    run_chain t hash c next
+  | [] -> retire t hash c
 
 let rec worker t =
   match Workq.pop t.q with
@@ -179,7 +160,6 @@ let create ?(capacity = 4096) ~jobs () =
       n_running = 0;
       s_submitted = 0;
       s_completed = 0;
-      s_cancelled = 0;
       s_merged = 0;
       s_deduped = 0;
       domains = [];
@@ -250,7 +230,7 @@ let submit ?dedupe_key t ~hash ~root ~priority job =
           false
         | None ->
           Hashtbl.add t.cells hash
-            { chain = [ req ]; running = false; in_queue = true; kill = false };
+            { chain = [ req ]; running = false; in_queue = true };
           t.n_queued <- t.n_queued + 1;
           true
       in
@@ -275,34 +255,9 @@ let barrier t =
     Mutex.unlock t.mu
   end
 
-let cancel t hashes =
-  (* The dedupe memo forgets cancelled hashes in both modes (inline mode
-     has nothing queued to drop, but keeping bookkeeping behaviour
-     identical across job counts is what preserves jobs=1 ≡ jobs=N outcome
-     parity). *)
-  List.iter (Hashtbl.remove t.memo) hashes;
-  if t.n_jobs > 1 then begin
-    Mutex.lock t.mu;
-    List.iter
-      (fun hash ->
-        match Hashtbl.find_opt t.cells hash with
-        | None -> ()
-        | Some c ->
-          let n = List.length c.chain in
-          c.chain <- [];
-          t.n_queued <- t.n_queued - n;
-          t.s_cancelled <- t.s_cancelled + n;
-          Obs.add obs_cancelled n;
-          if c.running then c.kill <- true (* in-flight result suppressed at finish *)
-          else Hashtbl.remove t.cells hash)
-      hashes;
-    signal_if_idle t;
-    Mutex.unlock t.mu
-  end
-
-(* Bookkeeping-only: no queue or cell state is touched, so (unlike
-   [cancel]) this is safe to call for hashes with live work — although the
-   node only calls it for retired ones.  The memo grows monotonically with
+(* Bookkeeping-only: no queue or cell state is touched, so this is safe
+   to call for hashes with live work — although the node only calls it
+   for retired ones.  The memo grows monotonically with
    the set of hashes ever submitted otherwise.  Taking the mutex in
    parallel mode mirrors [memo_check]'s locking discipline. *)
 let forget t hashes =
@@ -328,7 +283,6 @@ let stats t =
       jobs = t.n_jobs;
       submitted = t.s_submitted;
       completed = t.s_completed;
-      cancelled = t.s_cancelled;
       merged = t.s_merged;
       deduped = t.s_deduped;
       queued = 0;
@@ -342,7 +296,6 @@ let stats t =
         jobs = t.n_jobs;
         submitted = t.s_submitted;
         completed = t.s_completed;
-        cancelled = t.s_cancelled;
         merged = t.s_merged;
         deduped = t.s_deduped;
         queued = t.n_queued;

@@ -14,7 +14,7 @@
     path, which is what the tier-1 tests and the fuzzer pin.
 
     The producer side is single-threaded: {!submit}, {!drain}, {!barrier},
-    {!cancel}, {!forget} and {!shutdown} must all be called from the
+    {!forget} and {!shutdown} must all be called from the
     domain that called {!create} (in this codebase, the node's replay
     loop).  Worker domains never call back into the scheduler API. *)
 
@@ -41,7 +41,6 @@ type stats = {
   jobs : int;
   submitted : int;
   completed : int;  (** results published (inline or by a worker) *)
-  cancelled : int;  (** queued jobs dropped + in-flight results suppressed *)
   merged : int;  (** submissions chained behind existing work for the same hash *)
   deduped : int;  (** submissions skipped: identical [dedupe_key] already live *)
   queued : int;  (** jobs currently waiting (snapshot) *)
@@ -74,8 +73,8 @@ val submit :
     that job's result is already in the {!Mailbox} (or on its way), so this
     submission is skipped entirely — counted as [deduped], no result
     published.  The decision depends only on the submission history (never
-    on worker timing), so jobs=1 and jobs=N dedupe identically.  {!cancel}
-    forgets a hash's key; keyless submissions never dedupe and clear the
+    on worker timing), so jobs=1 and jobs=N dedupe identically.  {!forget}
+    drops a hash's key; keyless submissions never dedupe and clear the
     key.  Callers that need one result per submit (the parallel block
     commit) must not pass [dedupe_key]. *)
 
@@ -88,11 +87,6 @@ val barrier : 'r t -> unit
     parked in the queue's pop wait — quiescent — so the caller may safely
     write shared backend state (e.g. commit a block's trie nodes) before
     submitting again.  No-op in inline mode. *)
-
-val cancel : 'r t -> string list -> unit
-(** Drop all queued jobs for these hashes and suppress the results of any
-    in-flight ones (used when a new block includes the txs: their
-    speculations are moot).  Already-published results are not recalled. *)
 
 val forget : 'r t -> string list -> unit
 (** Drop the dedupe-memo entries for these hashes, without touching any

@@ -20,8 +20,10 @@
    the 63/64 rule (Tangerine), the Byzantium/Constantinople opcode batch
    (REVERT, shifts, CREATE2, STATICCALL, RETURNDATA*, EXTCODEHASH),
    EIP-1884/2028 repricing + CHAINID/SELFBALANCE (Istanbul), and
-   EIP-2929 access lists (Berlin).  Istanbul resolves byte-identically
-   to the constants in lib/evm/gas.ml and is the process default. *)
+   EIP-2929 access lists (Berlin).  Istanbul is the process default.
+   Charges no fork in the ladder changed (per-word hashing and copying,
+   call value and stipend, code deposit, ...) are plain module-level
+   constants below, so this file is the one source of gas truth. *)
 
 type fork = Frontier | Tangerine | Constantinople | Istanbul | Berlin
 
@@ -114,10 +116,11 @@ let no_delta =
     d_refund = None;
   }
 
-(* The Frontier base.  Static charges follow the gas-class assignment of
-   lib/evm/gas.ml, with the historical pre-EIP-150 values for the state
-   opcodes; bytes for opcodes not yet introduced carry cost 0 and
-   available=false (the enabling fork's delta sets both). *)
+(* The Frontier base.  Static charges follow the Yellow Paper gas classes
+   (zero, base, verylow, low, mid, high, ...), with the historical
+   pre-EIP-150 values for the state opcodes; bytes for opcodes not yet
+   introduced carry cost 0 and available=false (the enabling fork's delta
+   sets both). *)
 let frontier_base () =
   let g = Array.make 256 0 in
   let avail = Array.make 256 false in
@@ -305,12 +308,21 @@ let default () = resolve Istanbul
    flags set it; tests must restore it. *)
 let current : t ref = ref (resolve Istanbul)
 
-(* Intrinsic transaction gas under this spec (mirrors
-   Gas.intrinsic_gas, with the per-fork nonzero-byte price). *)
+(* ---- fork-invariant charges ---- *)
+
+let g_sha3_word = 6
+let g_copy_word = 3
+let g_log_byte = 8
+let g_call_value = 9000
+let g_call_stipend = 2300
+let g_new_account = 25000
+let g_code_deposit_byte = 200
 let g_tx = 21000
 let g_tx_create = 32000
 let g_tx_data_zero = 4
 
+(* Intrinsic transaction gas under this spec: the per-fork nonzero-byte
+   price over the fork-invariant base. *)
 let intrinsic_gas t ~is_create data =
   let base = if is_create then g_tx + g_tx_create else g_tx in
   String.fold_left

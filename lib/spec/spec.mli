@@ -76,7 +76,7 @@ val resolve : fork -> t
 val by_id : int -> t option
 
 val default_fork : fork
-(** Istanbul — resolves byte-identically to lib/evm/gas.ml. *)
+(** Istanbul, the process default. *)
 
 val default : unit -> t
 
@@ -84,6 +84,32 @@ val current : t ref
 (** Process-wide default spec, used when no explicit spec is threaded
     (mirrors [Interp.default_engine]).  Set by the CLI/bench [--fork]
     flags; tests must restore it. *)
+
+(** {2 Fork-invariant charges}
+
+    Parts of the schedule no fork in the ladder changed; the engines read
+    them as constants rather than through a resolved {!t}. *)
+
+val g_sha3_word : int
+(** SHA3 / CREATE2 hashing, per 32-byte word. *)
+
+val g_copy_word : int
+(** [*COPY] opcodes, per 32-byte word. *)
+
+val g_log_byte : int
+(** LOG data, per byte. *)
+
+val g_call_value : int
+(** CALL-family transfer of a nonzero value. *)
+
+val g_call_stipend : int
+(** Gas handed to the callee of a value transfer. *)
+
+val g_new_account : int
+(** CALL creating the recipient account. *)
+
+val g_code_deposit_byte : int
+(** CREATE deposit, per byte of deployed code. *)
 
 val intrinsic_gas : t -> is_create:bool -> string -> int
 (** Intrinsic transaction gas under this spec (21000/53000 base plus

@@ -6,7 +6,9 @@
      fuzz      the oracle lanes (legacy, S-EVM, AP, verifier) over the
                corpus, then a bounded fuzz pass with shrinking
      parallel  the Apply lane: conflict-aware parallel block apply
-               byte-identical to the sequential apply
+               byte-identical to the sequential apply; then the same on
+               recorded transfer / amm / mixed traffic against the
+               miner's header roots
      analysis  the Verifier lane, a qcheck property that the verifier
                accepts builder output, and the add / drop-guard faults
      bca       the Footprint lane (sentinels + corpus + 200 scenarios per
@@ -67,14 +69,91 @@ let fuzz () =
     print_findings "fuzz-ci" f.findings;
     exit 1
 
+(* Recorded traffic: every canonical block of a netsim record, applied
+   sequentially and in parallel on a 2-domain pool, static partitioning
+   off and then on.  Each transaction gets its AP built beforehand against
+   the block's parent state (the speculation a live node ran while the tx
+   sat in the pool), so the speculative phase runs the fast path and
+   conflicts surface at commit.  The parallel root must equal the
+   sequential root, which must equal the miner's header root, for every
+   block. *)
+let record_workload ~name ~seed ~n_users mix =
+  let params =
+    { Netsim.Sim.default_params with seed; duration = 60.0; tx_rate = 14.0; n_users; mix }
+  in
+  let record = Netsim.Sim.run ~params () in
+  let bk = record.backend in
+  let blocks =
+    Array.to_list record.events
+    |> List.filter_map (function
+         | Netsim.Record.Block (_, b) when Netsim.Record.is_canonical record b -> Some b
+         | Netsim.Record.Block _ | Netsim.Record.Heard _ | Netsim.Record.Tick _ -> None)
+    |> List.sort (fun (a : Chain.Block.t) b -> compare a.header.number b.header.number)
+  in
+  if blocks = [] then fail "parallel-ci: %s record has no canonical block" name;
+  let pool = Chain.Stf.create_pool ~jobs:2 () in
+  Fun.protect ~finally:(fun () -> Chain.Stf.shutdown_pool pool) @@ fun () ->
+  List.iter
+    (fun static_partition ->
+      let parent = ref record.genesis_root in
+      let txs = ref 0 and aborted = ref 0 and serial = ref 0 in
+      List.iter
+        (fun (b : Chain.Block.t) ->
+          let benv =
+            Chain.Stf.block_env_of_header b.header ~block_hash:(fun n -> U256.of_int64 n)
+          in
+          let aps = Hashtbl.create 64 in
+          let st = State.Statedb.create bk ~root:!parent in
+          List.iter
+            (fun (tx : Evm.Env.tx) ->
+              if tx.to_ <> None then
+                match Runner.build_path st benv tx with
+                | Ok path ->
+                  let ap = Ap.Program.create () in
+                  Ap.Program.add_path ap path;
+                  Hashtbl.replace aps (Evm.Env.tx_hash tx) ap
+                | Error _ -> ())
+            b.txs;
+          let ap (tx : Evm.Env.tx) = Hashtbl.find_opt aps (Evm.Env.tx_hash tx) in
+          let seq = Chain.Stf.apply_txs (State.Statedb.create bk ~root:!parent) benv b.txs in
+          let par, stats =
+            Chain.Stf.apply_txs_parallel ~pool ~ap ~static_partition
+              (State.Statedb.create bk ~root:!parent)
+              benv b.txs
+          in
+          if
+            not
+              (String.equal par.state_root seq.state_root
+              && String.equal seq.state_root b.header.state_root)
+          then
+            fail "parallel-ci: ROOT MISMATCH %s block %Ld (static partitioning %b)" name
+              b.header.number static_partition;
+          txs := !txs + stats.par_txs;
+          aborted := !aborted + stats.par_aborted + stats.par_forced;
+          serial := !serial + stats.par_static_serial;
+          parent := b.header.state_root)
+        blocks;
+      Printf.printf
+        "parallel-ci: %-8s static %-3s %d blocks, %d txs, %d aborted, %d statically serial\n%!"
+        name
+        (if static_partition then "on" else "off")
+        (List.length blocks) !txs !aborted !serial)
+    [ false; true ]
+
 let parallel () =
   let r = Runner.sweep ~lanes:[ Runner.Apply ] ~corpus:"corpus" ~seed:1301 ~iters:8 () in
   clean "parallel-ci" r;
   let t = r.tally in
   Printf.printf
     "parallel-ci: %d scenarios (%d corpus files, all forks, + 8 generated), %d txs applied \
-     at jobs=1 and jobs=4, static partitioning off and on; %d aborts, %d forced reruns\n"
+     at jobs=1 and jobs=4, static partitioning off and on; %d aborts, %d forced reruns\n%!"
     t.scenarios r.corpus_files t.txs t.aborted t.forced;
+  (* disjoint transfers over 2000 users barely conflict; AMM swaps all
+     serialize on one pair's reserves; the default mix sits between *)
+  record_workload ~name:"transfer" ~seed:7001 ~n_users:2000
+    [ (Workload.Gen.Eth_transfer, 1.0) ];
+  record_workload ~name:"amm" ~seed:7002 ~n_users:120 [ (Workload.Gen.Amm_swap, 1.0) ];
+  record_workload ~name:"mixed" ~seed:7003 ~n_users:120 Workload.Gen.default_mix;
   print_string "parallel-ci: parallel apply = sequential apply everywhere\n"
 
 let analysis () =

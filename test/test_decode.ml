@@ -1,7 +1,7 @@
 (* The @decode alias: the decoded-dispatch engine pinned byte-for-byte
    against the legacy match-dispatch interpreter (DESIGN.md §11).
 
-   Three batteries, exit non-zero on any divergence (corpus and generated
+   Four batteries, exit non-zero on any divergence (corpus and generated
    scenarios run through the same Legacy lane under @fuzz):
    1. a qcheck-generated random-bytecode sweep biased at the decoder's
       corners — truncated PUSH tails, PUSH data that looks like JUMPDEST,
@@ -12,7 +12,11 @@
       leave exactly one cached program behind;
    3. a mixed-spec cache audit: the same code hash hammered under all
       five hardfork specs concurrently — one cached program per spec,
-      each wearing its own fork's gas column, never shared. *)
+      each wearing its own fork's gas column, never shared;
+   4. four interpreter kernels (a JUMPDEST sled, a tight arithmetic loop,
+      a keccak loop and an ERC-20 transfer) through both engines, compared
+      on success, gas left, output, step count and committed root; the
+      kernels' PUSH-PUSH-op runs must come out as fused triples. *)
 
 let raw_iters = 1200
 let seed = 42
@@ -221,6 +225,127 @@ let mixed_spec_battery () =
         Spec.all_forks)
     Spec.all_forks
 
+(* ---- 4: interpreter kernels ---- *)
+
+let kernel_battery () =
+  let open State in
+  let alice = Address.of_int 0xA11CE in
+  let bob = Address.of_int 0xB0B in
+  let addr_sled = Address.of_int 0x400F in
+  let addr_loop = Address.of_int 0x100F in
+  let addr_keccak = Address.of_int 0x200F in
+  let token = Address.of_int 0x300F in
+  (* tight ADD/MLOAD/JUMP countdown: mem[0] counter, mem[32] accumulator *)
+  let tight_code =
+    Evm.Asm.(
+      assemble
+        ([ push_int 3000; push_int 0; op MSTORE;
+           label "loop";
+           push_int 0; op MLOAD;                                  (* n *)
+           op (DUP 1); push_int 32; op MLOAD; op ADD;
+           push_int 32; op MSTORE;                                (* acc += n *)
+           push_int 1; op (SWAP 1); op SUB;                       (* n-1 *)
+           op (DUP 1); push_int 0; op MSTORE ]
+        @ jumpi "loop" @ [ op STOP ]))
+  in
+  (* keccak over a 64-byte window, 500 rounds *)
+  let keccak_code =
+    Evm.Asm.(
+      assemble
+        ([ push_int 500; push_int 0; op MSTORE;
+           label "loop";
+           push_int 64; push_int 0; op SHA3; op POP;
+           push_int 0; op MLOAD; push_int 1; op (SWAP 1); op SUB;
+           op (DUP 1); push_int 0; op MSTORE ]
+        @ jumpi "loop" @ [ op STOP ]))
+  in
+  let bk = Statedb.Backend.create () in
+  let st0 = Statedb.create bk ~root:Statedb.empty_root in
+  Statedb.set_balance st0 alice (U256.of_string "1000000000000000000000");
+  Statedb.set_code st0 addr_sled (String.make 4000 '\x5b' ^ "\x00");
+  Statedb.set_code st0 addr_loop tight_code;
+  Statedb.set_code st0 addr_keccak keccak_code;
+  Contracts.Deploy.install_code st0 token Contracts.Erc20.code;
+  Statedb.set_storage st0 token (Contracts.Erc20.balance_slot alice) (U256.of_int 1_000_000);
+  let root = Statedb.commit st0 in
+  let benv : Evm.Env.block_env =
+    {
+      coinbase = Address.of_int 0xC0FFEE;
+      timestamp = 1_700_000_000L;
+      number = 1000L;
+      difficulty = U256.one;
+      gas_limit = 12_000_000;
+      chain_id = 1;
+      block_hash = (fun n -> U256.of_int64 n);
+    }
+  in
+  let kernels =
+    [ ("nop-floor", addr_sled, "", 2_000_000);
+      ("tight-loop", addr_loop, "", 2_000_000);
+      ("keccak", addr_keccak, "", 2_000_000);
+      ("erc20-transfer", token, Contracts.Erc20.transfer_call ~to_:bob ~amount:(U256.of_int 7),
+       200_000) ]
+  in
+  let st = Statedb.create bk ~root in
+  let call ~engine ~target ~data ~gas =
+    let snap = Statedb.snapshot st in
+    let ctx = Evm.Interp.make_ctx ~engine st benv ~origin:alice ~gas_price:U256.one in
+    let r = Evm.Interp.call_message ctx ~caller:alice ~target ~value:U256.zero ~data ~gas in
+    Statedb.revert st snap;
+    (r, ctx.Evm.Interp.steps_executed)
+  in
+  (* one full transaction per engine on a fresh statedb, committed *)
+  let committed_root ~engine ~target ~data ~gas =
+    let st = Statedb.create bk ~root in
+    let tx : Evm.Env.tx =
+      { sender = alice; to_ = Some target; nonce = 0; value = U256.zero; data;
+        gas_limit = gas; gas_price = U256.one }
+    in
+    ignore (Evm.Processor.execute_tx ~engine st benv tx);
+    Statedb.commit st
+  in
+  Obs.reset ();
+  Obs.set_enabled true;
+  (* the triple fusions exist only under lib/bca's CFG certifier; the live
+     pipeline installs it in Stf, this battery drives Interp directly *)
+  Bca.ensure_installed ();
+  Evm.Decode.clear_cache ();
+  List.iter
+    (fun (name, target, data, gas) ->
+      let r_d, steps_d = call ~engine:Evm.Interp.Decoded ~target ~data ~gas in
+      let r_l, steps_l = call ~engine:Evm.Interp.Legacy ~target ~data ~gas in
+      let before = !failures in
+      let check what ok =
+        if not ok then begin
+          incr failures;
+          Printf.printf "decode-ci: DIVERGENCE [kernel] %s: %s\n%!" name what
+        end
+      in
+      check "success" (r_d.Evm.Interp.success = r_l.Evm.Interp.success);
+      check "gas_left" (r_d.Evm.Interp.gas_left = r_l.Evm.Interp.gas_left);
+      check "output" (String.equal r_d.Evm.Interp.output r_l.Evm.Interp.output);
+      check "steps" (steps_d = steps_l);
+      check "state_root"
+        (String.equal
+           (committed_root ~engine:Evm.Interp.Decoded ~target ~data ~gas:(gas + 21_000))
+           (committed_root ~engine:Evm.Interp.Legacy ~target ~data ~gas:(gas + 21_000)));
+      if steps_d = 0 then begin
+        incr failures;
+        Printf.printf "decode-ci: KERNELS: %s executed no step\n%!" name
+      end;
+      if !failures = before then
+        Printf.printf "decode-ci: kernel %-14s %7d steps, engines agree\n%!" name steps_d)
+    kernels;
+  Obs.set_enabled false;
+  (* the tight-loop and keccak kernels carry PUSH-PUSH-op runs, so a zero
+     here means the certifier or the triple fuser regressed *)
+  let triples = Obs.count (Obs.counter "interp.decode.fused_triples") in
+  if triples = 0 then begin
+    incr failures;
+    print_string "decode-ci: KERNELS: no fused triples across the kernels\n"
+  end
+  else Printf.printf "decode-ci: kernels decoded %d fused triples\n%!" triples
+
 let () =
   raw_battery ();
   Printf.printf "decode-ci: raw bytecode: %d cases (seed %d)\n%!" raw_iters seed;
@@ -230,6 +355,7 @@ let () =
   Printf.printf
     "decode-ci: mixed-spec: 80 jobs across 4 domains, one code hash x %d forks\n%!"
     (List.length Spec.all_forks);
+  kernel_battery ();
   if !failures > 0 then begin
     Printf.printf "decode-ci: %d FAILURE(S)\n%!" !failures;
     exit 1

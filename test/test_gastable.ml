@@ -1,81 +1,90 @@
 (* Gas-table pins: the decoder hoists each opcode's static charge into the
    decoded instruction at decode time (DESIGN.md §11), so the hoisted table
-   must equal Gas.static_cost for every byte, forever.  One case per
-   opcode class pins the charge to the schedule constant it is meant to
-   be, so a schedule edit that silently shifts a class fails here and not
-   three layers up in a receipt diff. *)
+   must equal the Istanbul schedule for every byte, forever.  One case per
+   opcode class pins the charge to the literal Istanbul number it is meant
+   to be, so a schedule edit that silently shifts a class fails here and
+   not three layers up in a receipt diff. *)
 
 open Evm
 
 let t name f = Alcotest.test_case name `Quick f
-
-(* The class pins below are written against lib/evm/gas.ml, which is the
-   Istanbul schedule; the spec layer's Istanbul column must stay
-   byte-identical to it. *)
 let ist = Spec.resolve Spec.Istanbul
+let range f lo hi = List.init (hi - lo + 1) (fun i -> f (lo + i))
 
-(* Assert every op of a class carries [expect] in both the decode table and
-   the live schedule. *)
-let pins expect ops () =
+(* The Istanbul classes as (charge, members).  Every assigned opcode byte
+   sits in exactly one class ([all_bytes] checks it). *)
+let zero = (0, [ Op.STOP; Op.RETURN; Op.REVERT; Op.INVALID ])
+
+let base =
+  ( 2,
+    [ Op.ADDRESS; Op.ORIGIN; Op.CALLER; Op.CALLVALUE; Op.CALLDATASIZE; Op.CODESIZE;
+      Op.GASPRICE; Op.RETURNDATASIZE; Op.COINBASE; Op.TIMESTAMP; Op.NUMBER; Op.DIFFICULTY;
+      Op.GASLIMIT; Op.CHAINID; Op.POP; Op.PC; Op.MSIZE; Op.GAS ] )
+
+let verylow =
+  ( 3,
+    [ Op.ADD; Op.SUB; Op.NOT; Op.LT; Op.GT; Op.SLT; Op.SGT; Op.EQ; Op.ISZERO; Op.AND;
+      Op.OR; Op.XOR; Op.BYTE; Op.SHL; Op.SHR; Op.SAR; Op.CALLDATALOAD; Op.MLOAD;
+      Op.MSTORE; Op.MSTORE8; Op.CALLDATACOPY; Op.CODECOPY; Op.RETURNDATACOPY ]
+    @ range (fun n -> Op.PUSH n) 1 32
+    @ range (fun n -> Op.DUP n) 1 16
+    @ range (fun n -> Op.SWAP n) 1 16 )
+
+let low = (5, [ Op.MUL; Op.DIV; Op.SDIV; Op.MOD; Op.SMOD; Op.SIGNEXTEND; Op.SELFBALANCE ])
+let mid = (8, [ Op.ADDMOD; Op.MULMOD; Op.JUMP ])
+let high = (10, [ Op.JUMPI ])
+let exp = (10, [ Op.EXP ])
+let sha3 = (30, [ Op.SHA3 ])
+let ext = (700, [ Op.EXTCODECOPY; Op.EXTCODESIZE; Op.EXTCODEHASH ])
+let balance = (700, [ Op.BALANCE ])
+let blockhash = (20, [ Op.BLOCKHASH ])
+let sload = (800, [ Op.SLOAD ])
+let sstore = (5000, [ Op.SSTORE ])
+let jumpdest = (1, [ Op.JUMPDEST ])
+let create = (32000, [ Op.CREATE; Op.CREATE2 ])
+let call = (700, [ Op.CALL; Op.CALLCODE; Op.DELEGATECALL; Op.STATICCALL ])
+let selfdestruct = (5000, [ Op.SELFDESTRUCT ])
+
+(* LOG charges scale with the topic count: 375 + 375 per topic. *)
+let logs = List.map (fun n -> (375 + (375 * n), [ Op.LOG n ])) [ 0; 1; 2; 3; 4 ]
+
+let classes =
+  [ zero; base; verylow; low; mid; high; exp; sha3; ext; balance; blockhash; sload; sstore;
+    jumpdest; create; call; selfdestruct ]
+  @ logs
+
+(* Assert every op of a class carries the class charge in both the spec's
+   schedule and the decode table. *)
+let pins (expect, ops) () =
   List.iter
     (fun op ->
       let b = Op.to_byte op in
       Alcotest.(check int)
         (Printf.sprintf "%s schedule" (Op.name op))
-        expect (Gas.static_cost op);
+        expect (Spec.static_gas ist b);
       Alcotest.(check int)
         (Printf.sprintf "%s decode table (0x%02x)" (Op.name op) b)
         expect (Decode.static_gas_of_byte ist b))
     ops
 
-let range f lo hi = List.init (hi - lo + 1) (fun i -> f (lo + i))
+let log_classes () = List.iter (fun c -> pins c ()) logs
 
-let zero_class = pins Gas.g_zero [ Op.STOP; Op.RETURN; Op.REVERT; Op.INVALID ]
-
-let base_class =
-  pins Gas.g_base
-    [ Op.ADDRESS; Op.ORIGIN; Op.CALLER; Op.CALLVALUE; Op.CALLDATASIZE; Op.CODESIZE;
-      Op.GASPRICE; Op.RETURNDATASIZE; Op.COINBASE; Op.TIMESTAMP; Op.NUMBER; Op.DIFFICULTY;
-      Op.GASLIMIT; Op.CHAINID; Op.POP; Op.PC; Op.MSIZE; Op.GAS ]
-
-let verylow_class =
-  pins Gas.g_verylow
-    ([ Op.ADD; Op.SUB; Op.NOT; Op.LT; Op.GT; Op.SLT; Op.SGT; Op.EQ; Op.ISZERO; Op.AND;
-       Op.OR; Op.XOR; Op.BYTE; Op.SHL; Op.SHR; Op.SAR; Op.CALLDATALOAD; Op.MLOAD;
-       Op.MSTORE; Op.MSTORE8; Op.CALLDATACOPY; Op.CODECOPY; Op.RETURNDATACOPY ]
-    @ range (fun n -> Op.PUSH n) 1 32
-    @ range (fun n -> Op.DUP n) 1 16
-    @ range (fun n -> Op.SWAP n) 1 16)
-
-let low_class =
-  pins Gas.g_low [ Op.MUL; Op.DIV; Op.SDIV; Op.MOD; Op.SMOD; Op.SIGNEXTEND; Op.SELFBALANCE ]
-
-let mid_class = pins Gas.g_mid [ Op.ADDMOD; Op.MULMOD; Op.JUMP ]
-let high_class = pins Gas.g_high [ Op.JUMPI ]
-let exp_class = pins Gas.g_exp [ Op.EXP ]
-let sha3_class = pins Gas.g_sha3 [ Op.SHA3 ]
-let ext_class = pins Gas.g_ext [ Op.EXTCODECOPY; Op.EXTCODESIZE; Op.EXTCODEHASH ]
-let balance_class = pins Gas.g_balance [ Op.BALANCE ]
-let blockhash_class = pins Gas.g_blockhash [ Op.BLOCKHASH ]
-let sload_class = pins Gas.g_sload [ Op.SLOAD ]
-let sstore_class = pins Gas.g_sstore [ Op.SSTORE ]
-let jumpdest_class = pins Gas.g_jumpdest [ Op.JUMPDEST ]
-let create_class = pins Gas.g_create [ Op.CREATE; Op.CREATE2 ]
-let call_class = pins Gas.g_call [ Op.CALL; Op.CALLCODE; Op.DELEGATECALL; Op.STATICCALL ]
-let selfdestruct_class = pins Gas.g_selfdestruct [ Op.SELFDESTRUCT ]
-
-(* LOG charges scale with the topic count. *)
-let log_class () =
-  List.iter
-    (fun n -> pins (Gas.g_log + (n * Gas.g_log_topic)) [ Op.LOG n ] ())
-    [ 0; 1; 2; 3; 4 ]
-
-(* Every byte of the table: assigned bytes mirror the schedule, unassigned
-   bytes charge nothing (the decoded engine raises Invalid_opcode before
-   any charge, exactly like the legacy engine). *)
+(* Every byte of the table: each assigned byte belongs to exactly one class
+   and carries its charge; unassigned bytes charge nothing (the decoded
+   engine raises Invalid_opcode before any charge, exactly like the legacy
+   engine). *)
 let all_bytes () =
   for b = 0 to 255 do
-    let expect = match Op.of_byte b with Some op -> Gas.static_cost op | None -> 0 in
+    let expect =
+      match Op.of_byte b with
+      | Some op -> (
+        match List.filter (fun (_, ops) -> List.mem op ops) classes with
+        | [ (charge, _) ] -> charge
+        | owners ->
+          Alcotest.failf "%s (0x%02x) sits in %d classes, expected exactly 1" (Op.name op) b
+            (List.length owners))
+      | None -> 0
+    in
     Alcotest.(check int)
       (Printf.sprintf "byte 0x%02x" b)
       expect
@@ -162,24 +171,24 @@ let fork_columns_differ () =
     (g Spec.Constantinople (Op.to_byte Op.SHL) > 0)
 
 let suite =
-  [ t "zero class" zero_class;
-    t "base class" base_class;
-    t "verylow class (incl. PUSH/DUP/SWAP)" verylow_class;
-    t "low class" low_class;
-    t "mid class" mid_class;
-    t "high class" high_class;
-    t "exp class" exp_class;
-    t "sha3 class" sha3_class;
-    t "ext class" ext_class;
-    t "balance class" balance_class;
-    t "blockhash class" blockhash_class;
-    t "sload class" sload_class;
-    t "sstore class" sstore_class;
-    t "jumpdest class" jumpdest_class;
-    t "log classes" log_class;
-    t "create class" create_class;
-    t "call class" call_class;
-    t "selfdestruct class" selfdestruct_class;
+  [ t "zero class" (pins zero);
+    t "base class" (pins base);
+    t "verylow class (incl. PUSH/DUP/SWAP)" (pins verylow);
+    t "low class" (pins low);
+    t "mid class" (pins mid);
+    t "high class" (pins high);
+    t "exp class" (pins exp);
+    t "sha3 class" (pins sha3);
+    t "ext class" (pins ext);
+    t "balance class" (pins balance);
+    t "blockhash class" (pins blockhash);
+    t "sload class" (pins sload);
+    t "sstore class" (pins sstore);
+    t "jumpdest class" (pins jumpdest);
+    t "log classes" log_classes;
+    t "create class" (pins create);
+    t "call class" (pins call);
+    t "selfdestruct class" (pins selfdestruct);
     t "all 256 bytes" all_bytes;
     t "all 256 bytes x all forks" all_bytes_per_fork;
     t "meta packing matches unpacked scalars x all forks" meta_packing;

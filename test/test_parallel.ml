@@ -1,7 +1,8 @@
 (* Conflict-aware parallel block apply (DESIGN.md §10): unit tests pinning
    abort/rerun counts on hand-built transfer pairs (a read/write conflict
-   must abort and rerun; disjoint transfers must commit speculatively with
-   zero aborts), plus the qcheck property that the parallel state root is
+   must abort and rerun when static partitioning is off, and be kept out of
+   speculation when it is on; disjoint transfers must commit speculatively
+   with zero aborts), plus the qcheck property that the parallel state root is
    byte-identical to the sequential apply on random fuzz scenarios. *)
 
 open State
@@ -34,7 +35,7 @@ let world senders =
   List.iter (fun a -> Statedb.set_balance st a ether) senders;
   (bk, Statedb.commit st)
 
-let apply_both ?(jobs = 1) bk root txs =
+let apply_both ?(jobs = 1) ?static_partition bk root txs =
   let seq =
     Chain.Stf.apply_txs (Statedb.create bk ~root) benv txs
   in
@@ -42,7 +43,9 @@ let apply_both ?(jobs = 1) bk root txs =
   let par, stats =
     Fun.protect
       ~finally:(fun () -> Chain.Stf.shutdown_pool pool)
-      (fun () -> Chain.Stf.apply_txs_parallel ~pool (Statedb.create bk ~root) benv txs)
+      (fun () ->
+        Chain.Stf.apply_txs_parallel ~pool ?static_partition (Statedb.create bk ~root) benv
+          txs)
   in
   Alcotest.(check string) "parallel root byte-identical to sequential"
     (Khash.Keccak.to_hex seq.Chain.Stf.state_root)
@@ -57,6 +60,7 @@ let test_disjoint () =
   Alcotest.(check int) "no aborts on disjoint transfers" 0 stats.Chain.Stf.par_aborted;
   Alcotest.(check int) "no forced reruns" 0 stats.Chain.Stf.par_forced;
   Alcotest.(check int) "no reruns at all" 0 stats.Chain.Stf.par_reruns;
+  Alcotest.(check int) "nothing statically serialized" 0 stats.Chain.Stf.par_static_serial;
   List.iter
     (fun (r : Evm.Processor.receipt) ->
       Alcotest.(check bool) "transfer succeeded" true
@@ -65,15 +69,21 @@ let test_disjoint () =
 
 (* Both transfers credit the same recipient: tx1 (consensus order) writes
    X's balance, tx0 committed first — so tx1's speculative read of X (the
-   credit reads the balance before adding) conflicts and must abort. *)
+   credit reads the balance before adding) conflicts and must abort.  With
+   static partitioning (the default) the overlapping footprints keep tx1
+   out of speculation instead. *)
 let test_conflicting_pair () =
   let a = addr 5 and b = addr 6 and x = addr 7 in
   let bk, root = world [ a; b ] in
   let txs = [ transfer ~sender:a ~to_:x 5; transfer ~sender:b ~to_:x 7 ] in
-  let _, stats = apply_both bk root txs in
+  let _, stats = apply_both ~static_partition:false bk root txs in
   Alcotest.(check int) "same-recipient pair aborts exactly once" 1
     stats.Chain.Stf.par_aborted;
-  Alcotest.(check int) "the abort reran sequentially" 1 stats.Chain.Stf.par_reruns
+  Alcotest.(check int) "the abort reran sequentially" 1 stats.Chain.Stf.par_reruns;
+  let _, stats = apply_both bk root txs in
+  Alcotest.(check int) "statically serialized, not speculated" 1
+    stats.Chain.Stf.par_static_serial;
+  Alcotest.(check int) "no abort when serialized up front" 0 stats.Chain.Stf.par_aborted
 
 (* Same sender twice: the nonce-1 tx speculates against the parent root
    (nonce still 0) and comes out Invalid — the conflict on the sender
@@ -85,13 +95,16 @@ let test_same_sender_pair () =
   let txs =
     [ transfer ~sender:a ~to_:b 5; transfer ~nonce:1 ~sender:a ~to_:b 7 ]
   in
-  let par, stats = apply_both bk root txs in
+  let par, stats = apply_both ~static_partition:false bk root txs in
   Alcotest.(check int) "nonce chain aborts the second tx" 1 stats.Chain.Stf.par_aborted;
   List.iter
     (fun (r : Evm.Processor.receipt) ->
       Alcotest.(check bool) "both commits succeeded" true
         (Evm.Processor.status_equal r.status Evm.Processor.Success))
-    par.Chain.Stf.receipts
+    par.Chain.Stf.receipts;
+  let _, stats = apply_both bk root txs in
+  Alcotest.(check int) "nonce chain statically serialized" 1
+    stats.Chain.Stf.par_static_serial
 
 (* The same worlds, on real worker domains. *)
 let test_jobs4_roots () =

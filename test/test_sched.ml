@@ -1,7 +1,7 @@
 (* lib/sched tests: qcheck properties over the bounded priority work queue
    (ordering, nothing lost under concurrent producers/consumers, the
    backpressure bound), scheduler semantics (inline mode, per-hash
-   chaining, cancel, dedupe, forget, barrier quiescence), the 4-domain
+   chaining, dedupe, forget, barrier quiescence), the 4-domain
    observability hammer, and the parallel-speculation determinism oracle
    on generated EVM scenarios. *)
 
@@ -166,30 +166,26 @@ let test_chaining () =
   Alcotest.(check int) "all completed" 20 st.Sched.completed;
   Sched.shutdown s
 
-let test_cancel () =
-  let s : string Sched.t = Sched.create ~jobs:2 () in
+(* A raising job must not break its hash's chain on a worker domain: the
+   error is published in sequence and the jobs chained behind it still run,
+   in order. *)
+let test_chain_survives_exn () =
+  let s : int Sched.t = Sched.create ~jobs:2 () in
   let wait, release = gate () in
-  let started = Atomic.make 0 in
-  let pin hash =
-    Sched.submit s ~hash ~root:"r" ~priority:(u 9) (fun () ->
-        Atomic.incr started;
-        wait ();
-        hash)
-  in
-  pin "inflight";
-  pin "other";
-  await "both workers pinned" (fun () -> Atomic.get started = 2);
-  Sched.submit s ~hash:"q1" ~root:"r" ~priority:(u 5) (fun () -> "q1");
-  Sched.submit s ~hash:"q2" ~root:"r" ~priority:(u 4) (fun () -> "q2");
-  (* q1 is still queued (dropped), inflight is running (its result must be
-     suppressed when it finishes) *)
-  Sched.cancel s [ "q1"; "inflight" ];
+  Sched.submit s ~hash:"tx" ~root:"r" ~priority:(u 1) (fun () ->
+      wait ();
+      0);
+  Sched.submit s ~hash:"tx" ~root:"r" ~priority:(u 1) (fun () -> failwith "boom");
+  Sched.submit s ~hash:"tx" ~root:"r" ~priority:(u 1) (fun () -> 2);
   release ();
   Sched.barrier s;
-  Alcotest.(check (list string)) "cancelled jobs produce no results"
-    [ "other"; "q2" ]
-    (List.map r_hash (Sched.drain s));
-  Alcotest.(check int) "cancelled count" 2 (Sched.stats s).Sched.cancelled;
+  let outcome (r : int Sched.result) =
+    match r.Sched.r_value with Ok v -> string_of_int v | Error e -> Printexc.to_string e
+  in
+  Alcotest.(check (list string)) "error published in place, chain continues"
+    [ "0"; Printexc.to_string (Failure "boom"); "2" ]
+    (List.map outcome (Sched.drain s));
+  Alcotest.(check int) "all three completed" 3 (Sched.stats s).Sched.completed;
   Sched.shutdown s
 
 (* ---- dedupe memo (the jobs=4 merged-waste regression) ---- *)
@@ -197,7 +193,7 @@ let test_cancel () =
 (* Run one submission script against a scheduler and return (result hashes
    in drain order, stats).  The script exercises every memo transition:
    duplicate key (skipped), changed key (runs), keyless (runs, clears the
-   memo), re-submission after cancel (runs). *)
+   memo), re-submission after forget (runs). *)
 let dedupe_script jobs =
   let s : string Sched.t = Sched.create ~jobs () in
   let sub ?dedupe_key hash =
@@ -211,8 +207,8 @@ let dedupe_script jobs =
   sub ~dedupe_key:"k2" "x" (* after keyless clear: runs again *);
   sub ~dedupe_key:"k9" "y";
   Sched.barrier s;
-  Sched.cancel s [ "y" ];
-  sub ~dedupe_key:"k9" "y" (* cancel forgot the memo: runs again *);
+  Sched.forget s [ "y" ];
+  sub ~dedupe_key:"k9" "y" (* forget dropped the memo: runs again *);
   Sched.barrier s;
   let rs = List.map r_hash (Sched.drain s) in
   let st = Sched.stats s in
@@ -228,7 +224,7 @@ let test_dedupe () =
   Alcotest.(check int) "completed" 6 st.Sched.completed
 
 (* The regression itself: at jobs>1 a duplicate used to be *merged* into
-   the hash's chain and re-executed (merged=6881 wasted in BENCH_sched).
+   the hash's chain and re-executed (merged=6881 wasted on a jobs=4 replay).
    Now it must be skipped before touching the cell, and the memo decisions
    must be identical to jobs=1. *)
 let test_dedupe_jobs4_parity () =
@@ -340,7 +336,7 @@ let suite =
     t "inline mode runs at submit, in order" test_inline;
     t "job exceptions are captured, not propagated" test_exn;
     t "same-hash jobs chain in submission order" test_chaining;
-    t "cancel drops queued work and suppresses in-flight results" test_cancel;
+    t "a raising job does not break its hash's chain" test_chain_survives_exn;
     t "parallel speculation is deterministic on fuzz scenarios" test_parallel_oracle;
     t "dedupe memo skips duplicate submissions" test_dedupe;
     t "dedupe decisions identical at jobs=1 and jobs=4 (merged-waste)"
