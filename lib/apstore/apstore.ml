@@ -12,8 +12,8 @@
    order, publications in scheduler-sequence order during [drain] — and
    every serve happens after a scheduler barrier, so store contents at
    each serve point are a function of the event stream, not of worker
-   timing.  The mutex is still required for the Stf-parallel supplier
-   path, where worker domains probe concurrently. *)
+   timing.  The mutex is still required: the store is shared with
+   worker domains, which may probe and reserve concurrently. *)
 
 type entry = {
   ap : Ap.Program.t;
@@ -88,7 +88,8 @@ let locked t f =
    of the calldata words that flow into branch decisions is pinned so
    obviously-divergent path classes get distinct templates instead of
    guard-violating each other's.  A wild or fully calldata-dependent
-   analysis falls back to every legacy pin. *)
+   analysis falls back to every legacy pin.  The key is the buffer itself:
+   its components are short, so a digest would only cost a keccak. *)
 let key_of_tx st (spec : Spec.t) (tx : Evm.Env.tx) : string option =
   match tx.to_ with
   | None -> None (* creation: the created address depends on the sender *)
@@ -98,20 +99,14 @@ let key_of_tx st (spec : Spec.t) (tx : Evm.Env.tx) : string option =
       let code = State.Statedb.get_code st target in
       if String.length code = 0 then None (* plain transfer: nothing to accelerate *)
       else begin
-        let code_of a =
-          if Evm.Interp.is_precompile a then None
-          else
-            match State.Statedb.get_code st a with "" -> None | c -> Some c
-        in
-        let f =
-          Bca.facts_for ~spec ~hash:(State.Statedb.get_code_hash st target) code
-        in
+        let hash = State.Statedb.get_code_hash st target in
+        let f = Bca.facts_for ~spec ~hash code in
         let conservative = f.Bca.f_wild || f.Bca.f_cf_top in
-        let pin_gas = conservative || Bca.uses_gas_deep ~spec ~code_of target in
+        let pin_gas = conservative || Bca.uses_gas_deep ~spec st target in
         let pin_selector = conservative || f.Bca.f_reads_selector in
         let len = String.length tx.data in
         let b = Buffer.create 96 in
-        Buffer.add_string b (State.Statedb.get_code_hash st target);
+        Buffer.add_string b hash;
         Buffer.add_string b (State.Address.to_bytes target);
         Buffer.add_string b
           (Printf.sprintf "|%d|%d|%c|" spec.id len
@@ -140,7 +135,7 @@ let key_of_tx st (spec : Spec.t) (tx : Evm.Env.tx) : string option =
             else Buffer.add_char b '-'
           done
         end;
-        Some (Khash.Keccak.digest (Buffer.contents b))
+        Some (Buffer.contents b)
       end
     end
 
@@ -219,19 +214,6 @@ let publish t key ap =
       Obs.set obs_resident (float_of_int t.resident))
 
 let abandon t key = locked t (fun () -> Hashtbl.remove t.inflight key)
-
-(* ---- serving ---- *)
-
-let serve ?use_memos ?(spec = !Spec.current) t st benv tx =
-  match key_of_tx st spec tx with
-  | None -> None
-  | Some key -> (
-    match find t key with
-    | None -> None
-    | Some ap -> Some (Ap.Exec.execute ?use_memos ~spec ap st benv tx))
-
-let supplier t st spec (tx : Evm.Env.tx) =
-  match key_of_tx st spec tx with Some key -> find t key | None -> None
 
 (* ---- introspection ---- *)
 

@@ -11,16 +11,17 @@
     concurrent, LRU-evicting store of such templates.
 
     Keys are computed by {!key_of_tx} from the transaction and the live
-    state: target address and code hash, fork id, calldata length,
-    4-byte selector (the whole calldata when it is at most 4 bytes),
-    nonzero-calldata-byte count (intrinsic gas depends on it), value
-    zeroness and gas limit — exactly the fields the template builder pins
-    instead of lifting, so a key match means the template's baked shape
-    applies.
+    state and pin exactly the fields the template builder bakes instead
+    of lifting, so a key match means the template's baked shape applies.
+    A key is the readable field string itself, not a digest of it: the
+    target's stored code hash and address, fork id, calldata length and
+    value zeroness, plus, only where the analysis says the code may depend
+    on them, the gas limit with the nonzero-calldata-byte count, the
+    selector, and the zeroness of each calldata word that steers a branch
+    (DESIGN.md §13).
 
     Concurrency: every operation takes the store mutex, so the store is
-    safe to consult from worker domains (e.g. as the [?ap] supplier of
-    [Chain.Stf.apply_txs_parallel]).  {!reserve}/{!publish}/{!abandon}
+    safe to consult from worker domains.  {!reserve}/{!publish}/{!abandon}
     implement single-flight compilation: of N concurrent misses on one
     key, exactly one caller is told to build; the rest coalesce and
     proceed without a template until the build is published. *)
@@ -55,24 +56,6 @@ val publish : t -> string -> Ap.Program.t -> unit
 val abandon : t -> string -> unit
 (** Release a reservation without publishing (the build failed or the
     transaction was retired first). *)
-
-val serve :
-  ?use_memos:bool ->
-  ?spec:Spec.t ->
-  t ->
-  State.Statedb.t ->
-  Evm.Env.block_env ->
-  Evm.Env.tx ->
-  Ap.Exec.outcome option
-(** One-call convenience: compute the key, probe, and run the template
-    for [tx].  [None] on an untemplatable shape or a store miss;
-    [Some Violation] when a resident template's guards reject the
-    transaction (callers fall back to the interpreter either way). *)
-
-val supplier : t -> State.Statedb.t -> Spec.t -> Evm.Env.tx -> Ap.Program.t option
-(** [supplier store st spec] partially applied is a
-    [Chain.Stf.apply_txs_parallel]-compatible AP supplier backed by the
-    store. *)
 
 val length : t -> int
 val resident_bytes : t -> int

@@ -37,7 +37,6 @@ type facts = {
   f_n_reachable : int;
   f_resolved_jumps : int;
   f_escaping_jumps : int;
-  f_leaders : bool array;
 }
 
 type narrowing = N_cfg | N_stack | N_footprint | N_calldata
@@ -431,7 +430,6 @@ let obs_analyses = Obs.counter "bca.analyses"
 let obs_cache_hits = Obs.counter "bca.cache_hits"
 let obs_wild = Obs.counter "bca.wild"
 let obs_predicts = Obs.counter "bca.predicts"
-let obs_certs = Obs.counter "bca.fusion_certs"
 
 let widen_cap = 48
 let step_budget = 400_000
@@ -441,13 +439,7 @@ let analyze ~(spec : Spec.t) (p : Evm.Decode.program) : facts =
   let instrs = p.Evm.Decode.instrs in
   let n = Array.length instrs in
   let jd = p.Evm.Decode.jumpdests in
-  let leaders = Array.make (max n 1) false in
-  if n > 0 then leaders.(0) <- true;
-  for pc = 0 to n - 1 do
-    if jd.(pc) then leaders.(pc) <- true;
-    if instrs.(pc).Evm.Decode.op = Evm.Op.JUMPI && instrs.(pc).Evm.Decode.next < n then
-      leaders.(instrs.(pc).Evm.Decode.next) <- true
-  done;
+  let leaders = p.Evm.Decode.leaders in
   let n_blocks = Array.fold_left (fun a b -> if b then a + 1 else a) 0 leaders in
   let acc =
     {
@@ -615,7 +607,6 @@ let analyze ~(spec : Spec.t) (p : Evm.Decode.program) : facts =
     f_n_reachable = Hashtbl.length states;
     f_resolved_jumps = resolved;
     f_escaping_jumps = escaping;
-    f_leaders = leaders;
   }
 
 (* ---- the process-wide facts cache (same keying as the decode cache) ---- *)
@@ -624,46 +615,27 @@ let cache : (string, facts) Hashtbl.t = Hashtbl.create 256
 let cache_mu = Mutex.create ()
 let max_cached = 4096
 
-let cache_key hash (spec : Spec.t) = hash ^ String.make 1 (Char.chr spec.Spec.id)
-
-let cache_store ~spec (f : facts) =
-  if !seeded_narrowing = None then begin
-    Mutex.lock cache_mu;
-    if Hashtbl.length cache >= max_cached then Hashtbl.reset cache;
-    Hashtbl.replace cache (cache_key f.f_hash spec) f;
-    Mutex.unlock cache_mu
-  end
-
-let cache_find ~spec hash =
-  if !seeded_narrowing <> None then None
-  else begin
-    Mutex.lock cache_mu;
-    let r = Hashtbl.find_opt cache (cache_key hash spec) in
-    Mutex.unlock cache_mu;
-    r
-  end
-
-let analyze_cached ~spec p =
-  match cache_find ~spec p.Evm.Decode.code_hash with
+(* A seeded narrowing bypasses the cache both ways so mutated facts never
+   leak into or out of it. *)
+let facts_for ~(spec : Spec.t) ~hash code =
+  let key = hash ^ String.make 1 (Char.chr spec.Spec.id) in
+  let cached = !seeded_narrowing = None in
+  Mutex.lock cache_mu;
+  let hit = if cached then Hashtbl.find_opt cache key else None in
+  Mutex.unlock cache_mu;
+  match hit with
   | Some f ->
     Obs.incr obs_cache_hits;
     f
   | None ->
-    let f = analyze ~spec p in
-    cache_store ~spec f;
+    let f = analyze ~spec (Evm.Decode.get ~hash ~spec code) in
+    if cached then begin
+      Mutex.lock cache_mu;
+      if Hashtbl.length cache >= max_cached then Hashtbl.reset cache;
+      Hashtbl.replace cache key f;
+      Mutex.unlock cache_mu
+    end;
     f
-
-let facts_for ~spec ?hash code =
-  let h = match hash with Some h -> h | None -> Khash.Keccak.digest code in
-  match cache_find ~spec h with
-  | Some f ->
-    Obs.incr obs_cache_hits;
-    f
-  | None ->
-    (* the decode may itself run the certifier hook, which fills the
-       cache; re-check before analyzing directly *)
-    let p = Evm.Decode.get ~hash:h ~spec code in
-    analyze_cached ~spec p
 
 let cache_size () =
   Mutex.lock cache_mu;
@@ -675,21 +647,6 @@ let clear_cache () =
   Mutex.lock cache_mu;
   Hashtbl.reset cache;
   Mutex.unlock cache_mu
-
-(* ---- fusion certifier: decode-time hook ---- *)
-
-let installed = ref false
-
-let ensure_installed () =
-  if not !installed then begin
-    installed := true;
-    Evm.Decode.set_fusion_certifier (fun spec p ->
-        Obs.incr obs_certs;
-        let f = analyze_cached ~spec p in
-        (* a window interior is safe when nothing can jump into it; the
-           leader bitmap is narrowing-independent by construction *)
-        fun pc -> pc < Array.length f.f_leaders && not f.f_leaders.(pc))
-  end
 
 (* ---- per-transaction concretization ---- *)
 
@@ -718,7 +675,16 @@ let wild_prediction =
 
 let max_call_depth = 6
 
-let predict_tx ~(spec : Spec.t) ~code_of ~coinbase (tx : Evm.Env.tx) : prediction =
+(* The code at [a] with the account's stored hash, or [None] for codeless
+   accounts and precompiles. *)
+let code_at st a =
+  if Evm.Interp.is_precompile a then None
+  else
+    match Statedb.get_code st a with
+    | "" -> None
+    | code -> Some (Statedb.get_code_hash st a, code)
+
+let predict_tx ~(spec : Spec.t) ~coinbase st (tx : Evm.Env.tx) : prediction =
   Obs.incr obs_predicts;
   match tx.Evm.Env.to_ with
   | None -> wild_prediction
@@ -746,8 +712,8 @@ let predict_tx ~(spec : Spec.t) ~code_of ~coinbase (tx : Evm.Env.tx) : predictio
       | T_caller -> Some caller
       | T_top -> None
     in
-    let rec frame ~self ~caller ~depth code =
-      let f = facts_for ~spec code in
+    let rec frame ~self ~caller ~depth (hash, code) =
+      let f = facts_for ~spec ~hash code in
       if f.f_wild then wild := true
       else begin
         List.iter (fun k -> add_kslot r_slots self k) f.f_slots_r;
@@ -784,18 +750,18 @@ let predict_tx ~(spec : Spec.t) ~code_of ~coinbase (tx : Evm.Env.tx) : predictio
               let key = Address.to_bytes child_self ^ Address.to_bytes a in
               if not (Hashtbl.mem visited key) then begin
                 Hashtbl.replace visited key ();
-                match code_of a with
+                match code_at st a with
                 | None -> () (* no code / precompile: nothing more to touch *)
-                | Some child_code ->
+                | Some child ->
                   if depth >= max_call_depth then wild := true
-                  else frame ~self:child_self ~caller:self ~depth:(depth + 1) child_code
+                  else frame ~self:child_self ~caller:self ~depth:(depth + 1) child
               end)
           f.f_calls
       end
     in
-    (match code_of tx_target with
+    (match code_at st tx_target with
     | None -> () (* codeless target: pure transfer, base sets suffice *)
-    | Some code -> frame ~self:tx_target ~caller:tx.Evm.Env.sender ~depth:0 code);
+    | Some target -> frame ~self:tx_target ~caller:tx.Evm.Env.sender ~depth:0 target);
     if !wild then wild_prediction
     else
       {
@@ -817,14 +783,14 @@ let predict_tx ~(spec : Spec.t) ~code_of ~coinbase (tx : Evm.Env.tx) : predictio
    [T_self]/[T_caller] edges re-enter code already on the analyzed chain
    (the depth-0 caller is the code-less sender), so only constant targets
    recurse. *)
-let uses_gas_deep ~(spec : Spec.t) ~code_of (target : Address.t) : bool =
-  match code_of target with
+let uses_gas_deep ~(spec : Spec.t) st (target : Address.t) : bool =
+  match code_at st target with
   | None -> false
-  | Some code ->
+  | Some top ->
     let exception Deep in
     let visited = Hashtbl.create 8 in
-    let rec frame ~depth code =
-      let f = facts_for ~spec code in
+    let rec frame ~depth (hash, code) =
+      let f = facts_for ~spec ~hash code in
       if f.f_wild || f.f_uses_gas || f.f_call_top then raise Deep;
       List.iter
         (fun c ->
@@ -835,7 +801,7 @@ let uses_gas_deep ~(spec : Spec.t) ~code_of (target : Address.t) : bool =
             let key = Address.to_bytes a in
             if not (Hashtbl.mem visited key) then begin
               Hashtbl.replace visited key ();
-              match code_of a with
+              match code_at st a with
               | None -> ()
               | Some child ->
                 if depth >= max_call_depth then raise Deep
@@ -844,7 +810,7 @@ let uses_gas_deep ~(spec : Spec.t) ~code_of (target : Address.t) : bool =
         f.f_calls
     in
     (try
-       frame ~depth:0 code;
+       frame ~depth:0 top;
        false
      with Deep -> true)
 

@@ -1,13 +1,14 @@
 (** Bytecode abstract interpretation (DESIGN.md §14).
 
-    A per-code-hash static analysis run once at decode time and cached
-    alongside the {!Evm.Decode} artifact.  Three cooperating domains over
-    the decoded instruction stream:
+    A per-code-hash static analysis, run on first use and cached
+    alongside the {!Evm.Decode} artifact under the same key (the
+    account's stored code hash × spec id).  Three cooperating domains
+    over the decoded instruction stream:
 
-    - {b CFG recovery}: basic blocks, resolved-vs-escaping JUMP targets,
-      reachability.  Feeds the fusion certifier {!ensure_installed} hands
-      to {!Evm.Decode.set_fusion_certifier} (proven-straight-line windows
-      unlock PUSH-PUSH-op / DUP1-op superinstructions).
+    - {b CFG recovery}: basic blocks split at the decoder's leader bitmap
+      ({!Evm.Decode.program.leaders}, the same bitmap that certifies
+      PUSH-PUSH-op / DUP1-op fusion), resolved-vs-escaping JUMP targets,
+      reachability.
     - {b Stack constant propagation}: an abstract stack of
       constants/taints, joined per block with a visit-count widening cap.
       Resolves [PUSH;JUMP] targets and storage keys.
@@ -59,23 +60,17 @@ type facts = {
   f_n_reachable : int;  (** blocks reachable from entry *)
   f_resolved_jumps : int;  (** JUMP/JUMPI sites with constant targets *)
   f_escaping_jumps : int;  (** sites whose target stayed symbolic *)
-  f_leaders : bool array;  (** per-pc: block leader (fusion barrier) *)
 }
 
 val analyze : spec:Spec.t -> Evm.Decode.program -> facts
 (** Run the abstract interpreter on a decoded program (no caching). *)
 
-val facts_for : spec:Spec.t -> ?hash:string -> string -> facts
-(** Cached analysis of raw code, keyed by code hash x spec id (the same
-    keying as the decode cache).  Domain-safe; a racing double-analysis
-    is benign.  When a narrowing is seeded ({!seeded_narrowing}) the
-    cache is bypassed in both directions so mutated facts never leak. *)
-
-val ensure_installed : unit -> unit
-(** Install the fusion certifier into {!Evm.Decode} (idempotent).  Once
-    installed, every decode also computes and caches the code's facts —
-    the "run once at decode time" contract — and proven-straight-line
-    windows unlock triple fusion in the untraced dispatch table. *)
+val facts_for : spec:Spec.t -> hash:string -> string -> facts
+(** Cached analysis of raw code whose keccak256 is [hash] (the account's
+    stored code hash), keyed by hash x spec id (the same keying as the
+    decode cache).  Domain-safe; a racing double-analysis is benign.
+    When a narrowing is seeded ({!seeded_narrowing}) the cache is
+    bypassed in both directions so mutated facts never leak. *)
 
 val cache_size : unit -> int
 val clear_cache : unit -> unit
@@ -95,29 +90,26 @@ type prediction = {
 
 val predict_tx :
   spec:Spec.t ->
-  code_of:(State.Address.t -> string option) ->
   coinbase:State.Address.t ->
+  State.Statedb.t ->
   Evm.Env.tx ->
   prediction
-(** Concretize the static footprint for one transaction: resolve
-    [T_self]/[T_caller] against the call frame, recurse into
-    constant-target callees (depth-capped, cycle-safe) via [code_of]
-    (which returns the code stored at an address, [None] when there is
-    none — precompiles included), and fold in the processor's own
+(** Concretize the static footprint for one transaction against a
+    state: resolve [T_self]/[T_caller] against the call frame, recurse
+    into constant-target callees (depth-capped, cycle-safe), reading each
+    callee's code and stored code hash from the state (codeless accounts
+    and precompiles end the chase), and fold in the processor's own
     touches (sender, target, coinbase, intrinsic reads).  Creations and
     unresolved call targets yield the wild prediction. *)
 
-val uses_gas_deep :
-  spec:Spec.t ->
-  code_of:(State.Address.t -> string option) ->
-  State.Address.t ->
-  bool
+val uses_gas_deep : spec:Spec.t -> State.Statedb.t -> State.Address.t -> bool
 (** May any code transitively reachable from a message call to this
     address execute the GAS opcode?  Chases constant-target call edges
-    (depth-capped); unresolved targets, wild analyses and the depth cap
-    all answer [true].  lib/apstore keeps the gas-limit and
-    calldata-intrinsic key components pinned exactly for such targets,
-    because the S-EVM builder bakes GAS pushes as unguarded constants. *)
+    through the code stored in the state (depth-capped); unresolved
+    targets, wild analyses and the depth cap all answer [true].
+    lib/apstore keeps the gas-limit and calldata-intrinsic key components
+    pinned exactly for such targets, because the S-EVM builder bakes GAS
+    pushes as unguarded constants. *)
 
 val covers_touch : prediction -> State.Statedb.touch -> bool
 (** Soundness oracle, read side: is a runtime touch inside the footprint? *)

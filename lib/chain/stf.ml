@@ -245,8 +245,6 @@ let empty_prediction =
 let obs_static_serial = Obs.counter "stf.parallel.static_serial"
 
 let static_partition_plan ~spec st (benv : Evm.Env.block_env) txs_arr =
-  Bca.ensure_installed ();
-  let code_of a = match Statedb.get_code st a with "" -> None | c -> Some c in
   let strip (p : Bca.prediction) =
     if p.Bca.p_wild then p
     else
@@ -258,7 +256,7 @@ let static_partition_plan ~spec st (benv : Evm.Env.block_env) txs_arr =
   let acc = ref empty_prediction in
   Array.iteri
     (fun j tx ->
-      let p = strip (Bca.predict_tx ~spec ~code_of ~coinbase:benv.coinbase tx) in
+      let p = strip (Bca.predict_tx ~spec ~coinbase:benv.coinbase st tx) in
       if p.Bca.p_wild then serial.(j) <- true
       else begin
         if Bca.overlap p !acc then serial.(j) <- true;

@@ -52,6 +52,7 @@ type program = {
   code_hash : string;
   instrs : instr array;
   jumpdests : bool array;
+  leaders : bool array;
 }
 
 let max_stack = 1024
@@ -158,63 +159,54 @@ let dup_ids =
 let dup_fusable = Array.make 256 false
 let () = List.iter (fun id -> dup_fusable.(id) <- true) dup_ids
 
-(* Multi-instruction windows beyond the unconditional PUSH-op pair need a
-   proof that nothing jumps into the window interior; lib/bca installs one
-   (its CFG leader bitmap) via this hook.  Decode stays analysis-agnostic:
-   no certifier, no triples. *)
-let fusion_certifier : (Spec.t -> program -> (int -> bool)) option ref = ref None
-let set_fusion_certifier f = fusion_certifier := Some f
+(* Basic-block leaders, the rule lib/bca's CFG splits blocks at: pc 0, every
+   JUMPDEST (push data skipped) and the instruction after each JUMPI.
+   Control enters a block only at its leader, so a window whose interior
+   holds no leader is straight-line and may run as one dispatch. *)
+let leaders_of instrs jumpdests =
+  let n = Array.length instrs in
+  let l = Array.make n false in
+  if n > 0 then l.(0) <- true;
+  for pc = 0 to n - 1 do
+    if jumpdests.(pc) then l.(pc) <- true;
+    if instrs.(pc).op = Op.JUMPI && instrs.(pc).next < n then l.(instrs.(pc).next) <- true
+  done;
+  l
 
 let obs_triples = Obs.counter "interp.decode.fused_triples"
 let obs_dups = Obs.counter "interp.decode.fused_dups"
 
-let decode ?hash ~spec code =
-  let code_hash = match hash with Some h -> h | None -> Khash.Keccak.digest code in
+let decode ~hash ~spec code =
   let instrs = Array.init (String.length code) (decode_at spec code) in
   let n = Array.length instrs in
+  let jumpdests = analyze_jumpdests code in
+  let leaders = leaders_of instrs jumpdests in
+  (* A PUSH-op pair starts at the PUSH the dispatcher already validated,
+     so it fuses unconditionally.  DUP1-op pairs and PUSH-PUSH-op triples
+     fuse only when no leader lies inside the window: no jump lands there.
+     The second PUSH of a triple keeps its own pair fusion, so a direct
+     dispatch of it (a jump-adjacent stream) still executes correctly. *)
+  let is_push (i : instr) = i.op_id >= 0x60 && i.op_id <= 0x7f in
   Array.iteri
     (fun pc i ->
-      if i.op_id >= 0x60 && i.op_id <= 0x7f && i.next < n then begin
+      if i.steps = 1 && i.next < n then begin
         let j = instrs.(i.next) in
-        if fusable.(j.op_id) && j.steps = 1 then
-          instrs.(pc) <- { i with xop = 0x100 lor j.op_id }
+        let straight = j.steps = 1 && not leaders.(i.next) in
+        let k = if j.next < n then instrs.(j.next) else j in
+        let xop =
+          if is_push i && is_push j && straight && j.next < n && triple_fusable.(k.op_id)
+             && k.steps = 1 && not leaders.(j.next)
+          then (Obs.incr obs_triples; 0x300 lor k.op_id)
+          else if is_push i && fusable.(j.op_id) && j.steps = 1 then 0x100 lor j.op_id
+          else if i.op_id = 0x80 && dup_fusable.(j.op_id) && straight then
+            (Obs.incr obs_dups; 0x200 lor j.op_id)
+          else i.xop
+        in
+        instrs.(pc) <- { i with xop }
       end)
     instrs;
-  let p = { code; code_hash; instrs; jumpdests = analyze_jumpdests code } in
-  (match !fusion_certifier with
-  | None -> ()
-  | Some cert ->
-    (* The certifier sees the pair-fused program; the analysis reads only
-       op/steps/next/imm, never xop, so the order is immaterial. *)
-    let ok = cert spec p in
-    for pc = 0 to n - 1 do
-      let i = instrs.(pc) in
-      if i.op_id = 0x80 && i.steps = 1 && i.next < n then begin
-        let j = instrs.(i.next) in
-        if dup_fusable.(j.op_id) && j.steps = 1 && ok i.next then begin
-          instrs.(pc) <- { i with xop = 0x200 lor j.op_id };
-          Obs.incr obs_dups
-        end
-      end
-    done;
-    for pc = 0 to n - 1 do
-      let i = instrs.(pc) in
-      if i.op_id >= 0x60 && i.op_id <= 0x7f && i.steps = 1 && i.next < n then begin
-        let i2 = instrs.(i.next) in
-        if i2.op_id >= 0x60 && i2.op_id <= 0x7f && i2.steps = 1 && i2.next < n then begin
-          let i3 = instrs.(i2.next) in
-          (* the second PUSH keeps its own pair fusion: a direct dispatch
-             of [i.next] (jump-adjacent stream) still executes correctly *)
-          if triple_fusable.(i3.op_id) && i3.steps = 1 && ok i.next && ok i2.next
-          then begin
-            instrs.(pc) <- { i with xop = 0x300 lor i3.op_id };
-            Obs.incr obs_triples
-          end
-        end
-      end
-    done);
   Array.iteri (fun pc i -> instrs.(pc) <- { i with meta = pack_meta i }) instrs;
-  p
+  { code; code_hash = hash; instrs; jumpdests; leaders }
 
 (* ---- the process-wide program cache ----
 
@@ -240,9 +232,8 @@ let obs_hits = Obs.counter "interp.decode.hits"
 let obs_misses = Obs.counter "interp.decode.misses"
 let obs_bytes = Obs.counter "interp.decode.bytes"
 
-let get ?hash ~(spec : Spec.t) code =
-  let h = match hash with Some h -> h | None -> Khash.Keccak.digest code in
-  let key = h ^ String.make 1 (Char.chr spec.Spec.id) in
+let get ~hash ~(spec : Spec.t) code =
+  let key = hash ^ String.make 1 (Char.chr spec.Spec.id) in
   Mutex.lock cache_mu;
   match Hashtbl.find_opt cache key with
   | Some p ->
@@ -253,7 +244,7 @@ let get ?hash ~(spec : Spec.t) code =
     Mutex.unlock cache_mu;
     Obs.incr obs_misses;
     Obs.add obs_bytes (String.length code);
-    let p = decode ~hash:h ~spec code in
+    let p = decode ~hash ~spec code in
     Mutex.lock cache_mu;
     if Hashtbl.length cache >= max_cached then Hashtbl.reset cache;
     Hashtbl.replace cache key p;

@@ -46,6 +46,11 @@ type program = {
   code_hash : string;  (** cache key (keccak256 of [code]) *)
   instrs : instr array;  (** dense: [instrs.(pc)] decodes [code] at byte [pc] *)
   jumpdests : bool array;  (** JUMPDEST positions, push data skipped *)
+  leaders : bool array;
+      (** basic-block leaders: pc 0, every JUMPDEST and the instruction
+          after each JUMPI.  No jump lands anywhere else, so windows with
+          no leader inside are straight-line; lib/bca's CFG reads the same
+          bitmap. *)
 }
 
 val max_stack : int
@@ -73,15 +78,6 @@ val dup_ids : int list
 (** Successor opcodes of a certified DUP1-op pair (table slot
     [0x200 + id]): binops only. *)
 
-val set_fusion_certifier : (Spec.t -> program -> (int -> bool)) -> unit
-(** Install the straight-line-window certifier (lib/bca's CFG leader
-    bitmap).  [cert spec p] returns a predicate telling whether pc is a
-    proven window interior — i.e. no jump can land there — which unlocks
-    DUP1-op and PUSH-PUSH-op fusion in subsequent decodes.  Without a
-    certifier decode emits pairs only.  The certifier runs inside
-    [decode] (outside the cache lock) and must not call back into this
-    module's cached entry points for the same code. *)
-
 val invalid_xop : int
 (** Dispatch id given to opcodes unavailable under the decoding spec: a
     permanently unassigned slot, so both dispatch tables raise through
@@ -90,11 +86,13 @@ val invalid_xop : int
 val analyze_jumpdests : string -> bool array
 (** The JUMPDEST bitmap alone (push data skipped), without decoding. *)
 
-val decode : ?hash:string -> spec:Spec.t -> string -> program
-(** Decode [code] under [spec], bypassing the cache. [hash] defaults to
-    keccak256 of the code. *)
+val decode : hash:string -> spec:Spec.t -> string -> program
+(** Decode [code] under [spec], bypassing the cache.  [hash] is
+    keccak256 of the code (the account's stored code hash); it is stored,
+    not checked.  PUSH-op pairs always fuse; DUP1-op pairs and PUSH-PUSH-op
+    triples fuse when no leader falls inside the window. *)
 
-val get : ?hash:string -> spec:Spec.t -> string -> program
+val get : hash:string -> spec:Spec.t -> string -> program
 (** Cached decode, keyed by code hash × spec id — two specs never share
     an artifact (static gas and opcode availability are baked into the
     stream). Domain-safe: the cache is shared across all interpreter

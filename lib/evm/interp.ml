@@ -53,10 +53,6 @@ exception Frame_done of status
 
 type engine = Decoded | Legacy
 
-(* The process-wide default; [Legacy] is a test-only selection — see
-   [make_ctx]. *)
-let default_engine = ref Decoded
-
 type ctx = {
   st : Statedb.t;
   benv : Env.block_env;
@@ -79,7 +75,7 @@ let make_ctx ?engine ?spec ?trace st benv ~origin ~gas_price =
     benv;
     origin;
     gas_price;
-    engine = (match engine with Some e -> e | None -> !default_engine);
+    engine = Option.value engine ~default:Decoded;
     spec = (match spec with Some s -> s | None -> !Spec.current);
     trace;
     logs = [];
@@ -237,10 +233,8 @@ let create_address sender nonce =
   let enc = Rlp.encode (Rlp.List [ Rlp.Str (Address.to_bytes sender); Rlp.encode_int nonce ]) in
   Address.of_bytes (String.sub (Khash.Keccak.digest enc) 12 20)
 
-let create2_address sender salt initcode =
-  let payload =
-    "\xff" ^ Address.to_bytes sender ^ U256.to_bytes_be salt ^ Khash.Keccak.digest initcode
-  in
+let create2_address sender salt init_hash =
+  let payload = "\xff" ^ Address.to_bytes sender ^ U256.to_bytes_be salt ^ init_hash in
   Address.of_bytes (String.sub (Khash.Keccak.digest payload) 12 20)
 
 (* ---- precompiles: sha256 (0x02) and identity (0x04); other low addresses
@@ -277,10 +271,9 @@ let handler_table : (ctx -> frame -> Decode.instr -> unit) array =
 (* The untraced engine dispatches on [instr.xop] through this wider table:
    slots 0..255 mirror [handler_table], slots [0x100 + id] hold fused
    PUSH+op handlers for {!Decode.fusable_ids}, slots [0x200 + id] /
-   [0x300 + id] hold the certified DUP1+op and PUSH+PUSH+op windows
-   (emitted only when lib/bca's fusion certifier is installed).  The
-   traced path always dispatches unfused so every step is captured
-   individually. *)
+   [0x300 + id] hold the DUP1+op and PUSH+PUSH+op windows decode
+   certifies against its leader bitmap.  The traced path always
+   dispatches unfused so every step is captured individually. *)
 let xtable : (ctx -> frame -> Decode.instr -> unit) array =
   Array.make 1024 (fun _ _ (i : Decode.instr) -> raise (Fail (Invalid_opcode i.Decode.op_id)))
 
@@ -807,6 +800,7 @@ and exec_create ctx f op =
   if op = Op.CREATE2 then charge f (Spec.g_sha3_word * Memory.words len);
   charge_mem f off len;
   let initcode = Memory.load f.mem off len in
+  let init_hash = Khash.Keccak.digest initcode in
   let max_forward =
     if ctx.spec.Spec.has_63_64 then f.gas - (f.gas / 64) else f.gas
   in
@@ -819,7 +813,7 @@ and exec_create ctx f op =
   in
   let sender_nonce = Statedb.get_nonce st f.ctx_address in
   let new_addr =
-    if op = Op.CREATE2 then create2_address f.ctx_address salt initcode
+    if op = Op.CREATE2 then create2_address f.ctx_address salt init_hash
     else create_address f.ctx_address sender_nonce
   in
   (* creation makes the new account warm, with no cold charge *)
@@ -877,7 +871,7 @@ and exec_create ctx f op =
         {
           ctx_address = new_addr;
           code_address = new_addr;
-          prog = Decode.get ~spec:ctx.spec initcode;
+          prog = Decode.get ~hash:init_hash ~spec:ctx.spec initcode;
           caller = f.ctx_address;
           value;
           data = "";
@@ -1173,8 +1167,8 @@ let () =
 
 (* ---- certified windows: DUP1+op pairs and PUSH+PUSH+op triples ----
 
-   Decode emits [0x200 + id] / [0x300 + id] xops only under a fusion
-   certifier (lib/bca) proving no jump lands inside the window.  Each
+   Decode emits [0x200 + id] / [0x300 + id] xops only for windows with no
+   block leader inside, so no jump lands inside the window.  Each
    handler replays the constituent steps' loop prologues in legacy order
    — step count, stack bounds, static charge taken from the decoded
    (spec-correct) instrs — so a window is observationally identical to
@@ -1345,7 +1339,7 @@ let create_message ctx ~caller ~value ~initcode ~gas =
       {
         ctx_address = new_addr;
         code_address = new_addr;
-        prog = Decode.get ~spec:ctx.spec initcode;
+        prog = Decode.get ~hash:(Khash.Keccak.digest initcode) ~spec:ctx.spec initcode;
         caller;
         value;
         data = "";

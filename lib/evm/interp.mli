@@ -33,9 +33,6 @@ type engine =
           differential battery ([@decode], the fuzz oracle) pins
           [Decoded] against it byte-for-byte. *)
 
-val default_engine : engine ref
-(** What {!make_ctx} uses when no [?engine] is given; [Decoded]. *)
-
 (** Per-execution context shared by all frames of one transaction. *)
 type ctx = {
   st : Statedb.t;
@@ -66,7 +63,8 @@ val make_ctx :
   origin:Address.t ->
   gas_price:U256.t ->
   ctx
-(** [?spec] defaults to [!Spec.current].  The warm sets start empty; the
+(** [?engine] defaults to [Decoded], [?spec] to [!Spec.current].  The
+    warm sets start empty; the
     processor seeds sender/target/prewarm via {!warm_entry}. *)
 
 val warm_entry : ctx -> Address.t * U256.t option -> unit
@@ -93,6 +91,9 @@ val create_address : Address.t -> int -> Address.t
 (** [create_address sender nonce] — keccak of the RLP pair, low 160 bits. *)
 
 val create2_address : Address.t -> U256.t -> string -> Address.t
+(** [create2_address sender salt init_hash] — keccak of
+    [0xff ++ sender ++ salt ++ init_hash], low 160 bits; [init_hash] is
+    keccak256 of the initcode. *)
 
 (** {1 Top-level messages (used by the transaction processor)} *)
 

@@ -54,7 +54,7 @@ val execute_tx :
   receipt
 (** Execute [tx] against [st] (journaled, not committed).  With [trace], the
     instrumented EVM reports every executed instruction — the speculator's
-    input.  [engine] defaults to {!Interp.default_engine}; [Interp.Legacy]
+    input.  [engine] defaults to [Interp.Decoded]; [Interp.Legacy]
     selects the match-dispatch reference engine (test-only).  [?spec]
     defaults to [!Spec.current]; under access-list specs the warm sets are
     seeded with the sender, target and [?prewarm] (an EIP-2930-style hint,

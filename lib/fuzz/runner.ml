@@ -405,7 +405,13 @@ let random_code rng =
       in
       byte 0x60;
       byte (Random.State.int rng 256);
-      byte pool.(Random.State.int rng (Array.length pool))
+      let op = pool.(Random.State.int rng (Array.length pool)) in
+      byte op;
+      (* DUP1 followed by a binop: a DUP1-op fusion window *)
+      if op = 0x80 then begin
+        let dup_ids = Array.of_list Evm.Decode.dup_ids in
+        byte dup_ids.(Random.State.int rng (Array.length dup_ids))
+      end
     | 8 ->
       (* call-family with junk operands (fails fast, exercises arity) *)
       for _ = 1 to 7 do
@@ -727,11 +733,7 @@ let tracked bk ~root ~spec tx =
      unchanged (only control flow is claimed). *)
 let footprint_tx o ~ctx ~spec bk ~root ?post (tx : Evm.Env.tx) =
   let st0 = Statedb.create bk ~root in
-  let code_of a =
-    if Evm.Interp.is_precompile a then None
-    else match Statedb.get_code st0 a with "" -> None | c -> Some c
-  in
-  let pred = Bca.predict_tx ~spec ~code_of ~coinbase:benv.Evm.Env.coinbase tx in
+  let pred = Bca.predict_tx ~spec ~coinbase:benv.Evm.Env.coinbase st0 tx in
   let receipt, steps, touches, changes, st = tracked bk ~root ~spec tx in
   (* the committed post-state root, when the caller does not know it *)
   let post = lazy (match post with Some p -> p | None -> Statedb.commit st) in

@@ -304,8 +304,7 @@ let default_fork = Istanbul
 let default () = resolve Istanbul
 
 (* The process-wide default spec, consulted when no explicit spec is
-   threaded (mirrors Interp.default_engine).  The bench and CLI `--fork`
-   flags set it; tests must restore it. *)
+   threaded.  Only `bench/main.exe --fork` sets it; perfbench reads it. *)
 let current : t ref = ref (resolve Istanbul)
 
 (* ---- fork-invariant charges ---- *)

@@ -81,9 +81,9 @@ val default_fork : fork
 val default : unit -> t
 
 val current : t ref
-(** Process-wide default spec, used when no explicit spec is threaded
-    (mirrors [Interp.default_engine]).  Set by the CLI/bench [--fork]
-    flags; tests must restore it. *)
+(** Process-wide default spec, used when no explicit spec is threaded.
+    Only [bench/main.exe --fork] sets it; perfbench reads it.  A test
+    that sets it must restore it. *)
 
 (** {2 Fork-invariant charges}
 

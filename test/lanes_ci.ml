@@ -48,6 +48,8 @@ let rejected name ~lanes fault (r : Runner.sweep_result) =
     (List.filter (fun (lane, _) -> List.mem lane lanes) (Runner.rejected_by fault))
 
 let fuzz () =
+  Obs.reset ();
+  Obs.set_enabled true;
   let r = Runner.sweep ~lanes:Runner.oracle ~corpus:"corpus" ~seed:0 ~iters:0 () in
   Printf.printf "fuzz-ci: corpus %d/%d entries clean\n%!"
     (r.corpus_files - List.length r.corpus_failed)
@@ -61,6 +63,13 @@ let fuzz () =
      perturbed hits, %d warm-built cold-replay violations\n%!"
     s.iters_run seed t.txs t.fallbacks t.perturbed_violations t.perturbed_hits
     t.warm_violations;
+  Obs.set_enabled false;
+  (* non-vacuity: the Legacy lane must have compared fused streams *)
+  let triples = Obs.count (Obs.counter "interp.decode.fused_triples")
+  and dups = Obs.count (Obs.counter "interp.decode.fused_dups") in
+  Printf.printf "fuzz-ci: decoded streams carried %d fused triples, %d fused dups\n%!" triples
+    dups;
+  if triples = 0 || dups = 0 then fail "fuzz-ci: no fused triple or no fused dup was decoded";
   match s.counterexample with
   | None -> print_string "fuzz-ci: all engines agree\n"
   | Some f ->
@@ -199,7 +208,8 @@ let cache_hammer () =
   in
   let spec = Spec.resolve Spec.Istanbul in
   Bca.clear_cache ();
-  let reference = List.map (fun c -> Bca.facts_for ~spec c) codes in
+  let codes = List.map (fun c -> (Khash.Keccak.digest c, c)) codes in
+  let reference = List.map (fun (hash, c) -> Bca.facts_for ~spec ~hash c) codes in
   let mismatches = Atomic.make 0 in
   let domains =
     List.init 4 (fun d ->
@@ -207,7 +217,8 @@ let cache_hammer () =
             for _ = 1 to 50 do
               if d = 0 then Bca.clear_cache ();
               List.iter2
-                (fun c r -> if Bca.facts_for ~spec c <> r then Atomic.incr mismatches)
+                (fun (hash, c) r ->
+                  if Bca.facts_for ~spec ~hash c <> r then Atomic.incr mismatches)
                 codes reference
             done))
   in

@@ -5,8 +5,12 @@
    scenarios run through the same Legacy lane under @fuzz):
    1. a qcheck-generated random-bytecode sweep biased at the decoder's
       corners — truncated PUSH tails, PUSH data that looks like JUMPDEST,
-      out-of-range jumps, unassigned opcode bytes — through the Legacy
-      lane's raw-bytecode differential (Fuzz.Runner.diff_code);
+      out-of-range jumps, unassigned opcode bytes, DUP1-op and
+      PUSH-PUSH-op windows — through the Legacy lane's raw-bytecode
+      differential (Fuzz.Runner.diff_code); the sweep must decode fused
+      triples and fused dups, every decoded leader bitmap must equal one
+      recomputed from the raw bytes, and no fused window may have a
+      leader inside;
    2. a 4-domain cache hammer: lib/sched workers decoding and executing
       the same code hash concurrently must agree on every receipt and
       leave exactly one cached program behind;
@@ -16,7 +20,8 @@
    4. four interpreter kernels (a JUMPDEST sled, a tight arithmetic loop,
       a keccak loop and an ERC-20 transfer) through both engines, compared
       on success, gas left, output, step count and committed root; the
-      kernels' PUSH-PUSH-op runs must come out as fused triples. *)
+      kernels' PUSH-PUSH-op runs must come out as fused triples on a
+      plain decode. *)
 
 let raw_iters = 1200
 let seed = 42
@@ -35,15 +40,73 @@ let report ~battery ~case divs =
 let raw_case_gen : (string * string) QCheck.Gen.t =
  fun rng -> (Fuzz.Runner.random_code rng, Fuzz.Runner.random_data rng)
 
+(* The leader set recomputed from the raw bytes, independently of
+   [Decode]: pc 0, every JUMPDEST outside push data, and the byte after
+   every JUMPI byte. *)
+let leaders_of_code code =
+  let n = String.length code in
+  let l = Array.init n (fun pc -> pc = 0 || (code.[pc - 1] = '\x57')) in
+  let pc = ref 0 in
+  while !pc < n do
+    let b = Char.code code.[!pc] in
+    if b = 0x5b then l.(!pc) <- true;
+    pc := !pc + 1 + if b >= 0x60 && b <= 0x7f then b - 0x5f else 0
+  done;
+  l
+
+(* The decoded leader bitmap must equal the recomputed one, and no fused
+   window (xop 0x2xx / 0x3xx) may have a leader at a pc after its first
+   instruction.  Returns the number of windows checked. *)
+let check_windows ~case code =
+  let p = Evm.Decode.get ~hash:(Khash.Keccak.digest code) ~spec:!Spec.current code in
+  let leaders = leaders_of_code code in
+  let fail what =
+    incr failures;
+    Printf.printf "decode-ci: LEADERS: %s: %s\n%!" case what
+  in
+  if p.Evm.Decode.leaders <> leaders then fail "decoded leader bitmap differs";
+  let next pc = p.Evm.Decode.instrs.(pc).Evm.Decode.next in
+  let windows = ref 0 in
+  Array.iteri
+    (fun pc (i : Evm.Decode.instr) ->
+      let interior =
+        match i.Evm.Decode.xop lsr 8 with
+        | 2 -> [ next pc ]
+        | 3 -> [ next pc; next (next pc) ]
+        | _ -> []
+      in
+      if interior <> [] then incr windows;
+      if List.exists (fun q -> leaders.(q)) interior then
+        fail (Printf.sprintf "window at pc %d has a leader inside" pc))
+    p.Evm.Decode.instrs;
+  !windows
+
 let raw_battery () =
   let rand = Random.State.make [| 0xDEC0DE; seed |] in
   let cases = QCheck.Gen.generate ~rand ~n:raw_iters raw_case_gen in
+  Obs.reset ();
+  Obs.set_enabled true;
   List.iteri
     (fun i (code, data) ->
       report ~battery:"raw"
         ~case:(Printf.sprintf "case %d (%s)" i (Fuzz.Sexp.hex_of_string code))
         (Fuzz.Runner.diff_code ~data ~tx:i code))
-    cases
+    cases;
+  Obs.set_enabled false;
+  let triples = Obs.count (Obs.counter "interp.decode.fused_triples")
+  and dups = Obs.count (Obs.counter "interp.decode.fused_dups") in
+  let windows = ref 0 in
+  List.iteri
+    (fun i (code, _) -> windows := !windows + check_windows ~case:(Printf.sprintf "case %d" i) code)
+    cases;
+  Printf.printf
+    "decode-ci: raw bytecode: %d cases (seed %d), %d fused triples, %d fused dups, %d \
+     windows checked\n%!"
+    raw_iters seed triples dups !windows;
+  if triples = 0 || dups = 0 then begin
+    incr failures;
+    print_string "decode-ci: RAW: the battery decoded no fused triple or no fused dup\n"
+  end
 
 (* ---- 2: concurrent decode-cache hammer ---- *)
 
@@ -142,6 +205,8 @@ let mixed_expected fork =
   let twice = 3 + Spec.static_gas spec 0x54 + 2 in
   21000 + once + twice
 
+let mixed_hash = Khash.Keccak.digest mixed_code
+
 let mixed_spec_battery () =
   Evm.Decode.clear_cache ();
   let jobs = 4 and per_fork = 16 in
@@ -204,10 +269,8 @@ let mixed_spec_battery () =
   List.iter
     (fun f ->
       let spec = Spec.resolve f in
-      if
-        not
-          (Evm.Decode.get ~spec mixed_code == Evm.Decode.get ~spec mixed_code)
-      then begin
+      let get () = Evm.Decode.get ~hash:mixed_hash ~spec mixed_code in
+      if not (get () == get ()) then begin
         incr failures;
         Printf.printf "decode-ci: MIXED: %s re-decoded instead of cache hit\n%!"
           (Spec.fork_name f)
@@ -215,8 +278,8 @@ let mixed_spec_battery () =
       List.iter
         (fun g ->
           if Spec.fork_id g > Spec.fork_id f then
-            let p_f = Evm.Decode.get ~spec mixed_code in
-            let p_g = Evm.Decode.get ~spec:(Spec.resolve g) mixed_code in
+            let p_f = get () in
+            let p_g = Evm.Decode.get ~hash:mixed_hash ~spec:(Spec.resolve g) mixed_code in
             if p_f == p_g then begin
               incr failures;
               Printf.printf "decode-ci: MIXED: %s and %s share a cached artifact\n%!"
@@ -306,9 +369,6 @@ let kernel_battery () =
   in
   Obs.reset ();
   Obs.set_enabled true;
-  (* the triple fusions exist only under lib/bca's CFG certifier; the live
-     pipeline installs it in Stf, this battery drives Interp directly *)
-  Bca.ensure_installed ();
   Evm.Decode.clear_cache ();
   List.iter
     (fun (name, target, data, gas) ->
@@ -338,7 +398,7 @@ let kernel_battery () =
     kernels;
   Obs.set_enabled false;
   (* the tight-loop and keccak kernels carry PUSH-PUSH-op runs, so a zero
-     here means the certifier or the triple fuser regressed *)
+     here means the leader certificate or the triple fuser regressed *)
   let triples = Obs.count (Obs.counter "interp.decode.fused_triples") in
   if triples = 0 then begin
     incr failures;
@@ -348,7 +408,6 @@ let kernel_battery () =
 
 let () =
   raw_battery ();
-  Printf.printf "decode-ci: raw bytecode: %d cases (seed %d)\n%!" raw_iters seed;
   hammer_battery ();
   Printf.printf "decode-ci: hammer: 64 jobs across 4 domains, one code hash\n%!";
   mixed_spec_battery ();

@@ -100,7 +100,7 @@ let all_bytes_per_fork () =
   List.iter
     (fun f ->
       let spec = Spec.resolve f in
-      let prog = Decode.decode ~spec code in
+      let prog = Decode.decode ~hash:(Khash.Keccak.digest code) ~spec code in
       for b = 0 to 255 do
         let expect =
           if Op.of_byte b <> None && Spec.available spec b then Spec.static_gas spec b
@@ -122,8 +122,9 @@ let all_bytes_per_fork () =
    field, a fused xop losing its high bits) would silently corrupt
    dispatch rather than fail a bounds check.  Two streams: the full byte
    sweep (every opcode class, max static charges) and a fusion-shaped
-   sequence (PUSH-PUSH-op / DUP1-op candidates, so xop ids above 0xFF
-   exercise the full 10-bit field when the certifier is linked). *)
+   sequence that must decode to exactly one PUSH-PUSH-op triple (xop
+   0x3xx) and one DUP1-op pair (0x2xx) on every fork, so the full 10-bit
+   xop field is exercised. *)
 let meta_packing () =
   let codes =
     [ ("all-bytes", String.init 256 Char.chr);
@@ -135,7 +136,16 @@ let meta_packing () =
       let spec = Spec.resolve f in
       List.iter
         (fun (name, code) ->
-          let prog = Decode.decode ~spec code in
+          let prog = Decode.decode ~hash:(Khash.Keccak.digest code) ~spec code in
+          if name = "fused" then begin
+            let count base =
+              Array.fold_left
+                (fun n (i : Decode.instr) -> if i.Decode.xop land 0xf00 = base then n + 1 else n)
+                0 prog.Decode.instrs
+            in
+            Alcotest.(check int) (spec.Spec.name ^ "/fused: DUP1-op pairs") 1 (count 0x200);
+            Alcotest.(check int) (spec.Spec.name ^ "/fused: PUSH-PUSH-op triples") 1 (count 0x300)
+          end;
           Array.iteri
             (fun pc (i : Decode.instr) ->
               let m = i.Decode.meta in
