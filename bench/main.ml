@@ -340,6 +340,8 @@ let micro () =
         (Staged.stage (fun () -> Sevm.Builder.build tx benv trace receipt st));
       Test.make ~name:"table1.keccak-256-block"
         (Staged.stage (fun () -> Khash.Keccak.digest (String.make 136 'x')));
+      Test.make ~name:"table1.keccak-256-word"
+        (Staged.stage (fun () -> Khash.Keccak.digest (String.make 32 'x')));
       Test.make ~name:"fig11.cold-state-read"
         (Staged.stage (fun () ->
              let st = Statedb.create bk ~root in

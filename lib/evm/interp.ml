@@ -124,6 +124,22 @@ let prog_of_account ctx addr code =
 
 (* ---- stack helpers ---- *)
 
+(* An operand stack holds [max_stack] words, too large for the minor heap:
+   a fresh one per frame would put 8 KB of short-lived garbage straight on
+   the major heap at every call.  Each domain keeps the stacks of finished
+   frames for later frames to reuse (see [run_frame_release]).  A frame
+   reads only below its [sp], which starts at 0, so whatever an earlier
+   frame left in a reused stack is never observed. *)
+let stack_pool : U256.t array list ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref [])
+
+let new_stack () =
+  let pool = Domain.DLS.get stack_pool in
+  match !pool with
+  | s :: rest ->
+    pool := rest;
+    s
+  | [] -> Array.make max_stack U256.zero
+
 let push f v =
   if f.sp >= max_stack then raise (Fail Stack_overflow);
   f.stack.(f.sp) <- v;
@@ -282,6 +298,15 @@ let xtable : (ctx -> frame -> Decode.instr -> unit) array =
 (* Execute the frame's code to completion with the ctx's engine. *)
 let rec run_frame ctx f : status =
   match ctx.engine with Decoded -> exec_frame_decoded ctx f | Legacy -> exec_frame ctx f
+
+(* Run a frame made with [new_stack] and return its stack to the pool.  The
+   caller reads only the frame's gas afterwards.  A frame left by an
+   exception keeps its stack, which the GC then reclaims. *)
+and run_frame_release ctx f : status =
+  let st = run_frame ctx f in
+  let pool = Domain.DLS.get stack_pool in
+  pool := f.stack :: !pool;
+  st
 
 (* The legacy engine: byte-at-a-time decode, giant-match dispatch.  Kept
    compiled as the reference the differential battery pins the decoded
@@ -767,14 +792,14 @@ and exec_call ctx f op =
           is_static = static;
           depth = f.depth + 1;
           mem = Memory.create ();
-          stack = Array.make max_stack U256.zero;
+          stack = new_stack ();
           sp = 0;
           gas = callee_gas;
           pc = 0;
           returndata = "";
         }
       in
-      match run_frame ctx child with
+      match run_frame_release ctx child with
       | Returned out ->
         finish ~success:true ~output:out ~gas_back:child.gas ~reason:Trace.X_completed
       | Reverted out ->
@@ -878,7 +903,7 @@ and exec_create ctx f op =
           is_static = false;
           depth = f.depth + 1;
           mem = Memory.create ();
-          stack = Array.make max_stack U256.zero;
+          stack = new_stack ();
           sp = 0;
           gas = max_forward;
           pc = 0;
@@ -928,7 +953,7 @@ and exec_create ctx f op =
           emit ctx (Trace.Call_exit { success = false; output = ""; reason = Trace.X_completed });
           push f U256.zero
       in
-      deploy (run_frame ctx child)
+      deploy (run_frame_release ctx child)
     end
   end
 
@@ -1299,14 +1324,14 @@ let call_message ctx ~caller ~target ~value ~data ~gas =
         is_static = false;
         depth = 0;
         mem = Memory.create ();
-        stack = Array.make max_stack U256.zero;
+        stack = new_stack ();
         sp = 0;
         gas;
         pc = 0;
         returndata = "";
       }
     in
-    match run_frame ctx f with
+    match run_frame_release ctx f with
     | Returned out -> { success = true; output = out; gas_left = f.gas }
     | Reverted out ->
       Statedb.revert st snap;
@@ -1346,14 +1371,14 @@ let create_message ctx ~caller ~value ~initcode ~gas =
         is_static = false;
         depth = 0;
         mem = Memory.create ();
-        stack = Array.make max_stack U256.zero;
+        stack = new_stack ();
         sp = 0;
         gas;
         pc = 0;
         returndata = "";
       }
     in
-    match run_frame ctx f with
+    match run_frame_release ctx f with
     | Returned deployed ->
       let deposit = Spec.g_code_deposit_byte * String.length deployed in
       if String.length deployed > max_code_size || f.gas < deposit then begin

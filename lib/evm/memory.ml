@@ -12,7 +12,9 @@ let memory_cost n =
   let w = words n in
   (3 * w) + (w * w / 512)
 
-let create () = { buf = Bytes.make 4096 '\000'; hwm = 0 }
+(* The initial buffer is small enough for the minor heap, where a
+   short-lived frame's garbage belongs; [ensure] doubles it on demand. *)
+let create () = { buf = Bytes.make 1024 '\000'; hwm = 0 }
 let size m = m.hwm
 
 (* Word-aligned size needed to touch [off, off+len).  Same value as

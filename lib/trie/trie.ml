@@ -28,7 +28,7 @@ module Db = struct
   let put t encoded =
     let h = Khash.Keccak.digest encoded in
     if not (Hashtbl.mem t.store h) then begin
-      Hashtbl.replace t.store h encoded;
+      Hashtbl.add t.store h encoded;
       Atomic.incr t.writes;
       Obs.incr obs_writes
     end;

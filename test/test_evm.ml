@@ -105,6 +105,9 @@ let stack_memory_tests =
     t "pop removes" (fun () ->
         expect_word "pop" (u 1) [ push_int 1; push_int 2; op Op.POP ]);
     t "stack underflow fails tx" (fun () ->
+        (* the next frame reuses this frame's operand stack: the 16 words
+           left on it must not feed the ADD *)
+        ignore (run (List.init 16 push_int @ [ op Op.STOP ]));
         let r, _ = run [ op Op.ADD ] in
         Alcotest.(check bool) "reverted" true (r.status = Processor.Reverted);
         Alcotest.(check int) "all gas consumed" 500_000 r.gas_used)

@@ -1,5 +1,6 @@
-(* Keccak-256 tests: published vectors, block-boundary behaviour, and
-   structural properties. *)
+(* Keccak-256 tests: published vectors, block-boundary behaviour,
+   structural properties, agreement with the loop reference in [Keccak_ref],
+   and concurrent hashing from two domains. *)
 
 let t name f = Alcotest.test_case name `Quick f
 let hex = Khash.Keccak.digest_hex
@@ -39,6 +40,37 @@ let unit_tests =
           (U256.to_bytes_be (Khash.Keccak.digest_u256 "abc")));
     t "to_hex" (fun () ->
         Alcotest.(check string) "bytes to hex" "00ff10" (Khash.Keccak.to_hex "\x00\xff\x10"));
+    t "to_hex of the abc digest" (fun () ->
+        Alcotest.(check string) "to_hex (digest \"abc\")"
+          "4e03657aea45a94fc7d47ba826c8d667c0d1e6e33a64a036ec44f58fa12d6c45"
+          (Khash.Keccak.to_hex (Khash.Keccak.digest "abc")));
+    t "ethereum constants" (fun () ->
+        (* keccak(rlp []) is the empty uncle hash, keccak(rlp "") the empty
+           trie root *)
+        Alcotest.(check string) "keccak(0xc0)"
+          "1dcc4de8dec75d7aab85b567b6ccd41ad312451b948a7413f0a142fd40d49347" (hex "\xc0");
+        Alcotest.(check string) "keccak(0x80)"
+          "56e81f171bcc55a6ff8345e692c0f86e5b48e01b996cadc001622fb5e363b421" (hex "\x80"));
+    t "matches the reference at every length 0..600" (fun () ->
+        (* covers the rate boundaries 135/136/137, 271/272/273, 407/408/409 *)
+        for n = 0 to 600 do
+          let msg = String.init n (fun i -> Char.chr (((i * 131) + n) land 0xff)) in
+          Alcotest.(check string) (Printf.sprintf "length %d" n)
+            (Khash.Keccak.to_hex (Keccak_ref.digest msg)) (hex msg)
+        done);
+    t "two domains hashing at once agree with a sequential pass" (fun () ->
+        (* a state shared between digests would make the domains clobber
+           each other's lanes *)
+        let run k =
+          Array.init 2000 (fun i ->
+              Khash.Keccak.digest
+                (Printf.sprintf "domain %d input %d %s" k i (String.make (i mod 300) 'q')))
+        in
+        let sequential = [ run 0; run 1 ] in
+        let domains = List.map (fun k -> Domain.spawn (fun () -> run k)) [ 0; 1 ] in
+        List.iter2
+          (fun want d -> Alcotest.(check (array string)) "same digests" want (Domain.join d))
+          sequential domains);
     t "sha256 empty vector" (fun () ->
         Alcotest.(check string) "sha256(\"\")"
           "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
@@ -66,7 +98,11 @@ let property_tests =
            a = b || Khash.Keccak.digest a <> Khash.Keccak.digest b));
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~count:100 ~name:"length always 32" QCheck.string (fun s ->
-           String.length (Khash.Keccak.digest s) = 32))
+           String.length (Khash.Keccak.digest s) = 32));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:300 ~name:"agrees with the reference up to 2 KB"
+         QCheck.(string_of_size Gen.(0 -- 2048))
+         (fun s -> Khash.Keccak.digest s = Keccak_ref.digest s))
   ]
 
 let suite = unit_tests @ property_tests
