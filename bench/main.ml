@@ -316,6 +316,16 @@ let micro () =
   Ap.Program.add_path ap path;
   let exec_st = Statedb.create bk ~root in
   Statedb.warm exec_st (Statedb.touches st);
+  (* a second fixture for the commit kernel: one account holding 4096
+     committed storage slots *)
+  let big = Address.of_int 0xB16 in
+  let big_root =
+    let st = Statedb.create bk ~root in
+    for s = 0 to 4095 do
+      Statedb.set_storage st big (U256.of_int s) (U256.of_int (s + 1))
+    done;
+    Statedb.commit st
+  in
   let with_rollback f () =
     let s = Statedb.snapshot exec_st in
     let r = f () in
@@ -346,6 +356,13 @@ let micro () =
         (Staged.stage (fun () ->
              let st = Statedb.create bk ~root in
              Statedb.get_storage st feed U256.zero));
+      Test.make ~name:"table1.trie-commit-200"
+        (Staged.stage (fun () ->
+             let st = Statedb.create bk ~root:big_root in
+             for i = 0 to 199 do
+               Statedb.set_storage st big (U256.of_int (i * 20)) (U256.of_int (i + 7))
+             done;
+             Statedb.commit st));
       Test.make ~name:"fig14.u256-mulmod"
         (Staged.stage
            (let a = U256.of_string "0xdeadbeefdeadbeefdeadbeefdeadbeefdeadbeef" in

@@ -25,6 +25,13 @@ let obs_instrs_skipped = Obs.counter "ap.instrs_skipped"
 
 let value_of regs = function I.Const v -> v | I.Reg r -> regs.(r)
 
+(* [Array.map (value_of regs) args] for the usual one or two operands,
+   without allocating the partial application *)
+let operands regs = function
+  | [| x |] -> [| value_of regs x |]
+  | [| x; y |] -> [| value_of regs x; value_of regs y |]
+  | args -> Array.map (value_of regs) args
+
 (* Fault injection for the conformance fuzzer's mutation smoke test: when
    set, every C_add computes a+b+1.  Must never be set outside tests. *)
 let miscompile_add_for_tests = ref false
@@ -66,7 +73,7 @@ let eval_read st (benv : Evm.Env.block_env) regs = function
 let exec_instr st benv regs stats ins =
   stats.executed <- stats.executed + 1;
   match ins with
-  | I.Compute (r, op, args) -> regs.(r) <- compute op (Array.map (value_of regs) args)
+  | I.Compute (r, op, args) -> regs.(r) <- compute op (operands regs args)
   | I.Keccak (r, pieces) ->
     regs.(r) <- Khash.Keccak.digest_u256 (I.bytes_of_pieces regs pieces)
   | I.Sha256 (r, pieces) ->

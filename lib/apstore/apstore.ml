@@ -108,13 +108,24 @@ let key_of_tx st (spec : Spec.t) (tx : Evm.Env.tx) : string option =
         let b = Buffer.create 96 in
         Buffer.add_string b hash;
         Buffer.add_string b (State.Address.to_bytes target);
-        Buffer.add_string b
-          (Printf.sprintf "|%d|%d|%c|" spec.id len
-             (if U256.is_zero tx.value then 'z' else 'v'));
+        (* "|<fork>|<calldata length>|<z or v>|", written field by field:
+           a Printf format costs more allocation than the rest of the key *)
+        Buffer.add_char b '|';
+        Buffer.add_string b (string_of_int spec.id);
+        Buffer.add_char b '|';
+        Buffer.add_string b (string_of_int len);
+        Buffer.add_char b '|';
+        Buffer.add_char b (if U256.is_zero tx.value then 'z' else 'v');
+        Buffer.add_char b '|';
         if pin_gas then begin
           let nonzero = ref 0 in
           String.iter (fun c -> if c <> '\000' then incr nonzero) tx.data;
-          Buffer.add_string b (Printf.sprintf "g%d:%d|" tx.gas_limit !nonzero)
+          (* "g<gas limit>:<nonzero bytes>|" *)
+          Buffer.add_char b 'g';
+          Buffer.add_string b (string_of_int tx.gas_limit);
+          Buffer.add_char b ':';
+          Buffer.add_string b (string_of_int !nonzero);
+          Buffer.add_char b '|'
         end;
         if pin_selector then begin
           Buffer.add_char b 's';

@@ -205,42 +205,41 @@ type path = {
 let bool_word b = if b then U256.one else U256.zero
 
 let eval_compute op (args : U256.t array) =
-  let a i = args.(i) in
   match op with
-  | C_add -> U256.add (a 0) (a 1)
-  | C_mul -> U256.mul (a 0) (a 1)
-  | C_sub -> U256.sub (a 0) (a 1)
-  | C_div -> U256.div (a 0) (a 1)
-  | C_sdiv -> U256.sdiv (a 0) (a 1)
-  | C_mod -> U256.rem (a 0) (a 1)
-  | C_smod -> U256.srem (a 0) (a 1)
-  | C_addmod -> U256.addmod (a 0) (a 1) (a 2)
-  | C_mulmod -> U256.mulmod (a 0) (a 1) (a 2)
-  | C_exp -> U256.exp (a 0) (a 1)
-  | C_signextend -> U256.signextend (a 0) (a 1)
-  | C_lt -> bool_word (U256.lt (a 0) (a 1))
-  | C_gt -> bool_word (U256.gt (a 0) (a 1))
-  | C_slt -> bool_word (U256.slt (a 0) (a 1))
-  | C_sgt -> bool_word (U256.sgt (a 0) (a 1))
-  | C_eq -> bool_word (U256.equal (a 0) (a 1))
-  | C_iszero -> bool_word (U256.is_zero (a 0))
-  | C_and -> U256.logand (a 0) (a 1)
-  | C_or -> U256.logor (a 0) (a 1)
-  | C_xor -> U256.logxor (a 0) (a 1)
-  | C_not -> U256.lognot (a 0)
-  | C_byte -> U256.byte (a 0) (a 1)
+  | C_add -> U256.add args.(0) args.(1)
+  | C_mul -> U256.mul args.(0) args.(1)
+  | C_sub -> U256.sub args.(0) args.(1)
+  | C_div -> U256.div args.(0) args.(1)
+  | C_sdiv -> U256.sdiv args.(0) args.(1)
+  | C_mod -> U256.rem args.(0) args.(1)
+  | C_smod -> U256.srem args.(0) args.(1)
+  | C_addmod -> U256.addmod args.(0) args.(1) args.(2)
+  | C_mulmod -> U256.mulmod args.(0) args.(1) args.(2)
+  | C_exp -> U256.exp args.(0) args.(1)
+  | C_signextend -> U256.signextend args.(0) args.(1)
+  | C_lt -> bool_word (U256.lt args.(0) args.(1))
+  | C_gt -> bool_word (U256.gt args.(0) args.(1))
+  | C_slt -> bool_word (U256.slt args.(0) args.(1))
+  | C_sgt -> bool_word (U256.sgt args.(0) args.(1))
+  | C_eq -> bool_word (U256.equal args.(0) args.(1))
+  | C_iszero -> bool_word (U256.is_zero args.(0))
+  | C_and -> U256.logand args.(0) args.(1)
+  | C_or -> U256.logor args.(0) args.(1)
+  | C_xor -> U256.logxor args.(0) args.(1)
+  | C_not -> U256.lognot args.(0)
+  | C_byte -> U256.byte args.(0) args.(1)
   | C_shl -> (
-    match U256.to_int_opt (a 0) with
-    | Some k when k < 256 -> U256.shift_left (a 1) k
+    match U256.to_int_opt args.(0) with
+    | Some k when k < 256 -> U256.shift_left args.(1) k
     | _ -> U256.zero)
   | C_shr -> (
-    match U256.to_int_opt (a 0) with
-    | Some k when k < 256 -> U256.shift_right (a 1) k
+    match U256.to_int_opt args.(0) with
+    | Some k when k < 256 -> U256.shift_right args.(1) k
     | _ -> U256.zero)
   | C_sar -> (
-    match U256.to_int_opt (a 0) with
-    | Some k when k < 256 -> U256.shift_right_arith (a 1) k
-    | _ -> if U256.testbit (a 1) 255 then U256.max_value else U256.zero)
+    match U256.to_int_opt args.(0) with
+    | Some k when k < 256 -> U256.shift_right_arith args.(1) k
+    | _ -> if U256.testbit args.(1) 255 then U256.max_value else U256.zero)
 
 let compute_op_of_evm : Evm.Op.t -> compute_op option = function
   | ADD -> Some C_add | MUL -> Some C_mul | SUB -> Some C_sub | DIV -> Some C_div

@@ -45,10 +45,11 @@ type touch = T_account of Address.t | T_code of Address.t | T_slot of Address.t 
 
 type acct = {
   addr : Address.t;
+  key : string; (* [account_trie_key addr], hashed once per load or creation *)
   mutable nonce : int;
   mutable balance : U256.t;
   mutable code_hash : string;
-  mutable storage_base : Trie.t; (* committed storage trie *)
+  mutable storage_base : Trie.t; (* committed storage trie (dirty only inside [commit_acct]) *)
   slots : U256.t Umap.t; (* cached current values (clean + dirty) *)
   original : U256.t Umap.t; (* committed values, as first seen *)
   dirty_slots : unit Umap.t;
@@ -66,7 +67,7 @@ type entry =
 
 type t = {
   backend : Backend.t;
-  mutable base : Trie.t;
+  mutable base : Trie.t; (* committed account trie (dirty only inside [commit]) *)
   cache : acct option Address.Tbl.t;
   mutable journal : entry list;
   mutable jlen : int;
@@ -129,9 +130,10 @@ let slot_trie_key slot = Khash.Keccak.digest (U256.to_bytes_be slot)
 
 (* ---- account fetch / creation ---- *)
 
-let fresh_acct t addr =
+let fresh_acct t addr key =
   {
     addr;
+    key;
     nonce = 0;
     balance = U256.zero;
     code_hash = empty_code_hash;
@@ -153,15 +155,16 @@ let get_acct t addr =
     t.misses <- t.misses + 1;
     Obs.incr obs_misses;
     touch t (T_account addr);
+    let key = account_trie_key addr in
     let binding =
-      match Trie.get t.base (account_trie_key addr) with
+      match Trie.get t.base key with
       | None -> None
       | Some enc -> (
         match Rlp.decode enc with
         | Rlp.List [ nonce; Rlp.Str bal; Rlp.Str sroot; Rlp.Str chash ] ->
           Some
             {
-              (fresh_acct t addr) with
+              (fresh_acct t addr key) with
               nonce = Rlp.decode_int nonce;
               balance = U256.of_bytes_be bal;
               code_hash = chash;
@@ -176,7 +179,7 @@ let get_or_create t addr =
   match get_acct t addr with
   | Some a -> a
   | None ->
-    let a = fresh_acct t addr in
+    let a = fresh_acct t addr (account_trie_key addr) in
     Address.Tbl.replace t.cache addr (Some a);
     journal_push t (J_create addr);
     a
@@ -439,13 +442,13 @@ let commit_acct t a =
         Umap.replace a.original k v)
     dirty;
   Umap.reset a.dirty_slots;
-  let key = account_trie_key a.addr in
+  a.storage_base <- Trie.commit a.storage_base;
   let empty =
     a.nonce = 0 && U256.is_zero a.balance && a.code_hash = empty_code_hash
     && Trie.is_empty a.storage_base
   in
-  if empty then t.base <- Trie.remove t.base key
-  else t.base <- Trie.set t.base key (encode_account a (Trie.root_hash a.storage_base));
+  if empty then t.base <- Trie.remove t.base a.key
+  else t.base <- Trie.set t.base a.key (encode_account a (Trie.root_hash a.storage_base));
   a.dirty_acct <- false
 
 let commit t =
@@ -459,11 +462,12 @@ let commit t =
       | None -> ()
       | Some a ->
         if a.destructed then begin
-          t.base <- Trie.remove t.base (account_trie_key addr);
+          t.base <- Trie.remove t.base a.key;
           Address.Tbl.replace t.cache addr None
         end
         else if a.dirty_acct || Umap.length a.dirty_slots > 0 then commit_acct t a)
     bindings;
+  t.base <- Trie.commit t.base;
   t.journal <- [];
   t.jlen <- 0;
   root t

@@ -42,10 +42,12 @@ module Db = struct
     | None -> invalid_arg "Trie.Db: missing node (corrupted store or bad root)"
 end
 
-(* A node reference is the 32-byte hash of its encoding; "" marks absence. *)
-type nref = string
+(* A node reference.  [Hash h] names a node stored in the Db under the
+   Keccak-256 hash of its encoding.  [Node n] is a dirty node: written since
+   the last [commit], held in memory and not yet encoded, hashed or stored. *)
+type nref = Empty | Hash of string | Node of node
 
-type node =
+and node =
   | Leaf of string * string (* nibble path (chars with codes 0..15), value *)
   | Ext of string * nref
   | Branch of nref array * string option
@@ -56,12 +58,12 @@ let db t = t.db
 
 (* ---- nibble helpers ---- *)
 
-let to_nibbles key =
-  String.init
-    (2 * String.length key)
-    (fun i ->
-      let b = Char.code key.[i / 2] in
-      Char.chr (if i mod 2 = 0 then b lsr 4 else b land 0xf))
+(* Nibble [j] of the byte string [s], high nibble first. *)
+let nib s j =
+  let b = Char.code s.[j lsr 1] in
+  if j land 1 = 0 then b lsr 4 else b land 0xf
+
+let to_nibbles key = String.init (2 * String.length key) (fun i -> Char.chr (nib key i))
 
 let of_nibbles nb =
   String.init
@@ -102,153 +104,278 @@ let hp_decode s =
   let nibbles = if odd then String.make 1 (Char.chr (b0 land 0xf)) ^ rest else rest in
   (nibbles, is_leaf)
 
+(* ---- RLP item headers ----
+   [decode_node] and the lookup walk both read a stored node through these
+   three functions, so they make the same checks [Rlp.decode] makes: every
+   header and payload in bounds and every length minimal. *)
+
+let rlp_fail msg = raise (Rlp.Decode_error msg)
+
+(* Offset of the payload of the item whose header starts at [pos]. *)
+let payload_start s pos =
+  let b = Char.code s.[pos] in
+  if b < 0x80 then pos
+  else if b <= 0xb7 then pos + 1
+  else if b <= 0xbf then pos + b - 0xb6
+  else if b <= 0xf7 then pos + 1
+  else pos + b - 0xf6
+
+(* Big-endian length in [n] bytes at [at], which must be minimal. *)
+let long_len s at n =
+  if s.[at] = '\000' then rlp_fail "non-minimal length";
+  let rec go acc i = if i = n then acc else go ((acc lsl 8) lor Char.code s.[at + i]) (i + 1) in
+  let len = go 0 0 in
+  if len < 56 then rlp_fail "non-minimal length";
+  len
+
+(* End of the item whose header starts at [pos]; it must end by [limit]. *)
+let item_end s pos limit =
+  if pos >= limit then rlp_fail "truncated input";
+  let b = Char.code s.[pos] in
+  let start = payload_start s pos in
+  if start > limit then rlp_fail "truncated length";
+  let len =
+    if b < 0x80 then 1
+    else if b <= 0xb7 then b - 0x80
+    else if b <= 0xbf then long_len s (pos + 1) (b - 0xb7)
+    else if b <= 0xf7 then b - 0xc0
+    else long_len s (pos + 1) (b - 0xf7)
+  in
+  if len > limit - start then rlp_fail "truncated item";
+  if b = 0x81 && Char.code s.[start] < 0x80 then rlp_fail "non-minimal single byte";
+  start + len
+
+let bad_node () = invalid_arg "Trie: bad node encoding"
+
+(* A stored node is one list spanning the whole encoding, whose items are
+   all strings.  [first_item] checks the list header and returns the offset
+   of the first item; [str_end] checks one item and returns its end. *)
+let first_item enc =
+  let n = String.length enc in
+  if n = 0 || enc.[0] < '\xc0' then bad_node ();
+  if item_end enc 0 n <> n then rlp_fail "trailing bytes";
+  payload_start enc 0
+
+let str_end enc pos =
+  if pos < String.length enc && enc.[pos] >= '\xc0' then bad_node ();
+  item_end enc pos (String.length enc)
+
+let item_str enc pos stop =
+  let a = payload_start enc pos in
+  String.sub enc a (stop - a)
+
 (* ---- node (de)serialisation ---- *)
 
-let encode_node = function
+let child_ref h = if h = "" then Empty else Hash h
+
+(* [child] gives the hash a child reference is encoded as. *)
+let encode_node child = function
   | Leaf (path, value) -> Rlp.encode (Rlp.List [ Rlp.Str (hp_encode path true); Rlp.Str value ])
-  | Ext (path, child) -> Rlp.encode (Rlp.List [ Rlp.Str (hp_encode path false); Rlp.Str child ])
+  | Ext (path, c) -> Rlp.encode (Rlp.List [ Rlp.Str (hp_encode path false); Rlp.Str (child c) ])
   | Branch (children, value) ->
-    let items = Array.to_list (Array.map (fun c -> Rlp.Str c) children) in
+    let items = Array.to_list (Array.map (fun c -> Rlp.Str (child c)) children) in
     let v = match value with Some v -> Rlp.Str v | None -> Rlp.Str "" in
     Rlp.encode (Rlp.List (items @ [ v ]))
 
-let decode_node encoded =
-  match Rlp.decode encoded with
-  | Rlp.List [ Rlp.Str hp; Rlp.Str payload ] ->
-    let path, is_leaf = hp_decode hp in
-    if is_leaf then Leaf (path, payload) else Ext (path, payload)
-  | Rlp.List items when List.length items = 17 ->
-    let arr = Array.of_list items in
-    let child i =
-      match arr.(i) with Rlp.Str s -> s | Rlp.List _ -> invalid_arg "Trie: bad branch child"
-    in
-    let children = Array.init 16 child in
-    let value = match arr.(16) with Rlp.Str "" -> None | Rlp.Str v -> Some v | Rlp.List _ -> None in
-    Branch (children, value)
-  | _ -> invalid_arg "Trie: bad node encoding"
+let decode_node enc =
+  let n = String.length enc in
+  let rec items acc pos =
+    if pos = n then Array.of_list (List.rev acc)
+    else
+      let stop = str_end enc pos in
+      items (item_str enc pos stop :: acc) stop
+  in
+  let it = items [] (first_item enc) in
+  match Array.length it with
+  | 2 ->
+    let path, is_leaf = hp_decode it.(0) in
+    if is_leaf then Leaf (path, it.(1)) else Ext (path, child_ref it.(1))
+  | 17 ->
+    Branch (Array.init 16 (fun i -> child_ref it.(i)), if it.(16) = "" then None else Some it.(16))
+  | _ -> bad_node ()
 
-let store db node = Db.put db (encode_node node)
-let load db nref = decode_node (Db.get db nref)
+let resolve db = function
+  | Hash h -> decode_node (Db.get db h)
+  | Node n -> n
+  | Empty -> invalid_arg "Trie: resolve of an empty reference"
 
-(* ---- lookup ---- *)
+(* ---- lookup ----
+   The key stays a byte string and [i] counts the nibbles already matched.
+   A stored node is read in place: the walk skips item headers to the item
+   it needs and copies out only the next child hash or the value. *)
 
-let rec get_at dbh nref path =
-  if nref = "" then None
-  else
-    match load dbh nref with
-    | Leaf (p, v) -> if p = path then Some v else None
-    | Ext (p, child) ->
-      let n = String.length p in
-      if String.length path >= n && String.sub path 0 n = p then get_at dbh child (drop n path)
-      else None
-    | Branch (children, value) ->
-      if path = "" then value
-      else get_at dbh children.(Char.code path.[0]) (drop 1 path)
+(* Do the [n] nibbles of [s] from nibble [si] equal those of [k] from [ki]? *)
+let rec nibs_equal s si k ki n =
+  n = 0 || (nib s si = nib k ki && nibs_equal s (si + 1) k (ki + 1) (n - 1))
 
-(* ---- insertion ---- *)
+(* Same, for a path held one nibble per char. *)
+let rec path_equal p pi k ki n =
+  n = 0 || (Char.code p.[pi] = nib k ki && path_equal p (pi + 1) k (ki + 1) (n - 1))
 
-(* Branch child reference for a (possibly empty) remaining path to a leaf. *)
-let leaf_child dbh path value = store dbh (Leaf (path, value))
+let rec get_ref db nref key i =
+  let rest = (2 * String.length key) - i in
+  match nref with
+  | Empty -> None
+  | Hash h -> get_stored db (Db.get db h) key i
+  | Node (Leaf (p, v)) ->
+    if String.length p = rest && path_equal p 0 key i rest then Some v else None
+  | Node (Ext (p, child)) ->
+    let n = String.length p in
+    if n <= rest && path_equal p 0 key i n then get_ref db child key (i + n) else None
+  | Node (Branch (children, value)) ->
+    if rest = 0 then value else get_ref db children.(nib key i) key (i + 1)
 
-let wrap_ext dbh prefix nref = if prefix = "" then nref else store dbh (Ext (prefix, nref))
+and get_stored db enc key i =
+  let rest = (2 * String.length key) - i in
+  let sel = if rest = 0 then 16 else nib key i in
+  (* one pass over the items: count them, and note where the second one and
+     the one [sel] picks (for a branch) start *)
+  let n = String.length enc in
+  let first = first_item enc in
+  let pos = ref first and count = ref 0 and second = ref n and chosen = ref n in
+  while !pos < n do
+    if !count = 1 then second := !pos;
+    if !count = sel then chosen := !pos;
+    pos := str_end enc !pos;
+    incr count
+  done;
+  match !count with
+  | 2 ->
+    let a = payload_start enc first and b = !second in
+    if a = b then invalid_arg "Trie.hp_decode: empty";
+    let b0 = Char.code enc.[a] in
+    (* the path's nibbles, as nibble offsets into [enc] *)
+    let base = if b0 land 0x10 <> 0 then (2 * a) + 1 else (2 * a) + 2 in
+    let len = (2 * b) - base in
+    if b0 land 0x20 <> 0 then
+      if len = rest && nibs_equal enc base key i len then Some (item_str enc b n) else None
+    else if len <= rest && nibs_equal enc base key i len then
+      match item_str enc b n with "" -> None | h -> get_stored db (Db.get db h) key (i + len)
+    else None
+  | 17 ->
+    let v = item_str enc !chosen (str_end enc !chosen) in
+    if v = "" then None else if rest = 0 then Some v else get_stored db (Db.get db v) key (i + 1)
+  | _ -> bad_node ()
 
-let rec insert_at dbh nref path value =
-  if nref = "" then store dbh (Leaf (path, value))
-  else
-    match load dbh nref with
+(* ---- insertion ----
+   Writes rebuild the path in memory: stored nodes met on the way are loaded
+   and decoded, and every node built is a dirty [Node]. *)
+
+let leaf path value = Node (Leaf (path, value))
+let wrap_ext prefix nref = if prefix = "" then nref else Node (Ext (prefix, nref))
+
+let rec insert_at db nref path value =
+  match nref with
+  | Empty -> leaf path value
+  | _ -> (
+    match resolve db nref with
     | Leaf (p, old_v) ->
-      if p = path then store dbh (Leaf (p, value))
+      if p = path then leaf p value
       else begin
         let cp = common_prefix_len p path in
         let p' = drop cp p and path' = drop cp path in
-        let children = Array.make 16 "" in
+        let children = Array.make 16 Empty in
         let bval = ref None in
         (if p' = "" then bval := Some old_v
-         else children.(Char.code p'.[0]) <- leaf_child dbh (drop 1 p') old_v);
+         else children.(Char.code p'.[0]) <- leaf (drop 1 p') old_v);
         (if path' = "" then bval := Some value
-         else children.(Char.code path'.[0]) <- leaf_child dbh (drop 1 path') value);
-        wrap_ext dbh (String.sub p 0 cp) (store dbh (Branch (children, !bval)))
+         else children.(Char.code path'.[0]) <- leaf (drop 1 path') value);
+        wrap_ext (String.sub p 0 cp) (Node (Branch (children, !bval)))
       end
     | Ext (p, child) ->
       let cp = common_prefix_len p path in
-      if cp = String.length p then
-        store dbh (Ext (p, insert_at dbh child (drop cp path) value))
+      if cp = String.length p then Node (Ext (p, insert_at db child (drop cp path) value))
       else begin
         let p' = drop cp p and path' = drop cp path in
-        let children = Array.make 16 "" in
+        let children = Array.make 16 Empty in
         let bval = ref None in
         let c = Char.code p'.[0] in
-        children.(c) <- (if String.length p' = 1 then child else store dbh (Ext (drop 1 p', child)));
+        children.(c) <- (if String.length p' = 1 then child else Node (Ext (drop 1 p', child)));
         (if path' = "" then bval := Some value
-         else children.(Char.code path'.[0]) <- leaf_child dbh (drop 1 path') value);
-        wrap_ext dbh (String.sub p 0 cp) (store dbh (Branch (children, !bval)))
+         else children.(Char.code path'.[0]) <- leaf (drop 1 path') value);
+        wrap_ext (String.sub p 0 cp) (Node (Branch (children, !bval)))
       end
     | Branch (children, bval) ->
-      if path = "" then store dbh (Branch (children, Some value))
+      if path = "" then Node (Branch (children, Some value))
       else begin
         let c = Char.code path.[0] in
         let children = Array.copy children in
-        children.(c) <- insert_at dbh children.(c) (drop 1 path) value;
-        store dbh (Branch (children, bval))
-      end
+        children.(c) <- insert_at db children.(c) (drop 1 path) value;
+        Node (Branch (children, bval))
+      end)
 
-(* ---- deletion (with node collapsing) ---- *)
+(* ---- deletion (with node collapsing) ----
+   An unchanged subtree comes back as the very reference passed in, so
+   callers test for change with [==]. *)
 
 (* Prepend [prefix] nibbles onto whatever node [nref] points to. *)
-let reattach dbh prefix nref =
+let reattach db prefix nref =
   if prefix = "" then nref
   else
-    match load dbh nref with
-    | Leaf (p, v) -> store dbh (Leaf (prefix ^ p, v))
-    | Ext (p, child) -> store dbh (Ext (prefix ^ p, child))
-    | Branch _ -> store dbh (Ext (prefix, nref))
+    match resolve db nref with
+    | Leaf (p, v) -> leaf (prefix ^ p) v
+    | Ext (p, child) -> Node (Ext (prefix ^ p, child))
+    | Branch _ -> Node (Ext (prefix, nref))
 
 (* Rebuild a branch after one child changed, collapsing if it degenerated. *)
-let normalize_branch dbh children bval =
+let normalize_branch db children bval =
   let live = ref [] in
-  Array.iteri (fun i c -> if c <> "" then live := (i, c) :: !live) children;
+  Array.iteri (fun i c -> if c != Empty then live := (i, c) :: !live) children;
   match (!live, bval) with
-  | [], None -> ""
-  | [], Some v -> store dbh (Leaf ("", v))
-  | [ (i, c) ], None -> reattach dbh (String.make 1 (Char.chr i)) c
-  | _ -> store dbh (Branch (children, bval))
+  | [], None -> Empty
+  | [], Some v -> leaf "" v
+  | [ (i, c) ], None -> reattach db (String.make 1 (Char.chr i)) c
+  | _ -> Node (Branch (children, bval))
 
-let rec delete_at dbh nref path =
-  if nref = "" then ""
-  else
-    match load dbh nref with
-    | Leaf (p, _) -> if p = path then "" else nref
+let rec delete_at db nref path =
+  match nref with
+  | Empty -> Empty
+  | _ -> (
+    match resolve db nref with
+    | Leaf (p, _) -> if p = path then Empty else nref
     | Ext (p, child) ->
       let n = String.length p in
       if String.length path >= n && String.sub path 0 n = p then begin
-        let child' = delete_at dbh child (drop n path) in
-        if child' = child then nref
-        else if child' = "" then ""
-        else reattach dbh p child'
+        let child' = delete_at db child (drop n path) in
+        if child' == child then nref
+        else if child' == Empty then Empty
+        else reattach db p child'
       end
       else nref
     | Branch (children, bval) ->
-      if path = "" then
-        if bval = None then nref else normalize_branch dbh children None
+      if path = "" then if bval = None then nref else normalize_branch db children None
       else begin
         let c = Char.code path.[0] in
-        let child' = delete_at dbh children.(c) (drop 1 path) in
-        if child' = children.(c) then nref
+        let child' = delete_at db children.(c) (drop 1 path) in
+        if child' == children.(c) then nref
         else begin
           let children = Array.copy children in
           children.(c) <- child';
-          normalize_branch dbh children bval
+          normalize_branch db children bval
         end
-      end
+      end)
+
+(* ---- commit ---- *)
+
+(* Encode and store the dirty nodes under [nref] bottom-up, each once;
+   returns the hash [nref] is encoded as in its parent. *)
+let rec hash_ref db = function
+  | Empty -> ""
+  | Hash h -> h
+  | Node n -> Db.put db (encode_node (hash_ref db) n)
 
 (* ---- public interface ---- *)
 
 let empty_root_hash = Khash.Keccak.digest (Rlp.encode (Rlp.Str ""))
-let create dbh = { db = dbh; root = "" }
-let of_root dbh root = { db = dbh; root = (if root = empty_root_hash then "" else root) }
-let root_hash t = if t.root = "" then empty_root_hash else t.root
-let is_empty t = t.root = ""
-let get t key = get_at t.db t.root (to_nibbles key)
+let create dbh = { db = dbh; root = Empty }
+let of_root dbh root = { db = dbh; root = (if root = empty_root_hash then Empty else Hash root) }
+
+let commit t =
+  match t.root with Node _ -> { t with root = Hash (hash_ref t.db t.root) } | Empty | Hash _ -> t
+
+let root_hash t = match t.root with Empty -> empty_root_hash | r -> hash_ref t.db r
+let is_empty t = t.root == Empty
+let get t key = get_ref t.db t.root key 0
 
 let set t key value =
   if value = "" then invalid_arg "Trie.set: empty value (use remove)";
@@ -258,17 +385,16 @@ let remove t key = { t with root = delete_at t.db t.root (to_nibbles key) }
 
 let fold t ~init ~f =
   let rec go acc nref path =
-    if nref = "" then acc
-    else
-      match load t.db nref with
+    match nref with
+    | Empty -> acc
+    | _ -> (
+      match resolve t.db nref with
       | Leaf (p, v) -> f acc (of_nibbles (path ^ p)) v
       | Ext (p, child) -> go acc child (path ^ p)
       | Branch (children, value) ->
         let acc = match value with Some v -> f acc (of_nibbles path) v | None -> acc in
         let acc = ref acc in
-        Array.iteri
-          (fun i c -> acc := go !acc c (path ^ String.make 1 (Char.chr i)))
-          children;
-        !acc
+        Array.iteri (fun i c -> acc := go !acc c (path ^ String.make 1 (Char.chr i))) children;
+        !acc)
   in
   go init t.root ""

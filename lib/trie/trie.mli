@@ -5,9 +5,16 @@
     {!root_hash} hold identical contents — which is how Forerunner's
     correctness is validated (paper §5.2).
 
-    Lookups walk the trie from the root, loading and decoding one stored node
-    per path element; the {!Db} counts those loads, which stands in for the
-    LevelDB I/O that dominates cold state access in geth. *)
+    Writes are deferred, as in geth's trie: {!set} and {!remove} rebuild
+    the path in memory and leave the new nodes dirty, unencoded and
+    unhashed.  {!commit} encodes each dirty node once, bottom-up, and stores
+    it; intermediate nodes that a later write replaced are never stored.
+
+    Lookups walk the trie from the root.  A stored node is read in place:
+    the walk skips item headers to the one child or value the next key
+    nibble selects, without decoding the rest.  The {!Db} counts node loads,
+    which stand in for the LevelDB I/O that dominates cold state access in
+    geth; dirty nodes cost no loads. *)
 
 module Db : sig
   type t
@@ -25,7 +32,9 @@ end
 type t
 (** A trie handle: a node store plus a root.  Handles are persistent values —
     [set] returns a new handle and never mutates old ones (old roots stay
-    readable, which is what chain re-orgs and speculation snapshots need). *)
+    readable, which is what chain re-orgs and speculation snapshots need).
+    Dirty nodes are immutable, so a handle taken before a {!commit} still
+    reads its old contents after it. *)
 
 val create : Db.t -> t
 (** The empty trie. *)
@@ -33,7 +42,14 @@ val create : Db.t -> t
 val db : t -> Db.t
 
 val root_hash : t -> string
-(** 32-byte commitment.  Equal root hashes imply equal contents. *)
+(** 32-byte commitment.  Equal root hashes imply equal contents.  On a
+    handle with dirty nodes this stores them as {!commit} does, but leaves
+    the handle itself dirty. *)
+
+val commit : t -> t
+(** Encode, hash and store the dirty nodes (each once, children first) and
+    return a handle on the same contents whose root is stored.  The argument
+    handle is unchanged and stays valid. *)
 
 val of_root : Db.t -> string -> t
 (** Re-open a previously committed root. *)

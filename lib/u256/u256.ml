@@ -192,8 +192,15 @@ let mul_into n a b =
   r
 
 let mul a b =
-  let r = mul_into 4 a b in
-  { x0 = r.(0); x1 = r.(1); x2 = r.(2); x3 = r.(3) }
+  if a.x1 = 0L && a.x2 = 0L && a.x3 = 0L && b.x1 = 0L && b.x2 = 0L && b.x3 = 0L then begin
+    (* one limb each, the common case (gas and length arithmetic): the
+       128-bit product directly, without the schoolbook's limb array *)
+    let hi, lo = mul64 a.x0 b.x0 in
+    { x0 = lo; x1 = hi; x2 = 0L; x3 = 0L }
+  end
+  else
+    let r = mul_into 4 a b in
+    { x0 = r.(0); x1 = r.(1); x2 = r.(2); x3 = r.(3) }
 
 (* ---- wide-array helpers (little-endian int64 limbs) ---- *)
 

@@ -203,6 +203,50 @@ let more_tests =
         let fwd = build (List.init 64 (fun i -> i + 1)) in
         let rev = build (List.rev (List.init 64 (fun i -> i + 1))) in
         Alcotest.(check string) "same root" (Khash.Keccak.to_hex fwd) (Khash.Keccak.to_hex rev));
+    t "golden: two committed rounds over 64 accounts" (fun () ->
+        (* hex roots computed on the trie that stored and hashed every node
+           at every write; a rewrite of the trie must reproduce them *)
+        let bk, st = fresh () in
+        let acct i = Address.of_int (0x1000 + i) in
+        let heavy = [ acct 5; acct 40 ] in
+        for i = 0 to 63 do
+          Statedb.set_balance st (acct i) (u ((i * 1_000_003) + 1));
+          Statedb.set_nonce st (acct i) (i mod 7)
+        done;
+        List.iter
+          (fun a ->
+            for s = 0 to 299 do
+              Statedb.set_storage st a (u s) (u ((s * 7919) + 1))
+            done)
+          heavy;
+        let r1 = Statedb.commit st in
+        Alcotest.(check string) "first root"
+          "2d4a27129c29648db010a0a537fde94aecacb18907283d227d35603289402969"
+          (Khash.Keccak.to_hex r1);
+        let st = Statedb.create bk ~root:r1 in
+        for i = 0 to 63 do
+          if i mod 4 = 0 then Statedb.add_balance st (acct i) (u 17)
+        done;
+        Statedb.set_balance st (acct 9) U256.zero;
+        Statedb.set_nonce st (acct 9) 0;
+        Statedb.self_destruct st (acct 12);
+        List.iter
+          (fun a ->
+            for s = 0 to 299 do
+              if s mod 3 = 0 then Statedb.set_storage st a (u s) U256.zero
+              else if s mod 5 = 0 then Statedb.set_storage st a (u s) (u (s + 1))
+            done;
+            Statedb.set_storage st a (u 1000) (u 1))
+          heavy;
+        let r2 = Statedb.commit st in
+        Alcotest.(check string) "second root"
+          "97e00c4ffa5737668d392edadba202d186c709454de2e75fbace4b940e3c6a83"
+          (Khash.Keccak.to_hex r2);
+        let st = Statedb.create bk ~root:r2 in
+        Alcotest.check check_u "zeroed slot" U256.zero (Statedb.get_storage st (acct 5) (u 3));
+        Alcotest.check check_u "rewritten slot" (u 11) (Statedb.get_storage st (acct 40) (u 10));
+        Alcotest.(check bool) "destructed" false (Statedb.account_exists st (acct 12));
+        Alcotest.(check bool) "emptied" false (Statedb.account_exists st (acct 9)));
     t "incr_nonce journals correctly" (fun () ->
         let _, st = fresh () in
         let snap = Statedb.snapshot st in

@@ -80,12 +80,119 @@ let unit_tests =
             Alcotest.(check bool) ("has " ^ k) true (List.mem (k, v) seen))
           l);
     t "node reads counted" (fun () ->
+        (* loads are counted from the store, so read a committed trie; a
+           path that is still dirty lives in memory and costs no loads *)
         let db = Trie.Db.create () in
-        let tr = List.fold_left (fun tr i ->
+        let dirty = List.fold_left (fun tr i ->
             Trie.set tr (Printf.sprintf "key-%04d" i) "v") (Trie.create db) (List.init 50 Fun.id) in
+        let tr = Trie.commit dirty in
         Trie.Db.reset_counters db;
         ignore (Trie.get tr "key-0001");
-        Alcotest.(check bool) "reads > 0" true (Trie.Db.node_reads db > 0))
+        Alcotest.(check bool) "reads > 0" true (Trie.Db.node_reads db > 0);
+        Trie.Db.reset_counters db;
+        Alcotest.(check (option string)) "dirty hit" (Some "v") (Trie.get dirty "key-0001");
+        Alcotest.(check int) "dirty path reads" 0 (Trie.Db.node_reads db));
+    t "commit stores only the final trie's nodes" (fun () ->
+        (* nodes that a later write replaced are never stored, so the
+           writes of one commit depend on the contents, not on the history *)
+        let commit_of bindings =
+          let db = Trie.Db.create () in
+          let tr = List.fold_left (fun tr (k, v) -> Trie.set tr k v) (Trie.create db) bindings in
+          Alcotest.(check int) "nothing stored before commit" 0 (Trie.Db.size db);
+          (db, tr, Trie.commit tr)
+        in
+        let keys = List.init 50 (Printf.sprintf "key-%04d") in
+        let db, tr, c = commit_of (List.map (fun k -> (k, "w")) keys) in
+        let db', _, _ =
+          commit_of (List.map (fun k -> (k, "v")) keys @ List.rev_map (fun k -> (k, "w")) keys)
+        in
+        Alcotest.(check int) "overwritten and reordered history" (Trie.Db.node_writes db)
+          (Trie.Db.node_writes db');
+        Alcotest.(check string) "same root" (hex (Trie.root_hash tr)) (hex (Trie.root_hash c));
+        let writes = Trie.Db.node_writes db in
+        ignore (Trie.commit c);
+        Alcotest.(check int) "committing a clean handle writes nothing" writes
+          (Trie.Db.node_writes db));
+    t "handle taken before commit keeps its contents" (fun () ->
+        let base = Trie.commit (with_bindings [ ("a", "1"); ("b", "2") ]) in
+        let before = Trie.set base "c" "3" in
+        let after = Trie.commit (Trie.remove (Trie.set before "a" "9") "b") in
+        Alcotest.(check (option string)) "old a" (Some "1") (Trie.get before "a");
+        Alcotest.(check (option string)) "old b" (Some "2") (Trie.get before "b");
+        Alcotest.(check (option string)) "old c" (Some "3") (Trie.get before "c");
+        Alcotest.(check (option string)) "new a" (Some "9") (Trie.get after "a");
+        Alcotest.(check (option string)) "new b" None (Trie.get after "b");
+        Alcotest.(check (option string)) "base c" None (Trie.get base "c");
+        let reopened = Trie.of_root (Trie.db before) (Trie.root_hash before) in
+        Alcotest.(check (option string)) "reopened c" (Some "3") (Trie.get reopened "c"))
+  ]
+
+(* Golden roots: hex roots of fixed tries, computed on the trie that stored
+   and hashed every node at every write.  Any rewrite of the node layout,
+   the write path or the commit pass must reproduce them byte for byte. *)
+
+let golden_value i =
+  let c = Char.chr (i land 0xff) in
+  match i mod 6 with
+  | 0 -> String.make 1 (Char.chr (i land 0x7f)) (* one byte below 0x80 *)
+  | 1 -> String.make 1 (Char.chr (0x80 lor (i land 0x7f))) (* one byte >= 0x80 *)
+  | 2 -> String.make 31 c
+  | 3 -> String.make 55 c
+  | 4 -> String.make 56 c
+  | _ -> String.make 200 c
+
+let golden_key i = Khash.Keccak.digest (string_of_int i)
+
+let golden_full () =
+  List.fold_left (fun tr i -> Trie.set tr (golden_key i) (golden_value i)) (fresh ())
+    (List.init 2000 Fun.id)
+
+let golden_pruned () =
+  List.fold_left
+    (fun tr i -> if i mod 3 = 0 then Trie.remove tr (golden_key i) else tr)
+    (golden_full ()) (List.init 2000 Fun.id)
+
+let check_root name expected tr =
+  Alcotest.(check string) name expected (hex (Trie.root_hash tr))
+
+(* [check_gets tr l] checks each (key, expected value) of [l] both on the
+   dirty handle [tr] and on its committed, stored copy *)
+let check_gets tr l =
+  List.iter
+    (fun tr ->
+      List.iter (fun (k, v) -> Alcotest.(check (option string)) (hex k) v (Trie.get tr k)) l)
+    [ tr; Trie.commit tr ]
+
+let golden_tests =
+  [ t "golden: 2000 keccak keys" (fun () ->
+        let tr = golden_full () in
+        check_root "root"
+          "b37a40f2f41780dac34220a07fbe739620cf4f214c1e59c86ab87b09664b15af" tr;
+        check_gets tr
+          (List.map (fun i -> (golden_key i, Some (golden_value i))) [ 0; 1; 2; 3; 4; 5; 1999 ]
+          @ [ (Khash.Keccak.digest "absent", None); (golden_key 1 ^ "\x00", None);
+              (String.sub (golden_key 2) 0 31, None); ("", None) ]));
+    t "golden: every third key removed" (fun () ->
+        let tr = golden_pruned () in
+        check_root "root"
+          "4f558235cf98b2b0979f4624359f99d6666200f12d0e2f4d2b76ad2d374d9fb4" tr;
+        check_gets tr [ (golden_key 3, None); (golden_key 4, Some (golden_value 4)) ]);
+    t "golden: root branch with a value" (fun () ->
+        let tr =
+          with_bindings
+            [ ("", "root-value"); ("\x01", "a"); ("\x01\x02", "b"); ("\x11", "c");
+              ("\x12\x34", String.make 40 'd') ]
+        in
+        check_root "root"
+          "1169c4ada809ee0d364d661e2fd870604ce8faec2b38e8c9bf16fc1a257d5b66" tr;
+        check_gets tr
+          [ ("", Some "root-value"); ("\x01", Some "a"); ("\x01\x02", Some "b");
+            ("\x01\x02\x03", None); ("\x12", None); ("\x12\x34", Some (String.make 40 'd'));
+            ("\x12\x35", None); ("\x02", None) ]);
+    t "golden: single leaf" (fun () ->
+        let tr = with_bindings [ (golden_key 7, "v") ] in
+        check_root "root" "a4bb6699da341832dd49739a51c5b79d836b39d803afd06de86c96d9cbaea6fb" tr;
+        check_gets tr [ (golden_key 7, Some "v"); (golden_key 8, None) ])
   ]
 
 (* model-based: random interleavings of set/remove compared against a Map *)
@@ -120,6 +227,29 @@ let property_tests =
            && Trie.fold tr ~init:true ~f:(fun acc k v ->
                   acc && SMap.find_opt k model = Some v)));
     QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:200 ~name:"commit points do not change results"
+         QCheck.(pair arb_ops (list_of_size Gen.(int_bound 8) small_nat))
+         (fun (ops, points) ->
+           (* the same ops, once never committed and once committed after
+              each op whose index is in [points] *)
+           let apply commit_at =
+             List.fold_left
+               (fun (tr, i) op ->
+                 let tr =
+                   match op with `Set (k, v) -> Trie.set tr k v | `Remove k -> Trie.remove tr k
+                 in
+                 ((if commit_at i then Trie.commit tr else tr), i + 1))
+               (fresh (), 0) ops
+             |> fst
+           in
+           let plain = apply (fun _ -> false) in
+           let committed = apply (fun i -> List.mem i points) in
+           let bindings tr = List.rev (Trie.fold tr ~init:[] ~f:(fun acc k v -> (k, v) :: acc)) in
+           let keys = List.init 24 (Printf.sprintf "k%02d") in
+           String.equal (Trie.root_hash plain) (Trie.root_hash committed)
+           && List.for_all (fun k -> Trie.get plain k = Trie.get committed k) keys
+           && bindings plain = bindings committed));
+    QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~count:100 ~name:"root is content-determined" arb_ops (fun ops ->
            (* apply ops, then rebuild the final content directly: roots match *)
            let tr, model =
@@ -136,4 +266,4 @@ let property_tests =
            String.equal (Trie.root_hash tr) (Trie.root_hash direct)))
   ]
 
-let suite = unit_tests @ property_tests
+let suite = unit_tests @ golden_tests @ property_tests

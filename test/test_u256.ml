@@ -146,6 +146,11 @@ let property_tests =
     prop "neg is 0 - x" arb_u256 (fun a -> U256.equal (U256.neg a) (U256.sub U256.zero a));
     prop "mul commutative" (QCheck.pair arb_u256 arb_u256) (fun (a, b) ->
         U256.equal (U256.mul a b) (U256.mul b a));
+    prop "one-limb mul is the exact product" (QCheck.pair QCheck.int64 QCheck.int64) (fun (x, y) ->
+        (* both operands below 2^64, so the product is below 2^128 and
+           mulmod by max_value (the 512-bit schoolbook) returns it unchanged *)
+        let a = U256.of_int64 x and b = U256.of_int64 y in
+        U256.equal (U256.mul a b) (U256.mulmod a b U256.max_value));
     prop "mul distributes" (QCheck.triple arb_u256 arb_u256 arb_u256) (fun (a, b, c) ->
         U256.equal (U256.mul a (U256.add b c)) (U256.add (U256.mul a b) (U256.mul a c)));
     prop "divmod invariant" (QCheck.pair arb_mixed arb_mixed) (fun (a, b) ->
