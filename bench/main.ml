@@ -384,133 +384,13 @@ let micro () =
       | Some _ | None -> Printf.printf "%-45s (no estimate)\n" name)
     (List.sort compare rows)
 
-(* ---- Apstore: template AP cache on an airdrop storm (DESIGN.md §13) ---- *)
-
-(* Many distinct senders hammer one ERC-20 `transfer` shape.  With the
-   store ON, speculation runs once — the first transaction's trace is
-   lifted into a template — and every later transaction binds its own
-   sender/recipient/amount into the cached template's input registers.
-   With the store OFF, the classic pipeline traces and synthesizes a
-   fresh per-transaction AP for every single transaction.  Both modes
-   replay the identical storm (same seed) and must commit the identical
-   final state root — the bench doubles as a differential oracle — and the
-   store must serve at least 90% of the storm from templates. *)
-
-let apstore () =
-  section "Apstore: template AP cache on an airdrop storm (DESIGN.md §13)";
-  let open State in
-  let n_txs = max 200 (int_of_float (2000.0 *. Datasets.scale ())) in
-  let benv : Evm.Env.block_env =
-    {
-      coinbase = Address.of_int 0xC0FFEE;
-      timestamp = 1_700_000_000L;
-      number = 1000L;
-      difficulty = U256.one;
-      gas_limit = 12_000_000;
-      chain_id = 1;
-      block_hash = (fun n -> U256.of_int64 n);
-    }
-  in
-  let run ~on =
-    let token = Address.of_int 0x70C0 in
-    let storm = Workload.Airdrop.create ~n_senders:64 ~seed:31337 ~token () in
-    let bk = Statedb.Backend.create () in
-    let root = Workload.Airdrop.genesis storm bk in
-    let st = Statedb.create bk ~root in
-    let store = Apstore.create () in
-    let spec_ns = ref 0 and exec_ns = ref 0 in
-    let hits = ref 0 and misses = ref 0 and violations = ref 0 in
-    (* trace + synthesize, charging the clock to the speculation bucket *)
-    let speculate ~template tx =
-      let ap_opt, ns =
-        Clock.time (fun () ->
-            let snap = Statedb.snapshot st in
-            let sink, get = Evm.Trace.collector () in
-            let receipt = Evm.Processor.execute_tx ~trace:sink st benv tx in
-            Statedb.revert st snap;
-            match Sevm.Builder.build ~template tx benv (get ()) receipt st with
-            | Ok path ->
-              let ap = Ap.Program.create () in
-              Ap.Program.add_path ap path;
-              Some ap
-            | Error _ -> None)
-      in
-      spec_ns := !spec_ns + ns;
-      ap_opt
-    in
-    let exec_via ap tx =
-      let outcome, ns = Clock.time (fun () -> Ap.Exec.execute ap st benv tx) in
-      exec_ns := !exec_ns + ns;
-      match outcome with
-      | Ap.Exec.Hit _ -> incr hits
-      | Ap.Exec.Violation ->
-        incr violations;
-        let _, ns = Clock.time (fun () -> Evm.Processor.execute_tx st benv tx) in
-        exec_ns := !exec_ns + ns
-    in
-    let exec_plain tx =
-      let _, ns = Clock.time (fun () -> Evm.Processor.execute_tx st benv tx) in
-      exec_ns := !exec_ns + ns
-    in
-    for _ = 1 to n_txs do
-      let tx = Workload.Airdrop.tx storm in
-      if on then begin
-        match Apstore.key_of_tx st !Spec.current tx with
-        | None -> exec_plain tx
-        | Some key -> (
-          match Apstore.find store key with
-          | Some tp -> exec_via tp tx
-          | None ->
-            incr misses;
-            ignore (Apstore.reserve store key);
-            (match speculate ~template:true tx with
-            | Some tp -> Apstore.publish store key tp
-            | None -> Apstore.abandon store key);
-            exec_plain tx)
-      end
-      else begin
-        (* classic pipeline: a fresh per-tx AP, speculated for every tx *)
-        match speculate ~template:false tx with
-        | Some ap -> exec_via ap tx
-        | None -> exec_plain tx
-      end
-    done;
-    (Statedb.commit st, !hits, !misses, !violations, !spec_ns, !exec_ns, Apstore.stats store)
-  in
-  let root_on, h_on, m_on, v_on, spec_on, exec_on, s_on = run ~on:true in
-  let root_off, h_off, m_off, v_off, spec_off, exec_off, _ = run ~on:false in
-  let roots_match = String.equal root_on root_off in
-  let pct n = 100.0 *. float_of_int n /. float_of_int n_txs in
-  Printf.printf "%d txs, 64 senders, one ERC-20 transfer shape\n\n" n_txs;
-  Printf.printf "%-14s %8s %8s %11s %10s %12s %12s\n" "variant" "hits" "misses" "violations"
-    "hit rate" "spec (ms)" "exec (ms)";
-  let row name h m v spec exec =
-    Printf.printf "%-14s %8d %8d %11d %9.2f%% %12.2f %12.2f\n" name h m v (pct h)
-      (float_of_int spec /. 1e6) (float_of_int exec /. 1e6)
-  in
-  row "apstore on" h_on m_on v_on spec_on exec_on;
-  row "apstore off" h_off m_off v_off spec_off exec_off;
-  let spec_speedup = float_of_int spec_off /. float_of_int (max 1 spec_on) in
-  Printf.printf "\nspeculation cost: %.1fx cheaper with the template store\n" spec_speedup;
-  Printf.printf "templates published: %d; coalesced misses: %d; evictions: %d\n"
-    s_on.Apstore.published s_on.Apstore.coalesced s_on.Apstore.evictions;
-  Printf.printf "final state roots identical across modes: %b\n" roots_match;
-  if not roots_match then begin
-    Printf.printf "apstore: final state roots DIVERGED between modes\n%!";
-    exit 1
-  end;
-  if pct h_on < 90.0 then begin
-    Printf.printf "apstore: template hit rate below the 90%% storm target\n%!";
-    exit 1
-  end
-
 (* ---- driver ---- *)
 
 let experiments =
   [ ("fig2", fig2); ("table1", table1); ("fig11", fig11); ("table2", table2);
     ("table3", table3); ("fig12", fig12); ("fig13", fig13); ("fig14", fig14);
     ("fig15", fig15); ("sec55", sec55); ("sec56", sec56); ("ablation", ablation);
-    ("micro", micro); ("apstore", apstore) ]
+    ("micro", micro) ]
 
 (* [--metrics] / [--metrics-json FILE] enable the Obs registry around the
    experiments; [--fork NAME] sets the process-default hardfork spec every

@@ -148,7 +148,7 @@ let apply_writes st regs writes =
    register file the executor always started from. *)
 let bind_inputs ~spec (ap : Program.t) (tx : Evm.Env.tx) =
   let regs = Array.make (max ap.reg_count 1) U256.zero in
-  Array.iteri (fun i src -> regs.(i) <- I.input_value ~spec tx src) ap.inputs;
+  I.bind_inputs ~spec tx ap.inputs regs;
   regs
 
 exception Violated

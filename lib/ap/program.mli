@@ -59,7 +59,7 @@ type t = {
   mutable inputs : I.input_src array;
       (** template input registers (lib/apstore): register [i] is
           pre-seeded from the transaction being served via
-          [Sevm.Ir.input_value].  Fixed by the first path like [fork];
+          [Sevm.Ir.bind_inputs].  Fixed by the first path like [fork];
           paths with different inputs are dropped.  [[||]] for ordinary
           per-transaction programs. *)
 }

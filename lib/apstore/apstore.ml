@@ -102,7 +102,11 @@ let key_of_tx st (spec : Spec.t) (tx : Evm.Env.tx) : string option =
         let hash = State.Statedb.get_code_hash st target in
         let f = Bca.facts_for ~spec ~hash code in
         let conservative = f.Bca.f_wild || f.Bca.f_cf_top in
-        let pin_gas = conservative || Bca.uses_gas_deep ~spec st target in
+        (* without call edges the deep check is the facts in hand *)
+        let pin_gas =
+          conservative || f.Bca.f_uses_gas || f.Bca.f_call_top
+          || (f.Bca.f_calls <> [] && Bca.uses_gas_deep ~spec st target)
+        in
         let pin_selector = conservative || f.Bca.f_reads_selector in
         let len = String.length tx.data in
         let b = Buffer.create 96 in

@@ -14,7 +14,10 @@
                 with and without memos, one constrained slot perturbed (a
                 Hit must still match the EVM there, a Violation must leave
                 the state untouched for fallback), and a path built warm
-                replayed cold (a warmth guard must trip)
+                replayed cold (a warmth guard must trip), and the
+                template served at the smallest gas limit its envelope
+                admits (a Hit equal to the EVM) and one gas below (a
+                Violation)
      Verifier   Analysis.Verify on every built path and its program
      Sched      speculation through lib/sched at jobs=1 vs jobs=4: AP
                 fingerprints, outcomes and fast-path receipts identical
@@ -71,12 +74,14 @@ type tally = {
   mutable changes : int;  (** committed changes tested against write sets *)
   mutable wild : int;  (** predictions that collapsed to the wild footprint *)
   mutable flips : int;  (** calldata-fact witness re-executions *)
+  mutable boundary_serves : int;
+      (** templates served at the smallest gas limit their envelope admits *)
 }
 
 let new_tally () =
   { scenarios = 0; txs = 0; fallbacks = 0; perturbed_hits = 0; perturbed_violations = 0;
     warm_violations = 0; programs = 0; mutated = 0; fingerprints = 0; aborted = 0;
-    forced = 0; touches = 0; changes = 0; wild = 0; flips = 0 }
+    forced = 0; touches = 0; changes = 0; wild = 0; flips = 0; boundary_serves = 0 }
 
 let obs_txs = Obs.counter "fuzz.txs"
 
@@ -139,14 +144,18 @@ let with_fault fault f =
 
 (* ---- the reference chain ---- *)
 
-(* The speculator's trace-and-revert idiom: trace [tx] on [st], undo it,
-   synthesize the S-EVM path. *)
-let build_path ?spec ?(prewarm = []) st benv tx =
+(* The speculator's trace-and-revert idiom: trace [tx] on [st] and undo
+   it; [build_path] then synthesizes the S-EVM path. *)
+let trace ?spec ?(prewarm = []) st benv tx =
   let snap = Statedb.snapshot st in
   let sink, get = Evm.Trace.collector () in
   let receipt = Evm.Processor.execute_tx ?spec ~prewarm ~trace:sink st benv tx in
   Statedb.revert st snap;
-  Sevm.Builder.build ?spec ~prewarm tx benv (get ()) receipt st
+  (receipt, get ())
+
+let build_path ?spec ?(prewarm = []) st benv tx =
+  let receipt, events = trace ?spec ~prewarm st benv tx in
+  Sevm.Builder.build ?spec ~prewarm tx benv events receipt st
 
 type step = {
   idx : int;
@@ -520,10 +529,63 @@ let warm_cold o c ~pre ~ctx step (addr, key) =
          exactly like the cold EVM run *)
       emit_all o Ap ~ctx ~sub:"warm-built-cold-replay" (receipt_diffs step.receipt r))
 
+(* Serve the template traced from a message-call step at the smallest
+   gas limit its envelope admits, and one gas below.  A trace with no call
+   frame and no GAS step admits exactly its execution charge (limit =
+   gas_used + raw refund); any other trace admits only its traced limit.
+   At the boundary the serve must Hit with the interpreter's receipt and
+   root at that limit; one gas lower it must be a Violation that leaves
+   the state untouched.  The lane reads the envelope off the trace itself
+   rather than asking the builder, so a builder that widens it wrongly
+   is caught. *)
+let boundary o c ~pre ~ctx step =
+  let st = Statedb.create c.bk ~root:pre in
+  let receipt, events = trace ~spec:c.spec st benv step.tx in
+  match
+    Sevm.Builder.build ~spec:c.spec ~template:true step.tx benv events receipt st
+  with
+  | Error _ -> ()
+  | Ok tpath ->
+    let exact =
+      Array.for_all
+        (function
+          | Evm.Trace.Step { op = Evm.Op.GAS; _ } -> false
+          | Evm.Trace.Step _ -> true
+          | Evm.Trace.Call_enter _ | Evm.Trace.Call_exit _ -> false)
+        events
+    in
+    let limit =
+      if exact then receipt.gas_used + receipt.gas_refund else step.tx.gas_limit
+    in
+    let tp = program_of tpath and tx = { step.tx with gas_limit = limit } in
+    o.tally.boundary_serves <- o.tally.boundary_serves + 1;
+    (let st_tp = Statedb.create c.bk ~root:pre and st_ref = Statedb.create c.bk ~root:pre in
+     let r_ref = execute c st_ref tx in
+     match Ap.Exec.execute ~spec:c.spec tp st_tp benv tx with
+     | Ap.Exec.Violation ->
+       emit o Ap ~ctx "boundary:violation"
+         (Fmt.str "template refused the limit %d its envelope admits" limit)
+     | Ap.Exec.Hit (r, _) ->
+       emit_all o Ap ~ctx ~sub:"boundary" (receipt_diffs r_ref r);
+       emit_all o Ap ~ctx ~sub:"boundary"
+         (root_diffs c ~pre ~ref_root:(Statedb.commit st_ref)
+            ~got_root:(Statedb.commit st_tp)));
+    let st_below = Statedb.create c.bk ~root:pre in
+    match
+      Ap.Exec.execute ~spec:c.spec tp st_below benv { tx with gas_limit = limit - 1 }
+    with
+    | Ap.Exec.Hit _ ->
+      emit o Ap ~ctx "boundary:below_hit"
+        (Fmt.str "template served limit %d, one gas below its envelope" (limit - 1))
+    | Ap.Exec.Violation ->
+      if not (String.equal (Statedb.commit st_below) pre) then
+        emit o Ap ~ctx "boundary:below_state" "a Violation below the envelope wrote state"
+
 let spurious = "violation in the very context the path was built from"
 
 let ap o c =
   own_chain o c Ap (fun st ~pre ~ctx step ->
+      if step.tx.to_ <> None then boundary o c ~pre ~ctx step;
       match Lazy.force step.path with
       | Error _ ->
         emit_all o Ap ~ctx ~sub:"fallback" (receipt_diffs step.receipt (execute c st step.tx))

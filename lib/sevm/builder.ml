@@ -196,13 +196,16 @@ let emit b ins =
    served refund cannot be recomputed).
 
    Gas accounting is lifted, not pinned: the served limit and intrinsic
-   charge live in input registers, the preamble guards the traced
-   execution envelope (served limit - intrinsic >= traced limit -
-   intrinsic, the monotone-gas condition under which the traced path
-   replays exactly), and the receipt's gas_used is recomputed per serve
-   via [In_gas_used].  GAS opcodes still bake the traced word as an
-   unguarded constant — sound only when lib/apstore's key keeps such
-   code fully pinned (lib/bca's uses-gas fact). *)
+   charge live in input registers, the preamble guards the execution
+   envelope (served limit - intrinsic), and the receipt's gas_used is
+   recomputed per serve via [In_gas_used].  For a trace without calls or
+   GAS the envelope need only cover the path's execution charge (the
+   exact envelope, see [exact_envelope]), so a template traced at one
+   limit serves every limit that can pay for its path; a trace with calls
+   keeps the traced envelope (served limit - intrinsic >= traced limit -
+   intrinsic).  GAS opcodes still bake the traced word as an unguarded
+   constant — sound only when lib/apstore's key keeps such code fully
+   pinned (lib/bca's uses-gas fact). *)
 let init_template b (receipt : Evm.Processor.receipt) =
   let tx = b.tx in
   (match receipt.status with
@@ -215,14 +218,14 @@ let init_template b (receipt : Evm.Processor.receipt) =
       raise (Unsupported "template: precompile target"));
   if b.prewarm <> [] then raise (Unsupported "template: prewarm hint");
   let inputs = ref [] in
-  let mk src v =
+  let mk src =
     inputs := src :: !inputs;
-    fresh b v
+    fresh b U256.zero
   in
-  let t_sender = mk I.In_sender (Address.to_u256 tx.sender) in
-  let t_value = mk I.In_value tx.value in
-  let t_nonce = mk I.In_nonce (U256.of_int tx.nonce) in
-  let t_gasprice = mk I.In_gas_price tx.gas_price in
+  let t_sender = mk I.In_sender in
+  let t_value = mk I.In_value in
+  let t_nonce = mk I.In_nonce in
+  let t_gasprice = mk I.In_gas_price in
   let intrinsic = Spec.intrinsic_gas b.spec ~is_create:false tx.data in
   let g_refund = receipt.gas_refund in
   let pre_refund = receipt.gas_used + g_refund in
@@ -230,20 +233,16 @@ let init_template b (receipt : Evm.Processor.receipt) =
     raise (Unsupported "template: refund-capped trace");
   if pre_refund >= tx.gas_limit then
     raise (Unsupported "template: all gas consumed");
-  let t_gaslimit = mk I.In_gas_limit (U256.of_int tx.gas_limit) in
-  let t_intrinsic = mk I.In_intrinsic_gas (U256.of_int intrinsic) in
-  let t_gas_used =
-    mk
-      (I.In_gas_used { g_exec = pre_refund - intrinsic; g_refund })
-      (U256.of_int receipt.gas_used)
-  in
+  let t_gaslimit = mk I.In_gas_limit in
+  let t_intrinsic = mk I.In_intrinsic_gas in
+  let t_gas_used = mk (I.In_gas_used { g_exec = pre_refund - intrinsic; g_refund }) in
   let len = String.length tx.data in
   let n_words = if len > 4 then (len - 4 + 31) / 32 else 0 in
-  let t_words = Array.make n_words 0 in
-  for k = 0 to n_words - 1 do
-    t_words.(k) <-
-      mk (I.In_calldata_word k) (I.input_value ~spec:b.spec tx (I.In_calldata_word k))
-  done;
+  let t_words = Array.init n_words (fun k -> mk (I.In_calldata_word k)) in
+  let t_inputs = Array.of_list (List.rev !inputs) in
+  (* traced register values: the serve-time binding applied to the traced
+     transaction (the uncapped refund makes In_gas_used the traced charge) *)
+  I.bind_inputs ~spec:b.spec tx t_inputs b.reg_vals;
   b.tmpl <-
     Some
       {
@@ -255,7 +254,7 @@ let init_template b (receipt : Evm.Processor.receipt) =
         t_intrinsic;
         t_gas_used;
         t_words;
-        t_inputs = Array.of_list (List.rev !inputs);
+        t_inputs;
         t_skeys = Hashtbl.create 8;
         t_skey_first = Hashtbl.create 8;
         t_addr_reads = [];
@@ -1167,6 +1166,18 @@ let count_trace_len events =
       | Evm.Trace.Call_exit _ -> acc)
     0 events
 
+(* Does the traced path replay exactly under any envelope that covers its
+   execution charge?  Only if nothing on it reads the gas left: no GAS
+   step and no CALL/CREATE-family frame (forwarding is a share of the
+   remaining gas). *)
+let exact_envelope events =
+  Array.for_all
+    (function
+      | Evm.Trace.Step { op = Evm.Op.GAS; _ } -> false
+      | Evm.Trace.Step _ -> true
+      | Evm.Trace.Call_enter _ | Evm.Trace.Call_exit _ -> false)
+    events
+
 let build ?spec ?(prewarm = []) ?(template = false) (tx : Evm.Env.tx)
     (benv : Evm.Env.block_env) (events : Evm.Trace.event array)
     (receipt : Evm.Processor.receipt) (pre : Statedb.t) : (I.path, string) result =
@@ -1264,18 +1275,27 @@ let build ?spec ?(prewarm = []) ?(template = false) (tx : Evm.Env.tx)
           compute b I.C_lt [| I.Reg t.t_gaslimit; I.Reg t.t_intrinsic |] U256.zero
         in
         guard b invalid_gas U256.zero;
-        (* gas envelope: served limit - intrinsic >= traced limit -
-           intrinsic, so at every step of the replayed path the remaining
-           gas is no smaller than during tracing — no new out-of-gas, and
-           with GAS-free code no behavioral difference either *)
+        (* gas envelope: served limit - intrinsic must cover the traced
+           path.  Remaining gas is read only by [charge] (f.gas >= n), GAS,
+           CALL/CREATE forwarding and the creation-code deposit; SSTORE
+           pricing is flat, and the charges along a fixed path do not
+           depend on the gas left.  So a trace without calls or GAS
+           replays step for step whenever the served envelope holds its
+           execution charge [g_exec] — the exact envelope.  A trace with
+           calls forwards a share of the remaining gas (63/64) and keeps
+           the traced envelope.  The SUB register's traced value stays the
+           traced envelope either way: memo values are recorded from it. *)
         let intrinsic = Spec.intrinsic_gas b.spec ~is_create:false tx.data in
         let env_traced = U256.of_int (tx.gas_limit - intrinsic) in
         let env_op =
           compute b I.C_sub [| I.Reg t.t_gaslimit; I.Reg t.t_intrinsic |] env_traced
         in
-        let short =
-          compute b I.C_lt [| env_op; I.Const env_traced |] U256.zero
+        let env_min =
+          if exact_envelope events then
+            U256.of_int (receipt.gas_used + receipt.gas_refund - intrinsic)
+          else env_traced
         in
+        let short = compute b I.C_lt [| env_op; I.Const env_min |] U256.zero in
         guard b short U256.zero);
       match invalid_reason with
       | Some _ -> finish_path [] (* insufficient funds or intrinsic gas *)

@@ -84,7 +84,7 @@ type write =
    pre-seeded from the transaction being served, before any instruction
    runs.  [input_src] says where each one comes from.  Gas limit and the
    calldata intrinsic class are lifted too ([In_gas_limit],
-   [In_intrinsic_gas], [In_gas_used]): the traced execution envelope is
+   [In_intrinsic_gas], [In_gas_used]): the execution envelope is
    guarded in the preamble and the served receipt's [gas_used] is
    recomputed from the class-invariant execution gas, so the template key
    no longer has to pin the exact gas limit or calldata byte mix — except
@@ -110,25 +110,38 @@ type input_src =
       (** the 32-byte big-endian word of [tx.data] at byte offset [4+32k]
           (ABI argument [k]), zero-padded past the end *)
 
-let input_value ~(spec : Spec.t) (tx : Evm.Env.tx) = function
-  | In_sender -> Address.to_u256 tx.sender
-  | In_value -> tx.value
-  | In_nonce -> U256.of_int tx.nonce
-  | In_gas_price -> tx.gas_price
-  | In_gas_limit -> U256.of_int tx.gas_limit
-  | In_intrinsic_gas ->
-    U256.of_int (Spec.intrinsic_gas spec ~is_create:false tx.data)
-  | In_gas_used { g_exec; g_refund } ->
-    let pre = Spec.intrinsic_gas spec ~is_create:false tx.data + g_exec in
-    U256.of_int (pre - min g_refund (pre / spec.Spec.refund_cap_divisor))
-  | In_calldata_word k ->
-    let off = 4 + (32 * k) in
-    let len = String.length tx.data in
-    let buf = Bytes.make 32 '\x00' in
-    for i = 0 to 31 do
-      if off + i < len then Bytes.set buf i tx.data.[off + i]
-    done;
-    U256.of_bytes_be (Bytes.to_string buf)
+(* The 32-byte big-endian word of [data] at byte offset [off], zero-padded
+   past the end. *)
+let calldata_word data off =
+  let avail = String.length data - off in
+  if avail >= 32 then U256.of_bytes_be ~off ~len:32 data
+  else if avail <= 0 then U256.zero
+  else U256.shift_left (U256.of_bytes_be ~off ~len:avail data) (8 * (32 - avail))
+
+(* Seed registers 0..k-1 of [regs] with [tx]'s values of [inputs].  The one
+   binding behind the builder's traced register values, the S-EVM replay
+   and the AP executor, so build-time and serve-time values cannot drift.
+   The intrinsic charge is computed once per call; empty [inputs] (every
+   per-transaction path) costs nothing. *)
+let bind_inputs ~(spec : Spec.t) (tx : Evm.Env.tx) inputs regs =
+  let n = Array.length inputs in
+  if n > 0 then begin
+    let intrinsic = Spec.intrinsic_gas spec ~is_create:false tx.data in
+    for i = 0 to n - 1 do
+      regs.(i) <-
+        (match inputs.(i) with
+        | In_sender -> Address.to_u256 tx.sender
+        | In_value -> tx.value
+        | In_nonce -> U256.of_int tx.nonce
+        | In_gas_price -> tx.gas_price
+        | In_gas_limit -> U256.of_int tx.gas_limit
+        | In_intrinsic_gas -> U256.of_int intrinsic
+        | In_gas_used { g_exec; g_refund } ->
+          let pre = intrinsic + g_exec in
+          U256.of_int (pre - min g_refund (pre / spec.Spec.refund_cap_divisor))
+        | In_calldata_word k -> calldata_word tx.data (4 + (32 * k)))
+    done
+  end
 
 let pp_input ppf = function
   | In_sender -> Fmt.string ppf "sender"
@@ -195,8 +208,8 @@ type path = {
                    fork is a guard violation before the first instruction *)
   inputs : input_src array;
       (** template input registers: register [i] is pre-seeded with
-          [input_value tx inputs.(i)] before the path runs.  Empty for
-          ordinary per-transaction paths. *)
+          [tx]'s value of [inputs.(i)] ({!bind_inputs}) before the path
+          runs.  Empty for ordinary per-transaction paths. *)
   stats : stats;
 }
 

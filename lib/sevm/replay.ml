@@ -184,7 +184,7 @@ let run ?spec ?(prewarm = []) (p : I.path) st benv (tx : Evm.Env.tx) : outcome =
   else
   let warm = Evm.Processor.entry_warm tx prewarm in
   let regs = Array.make (max p.reg_count 1) U256.zero in
-  Array.iteri (fun i src -> regs.(i) <- I.input_value ~spec tx src) p.inputs;
+  I.bind_inputs ~spec tx p.inputs regs;
   match Array.iteri (step ~warm st benv regs) p.instrs with
   | exception Guard_failed v -> Violated v
   | () ->

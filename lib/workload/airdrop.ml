@@ -8,8 +8,9 @@
 
    Gas limits are deliberately heterogeneous: with gas accounting lifted
    into input registers (and the ERC-20 free of GAS opcodes, so lib/bca
-   lets the key drop the gas pins), one template built from a
-   minimum-envelope trace serves every limit level.  Recipients are drawn
+   lets the key drop the gas pins), and a transfer that makes no call (so
+   the builder guards the exact envelope, the path's execution charge),
+   one template traced at any level serves every level.  Recipients are drawn
    with all-nonzero address bytes so the template's sender/recipient
    balance-slot aliasing guards stay satisfied, and amounts keep the
    branch-relevant amount word nonzero (its zeroness is key-pinned). *)
@@ -26,9 +27,6 @@ type t = {
 
 let sender_base = 0x500000
 
-(* The storm's smallest limit — templates traced at this envelope serve
-   every other level (the builder's envelope guard is monotone). *)
-let gas_limit = 60_000
 let gas_limit_levels = [| 60_000; 66_000; 72_000; 84_000 |]
 
 let create ?(n_senders = 256) ~seed ~token () =

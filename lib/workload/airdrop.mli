@@ -3,7 +3,9 @@
     shaped so every transaction in the storm shares a single template key
     (constant length, selector, value zeroness, nonzero branch-relevant
     amount word) while sender, recipient, amount, nonce, gas price and gas
-    limit all vary — the gas fields ride the lifted input registers. *)
+    limit all vary — the gas fields ride the lifted input registers, and
+    a transfer's exact gas envelope lets one template serve every limit
+    level. *)
 
 open State
 
@@ -13,14 +15,8 @@ val create : ?n_senders:int -> seed:int -> token:Address.t -> unit -> t
 (** Senders are deterministic [Address.of_int]-shaped accounts (base
     [0x500000], disjoint from [Population]'s users/observers). *)
 
-val gas_limit : int
-(** The storm's smallest gas limit: a template traced at this envelope
-    serves every level in {!gas_limit_levels} (the builder's envelope
-    guard accepts any served limit at least as generous). *)
-
 val gas_limit_levels : int array
-(** The heterogeneous per-transaction limits {!tx} draws from;
-    [gas_limit_levels.(0) = gas_limit] is the minimum. *)
+(** The heterogeneous per-transaction limits {!tx} draws from, ascending. *)
 
 val genesis : t -> Statedb.Backend.t -> string
 (** Standalone genesis: install the ERC-20 at [token], fund every sender

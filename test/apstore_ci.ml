@@ -8,15 +8,21 @@
       eviction bounded by max_entries, and a 4-domain hammer asserting
       exactly one winner among 64 concurrent reservations per key.
    3. The differential oracle: a template built from ONE transaction's
-      trace, served to many perturbed transactions (different sender,
-      recipient, amount, nonce, gas price), must produce receipts, logs
-      and committed state roots byte-identical to both a freshly
-      specialized per-tx AP and the plain interpreter; the static
-      verifier must pass on the template; cross-fork serves and
-      self-transfer aliasing must refuse (Violation), never corrupt.
+      trace at the storm's highest gas limit, served to many perturbed
+      transactions (different sender, recipient, amount, nonce, gas
+      price, gas limit at every level), must produce receipts, logs and
+      committed state roots byte-identical to both a freshly specialized
+      per-tx AP and the plain interpreter; the static verifier must pass
+      on the template; cross-fork serves, self-transfer aliasing and a
+      call-carrying template (an AMM swap) served one gas below its
+      traced limit must refuse (Violation), never corrupt.
    4. Node-level determinism: a Forerunner replay with the store enabled
       must produce identical per-tx outcomes and block results under
       jobs=1 and jobs=4.
+   5. The storm gate: a 2,000-tx airdrop storm run with the store ON
+      (one template, keyed and served) and OFF (a per-tx AP speculated
+      for every transaction) must commit identical final roots, and ON
+      must serve at least 90% of the storm from the template.
 
    Exit non-zero on any failure. *)
 
@@ -192,29 +198,35 @@ let receipts_agree ~what (a : Evm.Processor.receipt) (b : Evm.Processor.receipt)
     "%s: sender_balance_before differs" what;
   check (a.sender_nonce_before = b.sender_nonce_before) "%s: sender_nonce differs" what
 
+(* The speculator's idiom: trace [tx] on [st], undo it, and specialize the
+   trace into a one-path AP (a template when [template]). *)
+let speculate ~template st tx =
+  let snap = Statedb.snapshot st in
+  let sink, get = Evm.Trace.collector () in
+  let receipt = Evm.Processor.execute_tx ~trace:sink st benv tx in
+  Statedb.revert st snap;
+  Sevm.Builder.build ~template tx benv (get ()) receipt st
+  |> Result.map (fun path ->
+         let ap = Ap.Program.create () in
+         Ap.Program.add_path ap path;
+         ap)
+
+let template_of bk ~root tx =
+  match speculate ~template:true (Statedb.create bk ~root) tx with
+  | Ok ap -> ap
+  | Error e -> fail "template build failed: %s" e
+
 let oracle_tests () =
   let storm, bk, root = make_storm () in
-  (* the template: ONE transaction's trace, inputs lifted.  Pin the seed to
-     the storm's minimum gas limit so the envelope guard (served limit -
-     intrinsic >= traced) admits every heterogeneous-limit serve — the 96
+  (* the template: ONE transaction's trace, inputs lifted.  Trace the seed
+     at the storm's highest gas limit: the transfer makes no call and never
+     executes GAS, so the exact envelope (served limit - intrinsic >= the
+     path's execution charge) admits every lower level too — the 96
      perturbed transactions then exercise the recomputed per-serve
      gas_used across all limit levels. *)
-  let seed_tx =
-    { (Workload.Airdrop.tx storm) with gas_limit = Workload.Airdrop.gas_limit }
-  in
-  let template =
-    let st = Statedb.create bk ~root in
-    let snap = Statedb.snapshot st in
-    let sink, get = Evm.Trace.collector () in
-    let receipt = Evm.Processor.execute_tx ~trace:sink st benv seed_tx in
-    Statedb.revert st snap;
-    match Sevm.Builder.build ~template:true seed_tx benv (get ()) receipt st with
-    | Ok path ->
-      let ap = Ap.Program.create () in
-      Ap.Program.add_path ap path;
-      ap
-    | Error e -> fail "template build failed: %s" e
-  in
+  let top_limit = Array.fold_left max 0 Workload.Airdrop.gas_limit_levels in
+  let seed_tx = { (Workload.Airdrop.tx storm) with gas_limit = top_limit } in
+  let template = template_of bk ~root seed_tx in
   check (Array.length template.Ap.Program.inputs > 0) "template lifted input registers";
   (match Analysis.Verify.verify template with
   | [] -> ()
@@ -247,15 +259,9 @@ let oracle_tests () =
       incr served;
       receipts_agree ~what:"template vs interpreter" r_tp r_ref);
     (* freshly specialized per-tx AP must agree with the same serve *)
-    let snap = Statedb.snapshot st_sp in
-    let sink, get = Evm.Trace.collector () in
-    let receipt = Evm.Processor.execute_tx ~trace:sink st_sp benv tx in
-    Statedb.revert st_sp snap;
-    match Sevm.Builder.build tx benv (get ()) receipt st_sp with
+    match speculate ~template:false st_sp tx with
     | Error e -> fail "per-tx build failed: %s" e
-    | Ok path -> (
-      let ap = Ap.Program.create () in
-      Ap.Program.add_path ap path;
+    | Ok ap -> (
       match Ap.Exec.execute ap st_sp benv tx with
       | Ap.Exec.Violation -> fail "per-tx AP violated its own context"
       | Ap.Exec.Hit (r_sp, _) -> receipts_agree ~what:"template vs per-tx AP" r_sp r_ref)
@@ -289,6 +295,33 @@ let oracle_tests () =
     check
       (String.equal (Statedb.commit st) root_ref)
       "self-transfer serve corrupted state");
+  (* a trace with calls keeps the traced envelope: 63/64 forwarding hands
+     each callee a share of the gas left, so one gas less is refused *)
+  let pop = Workload.Population.make ~n_users:4 ~n_observers:1 in
+  let bk = Statedb.Backend.create () in
+  let root = Workload.Population.genesis pop bk in
+  let swap : Evm.Env.tx =
+    {
+      sender = pop.users.(0);
+      to_ = Some pop.pair;
+      nonce = 0;
+      value = U256.zero;
+      data = Contracts.Amm.swap_call ~amount_in:(U256.of_int 1000) ~one_to_zero:false;
+      gas_limit = 300_000;
+      gas_price = U256.of_int 1_000_000_000;
+    }
+  in
+  let swap_tp = template_of bk ~root swap in
+  (let st = Statedb.create bk ~root in
+   match Ap.Exec.execute swap_tp st benv swap with
+   | Ap.Exec.Violation -> fail "swap tx violated its own template"
+   | Ap.Exec.Hit (r, _) ->
+     check (Evm.Processor.status_equal r.status Evm.Processor.Success) "swap failed");
+  (let st = Statedb.create bk ~root in
+   match Ap.Exec.execute swap_tp st benv { swap with gas_limit = swap.gas_limit - 1 } with
+   | Ap.Exec.Violation ->
+     check (String.equal (Statedb.commit st) root) "swap Violation wrote state"
+   | Ap.Exec.Hit _ -> fail "call-carrying template served one gas below its traced limit");
   print_endline
     "apstore-ci: differential oracle holds (96 serves ≡ interpreter ≡ per-tx AP)"
 
@@ -332,10 +365,78 @@ let node_tests () =
       s1.Apstore.published s1.Apstore.hits s1.Apstore.misses
   | _ -> fail "use_apstore replay reported no store stats"
 
+(* ---- 5. the storm gate ---- *)
+
+(* Many distinct senders hammer one ERC-20 [transfer] shape.  ON: the
+   first transaction's trace is lifted into a template, and every later
+   transaction is keyed, finds it and binds its own fields into it.  OFF:
+   the classic pipeline traces and synthesizes a fresh per-tx AP for
+   every transaction.  Both replay the identical storm. *)
+let storm_gate () =
+  let n_txs = 2000 in
+  let run ~on =
+    let storm = Workload.Airdrop.create ~n_senders:64 ~seed:31337 ~token () in
+    let bk = Statedb.Backend.create () in
+    let root = Workload.Airdrop.genesis storm bk in
+    let st = Statedb.create bk ~root in
+    let store = Apstore.create () in
+    let hits = ref 0 and misses = ref 0 and violations = ref 0 and built = ref 0 in
+    let speculate ~template tx =
+      match speculate ~template st tx with
+      | Ok ap ->
+        incr built;
+        Some ap
+      | Error _ -> None
+    in
+    let exec_via ap tx =
+      match Ap.Exec.execute ap st benv tx with
+      | Ap.Exec.Hit _ -> incr hits
+      | Ap.Exec.Violation ->
+        incr violations;
+        ignore (Evm.Processor.execute_tx st benv tx)
+    in
+    let exec_plain tx = ignore (Evm.Processor.execute_tx st benv tx) in
+    for _ = 1 to n_txs do
+      let tx = Workload.Airdrop.tx storm in
+      if on then begin
+        match Apstore.key_of_tx st !Spec.current tx with
+        | None -> exec_plain tx
+        | Some key -> (
+          match Apstore.find store key with
+          | Some tp -> exec_via tp tx
+          | None ->
+            incr misses;
+            ignore (Apstore.reserve store key);
+            (match speculate ~template:true tx with
+            | Some tp -> Apstore.publish store key tp
+            | None -> Apstore.abandon store key);
+            exec_plain tx)
+      end
+      else
+        match speculate ~template:false tx with
+        | Some ap -> exec_via ap tx
+        | None -> exec_plain tx
+    done;
+    (Statedb.commit st, !hits, !misses, !violations, !built, Apstore.stats store)
+  in
+  let root_on, h_on, m_on, v_on, _, s_on = run ~on:true in
+  let root_off, h_off, _, v_off, built_off, _ = run ~on:false in
+  Printf.printf
+    "apstore-ci: storm gate: %d txs, ON %d template(s) published, %d hits, %d misses, %d \
+     violations; OFF %d per-tx APs built, %d hits, %d violations; roots identical: %b\n"
+    n_txs s_on.Apstore.published h_on m_on v_on built_off h_off v_off
+    (String.equal root_on root_off);
+  check (String.equal root_on root_off) "storm: final state roots diverged between ON and OFF";
+  check (s_on.Apstore.published = 1) "storm: %d templates published, want exactly 1"
+    s_on.Apstore.published;
+  check (built_off >= 1) "storm: OFF built no per-tx AP";
+  check (100 * h_on >= 90 * n_txs) "storm: ON served %d/%d txs, below the 90%% gate" h_on n_txs
+
 let () =
   key_tests ();
   store_tests ();
   hammer_tests ();
   oracle_tests ();
   node_tests ();
+  storm_gate ();
   print_endline "apstore-ci: all passes green"

@@ -60,9 +60,10 @@ let fuzz () =
   let t = s.tally in
   Printf.printf
     "fuzz-ci: %d iterations (seed %d): %d txs, %d fallbacks, %d perturbed violations, %d \
-     perturbed hits, %d warm-built cold-replay violations\n%!"
+     perturbed hits, %d warm-built cold-replay violations, %d envelope-boundary serves\n%!"
     s.iters_run seed t.txs t.fallbacks t.perturbed_violations t.perturbed_hits
-    t.warm_violations;
+    t.warm_violations t.boundary_serves;
+  if t.boundary_serves = 0 then fail "fuzz-ci: no template was served at its envelope boundary";
   Obs.set_enabled false;
   (* non-vacuity: the Legacy lane must have compared fused streams *)
   let triples = Obs.count (Obs.counter "interp.decode.fused_triples")

@@ -55,15 +55,16 @@ let mk ?(sender = alice) ?(nonce = 0) ?(value = U256.zero) ?(gas_limit = 1_000_0
     Env.tx =
   { sender; to_ = Some to_; nonce; value; data; gas_limit; gas_price = u 100 }
 
-(* Speculate [tx] in [env] after [pre_txs]; returns the synthesized path. *)
-let build_path bk root env pre_txs tx =
+(* Speculate [tx] in [env] after [pre_txs]; returns the synthesized path
+   (a template when [template]). *)
+let build_path ?(template = false) bk root env pre_txs tx =
   let st = Statedb.create bk ~root in
   List.iter (fun t0 -> ignore (Processor.execute_tx st env t0)) pre_txs;
   let snap = Statedb.snapshot st in
   let sink, get = Trace.collector () in
   let receipt = Processor.execute_tx ~trace:sink st env tx in
   Statedb.revert st snap;
-  match Sevm.Builder.build tx env (get ()) receipt st with
+  match Sevm.Builder.build ~template tx env (get ()) receipt st with
   | Ok path -> path
   | Error e -> Alcotest.failf "builder rejected: %s" e
 
@@ -91,10 +92,12 @@ let check_equiv ?(expect = `Hit) ap bk root env pre_txs tx =
       (Khash.Keccak.to_hex (Statedb.commit st_ap))
   | Ap.Exec.Violation -> Alcotest.(check bool) "expected a violation" true (expect = `Violation)
 
-let single bk root env pre tx =
+let program_of path =
   let ap = Ap.Program.create () in
-  Ap.Program.add_path ap (build_path bk root env pre tx);
+  Ap.Program.add_path ap path;
   ap
+
+let single bk root env pre tx = program_of (build_path bk root env pre tx)
 
 let oracle_tx = mk feed (Contracts.Pricefeed.submit_call ~round_id:3_990_300 ~price:1980)
 let bob_oracle = mk ~sender:bob feed (Contracts.Pricefeed.submit_call ~round_id:3_990_300 ~price:2000)
@@ -474,6 +477,40 @@ let creation_tests =
         check_equiv ap bk root (benv ~ts:3_990_520L ()) [] tx)
   ]
 
+(* ---- template gas envelope and input binding ---- *)
+
+let envelope_tests =
+  [ t "template envelope: a call-free transfer serves every limit that pays its path"
+      (fun () ->
+        let bk, root = genesis () in
+        let env = benv () in
+        let tx = mk token (Contracts.Erc20.transfer_call ~to_:bob ~amount:(u 500)) in
+        let p = build_path ~template:true bk root env [] tx in
+        let ap = program_of p and exact = p.gas_used + p.gas_refund in
+        Alcotest.(check bool) "fixture: traced limit is generous" true (exact < tx.gas_limit);
+        check_equiv ap bk root env [] { tx with gas_limit = exact };
+        check_equiv ap bk root env [] { tx with gas_limit = exact + 1 };
+        check_equiv ~expect:`Violation ap bk root env [] { tx with gas_limit = exact - 1 });
+    t "bind_inputs: calldata words zero-pad past the end; gas inputs agree" (fun () ->
+        let w0 = String.init 32 (fun i -> Char.chr (i + 1)) in
+        let data = "\xa9\x05\x9c\xbb" ^ w0 ^ "\xde\xad\x01" in
+        let tx = { (mk token data) with gas_limit = 90_000 } in
+        let spec = !Spec.current in
+        let regs = Array.make 6 U256.zero in
+        Sevm.Ir.bind_inputs ~spec tx
+          [| In_calldata_word 0; In_calldata_word 1; In_calldata_word 2; In_gas_limit;
+             In_intrinsic_gas; In_gas_used { g_exec = 1000; g_refund = 0 } |]
+          regs;
+        let intrinsic = Spec.intrinsic_gas spec ~is_create:false data in
+        let word s = U256.of_bytes_be s in
+        let check what want got = Alcotest.(check string) what (U256.to_hex want) (U256.to_hex got) in
+        check "full word" (word w0) regs.(0);
+        check "tail word" (word ("\xde\xad\x01" ^ String.make 29 '\000')) regs.(1);
+        check "word past the end" U256.zero regs.(2);
+        check "gas limit" (u 90_000) regs.(3);
+        check "intrinsic" (u intrinsic) regs.(4);
+        check "gas used" (u (intrinsic + 1000)) regs.(5)) ]
+
 let suite =
   builder_tests @ equivalence_tests @ sha256_precompile_tests @ extcodecopy_tests
-  @ auction_equiv_tests @ creation_tests @ random_soundness
+  @ auction_equiv_tests @ creation_tests @ envelope_tests @ random_soundness
