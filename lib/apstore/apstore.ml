@@ -1,11 +1,9 @@
 (* The shared template store (DESIGN.md §13).
 
-   Layout: one mutex over a hash table of resident entries plus a set of
-   in-flight reservations.  LRU is a monotone clock stamped on every find
-   and publish; eviction scans for the minimum stamp — O(n), but n is
-   bounded by [max_entries] (hundreds), publish is off the critical path,
-   and a scan keeps the structure a single table instead of an intrusive
-   list.
+   Layout: one mutex over an [Lru] of resident entries (capacity
+   [max_entries]; a find hit or a publish refreshes an entry), a set of
+   in-flight reservations and the resident-byte total, which the Lru's
+   eviction hook keeps for evictions by either bound.
 
    Determinism note (jobs=1 ≡ jobs=N): in the node pipeline every store
    mutation happens on the producer thread — reservations in prediction
@@ -18,53 +16,43 @@
 type entry = {
   ap : Ap.Program.t;
   bytes : int; (* marshalled size estimate *)
-  mutable last_use : int; (* LRU stamp *)
   mutable reuses : int; (* find hits since publication *)
 }
 
 type t = {
   mu : Mutex.t;
-  max_entries : int;
   max_bytes : int;
-  tbl : (string, entry) Hashtbl.t;
+  lru : (string, entry) Lru.t; (* counts apstore.{hits,misses,evictions} *)
   inflight : (string, unit) Hashtbl.t;
-  mutable clock : int;
-  mutable resident : int; (* summed [entry.bytes] *)
-  mutable s_hits : int;
-  mutable s_misses : int;
-  mutable s_evictions : int;
+  resident : int ref; (* summed [entry.bytes] *)
   mutable s_coalesced : int;
   mutable s_published : int;
 }
 
-let obs_hits = Obs.counter "apstore.hits"
-let obs_misses = Obs.counter "apstore.misses"
-let obs_evictions = Obs.counter "apstore.evictions"
 let obs_coalesced = Obs.counter "apstore.coalesced"
 let obs_published = Obs.counter "apstore.published"
 let obs_resident = Obs.gauge "apstore.resident_bytes"
 let obs_reuse = Obs.histogram "apstore.key_reuse"
 
+(* under [t.mu]: an entry leaves the store, evicted or replaced *)
+let drop resident (e : entry) =
+  resident := !resident - e.bytes;
+  Obs.observe_int obs_reuse e.reuses
+
 let create ?(max_entries = 512) ?(max_bytes = 64 * 1024 * 1024) () =
   if max_entries < 1 then invalid_arg "Apstore.create: max_entries must be >= 1";
+  let resident = ref 0 in
   {
     mu = Mutex.create ();
-    max_entries;
     max_bytes;
-    tbl = Hashtbl.create 256;
+    lru = Lru.create ~name:"apstore" ~on_evict:(fun _ e -> drop resident e) max_entries;
     inflight = Hashtbl.create 16;
-    clock = 0;
-    resident = 0;
-    s_hits = 0;
-    s_misses = 0;
-    s_evictions = 0;
+    resident;
     s_coalesced = 0;
     s_published = 0;
   }
 
-let locked t f =
-  Mutex.lock t.mu;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.mu) f
+let locked t f = Mutex.protect t.mu f
 
 (* ---- keys ---- *)
 
@@ -158,22 +146,11 @@ let key_of_tx st (spec : Spec.t) (tx : Evm.Env.tx) : string option =
 
 let find t key =
   locked t (fun () ->
-      match Hashtbl.find_opt t.tbl key with
-      | Some e ->
-        t.clock <- t.clock + 1;
-        e.last_use <- t.clock;
-        e.reuses <- e.reuses + 1;
-        t.s_hits <- t.s_hits + 1;
-        Obs.incr obs_hits;
-        Some e.ap
-      | None ->
-        t.s_misses <- t.s_misses + 1;
-        Obs.incr obs_misses;
-        None)
+      Lru.find t.lru key |> Option.map (fun e -> e.reuses <- e.reuses + 1; e.ap))
 
 let reserve t key =
   locked t (fun () ->
-      if Hashtbl.mem t.tbl key then false
+      if Lru.mem t.lru key then false
       else if Hashtbl.mem t.inflight key then begin
         t.s_coalesced <- t.s_coalesced + 1;
         Obs.incr obs_coalesced;
@@ -183,31 +160,6 @@ let reserve t key =
         Hashtbl.add t.inflight key ();
         true
       end)
-
-(* under [t.mu] *)
-let drop t key (e : entry) =
-  Hashtbl.remove t.tbl key;
-  t.resident <- t.resident - e.bytes;
-  Obs.observe_int obs_reuse e.reuses
-
-(* under [t.mu]: evict least-recently-used entries until within bounds *)
-let enforce_bounds t =
-  while Hashtbl.length t.tbl > t.max_entries || t.resident > t.max_bytes do
-    let victim =
-      Hashtbl.fold
-        (fun k e acc ->
-          match acc with
-          | Some (_, best) when best.last_use <= e.last_use -> acc
-          | _ -> Some (k, e))
-        t.tbl None
-    in
-    match victim with
-    | None -> t.resident <- 0 (* empty table: nothing left to evict *)
-    | Some (k, e) ->
-      drop t k e;
-      t.s_evictions <- t.s_evictions + 1;
-      Obs.incr obs_evictions
-  done
 
 (* Resident-size estimate: the marshalled footprint of the program's
    structural content.  [Program.fingerprint] already relies on the same
@@ -219,21 +171,20 @@ let publish t key ap =
   let bytes = estimate_bytes ap in
   locked t (fun () ->
       Hashtbl.remove t.inflight key;
-      (match Hashtbl.find_opt t.tbl key with Some e -> drop t key e | None -> ());
-      t.clock <- t.clock + 1;
-      Hashtbl.replace t.tbl key { ap; bytes; last_use = t.clock; reuses = 0 };
-      t.resident <- t.resident + bytes;
+      Option.iter (drop t.resident) (Lru.remove t.lru key);
+      t.resident := !(t.resident) + bytes;
+      Lru.add t.lru key { ap; bytes; reuses = 0 };
       t.s_published <- t.s_published + 1;
       Obs.incr obs_published;
-      enforce_bounds t;
-      Obs.set obs_resident (float_of_int t.resident))
+      while !(t.resident) > t.max_bytes && Lru.pop t.lru do () done;
+      Obs.set obs_resident (float_of_int !(t.resident)))
 
 let abandon t key = locked t (fun () -> Hashtbl.remove t.inflight key)
 
 (* ---- introspection ---- *)
 
-let length t = locked t (fun () -> Hashtbl.length t.tbl)
-let resident_bytes t = locked t (fun () -> t.resident)
+let length t = locked t (fun () -> Lru.length t.lru)
+let resident_bytes t = locked t (fun () -> !(t.resident))
 
 type stats = {
   hits : int;
@@ -247,9 +198,9 @@ type stats = {
 let stats t =
   locked t (fun () ->
       {
-        hits = t.s_hits;
-        misses = t.s_misses;
-        evictions = t.s_evictions;
+        hits = Lru.hits t.lru;
+        misses = Lru.misses t.lru;
+        evictions = Lru.evictions t.lru;
         coalesced = t.s_coalesced;
         published = t.s_published;
         inflight = Hashtbl.length t.inflight;

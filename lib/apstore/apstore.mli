@@ -40,8 +40,8 @@ val key_of_tx : State.Statedb.t -> Spec.t -> Evm.Env.tx -> string option
     targets, and plain transfers to codeless accounts. *)
 
 val find : t -> string -> Ap.Program.t option
-(** Probe the store; counts a hit or miss and refreshes the entry's LRU
-    stamp. *)
+(** Probe the store; counts a hit or miss, and a hit becomes the most
+    recently used entry. *)
 
 val reserve : t -> string -> bool
 (** Single-flight gate: [true] means the caller owns the (re)build of

@@ -427,7 +427,6 @@ let step_top acc (i : Evm.Decode.instr) : flow =
 (* ---- the fixpoint ---- *)
 
 let obs_analyses = Obs.counter "bca.analyses"
-let obs_cache_hits = Obs.counter "bca.cache_hits"
 let obs_wild = Obs.counter "bca.wild"
 let obs_predicts = Obs.counter "bca.predicts"
 
@@ -609,44 +608,20 @@ let analyze ~(spec : Spec.t) (p : Evm.Decode.program) : facts =
     f_escaping_jumps = escaping;
   }
 
-(* ---- the process-wide facts cache (same keying as the decode cache) ---- *)
+(* ---- the process-wide facts cache (same keying and bound as the decode cache) ---- *)
 
-let cache : (string, facts) Hashtbl.t = Hashtbl.create 256
+let cache : (string, facts) Lru.t = Lru.create ~name:"bca.cache" 4096
 let cache_mu = Mutex.create ()
-let max_cached = 4096
+let analyze_code spec hash code = analyze ~spec (Evm.Decode.get ~hash ~spec code)
 
 (* A seeded narrowing bypasses the cache both ways so mutated facts never
    leak into or out of it. *)
 let facts_for ~(spec : Spec.t) ~hash code =
-  let key = hash ^ String.make 1 (Char.chr spec.Spec.id) in
-  let cached = !seeded_narrowing = None in
-  Mutex.lock cache_mu;
-  let hit = if cached then Hashtbl.find_opt cache key else None in
-  Mutex.unlock cache_mu;
-  match hit with
-  | Some f ->
-    Obs.incr obs_cache_hits;
-    f
-  | None ->
-    let f = analyze ~spec (Evm.Decode.get ~hash ~spec code) in
-    if cached then begin
-      Mutex.lock cache_mu;
-      if Hashtbl.length cache >= max_cached then Hashtbl.reset cache;
-      Hashtbl.replace cache key f;
-      Mutex.unlock cache_mu
-    end;
-    f
+  if !seeded_narrowing <> None then analyze_code spec hash code
+  else Lru.memo cache_mu cache (Evm.Decode.cache_key ~hash ~spec) analyze_code spec hash code
 
-let cache_size () =
-  Mutex.lock cache_mu;
-  let s = Hashtbl.length cache in
-  Mutex.unlock cache_mu;
-  s
-
-let clear_cache () =
-  Mutex.lock cache_mu;
-  Hashtbl.reset cache;
-  Mutex.unlock cache_mu
+let cache_size () = Mutex.protect cache_mu (fun () -> Lru.length cache)
+let clear_cache () = Mutex.protect cache_mu (fun () -> Lru.clear cache)
 
 (* ---- per-transaction concretization ---- *)
 

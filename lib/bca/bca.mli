@@ -67,10 +67,10 @@ val analyze : spec:Spec.t -> Evm.Decode.program -> facts
 
 val facts_for : spec:Spec.t -> hash:string -> string -> facts
 (** Cached analysis of raw code whose keccak256 is [hash] (the account's
-    stored code hash), keyed by hash x spec id (the same keying as the
-    decode cache).  Domain-safe; a racing double-analysis is benign.
-    When a narrowing is seeded ({!seeded_narrowing}) the cache is
-    bypassed in both directions so mutated facts never leak. *)
+    stored code hash), keyed and bounded like the decode cache; counted
+    through [bca.cache.{hits,misses,evictions}].  Domain-safe; a racing
+    double-analysis is benign.  When a narrowing is seeded
+    ({!seeded_narrowing}) the cache is bypassed in both directions. *)
 
 val cache_size : unit -> int
 val clear_cache : unit -> unit

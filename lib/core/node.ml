@@ -485,7 +485,8 @@ let replay ?(config = default_config) ~policy (record : Netsim.Record.t) : resul
                   spec_base := !spec_base + e.spec.base_exec_ns;
                   spec_ctxs := !spec_ctxs + e.spec.contexts;
                   spec_errs := !spec_errs + e.spec.build_errors;
-                  Speculator.acc_merge synth_global e.spec.synth;
+                  synth_global.paths_built <- synth_global.paths_built + e.spec.synth.paths_built;
+                  synth_global.sum <- Sevm.Ir.add_stats synth_global.sum e.spec.synth.sum;
                   retire_template e;
                   Hashtbl.remove pending h
                 | None -> ())

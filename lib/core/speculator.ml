@@ -13,44 +13,6 @@ type synth_acc = {
 
 let empty_acc () = { paths_built = 0; sum = Sevm.Ir.empty_stats }
 
-let acc_add acc (s : Sevm.Ir.stats) =
-  let t = acc.sum in
-  acc.paths_built <- acc.paths_built + 1;
-  acc.sum <-
-    {
-      Sevm.Ir.evm_trace_len = t.evm_trace_len + s.evm_trace_len;
-      decomposed_added = t.decomposed_added + s.decomposed_added;
-      stack_eliminated = t.stack_eliminated + s.stack_eliminated;
-      mem_eliminated = t.mem_eliminated + s.mem_eliminated;
-      control_eliminated = t.control_eliminated + s.control_eliminated;
-      state_eliminated = t.state_eliminated + s.state_eliminated;
-      const_folded = t.const_folded + s.const_folded;
-      cse_removed = t.cse_removed + s.cse_removed;
-      dead_removed = t.dead_removed + s.dead_removed;
-      guards_added = t.guards_added + s.guards_added;
-      constraint_len = t.constraint_len + s.constraint_len;
-      fastpath_len = t.fastpath_len + s.fastpath_len;
-    }
-
-let acc_merge into from_ =
-  into.paths_built <- into.paths_built + from_.paths_built;
-  let a = into.sum and b = from_.sum in
-  into.sum <-
-    {
-      Sevm.Ir.evm_trace_len = a.evm_trace_len + b.evm_trace_len;
-      decomposed_added = a.decomposed_added + b.decomposed_added;
-      stack_eliminated = a.stack_eliminated + b.stack_eliminated;
-      mem_eliminated = a.mem_eliminated + b.mem_eliminated;
-      control_eliminated = a.control_eliminated + b.control_eliminated;
-      state_eliminated = a.state_eliminated + b.state_eliminated;
-      const_folded = a.const_folded + b.const_folded;
-      cse_removed = a.cse_removed + b.cse_removed;
-      dead_removed = a.dead_removed + b.dead_removed;
-      guards_added = a.guards_added + b.guards_added;
-      constraint_len = a.constraint_len + b.constraint_len;
-      fastpath_len = a.fastpath_len + b.fastpath_len;
-    }
-
 (* Everything Forerunner knows about one pending transaction. *)
 type spec = {
   ap : Ap.Program.t;
@@ -133,7 +95,8 @@ let speculate_one ~tmpl spec bk ~root (env : Evm.Env.block_env) ~pre_txs (tx : E
         let events = get () in
         (match Sevm.Builder.build tx env events receipt st with
         | Ok path ->
-          acc_add spec.synth path.stats;
+          spec.synth.paths_built <- spec.synth.paths_built + 1;
+          spec.synth.sum <- Sevm.Ir.add_stats spec.synth.sum path.stats;
           Ap.Program.add_path spec.ap path;
           Obs.incr obs_paths;
           if List.length spec.paths < max_paths_kept then spec.paths <- spec.paths @ [ path ]

@@ -7,8 +7,6 @@
 type synth_acc = { mutable paths_built : int; mutable sum : Sevm.Ir.stats }
 
 val empty_acc : unit -> synth_acc
-val acc_add : synth_acc -> Sevm.Ir.stats -> unit
-val acc_merge : synth_acc -> synth_acc -> unit
 
 (** Everything Forerunner knows about one pending transaction. *)
 type spec = {

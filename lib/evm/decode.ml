@@ -210,54 +210,21 @@ let decode ~hash ~spec code =
 
 (* ---- the process-wide program cache ----
 
-   Keyed by code hash × spec id (the statedb already stores
-   keccak256(code) per account, so CALL-family lookups pay no hashing;
-   the spec id is one appended byte).  Two specs never share an artifact:
-   static gas and opcode availability are baked into the decoded stream,
-   so a program decoded under Istanbul replayed under Berlin would
-   mischarge every SLOAD — the mixed-spec hammer test pins the keying.
-   Entries are immutable — the key is a content hash — so there is no
-   invalidation protocol; a crude size cap bounds memory under
-   adversarial churn.  Domain-safe per the lib/obs conventions: a mutex
-   guards the table, the (pure) decode itself runs outside the lock so
-   worker domains never serialize on each other's cold misses; a racing
-   double-decode is benign (last insert wins, both artifacts are
-   identical). *)
+   Keyed by code hash (stored per account, so lookups pay no hashing) ×
+   spec id: static gas and opcode availability are baked into the stream,
+   so a program decoded under Istanbul would mischarge every SLOAD under
+   Berlin — the mixed-spec hammer test pins the keying.  Entries are
+   immutable (the key is a content hash), so nothing is ever invalidated.
+   The decode runs outside the lock, so worker domains never serialize on
+   each other's cold misses. *)
 
-let cache : (string, program) Hashtbl.t = Hashtbl.create 256
+let cache_key ~hash ~(spec : Spec.t) = hash ^ String.make 1 (Char.chr spec.Spec.id)
+let cache : (string, program) Lru.t = Lru.create ~name:"interp.decode" 4096
 let cache_mu = Mutex.create ()
-let max_cached = 4096
-
-let obs_hits = Obs.counter "interp.decode.hits"
-let obs_misses = Obs.counter "interp.decode.misses"
 let obs_bytes = Obs.counter "interp.decode.bytes"
 
-let get ~hash ~(spec : Spec.t) code =
-  let key = hash ^ String.make 1 (Char.chr spec.Spec.id) in
-  Mutex.lock cache_mu;
-  match Hashtbl.find_opt cache key with
-  | Some p ->
-    Mutex.unlock cache_mu;
-    Obs.incr obs_hits;
-    p
-  | None ->
-    Mutex.unlock cache_mu;
-    Obs.incr obs_misses;
-    Obs.add obs_bytes (String.length code);
-    let p = decode ~hash ~spec code in
-    Mutex.lock cache_mu;
-    if Hashtbl.length cache >= max_cached then Hashtbl.reset cache;
-    Hashtbl.replace cache key p;
-    Mutex.unlock cache_mu;
-    p
+let decode_miss hash spec code = Obs.add obs_bytes (String.length code); decode ~hash ~spec code
 
-let cache_size () =
-  Mutex.lock cache_mu;
-  let n = Hashtbl.length cache in
-  Mutex.unlock cache_mu;
-  n
-
-let clear_cache () =
-  Mutex.lock cache_mu;
-  Hashtbl.reset cache;
-  Mutex.unlock cache_mu
+let get ~hash ~spec code = Lru.memo cache_mu cache (cache_key ~hash ~spec) decode_miss hash spec code
+let cache_size () = Mutex.protect cache_mu (fun () -> Lru.length cache)
+let clear_cache () = Mutex.protect cache_mu (fun () -> Lru.clear cache)

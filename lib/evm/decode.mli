@@ -92,12 +92,15 @@ val decode : hash:string -> spec:Spec.t -> string -> program
     not checked.  PUSH-op pairs always fuse; DUP1-op pairs and PUSH-PUSH-op
     triples fuse when no leader falls inside the window. *)
 
+val cache_key : hash:string -> spec:Spec.t -> string
+(** Code hash × spec id: the key of this cache and of the analysis facts'. *)
+
 val get : hash:string -> spec:Spec.t -> string -> program
-(** Cached decode, keyed by code hash × spec id — two specs never share
-    an artifact (static gas and opcode availability are baked into the
-    stream). Domain-safe: the cache is shared across all interpreter
-    contexts and scheduler worker domains. Counted through
-    [interp.decode.{hits,misses,bytes}]. *)
+(** Cached decode, keyed by {!cache_key} — two specs never share an
+    artifact (static gas and opcode availability are baked into the
+    stream). Domain-safe, shared by all contexts and worker domains.
+    Holds 4096 programs, least recently used evicted first.  Counted
+    through [interp.decode.{hits,misses,evictions,bytes}]. *)
 
 val cache_size : unit -> int
 (** Number of decoded programs currently cached (for tests/metrics). *)

@@ -186,6 +186,22 @@ let empty_stats =
     fastpath_len = 0;
   }
 
+let add_stats a b =
+  {
+    evm_trace_len = a.evm_trace_len + b.evm_trace_len;
+    decomposed_added = a.decomposed_added + b.decomposed_added;
+    stack_eliminated = a.stack_eliminated + b.stack_eliminated;
+    mem_eliminated = a.mem_eliminated + b.mem_eliminated;
+    control_eliminated = a.control_eliminated + b.control_eliminated;
+    state_eliminated = a.state_eliminated + b.state_eliminated;
+    const_folded = a.const_folded + b.const_folded;
+    cse_removed = a.cse_removed + b.cse_removed;
+    dead_removed = a.dead_removed + b.dead_removed;
+    guards_added = a.guards_added + b.guards_added;
+    constraint_len = a.constraint_len + b.constraint_len;
+    fastpath_len = a.fastpath_len + b.fastpath_len;
+  }
+
 (* A linear accelerated path: one constraint set plus one fast path,
    synthesized from one pre-execution (before AP merging). *)
 type path = {

@@ -73,14 +73,10 @@ type t = {
   mutable jlen : int;
   mutable tracking : bool;
   mutable touch_log : touch list; (* newest first *)
-  mutable hits : int;
-  mutable misses : int;
 }
 
 let backend t = t.backend
 
-(* process-wide instruments (per-instance [hits]/[misses] stay for the
-   existing [cache_stats] API) *)
 let obs_hits = Obs.counter "statedb.cache.hits"
 let obs_misses = Obs.counter "statedb.cache.misses"
 let obs_journal_depth = Obs.gauge "statedb.journal.max_depth"
@@ -96,15 +92,12 @@ let create bk ~root =
     jlen = 0;
     tracking = false;
     touch_log = [];
-    hits = 0;
-    misses = 0;
   }
 
 let root t = Trie.root_hash t.base
 let set_tracking t on = t.tracking <- on
 let touches t = List.rev t.touch_log
 let clear_touches t = t.touch_log <- []
-let cache_stats t = (t.hits, t.misses)
 let touch t what = if t.tracking then t.touch_log <- what :: t.touch_log
 
 let journal_push t e =
@@ -148,11 +141,9 @@ let fresh_acct t addr key =
 let get_acct t addr =
   match Address.Tbl.find_opt t.cache addr with
   | Some binding ->
-    t.hits <- t.hits + 1;
     Obs.incr obs_hits;
     binding
   | None ->
-    t.misses <- t.misses + 1;
     Obs.incr obs_misses;
     touch t (T_account addr);
     let key = account_trie_key addr in
@@ -233,11 +224,9 @@ let get_storage t addr slot =
   | Some a -> (
     match Umap.find_opt a.slots slot with
     | Some v ->
-      t.hits <- t.hits + 1;
       Obs.incr obs_hits;
       v
     | None ->
-      t.misses <- t.misses + 1;
       Obs.incr obs_misses;
       let v = storage_read_committed t a slot in
       Umap.replace a.slots slot v;

@@ -124,6 +124,3 @@ val clear_touches : t -> unit
 val warm : t -> touch list -> unit
 (** Perform the trie reads for the given touches now, populating the caches
     (the prefetcher's critical-path I/O elimination). *)
-
-val cache_stats : t -> int * int
-(** (hits, misses) of the account+storage caches since creation. *)

@@ -197,8 +197,11 @@ let analysis () =
   print_string "analysis-ci: verifier clean on corpus + generated, both faults rejected\n"
 
 (* Concurrent [Bca.facts_for] calls — one domain repeatedly clearing the
-   cache to force racing re-analyses — must always return facts identical
-   to the single-threaded reference. *)
+   cache to force racing re-analyses, a fifth analysing more distinct
+   codes than the cache holds to force evictions — must always return
+   facts identical to the single-threaded reference.  The clears can empty
+   the cache under the churn, so the churn domain goes on past its first
+   4,100 codes until it has seen an eviction (at most 50,000 codes). *)
 let cache_hammer () =
   let codes =
     List.concat_map
@@ -212,7 +215,20 @@ let cache_hammer () =
   let codes = List.map (fun c -> (Khash.Keccak.digest c, c)) codes in
   let reference = List.map (fun (hash, c) -> Bca.facts_for ~spec ~hash c) codes in
   let mismatches = Atomic.make 0 in
-  let domains =
+  Obs.set_enabled true;
+  let evictions = Obs.counter "bca.cache.evictions" in
+  let e0 = Obs.count evictions in
+  let churn () =
+    let i = ref 0 in
+    while (!i < 4100 || Obs.count evictions = e0) && !i < 50_000 do
+      incr i;
+      (* PUSH3 i; STOP *)
+      let byte k = Char.chr ((!i lsr k) land 0xff) in
+      let code = Printf.sprintf "\x62%c%c%c\x00" (byte 16) (byte 8) (byte 0) in
+      ignore (Bca.facts_for ~spec ~hash:(Khash.Keccak.digest code) code)
+    done
+  in
+  let readers =
     List.init 4 (fun d ->
         Domain.spawn (fun () ->
             for _ = 1 to 50 do
@@ -223,12 +239,17 @@ let cache_hammer () =
                 codes reference
             done))
   in
-  List.iter Domain.join domains;
+  List.iter Domain.join (Domain.spawn churn :: readers);
+  Obs.set_enabled false;
   if Atomic.get mismatches > 0 then
     fail "bca-ci: CACHE HAMMER: %d facts mismatches under 4-domain contention"
       (Atomic.get mismatches);
-  Printf.printf "bca-ci: 4-domain analysis-cache hammer holds (%d codes x 200 lookups)\n%!"
-    (List.length codes)
+  let evicted = Obs.count evictions - e0 in
+  if evicted = 0 then fail "bca-ci: CACHE HAMMER: the churn domain forced no eviction";
+  Printf.printf
+    "bca-ci: 4-domain analysis-cache hammer holds (%d codes x 200 lookups); %d \
+     bca.cache.evictions\n%!"
+    (List.length codes) evicted
 
 let bca () =
   let seed = 42 and iters_per_fork = 200 in

@@ -12,8 +12,10 @@
       recomputed from the raw bytes, and no fused window may have a
       leader inside;
    2. a 4-domain cache hammer: lib/sched workers decoding and executing
-      the same code hash concurrently must agree on every receipt and
-      leave exactly one cached program behind;
+      the same code hash concurrently must agree with the single-threaded
+      receipt, while a fifth domain decodes more distinct codes than the
+      cache holds, forcing evictions under contention; the cache ends at
+      its bound;
    3. a mixed-spec cache audit: the same code hash hammered under all
       five hardfork specs concurrently — one cached program per spec,
       each wearing its own fork's gas column, never shared;
@@ -123,21 +125,36 @@ let hammer_code =
          op (DUP 1); push_int 0; op MSTORE ]
       @ jumpi "loop" @ [ op STOP ]))
 
+(* The churn domain's codes: PUSH2 i; STOP, all distinct. *)
+let churn_codes = 4100
+let tiny i = Printf.sprintf "\x61%c%c\x00" (Char.chr (i lsr 8)) (Char.chr (i land 0xff))
+
+(* Returns the evictions the battery forced. *)
 let hammer_battery () =
   Evm.Decode.clear_cache ();
   Obs.set_enabled true;
+  let count name = Obs.count (Obs.counter name) in
+  let h0 = count "interp.decode.hits" and m0 = count "interp.decode.misses" in
+  let e0 = count "interp.decode.evictions" in
+  let run () =
+    let r, root =
+      Fuzz.Runner.run_code ~engine:Evm.Interp.Decoded ~code:hammer_code ~data:""
+        ~gas_limit:200_000 ~value:U256.zero ()
+    in
+    (Fuzz.Sexp.hex_of_string root, r.Evm.Processor.gas_used)
+  in
+  let reference = run () in
   let jobs = 4 and n = 64 in
+  let churn =
+    Domain.spawn (fun () ->
+        for i = 1 to churn_codes do
+          let code = tiny i in
+          ignore (Evm.Decode.get ~hash:(Khash.Keccak.digest code) ~spec:!Spec.current code)
+        done)
+  in
   let s : (string * int) Sched.t = Sched.create ~jobs () in
   for i = 0 to n - 1 do
-    Sched.submit s
-      ~hash:(Printf.sprintf "hammer%d" i)
-      ~root:"r" ~priority:(U256.of_int 1)
-      (fun () ->
-        let r, root =
-          Fuzz.Runner.run_code ~engine:Evm.Interp.Decoded ~code:hammer_code ~data:""
-            ~gas_limit:200_000 ~value:U256.zero ()
-        in
-        (Fuzz.Sexp.hex_of_string root, r.Evm.Processor.gas_used))
+    Sched.submit s ~hash:(Printf.sprintf "hammer%d" i) ~root:"r" ~priority:(U256.of_int 1) run
   done;
   Sched.barrier s;
   let results =
@@ -153,36 +170,35 @@ let hammer_battery () =
       (Sched.drain s)
   in
   Sched.shutdown s;
+  Domain.join churn;
   Obs.set_enabled false;
-  (match results with
-  | [] ->
+  if List.length results <> n then begin
     incr failures;
-    print_string "decode-ci: HAMMER: no results\n"
-  | first :: rest ->
-    if List.length results <> n then begin
-      incr failures;
-      Printf.printf "decode-ci: HAMMER: %d results, expected %d\n%!" (List.length results) n
-    end;
-    List.iteri
-      (fun i r ->
-        if r <> first then begin
-          incr failures;
-          Printf.printf "decode-ci: HAMMER DIVERGENCE job %d: (%s,%d) vs (%s,%d)\n%!" (i + 1)
-            (fst r) (snd r) (fst first) (snd first)
-        end)
-      rest);
-  if Evm.Decode.cache_size () <> 1 then begin
+    Printf.printf "decode-ci: HAMMER: %d results, expected %d\n%!" (List.length results) n
+  end;
+  List.iteri
+    (fun i r ->
+      if r <> reference then begin
+        incr failures;
+        Printf.printf "decode-ci: HAMMER DIVERGENCE job %d: (%s,%d) vs reference (%s,%d)\n%!"
+          (i + 1) (fst r) (snd r) (fst reference) (snd reference)
+      end)
+    results;
+  if Evm.Decode.cache_size () <> 4096 then begin
     incr failures;
-    Printf.printf "decode-ci: HAMMER: cache holds %d programs, expected 1\n%!"
+    Printf.printf "decode-ci: HAMMER: cache holds %d programs, expected its bound 4096\n%!"
       (Evm.Decode.cache_size ())
   end;
-  let count name = Obs.count (Obs.counter name) in
-  let hits = count "interp.decode.hits" and misses = count "interp.decode.misses" in
-  if misses < 1 || hits < n - misses then begin
+  let hits = count "interp.decode.hits" - h0 and misses = count "interp.decode.misses" - m0 in
+  let evictions = count "interp.decode.evictions" - e0 in
+  if misses < churn_codes + 1 || hits + misses < churn_codes + n + 1 || evictions = 0 then begin
     incr failures;
-    Printf.printf "decode-ci: HAMMER: cache counters off (hits %d, misses %d, jobs %d)\n%!"
-      hits misses n
-  end
+    Printf.printf
+      "decode-ci: HAMMER: cache counters off (hits %d, misses %d, evictions %d, jobs %d, \
+       churned codes %d)\n%!"
+      hits misses evictions n churn_codes
+  end;
+  evictions
 
 (* ---- 3: mixed-spec cache audit ---- *)
 
@@ -408,8 +424,11 @@ let kernel_battery () =
 
 let () =
   raw_battery ();
-  hammer_battery ();
-  Printf.printf "decode-ci: hammer: 64 jobs across 4 domains, one code hash\n%!";
+  let evictions = hammer_battery () in
+  Printf.printf
+    "decode-ci: hammer: 64 jobs across 4 domains, one code hash; %d churned codes, %d \
+     interp.decode.evictions\n%!"
+    churn_codes evictions;
   mixed_spec_battery ();
   Printf.printf
     "decode-ci: mixed-spec: 80 jobs across 4 domains, one code hash x %d forks\n%!"

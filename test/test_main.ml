@@ -29,4 +29,5 @@ let () =
       ("differential", Test_differential.suite);
       ("fuzz", Test_fuzz.suite);
       ("analysis", Test_analysis.suite);
-      ("bca", Test_bca.suite) ]
+      ("bca", Test_bca.suite);
+      ("lru", Test_lru.suite) ]
