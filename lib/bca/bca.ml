@@ -814,28 +814,66 @@ let covers_change p (c : Statedb.change) =
        (fun (k, _) -> mem_slot p.p_w_slots a k || mem_addr p.p_w_slot_wild a)
        c.Statedb.ch_slots
 
-let overlap p1 p2 =
-  p1.p_wild || p2.p_wild
-  ||
-  let acct_hit w other =
-    List.exists
-      (fun a ->
-        mem_addr other.p_r_accounts a || mem_addr other.p_w_accounts a)
-      w
-  in
-  let slot_hit w wsw other =
-    List.exists
-      (fun (a, k) ->
-        mem_slot other.p_r_slots a k || mem_slot other.p_w_slots a k
-        || mem_addr other.p_r_slot_wild a || mem_addr other.p_w_slot_wild a)
-      w
+(* ---- the running footprint union of the static block pre-partitioner ----
+
+   Two predictions may conflict when one's writes meet the other's reads or
+   writes: an account, an exact slot, a slot-wild owner against any slot of
+   that owner.  Every such test pairs one element of each side, so testing
+   a footprint against the union of earlier ones is testing it against each
+   of them.  The union keeps one flag word per address and one written bit
+   per exact slot; a test or an insertion costs O(footprint). *)
+
+module Union = struct
+  module Slots = Hashtbl.Make (struct
+    type t = Address.t * U256.t
+
+    let equal (a, k) (a', k') = Address.equal a a' && U256.equal k k'
+    let hash (a, k) = Address.hash a + (31 * U256.hash k)
+  end)
+
+  (* per-address flags *)
+  let f_acct = 1 (* account read or written *)
+  let f_acct_w = 2 (* account written *)
+  let f_sw = 4 (* any slot read or written *)
+  let f_sw_w = 8 (* any slot written *)
+  let f_owner = 16 (* owns an exact slot read or written *)
+  let f_owner_w = 32 (* owns an exact slot written *)
+
+  type t = { addrs : int Address.Tbl.t; slots : bool Slots.t (* slot -> written *) }
+
+  let create () = { addrs = Address.Tbl.create 256; slots = Slots.create 256 }
+
+  let flags u a = Option.value ~default:0 (Address.Tbl.find_opt u.addrs a)
+  let has u a f = flags u a land f <> 0
+  let mark u a f = Address.Tbl.replace u.addrs a (flags u a lor f)
+
+  (* a write meets an earlier read or write; a read meets an earlier write *)
+  let overlaps u p =
+    p.p_wild
+    || List.exists (fun a -> has u a f_acct) p.p_w_accounts
+    || List.exists (fun a -> has u a f_acct_w) p.p_r_accounts
+    || List.exists (fun ((a, _) as s) -> Slots.mem u.slots s || has u a f_sw) p.p_w_slots
     || List.exists
-         (fun a ->
-           mem_addr other.p_r_slot_wild a || mem_addr other.p_w_slot_wild a
-           || List.exists (fun (a', _) -> Address.equal a a') other.p_r_slots
-           || List.exists (fun (a', _) -> Address.equal a a') other.p_w_slots)
-         wsw
-  in
-  acct_hit p1.p_w_accounts p2 || acct_hit p2.p_w_accounts p1
-  || slot_hit p1.p_w_slots p1.p_w_slot_wild p2
-  || slot_hit p2.p_w_slots p2.p_w_slot_wild p1
+         (fun ((a, _) as s) -> Slots.find_opt u.slots s = Some true || has u a f_sw_w)
+         p.p_r_slots
+    || List.exists (fun a -> has u a (f_sw lor f_owner)) p.p_w_slot_wild
+    || List.exists (fun a -> has u a (f_sw_w lor f_owner_w)) p.p_r_slot_wild
+
+  let add u p =
+    if not p.p_wild then begin
+      List.iter (fun a -> mark u a f_acct) p.p_r_accounts;
+      List.iter (fun a -> mark u a (f_acct lor f_acct_w)) p.p_w_accounts;
+      List.iter
+        (fun ((a, _) as s) ->
+          if not (Slots.mem u.slots s) then Slots.replace u.slots s false;
+          mark u a f_owner)
+        p.p_r_slots;
+      List.iter
+        (fun ((a, _) as s) ->
+          Slots.replace u.slots s true;
+          mark u a (f_owner lor f_owner_w))
+        p.p_w_slots;
+      List.iter (fun a -> mark u a f_sw) p.p_r_slot_wild;
+      List.iter (fun a -> mark u a (f_sw lor f_sw_w)) p.p_w_slot_wild
+    end
+end

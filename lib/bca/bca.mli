@@ -118,10 +118,23 @@ val covers_change : prediction -> State.Statedb.change -> bool
 (** Soundness oracle, write side: is a committed change inside the
     predicted write set? *)
 
-val overlap : prediction -> prediction -> bool
-(** Conservative may-conflict test between two footprints: true when one
-    prediction's writes intersect the other's reads or writes (accounts,
-    slots, or wildcards).  Used by the static block pre-partitioner. *)
+(** The running footprint union of the static block pre-partitioner. *)
+module Union : sig
+  type t
+
+  val create : unit -> t
+
+  val overlaps : t -> prediction -> bool
+  (** Conservative may-conflict test against every prediction {!add}ed so
+      far: true when the prediction is wild, or when its writes meet their
+      reads or writes, or its reads meet their writes (accounts, exact
+      slots, or slot wildcards against any slot of the same account).
+      O(footprint of the prediction). *)
+
+  val add : t -> prediction -> unit
+  (** Fold a prediction into the union.  A wild prediction is not folded
+      in: one opaque transaction must not make every later one conflict. *)
+end
 
 (** {1 Seeded narrowings (negative testing / [forerunner analyze --mutate])}
 

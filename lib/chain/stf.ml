@@ -9,10 +9,11 @@
 
    - [apply_txs_parallel]: conflict-aware optimistic concurrency (DESIGN.md
      §10, after Saraph & Herlihy).  Every transaction is pre-executed on a
-     worker domain against a *private* Statedb at the parent root — through
-     its AP fast path when one is available and its constraints hold,
-     through the interpreter otherwise — recording its read set (statedb
-     touch hooks) and its write set (journal-derived change list).  Commit
+     worker domain against a private fork of the master state (read-only
+     until the barrier, prefetched by the static partition) — through its
+     AP fast path when one is available and its constraints hold, through
+     the interpreter otherwise — recording its read set (statedb touch
+     hooks) and its write set (journal-derived change list).  Commit
      then walks the transactions in consensus order on the caller's domain:
      a transaction whose read set is disjoint from everything committed
      before it gets its extracted effects replayed onto the master state;
@@ -170,13 +171,12 @@ type par_stats = {
 let obs_par_blocks = Obs.counter "stf.parallel.blocks"
 let obs_par_txs = Obs.counter "stf.parallel.txs"
 
-(* Speculative phase: one transaction on a private state at the parent
-   root.  Runs on a worker domain — it must not touch the master [Statedb]
-   or any trie being written (the caller guarantees the backend is
-   quiescent while the block executes). *)
-let speculate_one ?spec bk ~parent_root ~ap (benv : Evm.Env.block_env) idx (tx : Evm.Env.tx)
-    () =
-  let st = Statedb.create bk ~root:parent_root in
+(* Speculative phase: one transaction on a fork of the master state.  Runs
+   on a worker domain; the master is only read between the fan-out and the
+   barrier, so every fork may share it (the caller guarantees the backend
+   is quiescent while the block executes). *)
+let speculate_one ?spec master ~ap (benv : Evm.Env.block_env) idx (tx : Evm.Env.tx) () =
+  let st = Statedb.fork master in
   let cb0 = Statedb.get_balance st benv.coinbase in
   Statedb.set_tracking st true;
   let mark = Statedb.snapshot st in
@@ -214,7 +214,7 @@ let speculate_one ?spec bk ~parent_root ~ap (benv : Evm.Env.block_env) idx (tx :
 
 let no_ap : Evm.Env.tx -> Ap.Program.t option = fun _ -> None
 
-(* ---- static pre-partitioning (lib/bca) ----
+(* ---- static pre-partitioning and prefetch (lib/bca) ----
 
    Before speculating, concretize each transaction's static footprint and
    serialize — in consensus order, on the master state, without spending a
@@ -228,61 +228,43 @@ let no_ap : Evm.Env.tx -> Ap.Program.t option = fun _ -> None
    opaque transaction does not serialize the rest of the block; if it
    truly conflicts, the dynamic check catches the overlap.  The coinbase
    is stripped from the predictions exactly as [read_keys]/[write_keys]
-   strip it from the dynamic sets: fee credits commute. *)
+   strip it from the dynamic sets: fee credits commute.
 
-let empty_prediction =
-  {
-    Bca.p_wild = false;
-    p_r_accounts = [];
-    p_w_accounts = [];
-    p_codes = [];
-    p_r_slots = [];
-    p_w_slots = [];
-    p_r_slot_wild = [];
-    p_w_slot_wild = [];
-  }
+   The same pass is the block's prefetch: every predicted account and slot,
+   the senders and the coinbase included, is loaded into the master state,
+   so the forks of the speculative phase copy it from the master's cache
+   and the commit loop finds it warm. *)
 
 let obs_static_serial = Obs.counter "stf.parallel.static_serial"
 
-let static_partition_plan ~spec st (benv : Evm.Env.block_env) txs_arr =
-  let strip (p : Bca.prediction) =
-    if p.Bca.p_wild then p
-    else
-      let f = List.filter (fun a -> not (Address.equal a benv.coinbase)) in
-      { p with Bca.p_r_accounts = f p.Bca.p_r_accounts; p_w_accounts = f p.Bca.p_w_accounts }
-  in
-  let n = Array.length txs_arr in
-  let serial = Array.make n false in
-  let acc = ref empty_prediction in
-  Array.iteri
-    (fun j tx ->
-      let p = strip (Bca.predict_tx ~spec ~coinbase:benv.coinbase st tx) in
-      if p.Bca.p_wild then serial.(j) <- true
-      else begin
-        if Bca.overlap p !acc then serial.(j) <- true;
-        acc :=
-          {
-            Bca.p_wild = false;
-            p_r_accounts = p.Bca.p_r_accounts @ !acc.Bca.p_r_accounts;
-            p_w_accounts = p.Bca.p_w_accounts @ !acc.Bca.p_w_accounts;
-            p_codes = p.Bca.p_codes @ !acc.Bca.p_codes;
-            p_r_slots = p.Bca.p_r_slots @ !acc.Bca.p_r_slots;
-            p_w_slots = p.Bca.p_w_slots @ !acc.Bca.p_w_slots;
-            p_r_slot_wild = p.Bca.p_r_slot_wild @ !acc.Bca.p_r_slot_wild;
-            p_w_slot_wild = p.Bca.p_w_slot_wild @ !acc.Bca.p_w_slot_wild;
-          }
-      end)
-    txs_arr;
-  serial
+let partition_and_prefetch ~spec st (benv : Evm.Env.block_env) txs_arr =
+  let not_coinbase = List.filter (fun a -> not (Address.equal a benv.coinbase)) in
+  let union = Bca.Union.create () in
+  Array.map
+    (fun tx ->
+      let p = Bca.predict_tx ~spec ~coinbase:benv.coinbase st tx in
+      Statedb.warm st
+        (List.map (fun a -> Statedb.T_account a) (p.p_r_accounts @ p.p_w_accounts)
+        @ List.map (fun (a, k) -> Statedb.T_slot (a, k)) (p.p_r_slots @ p.p_w_slots));
+      let p =
+        {
+          p with
+          Bca.p_r_accounts = not_coinbase p.Bca.p_r_accounts;
+          p_w_accounts = not_coinbase p.Bca.p_w_accounts;
+        }
+      in
+      let serial = Bca.Union.overlaps union p in
+      Bca.Union.add union p;
+      serial)
+    txs_arr
 
 let apply_txs_parallel ?pool ?(ap = no_ap) ?spec ?(static_partition = true) st
     (benv : Evm.Env.block_env) txs =
   (* resolve once on the caller's domain: worker-domain speculation and the
-     commit-phase reruns must run under the same fork *)
+     commit-phase reruns must run under the same hardfork *)
   let spec = match spec with Some s -> s | None -> !Spec.current in
   if Statedb.snapshot st <> 0 then
     invalid_arg "apply_txs_parallel: master state has an open journal";
-  let bk = Statedb.backend st in
   let parent_root = Statedb.root st in
   let owned, sched =
     match pool with
@@ -299,19 +281,21 @@ let apply_txs_parallel ?pool ?(ap = no_ap) ?spec ?(static_partition = true) st
   let serial =
     if static_partition then
       Obs.span "stf.parallel.partition" (fun () ->
-          static_partition_plan ~spec st benv txs_arr)
+          partition_and_prefetch ~spec st benv txs_arr)
     else Array.make n_txs false
   in
-  (* speculative phase: fan the block out across the pool's domains *)
+  (* speculative phase: fan the block out across the pool's domains, each
+     transaction on its own fork of the (now read-only) master; keyed by
+     block index, which is how the results are placed *)
   let n_submitted = ref 0 in
   Obs.span "stf.parallel.exec" (fun () ->
       Array.iteri
         (fun idx tx ->
           if not serial.(idx) then begin
             incr n_submitted;
-            Sched.submit sched ~hash:(Evm.Env.tx_hash tx) ~root:parent_root
+            Sched.submit sched ~hash:(string_of_int idx) ~root:parent_root
               ~priority:tx.Evm.Env.gas_price
-              (speculate_one ~spec bk ~parent_root ~ap benv idx tx)
+              (speculate_one ~spec st ~ap benv idx tx)
           end)
         txs_arr;
       Sched.barrier sched);

@@ -29,8 +29,9 @@ val apply_block :
 (** {1 Conflict-aware parallel apply}
 
     Optimistic concurrency over the speculation scheduler's worker domains:
-    every transaction pre-executes on a private state at the parent root
-    (AP fast path when available, interpreter otherwise) while its read set
+    every transaction pre-executes on a {!State.Statedb.fork} of the master
+    state, which stays read-only until the speculative phase's barrier (AP
+    fast path when available, interpreter otherwise) while its read set
     (statedb touches) and write set (journal-derived changes) are captured;
     commit walks consensus order, replaying each transaction's effects onto
     the master state unless its read set intersects an earlier-ordered
@@ -72,16 +73,18 @@ val apply_txs_parallel :
   Evm.Env.tx list ->
   block_result * par_stats
 (** Parallel counterpart of {!apply_txs}.  [st] must be freshly created or
-    committed (no open journal) — the workers read the parent root from the
-    shared backend.  [ap] supplies a transaction's accelerated program, if
-    any (never consulted for creations); default: none, interpreter only.
-    [spec] is resolved once on the submitting domain so speculation and
-    commit-phase reruns agree on the fork.  Without [pool] an ephemeral
+    committed (no open journal) — the workers speculate on forks of it.
+    [ap] supplies a transaction's accelerated program, if any (never
+    consulted for creations); default: none, interpreter only.  [spec] is
+    resolved once on the submitting domain so speculation and commit-phase
+    reruns agree on the hardfork.  Without [pool] an ephemeral
     inline pool is used.  With [static_partition] (default on) each
     transaction's static footprint ({!Bca.predict_tx}) is concretized
     first and transactions that provably conflict with an earlier one
     skip speculation entirely, executing in consensus order at commit
     ([par_static_serial]) — a pure scheduling heuristic: the dynamic
     conflict check still guards every speculated commit and the root is
-    byte-identical either way.
+    byte-identical either way.  The same pass prefetches every predicted
+    account and slot into [st], so the forks and the commit loop read them
+    from its cache rather than the trie.
     @raise Invalid_argument if [st] has uncommitted state. *)

@@ -52,6 +52,7 @@ type acct = {
   mutable storage_base : Trie.t; (* committed storage trie (dirty only inside [commit_acct]) *)
   slots : U256.t Umap.t; (* cached current values (clean + dirty) *)
   original : U256.t Umap.t; (* committed values, as first seen *)
+  inherited : U256.t Umap.t option; (* a fork's view of the parent's [original] *)
   dirty_slots : unit Umap.t;
   mutable dirty_acct : bool;
   mutable destructed : bool;
@@ -69,6 +70,7 @@ type t = {
   backend : Backend.t;
   mutable base : Trie.t; (* committed account trie (dirty only inside [commit]) *)
   cache : acct option Address.Tbl.t;
+  parent : t option; (* a fork's clean parent, read on cache misses *)
   mutable journal : entry list;
   mutable jlen : int;
   mutable tracking : bool;
@@ -82,17 +84,27 @@ let obs_misses = Obs.counter "statedb.cache.misses"
 let obs_journal_depth = Obs.gauge "statedb.journal.max_depth"
 let obs_commits = Obs.counter "statedb.commits"
 let obs_warm = Obs.counter "statedb.warm.touches"
+let obs_parent_hits = Obs.counter "statedb.fork.parent_hits"
 
-let create bk ~root =
+let over ?parent bk base =
   {
     backend = bk;
-    base = Trie.of_root (Backend.trie_db bk) root;
+    base;
     cache = Address.Tbl.create 256;
+    parent;
     journal = [];
     jlen = 0;
     tracking = false;
     touch_log = [];
   }
+
+let create bk ~root = over bk (Trie.of_root (Backend.trie_db bk) root)
+
+(* The parent's account trie handle is persistent and clean, so the fork
+   shares it; only the parent's caches are consulted, never written. *)
+let fork p =
+  if p.jlen <> 0 then invalid_arg "Statedb.fork: parent has an open journal";
+  over ~parent:p p.backend p.base
 
 let root t = Trie.root_hash t.base
 let set_tracking t on = t.tracking <- on
@@ -133,10 +145,50 @@ let fresh_acct t addr key =
     storage_base = Trie.create (Backend.trie_db t.backend);
     slots = Umap.create 8;
     original = Umap.create 8;
+    inherited = None;
     dirty_slots = Umap.create 8;
     dirty_acct = false;
     destructed = false;
   }
+
+let load_acct t addr =
+  let key = account_trie_key addr in
+  match Trie.get t.base key with
+  | None -> None
+  | Some enc -> (
+    match Rlp.decode enc with
+    | Rlp.List [ nonce; Rlp.Str bal; Rlp.Str sroot; Rlp.Str chash ] ->
+      Some
+        {
+          (fresh_acct t addr key) with
+          nonce = Rlp.decode_int nonce;
+          balance = U256.of_bytes_be bal;
+          code_hash = chash;
+          storage_base = Trie.of_root (Backend.trie_db t.backend) sroot;
+        }
+    | _ -> invalid_arg "Statedb: bad account encoding")
+
+(* A fork copies the committed fields of an account its parent has cached:
+   the parent is clean, so its cached fields are the committed ones. *)
+let inherit_acct t addr =
+  match t.parent with
+  | None -> load_acct t addr
+  | Some p -> (
+    match Address.Tbl.find_opt p.cache addr with
+    | None -> load_acct t addr
+    | Some binding ->
+      Obs.incr obs_parent_hits;
+      Option.map
+        (fun pa ->
+          {
+            (fresh_acct t addr pa.key) with
+            nonce = pa.nonce;
+            balance = pa.balance;
+            code_hash = pa.code_hash;
+            storage_base = pa.storage_base;
+            inherited = Some pa.original;
+          })
+        binding)
 
 let get_acct t addr =
   match Address.Tbl.find_opt t.cache addr with
@@ -146,23 +198,7 @@ let get_acct t addr =
   | None ->
     Obs.incr obs_misses;
     touch t (T_account addr);
-    let key = account_trie_key addr in
-    let binding =
-      match Trie.get t.base key with
-      | None -> None
-      | Some enc -> (
-        match Rlp.decode enc with
-        | Rlp.List [ nonce; Rlp.Str bal; Rlp.Str sroot; Rlp.Str chash ] ->
-          Some
-            {
-              (fresh_acct t addr key) with
-              nonce = Rlp.decode_int nonce;
-              balance = U256.of_bytes_be bal;
-              code_hash = chash;
-              storage_base = Trie.of_root (Backend.trie_db t.backend) sroot;
-            }
-        | _ -> invalid_arg "Statedb: bad account encoding")
-    in
+    let binding = inherit_acct t addr in
     Address.Tbl.replace t.cache addr binding;
     binding
 
@@ -207,13 +243,19 @@ let storage_read_committed t a slot =
   | Some v -> v
   | None ->
     touch t (T_slot (a.addr, slot));
+    let inherited = match a.inherited with Some o -> Umap.find_opt o slot | None -> None in
     let v =
-      match Trie.get a.storage_base (slot_trie_key slot) with
-      | None -> U256.zero
-      | Some enc -> (
-        match Rlp.decode enc with
-        | Rlp.Str s -> U256.of_bytes_be s
-        | Rlp.List _ -> invalid_arg "Statedb: bad slot encoding")
+      match inherited with
+      | Some v ->
+        Obs.incr obs_parent_hits;
+        v
+      | None -> (
+        match Trie.get a.storage_base (slot_trie_key slot) with
+        | None -> U256.zero
+        | Some enc -> (
+          match Rlp.decode enc with
+          | Rlp.Str s -> U256.of_bytes_be s
+          | Rlp.List _ -> invalid_arg "Statedb: bad slot encoding"))
     in
     Umap.replace a.original slot v;
     v

@@ -35,6 +35,18 @@ type touch =
 val create : Backend.t -> root:string -> t
 (** Open the world state committed at [root] with cold caches. *)
 
+val fork : t -> t
+(** A private, journaled state over a clean parent, at the parent's
+    {!root}.  The fork starts with cold caches of its own: a miss records
+    its {!touch} exactly as in a {!create}d state, then copies the
+    committed fields from the parent's cache, and walks the trie only when
+    the parent has not cached that account (or, for a committed slot, has
+    no entry for it in its committed-value map).  Serves from the parent
+    count into [statedb.fork.parent_hits].  The fork only ever reads the
+    parent, so any number of forks may run on worker domains at once — as
+    long as nothing writes the parent during their lifetime.
+    @raise Invalid_argument if the parent has an open journal. *)
+
 val empty_root : string
 
 val backend : t -> Backend.t
@@ -75,9 +87,11 @@ val revert : t -> int -> unit
 
 (** {1 Effect extraction}
 
-    The parallel block executor runs each transaction on a private [t] at
-    the parent root, then lifts its net effects as a [change] list and
-    replays them onto the master state at commit (DESIGN.md §10). *)
+    The parallel block executor runs each transaction on a {!fork} of the
+    master state — prefetched by the block's static partition and only read
+    while the speculative phase runs — then lifts its net effects as a
+    [change] list and replays them onto the master state at commit
+    (DESIGN.md §10). *)
 
 type change = {
   ch_addr : Address.t;

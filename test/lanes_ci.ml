@@ -8,7 +8,8 @@
      parallel  the Apply lane: conflict-aware parallel block apply
                byte-identical to the sequential apply; then the same on
                recorded transfer / amm / mixed traffic against the
-               miner's header roots
+               miner's header roots, with forks served by the prefetched
+               master on the partitioned transfer blocks
      analysis  the Verifier lane, a qcheck property that the verifier
                accepts builder output, and the add / drop-guard faults
      bca       the Footprint lane (sentinels + corpus + 200 scenarios per
@@ -102,9 +103,16 @@ let record_workload ~name ~seed ~n_users mix =
   in
   if blocks = [] then fail "parallel-ci: %s record has no canonical block" name;
   let pool = Chain.Stf.create_pool ~jobs:2 () in
-  Fun.protect ~finally:(fun () -> Chain.Stf.shutdown_pool pool) @@ fun () ->
+  let parent_hits = Obs.counter "statedb.fork.parent_hits" in
+  Obs.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.set_enabled false;
+      Chain.Stf.shutdown_pool pool)
+  @@ fun () ->
   List.iter
     (fun static_partition ->
+      let hits0 = Obs.count parent_hits in
       let parent = ref record.genesis_root in
       let txs = ref 0 and aborted = ref 0 and serial = ref 0 in
       List.iter
@@ -143,11 +151,16 @@ let record_workload ~name ~seed ~n_users mix =
           serial := !serial + stats.par_static_serial;
           parent := b.header.state_root)
         blocks;
+      let hits = Obs.count parent_hits - hits0 in
       Printf.printf
-        "parallel-ci: %-8s static %-3s %d blocks, %d txs, %d aborted, %d statically serial\n%!"
+        "parallel-ci: %-8s static %-3s %d blocks, %d txs, %d aborted, %d statically serial, \
+         %d fork reads served by the master\n%!"
         name
         (if static_partition then "on" else "off")
-        (List.length blocks) !txs !aborted !serial)
+        (List.length blocks) !txs !aborted !serial hits;
+      (* the partition prefetches the master: forks must read from it *)
+      if static_partition && name = "transfer" && hits = 0 then
+        fail "parallel-ci: no fork read was served by the prefetched master")
     [ false; true ]
 
 let parallel () =

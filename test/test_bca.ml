@@ -1,7 +1,8 @@
 (* lib/bca in the alcotest suite: the qcheck soundness property (static
    footprint ⊇ runtime touch log, across every hardfork) on generated
-   scenarios, plus one negative case per analysis domain — each seeded
-   [Bca.narrowing] must trip its matching sentinel.  The heavyweight
+   scenarios, the partitioner's footprint union against a brute-force
+   list reference, plus one negative case per analysis domain — each
+   seeded [Bca.narrowing] must trip its matching sentinel.  The heavyweight
    corpus + 200-per-fork sweep lives in lanes_ci (`dune build @bca`); this
    suite keeps a lighter property inside `dune test`. *)
 
@@ -27,6 +28,73 @@ let footprint_sound =
              | [] -> true
              | f :: _ -> QCheck.Test.fail_reportf "%a" Fuzz.Runner.pp_finding f)
            Spec.all_forks))
+
+(* ---- the partitioner's footprint union against a brute-force reference ----
+
+   Over random prediction sequences drawn from a small address and slot
+   pool (so overlaps are common), wild and slot-wild entries included, the
+   hash-set union's verdict for each prediction must equal testing it
+   pairwise, with plain lists, against every earlier non-wild one. *)
+
+let addr_pool = Array.init 4 (fun i -> State.Address.of_int (0xB00 + i))
+
+let gen_prediction =
+  let open QCheck.Gen in
+  let addr = map (Array.get addr_pool) (int_bound 3) in
+  let slot = pair addr (map U256.of_int (int_bound 2)) in
+  let few g = list_size (int_bound 2) g in
+  frequency
+    [ (1, return { Bca.p_wild = true; p_r_accounts = []; p_w_accounts = []; p_codes = [];
+                   p_r_slots = []; p_w_slots = []; p_r_slot_wild = []; p_w_slot_wild = [] });
+      ( 8,
+        few addr >>= fun p_r_accounts ->
+        few addr >>= fun p_w_accounts ->
+        few slot >>= fun p_r_slots ->
+        few slot >>= fun p_w_slots ->
+        few addr >>= fun p_r_slot_wild ->
+        few addr >>= fun p_w_slot_wild ->
+        return
+          { Bca.p_wild = false; p_r_accounts; p_w_accounts; p_codes = []; p_r_slots;
+            p_w_slots; p_r_slot_wild; p_w_slot_wild } ) ]
+
+(* A slot location is an exact slot or, with [None], every slot of an
+   account; two meet when their owners match and either is a wildcard or
+   the keys match. *)
+let reference_overlap (p : Bca.prediction) (q : Bca.prediction) =
+  let open Bca in
+  let eq = State.Address.equal in
+  let slots ~writes x =
+    let exact = if writes then x.p_w_slots else x.p_r_slots @ x.p_w_slots in
+    let wild = if writes then x.p_w_slot_wild else x.p_r_slot_wild @ x.p_w_slot_wild in
+    List.map (fun (a, k) -> (a, Some k)) exact @ List.map (fun a -> (a, None)) wild
+  in
+  let meets (a, k) (a', k') =
+    eq a a'
+    && match (k, k') with Some k, Some k' -> U256.equal k k' | _ -> true
+  in
+  let writes_meet x y =
+    List.exists (fun a -> List.exists (eq a) (y.p_r_accounts @ y.p_w_accounts)) x.p_w_accounts
+    || List.exists
+         (fun w -> List.exists (meets w) (slots ~writes:false y))
+         (slots ~writes:true x)
+  in
+  p.p_wild || q.p_wild || writes_meet p q || writes_meet q p
+
+let union_matches_reference =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:500 ~name:"footprint union = pairwise list reference"
+       (QCheck.make QCheck.Gen.(list_size (int_range 1 12) gen_prediction))
+       (fun ps ->
+         let u = Bca.Union.create () in
+         let rec go earlier = function
+           | [] -> true
+           | (p : Bca.prediction) :: rest ->
+             let want = p.p_wild || List.exists (reference_overlap p) earlier in
+             let got = Bca.Union.overlaps u p in
+             Bca.Union.add u p;
+             want = got && go (if p.p_wild then earlier else p :: earlier) rest
+         in
+         go [] ps))
 
 (* ---- negative cases: each narrowing must trip its sentinel ---- *)
 
@@ -60,6 +128,7 @@ let narrowing_does_not_leak () =
 
 let suite =
   [ footprint_sound;
+    union_matches_reference;
     t "negative: cfg narrowing caught" (narrowing_tripped Bca.N_cfg);
     t "negative: stack narrowing caught" (narrowing_tripped Bca.N_stack);
     t "negative: footprint narrowing caught" (narrowing_tripped Bca.N_footprint);

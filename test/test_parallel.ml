@@ -2,7 +2,8 @@
    abort/rerun counts on hand-built transfer pairs (a read/write conflict
    must abort and rerun when static partitioning is off, and be kept out of
    speculation when it is on; disjoint transfers must commit speculatively
-   with zero aborts), plus the qcheck property that the parallel state root is
+   with zero aborts; a conflict hidden from the partition must still abort
+   at commit), plus the qcheck property that the parallel state root is
    byte-identical to the sequential apply on random fuzz scenarios. *)
 
 open State
@@ -117,6 +118,73 @@ let test_jobs4_roots () =
   let par, _ = apply_both ~jobs:4 bk root txs in
   Alcotest.(check int) "all receipts present" 3 (List.length par.Chain.Stf.receipts)
 
+(* One master carried across two blocks: the second block's forks copy the
+   accounts the first block wrote and committed from the master's cache,
+   so they must see the committed values, at every setting. *)
+let test_committed_master () =
+  let a = addr 16 and b = addr 17 and x = addr 18 and d = addr 19 in
+  let bk, root = world [ a; b ] in
+  let block1 = [ transfer ~sender:a ~to_:x 5; transfer ~sender:b ~to_:d 7 ] in
+  let block2 =
+    [ transfer ~nonce:1 ~sender:a ~to_:d 1; transfer ~nonce:1 ~sender:b ~to_:x 3 ]
+  in
+  let seq = Statedb.create bk ~root in
+  let roots_seq =
+    List.map (fun txs -> (Chain.Stf.apply_txs seq benv txs).state_root) [ block1; block2 ]
+  in
+  List.iter
+    (fun (jobs, static_partition) ->
+      let pool = Chain.Stf.create_pool ~jobs () in
+      Fun.protect ~finally:(fun () -> Chain.Stf.shutdown_pool pool) @@ fun () ->
+      let master = Statedb.create bk ~root in
+      List.iter2
+        (fun txs want ->
+          let par, stats =
+            Chain.Stf.apply_txs_parallel ~pool ~static_partition master benv txs
+          in
+          Alcotest.(check string) "root equals the sequential apply's"
+            (Khash.Keccak.to_hex want)
+            (Khash.Keccak.to_hex par.Chain.Stf.state_root);
+          Alcotest.(check int) "no reruns" 0 stats.Chain.Stf.par_reruns)
+        [ block1; block2 ] roots_seq)
+    [ (1, false); (1, true); (4, true) ]
+
+(* The dynamic check is the backstop behind the static partition.  Two
+   increments of one counter slot conflict on it; the [N_footprint]
+   narrowing drops SSTOREs from the footprints, so the partition sees two
+   reads of the slot and speculates both.  The second tx read the slot the
+   first wrote: it must be aborted and rerun, and the root must still equal
+   the sequential apply's. *)
+let test_backstop () =
+  let a = addr 13 and b = addr 14 and counter = addr 15 in
+  let bk = Statedb.Backend.create () in
+  let st = Statedb.create bk ~root:Statedb.empty_root in
+  List.iter (fun s -> Statedb.set_balance st s ether) [ a; b ];
+  Statedb.set_code st counter Contracts.Counter.code;
+  let root = Statedb.commit st in
+  let bump sender : Evm.Env.tx =
+    { sender; to_ = Some counter; nonce = 0; value = U256.zero;
+      data = Contracts.Counter.increment_call; gas_limit = 100_000; gas_price = u 2 }
+  in
+  let txs = [ bump a; bump b ] in
+  let _, stats = apply_both bk root txs in
+  Alcotest.(check int) "unnarrowed: statically serialized" 1
+    stats.Chain.Stf.par_static_serial;
+  List.iter
+    (fun jobs ->
+      let _, stats =
+        Fun.protect
+          ~finally:(fun () -> Bca.seeded_narrowing := None)
+          (fun () ->
+            Bca.seeded_narrowing := Some Bca.N_footprint;
+            apply_both ~jobs ~static_partition:true bk root txs)
+      in
+      let what = Printf.sprintf "jobs=%d: " jobs in
+      Alcotest.(check int) (what ^ "both speculated") 0 stats.Chain.Stf.par_static_serial;
+      Alcotest.(check int) (what ^ "second tx aborted") 1 stats.Chain.Stf.par_aborted;
+      Alcotest.(check int) (what ^ "and rerun") 1 stats.Chain.Stf.par_reruns)
+    [ 1; 4 ]
+
 (* Random scenarios: storage-heavy generated contracts, applied as one
    block.  The runner's Apply lane compares the committed root and every
    receipt field at jobs=1 and jobs=4, static partitioning off and on,
@@ -131,6 +199,8 @@ let suite =
     t "same-recipient pair aborts and reruns once" test_conflicting_pair;
     t "same-sender nonce chain aborts, commits via rerun" test_same_sender_pair;
     t "jobs=4 roots match on a mixed conflicting block" test_jobs4_roots;
+    t "dynamic check catches a conflict the partition missed" test_backstop;
+    t "forks of a committed master see its last block" test_committed_master;
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~count:10 ~name:"parallel apply ≡ sequential apply (random scenarios)"
          QCheck.(make Gen.(int_range 0 100))

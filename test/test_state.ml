@@ -1,5 +1,6 @@
 (* Statedb tests: journaled mutation, snapshot/revert nesting, commit
-   determinism, reopening roots, touch tracking and prefetch warming. *)
+   determinism, reopening roots, touch tracking, prefetch warming and
+   forks over a clean parent. *)
 
 open State
 
@@ -257,6 +258,102 @@ let more_tests =
         Alcotest.(check int) "zero again" 0 (Statedb.get_nonce st a1))
   ]
 
+(* [Statedb.fork]: a private journaled state over a clean parent, served
+   from the parent's caches where it has them, the trie otherwise. *)
+let a3 = Address.of_int 0xA3
+
+(* a1 holds a balance and slots 5 and 6, a2 a balance; the returned parent
+   has a1, a2 and a1's slot 5 cached, a1's slot 6 not *)
+let forked_world () =
+  let bk, st = fresh () in
+  Statedb.set_balance st a1 (u 100);
+  Statedb.set_storage st a1 (u 5) (u 55);
+  Statedb.set_storage st a1 (u 6) (u 66);
+  Statedb.set_balance st a2 (u 7);
+  let root = Statedb.commit st in
+  let parent = Statedb.create bk ~root in
+  ignore (Statedb.get_balance parent a1);
+  ignore (Statedb.get_balance parent a2);
+  ignore (Statedb.get_storage parent a1 (u 5));
+  (bk, root, parent)
+
+let parent_hits = Obs.counter "statedb.fork.parent_hits"
+
+let counting f =
+  let was = !Obs.enabled in
+  Obs.set_enabled true;
+  let before = Obs.count parent_hits in
+  Fun.protect ~finally:(fun () -> Obs.set_enabled was) f;
+  Obs.count parent_hits - before
+
+(* the reads every fork test makes, returning what they saw *)
+let read_all st =
+  [ Statedb.get_balance st a1; Statedb.get_storage st a1 (u 5);
+    Statedb.get_storage st a1 (u 6); Statedb.get_balance st a2;
+    U256.of_int (Statedb.get_nonce st a3); Statedb.get_committed_storage st a1 (u 5) ]
+
+let fork_tests =
+  [ t "fork touches every read, parent-served ones included" (fun () ->
+        let bk, root, parent = forked_world () in
+        let cold = Statedb.create bk ~root in
+        Statedb.set_tracking cold true;
+        let want = read_all cold in
+        let f = Statedb.fork parent in
+        Statedb.set_tracking f true;
+        let got = ref [] in
+        let hits = counting (fun () -> got := read_all f) in
+        Alcotest.(check (list check_u)) "same values as a cold state" want !got;
+        Alcotest.(check bool) "same touch log as a cold state" true
+          (Statedb.touches f = Statedb.touches cold);
+        Alcotest.(check int) "touches" 5 (List.length (Statedb.touches f));
+        (* a1, a2 and a1's slot 5 come from the parent; a3 and slot 6 do not *)
+        Alcotest.(check int) "parent hits" 3 hits);
+    t "fork writes and reverts never reach the parent" (fun () ->
+        let bk, root, parent = forked_world () in
+        let before = read_all parent in
+        let f = Statedb.fork parent in
+        Statedb.set_balance f a1 (u 1);
+        Statedb.set_storage f a1 (u 5) U256.zero;
+        let snap = Statedb.snapshot f in
+        Statedb.set_storage f a1 (u 6) (u 9);
+        Statedb.incr_nonce f a3;
+        Statedb.self_destruct f a2;
+        Statedb.revert f snap;
+        Statedb.set_storage f a1 (u 7) (u 77);
+        let froot = Statedb.commit f in
+        Alcotest.(check bool) "fork committed a new root" false (String.equal froot root);
+        Alcotest.(check string) "parent root unchanged" (Khash.Keccak.to_hex root)
+          (Khash.Keccak.to_hex (Statedb.root parent));
+        Alcotest.(check (list check_u)) "parent values unchanged" before (read_all parent);
+        Alcotest.(check (list check_u)) "a second fork sees the parent"
+          (read_all (Statedb.create bk ~root))
+          (read_all (Statedb.fork parent));
+        Alcotest.check check_u "the fork's commit reopens" (u 77)
+          (Statedb.get_storage (Statedb.create bk ~root:froot) a1 (u 7)));
+    t "a parent that wrote and reverted serves committed values" (fun () ->
+        let bk, root, parent = forked_world () in
+        let snap = Statedb.snapshot parent in
+        Statedb.set_balance parent a1 (u 1);
+        Statedb.set_storage parent a1 (u 5) (u 500);
+        Statedb.set_storage parent a1 (u 6) (u 600);
+        Statedb.set_balance parent a3 (u 3);
+        Statedb.revert parent snap;
+        let f = Statedb.fork parent in
+        Alcotest.(check (list check_u)) "committed values"
+          (read_all (Statedb.create bk ~root))
+          (read_all f);
+        Alcotest.(check bool) "reverted creation is absent" false
+          (Statedb.account_exists f a3));
+    t "fork of a state with an open journal raises" (fun () ->
+        let _, _, parent = forked_world () in
+        Statedb.set_balance parent a1 (u 1);
+        Alcotest.(check bool) "raises" true
+          (try
+             ignore (Statedb.fork parent : Statedb.t);
+             false
+           with Invalid_argument _ -> true))
+  ]
+
 (* model-based property: random journaled ops + snapshots/reverts agree with
    a functional model *)
 type model = { bal : U256.t Address.Map.t; slot : U256.t Address.Map.t }
@@ -306,4 +403,4 @@ let property_tests =
                 !model.slot))
   ]
 
-let suite = unit_tests @ more_tests @ property_tests
+let suite = unit_tests @ more_tests @ fork_tests @ property_tests
