@@ -429,5 +429,3 @@ let verify ?max_paths (ap : P.t) : R.violation list =
 let verify_exn ap = match verify ap with [] -> () | vs -> raise (Verification_failed vs)
 
 let install_builder_hook () = P.add_path_hook := verify_exn
-
-let remove_builder_hook () = P.add_path_hook := fun _ -> ()

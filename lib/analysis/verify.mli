@@ -44,5 +44,3 @@ val install_builder_hook : unit -> unit
 (** Point {!Ap.Program.add_path_hook} at the verifier so every program the
     builder grows is checked as it is built: a violation raises
     {!Verification_failed} out of [add_path] (the test-suite mode). *)
-
-val remove_builder_hook : unit -> unit

@@ -814,14 +814,16 @@ let covers_change p (c : Statedb.change) =
        (fun (k, _) -> mem_slot p.p_w_slots a k || mem_addr p.p_w_slot_wild a)
        c.Statedb.ch_slots
 
-(* ---- the running footprint union of the static block pre-partitioner ----
+(* ---- the conflict set of parallel apply ----
 
-   Two predictions may conflict when one's writes meet the other's reads or
+   Two footprints may conflict when one's writes meet the other's reads or
    writes: an account, an exact slot, a slot-wild owner against any slot of
    that owner.  Every such test pairs one element of each side, so testing
    a footprint against the union of earlier ones is testing it against each
    of them.  The union keeps one flag word per address and one written bit
-   per exact slot; a test or an insertion costs O(footprint). *)
+   per exact slot; a test or an insertion costs O(footprint).  The static
+   partition folds in predictions; the commit loop folds in committed
+   change records and tests a speculation's touch log against them. *)
 
 module Union = struct
   module Slots = Hashtbl.Make (struct
@@ -838,6 +840,7 @@ module Union = struct
   let f_sw_w = 8 (* any slot written *)
   let f_owner = 16 (* owns an exact slot read or written *)
   let f_owner_w = 32 (* owns an exact slot written *)
+  let f_code_w = 64 (* code written *)
 
   type t = { addrs : int Address.Tbl.t; slots : bool Slots.t (* slot -> written *) }
 
@@ -876,4 +879,33 @@ module Union = struct
       List.iter (fun a -> mark u a f_sw) p.p_r_slot_wild;
       List.iter (fun a -> mark u a (f_sw lor f_sw_w)) p.p_w_slot_wild
     end
+
+  (* a destruct writes the account, its code and, as a slot wildcard,
+     every slot it owns *)
+  let add_changes u ~coinbase changes =
+    List.iter
+      (fun (ch : Statedb.change) ->
+        let a = ch.ch_addr in
+        if not (Address.equal a coinbase) then begin
+          let d = ch.ch_destructed in
+          let f =
+            (if ch.ch_balance <> None || ch.ch_nonce <> None || ch.ch_created || d then
+               f_acct lor f_acct_w
+             else 0)
+            lor (if ch.ch_code_hash <> None || d then f_code_w else 0)
+            lor (if d then f_sw lor f_sw_w else 0)
+            lor (if ch.ch_slots <> [] then f_owner lor f_owner_w else 0)
+          in
+          if f <> 0 then mark u a f;
+          List.iter (fun (k, _) -> Slots.replace u.slots (a, k) true) ch.ch_slots
+        end)
+      changes
+
+  let reads_written u touches =
+    List.exists
+      (function
+        | Statedb.T_account a -> has u a f_acct_w
+        | Statedb.T_code a -> has u a f_code_w
+        | Statedb.T_slot (a, k) -> has u a f_sw_w || Slots.find_opt u.slots (a, k) = Some true)
+      touches
 end

@@ -118,7 +118,11 @@ val covers_change : prediction -> State.Statedb.change -> bool
 (** Soundness oracle, write side: is a committed change inside the
     predicted write set? *)
 
-(** The running footprint union of the static block pre-partitioner. *)
+(** The conflict set of parallel apply (DESIGN.md §10): the one rule for
+    which locations meet.  The static pre-partitioner folds predictions
+    into one union; the consensus-order commit loop folds committed change
+    records into another and tests each speculation's touch log against
+    it. *)
 module Union : sig
   type t
 
@@ -134,6 +138,19 @@ module Union : sig
   val add : t -> prediction -> unit
   (** Fold a prediction into the union.  A wild prediction is not folded
       in: one opaque transaction must not make every later one conflict. *)
+
+  val add_changes : t -> coinbase:State.Address.t -> State.Statedb.change list -> unit
+  (** Fold committed writes into the union: a balance, nonce, creation or
+      destruct writes the account; a code write or a destruct writes its
+      code; each written slot is an exact slot write, and a destruct is a
+      write of every slot of the account.  The [coinbase] record is
+      skipped: fee credits commute. *)
+
+  val reads_written : t -> State.Statedb.touch list -> bool
+  (** Does any of these reads meet a write {!add_changes} folded in?  An
+      account read meets a write of the account, a code read a write of
+      its code, a slot read a write of that slot or a destruct of its
+      owner. *)
 end
 
 (** {1 Seeded narrowings (negative testing / [forerunner analyze --mutate])}

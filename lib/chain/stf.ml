@@ -12,21 +12,22 @@
      worker domain against a private fork of the master state (read-only
      until the barrier, prefetched by the static partition) — through its
      AP fast path when one is available and its constraints hold, through
-     the interpreter otherwise — recording its read set (statedb touch
-     hooks) and its write set (journal-derived change list).  Commit
-     then walks the transactions in consensus order on the caller's domain:
-     a transaction whose read set is disjoint from everything committed
-     before it gets its extracted effects replayed onto the master state;
-     one that read a location an earlier transaction wrote speculated
-     against a state the sequential schedule never produces, so it is
-     aborted and rerun on the master state.  The committed root is
-     byte-identical to [apply_txs] — the fuzz oracle and the @parallel
-     tests pin this.
+     the interpreter otherwise — recording its read set (the fork's touch
+     log) and its write set (journal-derived change list).  Commit then
+     walks the transactions in consensus order on the caller's domain,
+     folding every committed write set into one [Bca.Union] — the same
+     conflict set the static partition uses: a transaction whose reads
+     meet none of those writes gets its extracted effects replayed onto
+     the master state; one that read a location an earlier transaction
+     wrote speculated against a state the sequential schedule never
+     produces, so it is aborted and rerun on the master state.  The
+     committed root is byte-identical to [apply_txs] — the fuzz oracle and
+     the @parallel tests pin this.
 
    Coinbase commutativity: every transaction credits the miner fee, so the
    coinbase balance would serialize all pairs.  Fee-like coinbase balance
-   updates commute (they are additions), so the coinbase *account* is
-   excluded from read/write sets and each transaction's net coinbase credit
+   updates commute (they are additions), so the coinbase's writes are
+   left out of the conflict set and each transaction's net coinbase credit
    is applied as a delta at commit.  Transactions that interact with the
    coinbase non-commutatively (sent by it, decreasing its balance, or
    touching its nonce/code/storage) are force-rerun sequentially; an
@@ -83,53 +84,6 @@ let apply_block ?spec st ~block_hash (b : Block.t) =
 
 (* ---- parallel ---- *)
 
-(* Location keys for the conflict manager.  [key_account] covers balance,
-   nonce and existence; a slot read pairs its exact key with the owner's
-   destruct-domain key, so a self-destruct (which invalidates every slot at
-   once) conflicts with slot readers without wildcard matching. *)
-let key_account a = "a:" ^ Address.to_bytes a
-let key_code a = "c:" ^ Address.to_bytes a
-let key_slot a k = "s:" ^ Address.to_bytes a ^ U256.to_bytes_be k
-let key_destruct a = "d:" ^ Address.to_bytes a
-
-let read_keys ~coinbase touches =
-  let seen = Hashtbl.create 32 in
-  let out = ref [] in
-  let push k =
-    if not (Hashtbl.mem seen k) then begin
-      Hashtbl.add seen k ();
-      out := k :: !out
-    end
-  in
-  List.iter
-    (fun tc ->
-      match tc with
-      | Statedb.T_account a -> if not (Address.equal a coinbase) then push (key_account a)
-      | Statedb.T_code a -> push (key_code a)
-      | Statedb.T_slot (a, k) ->
-        push (key_slot a k);
-        push (key_destruct a))
-    touches;
-  !out
-
-let write_keys ~coinbase changes =
-  List.concat_map
-    (fun (ch : Statedb.change) ->
-      if Address.equal ch.ch_addr coinbase then []
-      else begin
-        let acct =
-          ch.ch_balance <> None || ch.ch_nonce <> None || ch.ch_created || ch.ch_destructed
-        in
-        let ks = List.map (fun (k, _) -> key_slot ch.ch_addr k) ch.ch_slots in
-        let ks = if acct then key_account ch.ch_addr :: ks else ks in
-        let ks =
-          if ch.ch_code_hash <> None || ch.ch_destructed then key_code ch.ch_addr :: ks
-          else ks
-        in
-        if ch.ch_destructed then key_destruct ch.ch_addr :: ks else ks
-      end)
-    changes
-
 (* A non-commutative coinbase interaction the delta scheme cannot express:
    anything beyond a pure balance increase forces a sequential rerun. *)
 let coinbase_clash ~coinbase (changes : Statedb.change list) =
@@ -143,9 +97,8 @@ let coinbase_clash ~coinbase (changes : Statedb.change list) =
 type spec = {
   sp_idx : int;
   sp_receipt : Evm.Processor.receipt;
-  sp_reads : string list;
+  sp_reads : Statedb.touch list; (* the fork's touch log *)
   sp_changes : Statedb.change list; (* coinbase record excluded *)
-  sp_writes : string list;
   sp_cb_delta : U256.t; (* net coinbase credit (the fee, typically) *)
   sp_forced : bool; (* must rerun sequentially regardless of conflicts *)
   sp_ap_hit : bool;
@@ -154,7 +107,6 @@ type spec = {
 type pool = spec Sched.t
 
 let create_pool ~jobs () : pool = Sched.create ~jobs ()
-let pool_jobs (p : pool) = Sched.jobs p
 let shutdown_pool (p : pool) = Sched.shutdown p
 
 type par_stats = {
@@ -170,6 +122,9 @@ type par_stats = {
 
 let obs_par_blocks = Obs.counter "stf.parallel.blocks"
 let obs_par_txs = Obs.counter "stf.parallel.txs"
+let obs_par_aborts = Obs.counter "stf.parallel.aborts"
+let obs_par_reruns = Obs.counter "stf.parallel.reruns"
+let obs_par_block_aborts = Obs.histogram "stf.parallel.block_aborts"
 
 (* Speculative phase: one transaction on a fork of the master state.  Runs
    on a worker domain; the master is only read between the fan-out and the
@@ -201,12 +156,11 @@ let speculate_one ?spec master ~ap (benv : Evm.Env.block_env) idx (tx : Evm.Env.
   {
     sp_idx = idx;
     sp_receipt = receipt;
-    sp_reads = read_keys ~coinbase:benv.coinbase (Statedb.touches st);
+    sp_reads = Statedb.touches st;
     sp_changes =
       List.filter
         (fun (ch : Statedb.change) -> not (Address.equal ch.ch_addr benv.coinbase))
         changes;
-    sp_writes = write_keys ~coinbase:benv.coinbase changes;
     sp_cb_delta = U256.sub cb1 cb0;
     sp_forced = forced;
     sp_ap_hit = ap_hit;
@@ -227,8 +181,8 @@ let no_ap : Evm.Env.tx -> Ap.Program.t option = fun _ -> None
    serialize themselves but are NOT folded into the running union, so one
    opaque transaction does not serialize the rest of the block; if it
    truly conflicts, the dynamic check catches the overlap.  The coinbase
-   is stripped from the predictions exactly as [read_keys]/[write_keys]
-   strip it from the dynamic sets: fee credits commute.
+   is stripped from the predictions exactly as [Bca.Union.add_changes]
+   strips it from the committed writes: fee credits commute.
 
    The same pass is the block's prefetch: every predicted account and slot,
    the senders and the coinbase included, is loaded into the master state,
@@ -310,19 +264,19 @@ let apply_txs_parallel ?pool ?(ap = no_ap) ?spec ?(static_partition = true) st
   if n_results <> !n_submitted then
     invalid_arg "apply_txs_parallel: speculation result count mismatch";
   (* commit phase: consensus order, conflict check, abort-and-rerun *)
-  let conflict = Sched.Conflict.create () in
+  let written = Bca.Union.create () in
   let aborted = ref 0 and forced = ref 0 and ap_hits = ref 0 in
   let static_serial = ref 0 in
   let commit_ns = ref 0 in
   (* sequential execution on the master state: by induction it holds
      exactly the sequential prefix, so this execution is the sequential
-     one; its write keys feed the conflict manager so later speculated
+     one; its writes join the conflict set so later speculated
      transactions abort correctly *)
-  let run_inline idx tx =
+  let run_inline tx =
     let mark = Statedb.snapshot st in
     let r = Evm.Processor.execute_tx ~spec st benv tx in
     let changes = Statedb.changes_since st mark in
-    Sched.Conflict.commit conflict ~index:idx (write_keys ~coinbase:benv.coinbase changes);
+    Bca.Union.add_changes written ~coinbase:benv.coinbase changes;
     r
   in
   let receipts =
@@ -335,43 +289,33 @@ let apply_txs_parallel ?pool ?(ap = no_ap) ?spec ?(static_partition = true) st
             (* statically partitioned out: first execution, not a rerun *)
             incr static_serial;
             Obs.incr obs_static_serial;
-            run_inline idx tx
+            run_inline tx
           | Some sp ->
             let clash =
-              if sp.sp_forced then begin
-                incr forced;
-                true
-              end
-              else
-                match Sched.Conflict.check conflict sp.sp_reads with
-                | Some _ -> incr aborted; true
-                | None -> false
+              if sp.sp_forced then (incr forced; true)
+              else if Bca.Union.reads_written written sp.sp_reads then (incr aborted; true)
+              else false
             in
             if clash then begin
-              Obs.incr Sched.Conflict.obs_reruns;
-              run_inline sp.sp_idx tx
+              Obs.incr obs_par_reruns;
+              run_inline tx
             end
             else begin
               if sp.sp_ap_hit then incr ap_hits;
               Statedb.apply_changes st sp.sp_changes;
               if not (U256.is_zero sp.sp_cb_delta) then
                 Statedb.add_balance st benv.coinbase sp.sp_cb_delta;
-              Sched.Conflict.commit conflict ~index:sp.sp_idx sp.sp_writes;
+              Bca.Union.add_changes written ~coinbase:benv.coinbase sp.sp_changes;
               sp.sp_receipt
             end
         in
         commit_ns := !commit_ns + Int64.to_int (Int64.sub (Obs.now_ns ()) t0);
         receipt)
   in
-  Obs.add Sched.Conflict.obs_aborts !aborted;
+  Obs.add obs_par_aborts !aborted;
   Obs.incr obs_par_blocks;
   Obs.add obs_par_txs n_txs;
-  if !Obs.enabled then begin
-    Obs.set Sched.Conflict.obs_conflict_rate
-      (float_of_int (!aborted + !forced) /. float_of_int (max 1 n_txs));
-    Obs.observe_int Sched.Conflict.obs_block_aborts (!aborted + !forced);
-    Obs.observe_int Sched.Conflict.obs_block_commits n_txs
-  end;
+  Obs.observe_int obs_par_block_aborts (!aborted + !forced);
   let state_root = Obs.span "stf.parallel.commit" (fun () -> Statedb.commit st) in
   let gas_used =
     List.fold_left (fun acc (r : Evm.Processor.receipt) -> acc + r.gas_used) 0 receipts

@@ -34,8 +34,10 @@ val apply_block :
     fast path when available, interpreter otherwise) while its read set
     (statedb touches) and write set (journal-derived changes) are captured;
     commit walks consensus order, replaying each transaction's effects onto
-    the master state unless its read set intersects an earlier-ordered
-    transaction's write set — then it is aborted and rerun sequentially.
+    the master state unless its reads meet an earlier-ordered transaction's
+    writes in the block's {!Bca.Union} conflict set — then it is aborted and
+    rerun sequentially.  Instruments: [stf.parallel.{aborts,reruns}]
+    counters and the per-block [stf.parallel.block_aborts] histogram.
     The committed state root is byte-identical to {!apply_txs}. *)
 
 type pool
@@ -47,7 +49,6 @@ val create_pool : jobs:int -> unit -> pool
 (** [jobs = 1] spawns no domains: the speculative phase runs inline, in
     consensus order — the deterministic mode the tests pin against. *)
 
-val pool_jobs : pool -> int
 val shutdown_pool : pool -> unit
 
 type par_stats = {

@@ -12,7 +12,6 @@
 (* re-exported: the library wrapper hides sibling modules behind [Sched] *)
 module Workq = Workq
 module Mailbox = Mailbox
-module Conflict = Conflict
 
 type 'r req = { seq : int; hash : string; root : string; prio : U256.t; job : unit -> 'r }
 

@@ -24,10 +24,6 @@ module Workq : module type of Workq
 module Mailbox : module type of Mailbox
 (** The lock-free result mailbox (re-exported likewise). *)
 
-module Conflict : module type of Conflict
-(** Read/write-set conflict detection for parallel block execution
-    (re-exported for lib/chain's consensus-order commit loop). *)
-
 type 'r t
 
 type 'r result = {

@@ -1,6 +1,7 @@
 (* Linear replay of one S-EVM path: constraint section first (all guards
-   checked), then the fast path, then the deferred writes.  Kept
-   independent of lib/ap on purpose — see the .mli. *)
+   checked), then the fast path, then the deferred writes — the Sevm
+   oracle lane's engine and nothing more.  Kept independent of lib/ap on
+   purpose — see the .mli. *)
 
 open State
 module I = Ir
@@ -95,81 +96,6 @@ let apply_write st regs logs w =
         topics = List.map (value_of regs) topics;
         log_data = I.bytes_of_pieces regs data }
       :: !logs
-
-(* ---- static read/write-set lift (parallel block execution) ----
-
-   The locations a path touches are almost entirely manifest in its
-   instructions: storage reads/writes carry concrete (addr, key) pairs
-   (keys are constants after guarding), nonce reads carry addresses, and
-   balance/code reads address through operands.  A [Reg]-addressed operand
-   is resolved through [reg_values] — the value the register took during
-   tracing — which is only a prediction of the replay-time address, so such
-   a path is flagged inexact and callers must fall back to dynamic
-   (journal/touch-based) capture. *)
-
-type rw = {
-  rw_reads : Statedb.touch list;
-  rw_writes : Statedb.touch list;
-  rw_exact : bool;  (** no [Reg]-addressed location: the sets are complete *)
-}
-
-let rw_sets (p : I.path) : rw =
-  let exact = ref true in
-  let addr_of = function
-    | I.Const v -> Address.of_u256 v
-    | I.Reg r ->
-      exact := false;
-      Address.of_u256 p.reg_values.(r)
-  in
-  let key_of = function
-    | I.Const v -> v
-    | I.Reg r ->
-      exact := false;
-      p.reg_values.(r)
-  in
-  let touch_equal a b =
-    match (a, b) with
-    | Statedb.T_account x, Statedb.T_account y | Statedb.T_code x, Statedb.T_code y ->
-      Address.equal x y
-    | Statedb.T_slot (x, k), Statedb.T_slot (y, l) -> Address.equal x y && U256.equal k l
-    | _ -> false
-  in
-  let dedup l = List.fold_left (fun acc t -> if List.exists (touch_equal t) acc then acc else t :: acc) [] l in
-  let reads =
-    Array.to_list p.instrs
-    |> List.concat_map (fun ins ->
-           match ins with
-           | I.Read (_, src) -> (
-             match src with
-             | I.R_balance op | I.R_nonce_of op -> [ Statedb.T_account (addr_of op) ]
-             | I.R_nonce addr -> [ Statedb.T_account addr ]
-             | I.R_storage (addr, key) -> [ Statedb.T_slot (addr, key) ]
-             | I.R_storage_dyn (addr, key) -> [ Statedb.T_slot (addr, key_of key) ]
-             | I.R_extcodesize op | I.R_extcodehash op ->
-               let a = addr_of op in
-               [ Statedb.T_account a; Statedb.T_code a ]
-             | I.R_timestamp | I.R_number | I.R_coinbase | I.R_difficulty
-             | I.R_gaslimit | I.R_blockhash _ ->
-               [])
-           | I.Compute _ | I.Keccak _ | I.Sha256 _ | I.Pack _ | I.Guard _
-           | I.Guard_size _ | I.Guard_warm _ ->
-             [])
-  in
-  let writes =
-    List.concat_map
-      (fun w ->
-        match w with
-        | I.W_storage (addr, key, _) -> [ Statedb.T_slot (addr, key) ]
-        | I.W_storage_dyn (addr, key, _) -> [ Statedb.T_slot (addr, key_of key) ]
-        | I.W_balance_set (a, _) | I.W_balance_add (a, _) | I.W_balance_sub (a, _) ->
-          [ Statedb.T_account (addr_of a) ]
-        | I.W_nonce_set (addr, _) -> [ Statedb.T_account addr ]
-        | I.W_nonce_dyn (a, _) -> [ Statedb.T_account (addr_of a) ]
-        | I.W_code (addr, _) -> [ Statedb.T_account addr; Statedb.T_code addr ]
-        | I.W_log _ -> [])
-      p.writes
-  in
-  { rw_reads = dedup reads; rw_writes = dedup writes; rw_exact = !exact }
 
 let run ?spec ?(prewarm = []) (p : I.path) st benv (tx : Evm.Env.tx) : outcome =
   let spec = match spec with Some s -> s | None -> !Spec.current in

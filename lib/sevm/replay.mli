@@ -9,7 +9,9 @@
     It deliberately shares no evaluation code with [Ap.Exec]: the point is an
     independent re-implementation of the S-EVM semantics, so a bug in the AP
     executor and a bug in the replayer would have to coincide to go
-    unnoticed. *)
+    unnoticed.  Replay is all it does: parallel block apply takes its
+    read/write sets from the statedb touch log and journal, never from
+    a path (DESIGN.md §10). *)
 
 open State
 
@@ -22,26 +24,6 @@ type outcome =
   | Replayed of Evm.Processor.receipt
   | Violated of violation
       (** a guard failed; no state was written (writes are deferred) *)
-
-(** {1 Static read/write sets}
-
-    Lifted straight from the traced S-EVM instructions: the conflict-aware
-    parallel block executor (DESIGN.md §10) compares them against the
-    dynamically captured sets, and they document which locations an AP's
-    fast path can ever touch. *)
-
-type rw = {
-  rw_reads : Statedb.touch list;  (** deduplicated, unordered *)
-  rw_writes : Statedb.touch list;
-  rw_exact : bool;
-      (** every location was [Const]-addressed: the sets are complete for
-          any context that satisfies the path's guards.  When false, a
-          [Reg]-addressed location was resolved through the traced register
-          value — a prediction, so callers needing soundness must fall back
-          to dynamic capture. *)
-}
-
-val rw_sets : Ir.path -> rw
 
 val run :
   ?spec:Spec.t ->

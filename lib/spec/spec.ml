@@ -88,7 +88,6 @@ type t = {
 }
 
 let static_gas t b = t.static_gas.(b)
-let static_cost = static_gas
 let available t b = t.available.(b)
 
 (* ---- per-fork deltas ---- *)

@@ -47,9 +47,6 @@ val static_gas : t -> int -> int
 (** [static_gas t byte]: the hoisted static charge for an opcode byte.
     0 for unassigned or unavailable bytes. *)
 
-val static_cost : t -> int -> int
-(** Alias for {!static_gas}. *)
-
 val available : t -> int -> bool
 (** Whether the opcode byte exists under this fork.  Executing an
     unavailable byte fails exactly like an unassigned one. *)

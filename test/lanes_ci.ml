@@ -9,7 +9,9 @@
                byte-identical to the sequential apply; then the same on
                recorded transfer / amm / mixed traffic against the
                miner's header roots, with forks served by the prefetched
-               master on the partitioned transfer blocks
+               master on the partitioned transfer blocks and the
+               commit loop's conflict check aborting both in the sweep
+               and on the partitioned mixed blocks
      analysis  the Verifier lane, a qcheck property that the verifier
                accepts builder output, and the add / drop-guard faults
      bca       the Footprint lane (sentinels + corpus + 200 scenarios per
@@ -160,7 +162,10 @@ let record_workload ~name ~seed ~n_users mix =
         (List.length blocks) !txs !aborted !serial hits;
       (* the partition prefetches the master: forks must read from it *)
       if static_partition && name = "transfer" && hits = 0 then
-        fail "parallel-ci: no fork read was served by the prefetched master")
+        fail "parallel-ci: no fork read was served by the prefetched master";
+      (* what the partition lets through must still meet the dynamic check *)
+      if static_partition && name = "mixed" && !aborted = 0 then
+        fail "parallel-ci: no partitioned mixed transaction was aborted at commit")
     [ false; true ]
 
 let parallel () =
@@ -171,6 +176,7 @@ let parallel () =
     "parallel-ci: %d scenarios (%d corpus files, all forks, + 8 generated), %d txs applied \
      at jobs=1 and jobs=4, static partitioning off and on; %d aborts, %d forced reruns\n%!"
     t.scenarios r.corpus_files t.txs t.aborted t.forced;
+  if t.aborted = 0 then fail "parallel-ci: the Apply sweep aborted no transaction at commit";
   (* disjoint transfers over 2000 users barely conflict; AMM swaps all
      serialize on one pair's reserves; the default mix sits between *)
   record_workload ~name:"transfer" ~seed:7001 ~n_users:2000

@@ -1,10 +1,12 @@
 (* lib/bca in the alcotest suite: the qcheck soundness property (static
    footprint ⊇ runtime touch log, across every hardfork) on generated
    scenarios, the partitioner's footprint union against a brute-force
-   list reference, plus one negative case per analysis domain — each
-   seeded [Bca.narrowing] must trip its matching sentinel.  The heavyweight
-   corpus + 200-per-fork sweep lives in lanes_ci (`dune build @bca`); this
-   suite keeps a lighter property inside `dune test`. *)
+   list reference, the commit loop's conflict check against the
+   location-key rule it replaced, plus one negative case per analysis
+   domain — each seeded [Bca.narrowing] must trip its matching sentinel.
+   The heavyweight corpus + 200-per-fork sweep lives in lanes_ci
+   (`dune build @bca`); this suite keeps a lighter property inside
+   `dune test`. *)
 
 let checkb = Alcotest.(check bool)
 
@@ -96,6 +98,90 @@ let union_matches_reference =
          in
          go [] ps))
 
+(* ---- the commit loop's conflict check against the string-key rule ----
+
+   Random blocks of (touch log, change list) pairs over the same four
+   addresses, three slots each, the first address the coinbase.  Each
+   transaction's verdict — do its reads meet an earlier transaction's
+   writes? — must equal the location-key rule the union replaced: an
+   account read is ["a:"], a code read ["c:"], a slot read its ["s:"] key
+   plus its owner's ["d:"] key; a write of balance, nonce, creation or
+   destruct is ["a:"], of code or destruct ["c:"], of a slot ["s:"], a
+   destruct also ["d:"]; coinbase account reads and coinbase records
+   carry no key. *)
+
+let coinbase = addr_pool.(0)
+
+let gen_touch =
+  let open QCheck.Gen in
+  let addr = map (Array.get addr_pool) (int_bound 3) in
+  oneof
+    [ map (fun a -> State.Statedb.T_account a) addr;
+      map (fun a -> State.Statedb.T_code a) addr;
+      map2 (fun a k -> State.Statedb.T_slot (a, U256.of_int k)) addr (int_bound 2) ]
+
+let gen_change =
+  let open QCheck.Gen in
+  let addr = map (Array.get addr_pool) (int_bound 3) in
+  let maybe g = frequency [ (3, return None); (1, map Option.some g) ] in
+  let flag = frequency [ (5, return false); (1, return true) ] in
+  addr >>= fun ch_addr ->
+  maybe (map U256.of_int (int_bound 9)) >>= fun ch_balance ->
+  maybe (int_bound 9) >>= fun ch_nonce ->
+  maybe (return (String.make 32 '\x01')) >>= fun ch_code_hash ->
+  list_size (int_bound 2) (map (fun k -> (U256.of_int k, U256.one)) (int_bound 2))
+  >>= fun ch_slots ->
+  flag >>= fun ch_created ->
+  flag >>= fun ch_destructed ->
+  return
+    { State.Statedb.ch_addr; ch_balance; ch_nonce; ch_code_hash; ch_slots; ch_created;
+      ch_destructed }
+
+let string_key_read_keys touches =
+  let b = State.Address.to_bytes in
+  List.concat_map
+    (function
+      | State.Statedb.T_account a ->
+        if State.Address.equal a coinbase then [] else [ "a:" ^ b a ]
+      | State.Statedb.T_code a -> [ "c:" ^ b a ]
+      | State.Statedb.T_slot (a, k) -> [ "s:" ^ b a ^ U256.to_bytes_be k; "d:" ^ b a ])
+    touches
+
+let string_key_write_keys changes =
+  let b = State.Address.to_bytes in
+  List.concat_map
+    (fun (ch : State.Statedb.change) ->
+      let a = ch.ch_addr in
+      if State.Address.equal a coinbase then []
+      else
+        List.map (fun (k, _) -> "s:" ^ b a ^ U256.to_bytes_be k) ch.ch_slots
+        @ (if ch.ch_balance <> None || ch.ch_nonce <> None || ch.ch_created
+              || ch.ch_destructed
+           then [ "a:" ^ b a ]
+           else [])
+        @ (if ch.ch_code_hash <> None || ch.ch_destructed then [ "c:" ^ b a ] else [])
+        @ if ch.ch_destructed then [ "d:" ^ b a ] else [])
+    changes
+
+let conflict_set_matches_string_keys =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:500 ~name:"commit conflict set = string-key reference"
+       (QCheck.make
+          QCheck.Gen.(
+            list_size (int_range 1 10)
+              (pair (list_size (int_bound 4) gen_touch) (list_size (int_bound 3) gen_change))))
+       (fun block ->
+         let u = Bca.Union.create () in
+         let written = Hashtbl.create 16 in
+         List.for_all
+           (fun (reads, changes) ->
+             let want = List.exists (Hashtbl.mem written) (string_key_read_keys reads) in
+             let got = Bca.Union.reads_written u reads in
+             List.iter (fun k -> Hashtbl.replace written k ()) (string_key_write_keys changes);
+             Bca.Union.add_changes u ~coinbase changes;
+             want = got)
+           block))
+
 (* ---- negative cases: each narrowing must trip its sentinel ---- *)
 
 let sentinel_of = function
@@ -129,6 +215,7 @@ let narrowing_does_not_leak () =
 let suite =
   [ footprint_sound;
     union_matches_reference;
+    conflict_set_matches_string_keys;
     t "negative: cfg narrowing caught" (narrowing_tripped Bca.N_cfg);
     t "negative: stack narrowing caught" (narrowing_tripped Bca.N_stack);
     t "negative: footprint narrowing caught" (narrowing_tripped Bca.N_footprint);
