@@ -3,7 +3,7 @@
    contracts.
 
      forerunner run --seed 7 --duration 300 --policy forerunner
-     forerunner compare --seed 7 --duration 300
+     forerunner compare --dataset L1 --duration 60
      forerunner contracts *)
 
 open Cmdliner
@@ -18,16 +18,34 @@ let policy_conv =
   in
   Arg.conv (parse, fun ppf p -> Fmt.string ppf (Core.Node.policy_name p))
 
-let seed_arg =
-  Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"Traffic random seed.")
+let seed_info = Arg.info [ "seed" ] ~docv:"SEED" ~doc:"Traffic random seed."
+let duration_info = Arg.info [ "duration" ] ~docv:"SECONDS" ~doc:"Simulated traffic duration."
+let rate_info = Arg.info [ "rate" ] ~docv:"TPS" ~doc:"Transaction rate per second."
+let seed_arg = Arg.(value & opt int 1 & seed_info)
+let duration_arg = Arg.(value & opt float 300.0 & duration_info)
+let rate_arg = Arg.(value & opt float 12.0 & rate_info)
 
-let duration_arg =
-  Arg.(
-    value & opt float 300.0
-    & info [ "duration" ] ~docv:"SECONDS" ~doc:"Simulated traffic duration.")
-
-let rate_arg =
-  Arg.(value & opt float 12.0 & info [ "rate" ] ~docv:"TPS" ~doc:"Transaction rate per second.")
+(* The evaluation datasets of the paper's Table 1 as simulator presets: L1
+   is the long period the single-dataset figures use; R2-R5 vary seed,
+   traffic mix, rate and network conditions.  (The paper's R1 replays L1's
+   traffic; here it would be L1's parameters under another tag.) *)
+let datasets =
+  let base = Netsim.Sim.default_params in
+  [ ("L1", { base with seed = 101; duration = 450.0 });
+    ("R2", { base with seed = 202; duration = 240.0; tx_rate = 9.0 });
+    ("R3", { base with seed = 303; duration = 240.0; mix = Workload.Gen.defi_mix; tx_rate = 10.0 });
+    ( "R4",
+      { base with seed = 404; duration = 240.0; tx_rate = 6.0; n_miners = 20; gossip_delay_mean = 0.9 }
+    );
+    ( "R5",
+      {
+        base with
+        seed = 505;
+        duration = 240.0;
+        tx_rate = 15.0;
+        p_never_heard = 0.015;
+        observer_delay_mean = 0.4;
+      } ) ]
 
 let policy_arg =
   Arg.(
@@ -87,11 +105,9 @@ let with_metrics ~metrics ~metrics_json f =
   end;
   r
 
-let simulate ~seed ~duration ~rate =
-  let params =
-    { Netsim.Sim.default_params with seed; duration; tx_rate = rate }
-  in
-  Printf.printf "simulating %.0fs of traffic (seed %d, %.0f tx/s)...\n%!" duration seed rate;
+let simulate (params : Netsim.Sim.params) =
+  Printf.printf "simulating %.0fs of traffic (seed %d, %.0f tx/s)...\n%!" params.duration
+    params.seed params.tx_rate;
   let record = Netsim.Sim.run ~params () in
   let total, heard, _ = Netsim.Record.heard_stats record in
   Printf.printf "-> %d blocks, %d txs, %.2f%% heard\n%!" record.n_blocks record.n_txs
@@ -109,7 +125,9 @@ let print_outcomes (r : Core.Node.result) =
 let run_term =
   let run seed duration rate policy validate jobs metrics metrics_json =
     with_metrics ~metrics ~metrics_json @@ fun () ->
-    let record = simulate ~seed ~duration ~rate in
+    let record =
+      simulate { Netsim.Sim.default_params with seed; duration; tx_rate = rate }
+    in
     let config = { Core.Node.default_config with validate_hits = validate; jobs } in
     let r = Core.Node.replay ~config ~policy record in
     print_outcomes r;
@@ -144,29 +162,68 @@ let run_cmd =
   Cmd.v (Cmd.info "run" ~doc:"Simulate traffic and replay it under one policy.") run_term
 
 let compare_cmd =
-  let run seed duration rate jobs metrics metrics_json =
+  let dataset_arg =
+    Arg.(
+      value
+      & opt (some (enum (List.map (fun (tag, p) -> (tag, (tag, p))) datasets))) None
+      & info [ "dataset" ] ~docv:"TAG"
+          ~doc:
+            "Simulate one of the paper's Table 1 datasets: $(b,L1), $(b,R2), $(b,R3), \
+             $(b,R4) or $(b,R5).  An explicit --seed, --duration or --rate overrides that \
+             field of the preset.  Without a preset the record is seed 1, 300 s at 12 tx/s.")
+  in
+  let run dataset seed duration rate jobs metrics metrics_json =
     with_metrics ~metrics ~metrics_json @@ fun () ->
-    let record = simulate ~seed ~duration ~rate in
+    let tag, (preset : Netsim.Sim.params) =
+      match dataset with
+      | Some d -> d
+      | None -> ("-", { Netsim.Sim.default_params with seed = 1; duration = 300.0 })
+    in
+    let record =
+      simulate
+        {
+          preset with
+          seed = Option.value seed ~default:preset.seed;
+          duration = Option.value duration ~default:preset.duration;
+          tx_rate = Option.value rate ~default:preset.tx_rate;
+        }
+    in
     let config = { Core.Node.default_config with jobs } in
+    let replay config policy = Core.Node.replay ~config ~policy record in
     let baseline = Core.Node.replay ~policy:Core.Node.Baseline record in
-    Printf.printf "%-15s %10s %12s %12s\n" "policy" "speedup" "e2e" "%satisfied";
-    List.iter
-      (fun policy ->
-        let r =
-          if policy = Core.Node.Baseline then baseline
-          else Core.Node.replay ~config ~policy record
-        in
-        let s = Core.Metrics.summarize ~baseline r in
-        Printf.printf "%-15s %9.2fx %11.2fx %11.2f%%\n%!" s.name s.effective_speedup
-          s.e2e_speedup s.satisfied_pct)
-      [ Core.Node.Baseline; Core.Node.Perfect_match; Core.Node.Perfect_multi;
-        Core.Node.Forerunner ]
+    let perfect = replay config Core.Node.Perfect_match in
+    let perfect_multi = replay config Core.Node.Perfect_multi in
+    let forerunner = replay config Core.Node.Forerunner in
+    let ppf = Format.std_formatter in
+    Core.Metrics.pp_table1 ppf ~tag record ~baseline;
+    Core.Metrics.pp_fig11 ppf record;
+    Core.Metrics.pp_table2 ppf ~baseline [ perfect; perfect_multi; forerunner ];
+    Core.Metrics.pp_table3 ppf ~baseline forerunner;
+    Core.Metrics.pp_fig12 ppf ~baseline forerunner;
+    Core.Metrics.pp_fig13 ppf ~baseline forerunner;
+    Core.Metrics.pp_fig15 ppf forerunner;
+    Core.Metrics.pp_sec55 ppf forerunner;
+    Core.Metrics.pp_sec56 ppf forerunner;
+    Core.Metrics.pp_ablation ppf ~baseline
+      [ ("forerunner (full)", forerunner);
+        ("  - memoization", replay { config with use_memos = false } Core.Node.Forerunner);
+        ("  - prefetching", replay { config with prefetch = false } Core.Node.Forerunner);
+        ( "  - multi-future (1 ctx)",
+          replay { Core.Node.single_future_config with jobs } Core.Node.Forerunner );
+        ("  - constraints (perfect)", perfect_multi) ]
   in
   Cmd.v
-    (Cmd.info "compare" ~doc:"Replay the same traffic under all four policies (Table 2).")
+    (Cmd.info "compare"
+       ~doc:
+         "Replay the same traffic under all four policies and print the paper's \
+          evaluation: Table 1's row, Figs. 11-13 and 15, Tables 2 and 3, Sec. 5.5, 5.6 \
+          and the ablations.")
     Term.(
-      const run $ seed_arg $ duration_arg $ rate_arg $ jobs_arg ~default:1 $ metrics_arg
-      $ metrics_json_arg)
+      const run $ dataset_arg
+      $ Arg.(value & opt (some int) None & seed_info)
+      $ Arg.(value & opt (some float) None & duration_info)
+      $ Arg.(value & opt (some float) None & rate_info)
+      $ jobs_arg ~default:1 $ metrics_arg $ metrics_json_arg)
 
 let contracts_cmd =
   let run () =

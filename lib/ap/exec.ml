@@ -237,3 +237,8 @@ let execute ?(use_memos = true) ?spec ?(prewarm = []) (ap : Program.t) st benv
     in
     try_roots ap.roots
   end
+
+let execute_or_fallback ?use_memos ?spec ?prewarm ap st benv tx =
+  match execute ?use_memos ?spec ?prewarm ap st benv tx with
+  | Hit (receipt, stats) -> (receipt, Some stats)
+  | Violation -> (Evm.Processor.execute_tx ?spec ?prewarm st benv tx, None)

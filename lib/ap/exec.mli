@@ -62,3 +62,16 @@ val execute :
     access list the transaction executes with — warmth branches
     ([Program.Branch_warm]) are evaluated against
     [Evm.Processor.entry_warm tx prewarm]. *)
+
+val execute_or_fallback :
+  ?use_memos:bool ->
+  ?spec:Spec.t ->
+  ?prewarm:(State.Address.t * U256.t option) list ->
+  Program.t ->
+  State.Statedb.t ->
+  Evm.Env.block_env ->
+  Evm.Env.tx ->
+  Evm.Processor.receipt * stats option
+(** {!execute}, falling back to the EVM interpreter on a {!Violation} (which
+    left the state untouched).  The stats are [None] when the interpreter
+    ran. *)

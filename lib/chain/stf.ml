@@ -137,12 +137,11 @@ let speculate_one ?spec master ~ap (benv : Evm.Env.block_env) idx (tx : Evm.Env.
   let mark = Statedb.snapshot st in
   let receipt, ap_hit =
     match if tx.to_ = None then None else ap tx with
-    | Some prog -> (
+    | Some prog ->
       (* creations are excluded above: an AP path never carries the
          receipt's [contract_address] *)
-      match Ap.Exec.execute ?spec prog st benv tx with
-      | Ap.Exec.Hit (r, _) -> (r, true)
-      | Ap.Exec.Violation -> (Evm.Processor.execute_tx ?spec st benv tx, false))
+      let r, stats = Ap.Exec.execute_or_fallback ?spec prog st benv tx in
+      (r, Option.is_some stats)
     | None -> (Evm.Processor.execute_tx ?spec st benv tx, false)
   in
   Statedb.set_tracking st false;

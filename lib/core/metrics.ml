@@ -295,3 +295,129 @@ let overhead (run : Node.result) =
     build_errors = run.spec_build_errors;
     heap_mb = float_of_int gc.heap_words *. 8.0 /. 1e6;
   }
+
+(* ---- Report: one printer per table and figure ----
+
+   [forerunner compare] calls each of these on the replays it runs; every
+   printer writes a heading, its rows, and flushes. *)
+
+let line = String.make 72 '-'
+let section ppf title = Format.fprintf ppf "\n%s\n%s\n%s\n" line title line
+
+let pp_table1 ppf ~tag (record : Netsim.Record.t) ~baseline =
+  section ppf "Table 1: datasets";
+  Format.fprintf ppf "%-5s %8s %7s %10s %10s %14s\n" "tag" "blocks" "forks" "txs" "%heard"
+    "%heard(wtd)";
+  let row = dataset_summary ~tag record baseline in
+  Format.fprintf ppf "%-5s %8d %7d %10d %9.2f%% %13.2f%%\n%!" row.tag row.blocks
+    record.n_fork_blocks row.tx_count row.heard_pct row.heard_weighted_pct
+
+let pp_fig11 ppf record =
+  section ppf "Figure 11: reverse CDF of heard delay";
+  let points = [ 0; 2; 4; 8; 12; 16; 20; 24; 28; 32; 36; 40; 44; 48 ] in
+  let rcdf = heard_delay_rcdf record ~points in
+  Format.fprintf ppf "%-12s %s\n" "delay > (s)" "% of heard txs";
+  List.iter (fun (x, p) -> Format.fprintf ppf "%-12d %6.2f%%\n" x p) rcdf;
+  Format.pp_print_flush ppf ()
+
+let pp_table2 ppf ~baseline runs =
+  section ppf "Table 2: effective speedup";
+  Format.fprintf ppf "%-15s %10s %12s %12s %12s\n" "policy" "speedup" "e2e speedup"
+    "%satisfied" "%(weighted)";
+  Format.fprintf ppf "%-15s %9s %11s %12s %12s\n" "baseline" "1.00x" "1.00x" "n/a" "n/a";
+  List.iter
+    (fun run ->
+      let s = summarize ~baseline run in
+      Format.fprintf ppf "%-15s %9.2fx %11.2fx %11.2f%% %11.2f%%\n" s.name s.effective_speedup
+        s.e2e_speedup s.satisfied_pct s.satisfied_weighted_pct)
+    runs;
+  Format.pp_print_flush ppf ()
+
+let pp_table3 ppf ~baseline run =
+  section ppf "Table 3: breakdown by prediction outcome (Forerunner)";
+  Format.fprintf ppf "%-22s %8s %12s %10s\n" "outcome" "% txs" "%(weighted)" "speedup";
+  List.iter
+    (fun row ->
+      Format.fprintf ppf "%-22s %7.2f%% %11.2f%% %9.2fx\n" row.label row.tx_pct row.weighted
+        row.speedup_)
+    (outcome_breakdown ~baseline run);
+  Format.pp_print_flush ppf ()
+
+let pp_fig12 ppf ~baseline run =
+  section ppf "Figure 12: speedup distribution across heard transactions";
+  let counts, total = speedup_histogram ~baseline run ~bucket_width:5 ~max_bucket:50 in
+  let label i =
+    if i = 0 then "<1x"
+    else if i = Array.length counts - 1 then ">=50x"
+    else Printf.sprintf "%d-%dx" ((i - 1) * 5) (i * 5)
+  in
+  Array.iteri
+    (fun i c ->
+      let p = 100.0 *. float_of_int c /. float_of_int (max 1 total) in
+      Format.fprintf ppf "%-8s %6.2f%% %s\n" (label i) p
+        (String.make (int_of_float (p /. 2.0)) '#'))
+    counts;
+  Format.pp_print_flush ppf ()
+
+let pp_fig13 ppf ~baseline run =
+  section ppf "Figure 13: gas used vs average speedup (accelerated txs)";
+  Format.fprintf ppf "%-18s %10s %8s\n" "gas used" "speedup" "txs";
+  List.iter
+    (fun (b, s, c) -> Format.fprintf ppf "%-18s %9.2fx %8d\n" (gas_bucket_label b) s c)
+    (gas_speedup_buckets ~baseline run);
+  Format.pp_print_flush ppf ()
+
+let pp_fig15 ppf run =
+  section ppf "Figure 15: code reduction during AP synthesis (averages)";
+  let s = synthesis_report run in
+  let pr fmt = Format.fprintf ppf fmt in
+  pr "paths synthesized: %d; avg EVM trace length: %.1f instrs\n\n" s.n_paths s.avg_trace_len;
+  pr "EVM trace                                100.00%%\n";
+  pr "  + complex instruction decomposition   +%6.2f%%\n" s.pct_decomposed;
+  pr "  - stack instructions eliminated       -%6.2f%%\n" s.pct_stack;
+  pr "  - memory instructions promoted        -%6.2f%%\n" s.pct_mem;
+  pr "  - control flow eliminated             -%6.2f%%\n" s.pct_control;
+  pr "  - state/env reads promoted            -%6.2f%%\n" s.pct_state;
+  pr "= S-EVM code (unoptimized)              %7.2f%%\n" s.pct_sevm;
+  pr "  + constraint guards                   +%6.2f%%\n" s.pct_guards;
+  pr "  - constants folded                    -%6.2f%%\n" s.pct_folded;
+  pr "  - duplicates (CSE)                    -%6.2f%%\n" s.pct_cse;
+  pr "  - dead code                           -%6.2f%%\n" s.pct_dead;
+  pr "= AP path                               %7.2f%%\n" s.pct_ap;
+  pr "    constraint set                      %7.2f%%\n" s.pct_constraint;
+  pr "    fast path                           %7.2f%%\n" s.pct_fastpath;
+  pr "\naverage AP path length: %.1f S-EVM instructions\n%!" s.avg_ap_len
+
+let pp_sec55 ppf run =
+  section ppf "Sec 5.5: AP structure and shortcut effectiveness";
+  let s = ap_shape run in
+  Format.fprintf ppf
+    "AP paths per tx:    1: %.1f%%  2: %.1f%%  3: %.1f%%  >3: %.1f%% (avg %.1f)\n" s.paths_1
+    s.paths_2 s.paths_3 s.paths_more s.paths_more_avg;
+  Format.fprintf ppf
+    "contexts per tx:    1: %.1f%%  2: %.1f%%  3: %.1f%%  >3: %.1f%% (avg %.1f)\n" s.ctx_1
+    s.ctx_2 s.ctx_3 s.ctx_more s.ctx_more_avg;
+  Format.fprintf ppf "avg shortcuts per AP: %.1f\n" s.avg_shortcuts;
+  Format.fprintf ppf "S-EVM instructions skipped on the critical path: %.2f%%\n%!" s.skip_pct
+
+let pp_sec56 ppf (run : Node.result) =
+  section ppf "Sec 5.6: overhead off the critical path";
+  Format.fprintf ppf "temporary-fork blocks processed: %d; observer-side reorgs: %d\n"
+    run.fork_blocks run.reorgs;
+  let o = overhead run in
+  Format.fprintf ppf "pre-execution + AP synthesis vs plain execution: %.2fx\n"
+    o.spec_to_exec_ratio;
+  Format.fprintf ppf "total speculation time: %.1f ms over %d contexts (%d build fallbacks)\n"
+    o.spec_total_ms o.contexts_total o.build_errors;
+  Format.fprintf ppf "process heap: %.1f MB\n%!" o.heap_mb
+
+let pp_ablation ppf ~baseline rows =
+  section ppf "Ablations: Forerunner with individual techniques disabled";
+  Format.fprintf ppf "%-28s %10s %12s %12s\n" "variant" "speedup" "e2e speedup" "%satisfied";
+  List.iter
+    (fun (name, run) ->
+      let s = summarize ~baseline run in
+      Format.fprintf ppf "%-28s %9.2fx %11.2fx %11.2f%%\n" name s.effective_speedup
+        s.e2e_speedup s.satisfied_pct)
+    rows;
+  Format.pp_print_flush ppf ()

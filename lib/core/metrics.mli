@@ -102,3 +102,31 @@ type overhead = {
 }
 
 val overhead : Node.result -> overhead
+
+(** {1 Report}
+
+    One printer per table and figure of the paper's evaluation (§5).  Each
+    writes a heading line naming its table or figure, then its rows, and
+    flushes [ppf].  [forerunner compare] calls all of them on the replays
+    of one record. *)
+
+val pp_table1 : Format.formatter -> tag:string -> Netsim.Record.t -> baseline:Node.result -> unit
+(** This record's Table 1 row: blocks, fork blocks, txs, % heard. *)
+
+val pp_fig11 : Format.formatter -> Netsim.Record.t -> unit
+
+val pp_table2 : Format.formatter -> baseline:Node.result -> Node.result list -> unit
+(** A fixed baseline row, then one row per run (Fig. 14's columns too). *)
+
+val pp_table3 : Format.formatter -> baseline:Node.result -> Node.result -> unit
+val pp_fig12 : Format.formatter -> baseline:Node.result -> Node.result -> unit
+val pp_fig13 : Format.formatter -> baseline:Node.result -> Node.result -> unit
+val pp_fig15 : Format.formatter -> Node.result -> unit
+val pp_sec55 : Format.formatter -> Node.result -> unit
+
+val pp_sec56 : Format.formatter -> Node.result -> unit
+(** Includes the process heap at print time, which is not deterministic. *)
+
+val pp_ablation :
+  Format.formatter -> baseline:Node.result -> (string * Node.result) list -> unit
+(** One row per labelled Forerunner variant. *)

@@ -116,6 +116,12 @@ let obs_respec_same_sender = Obs.counter "predictor.respec.same_sender"
 let obs_respec_same_receiver = Obs.counter "predictor.respec.same_receiver"
 let obs_respec_new_head = Obs.counter "predictor.respec.new_head"
 
+(* Run [f], returning its result and the elapsed monotonic nanoseconds. *)
+let time f =
+  let t0 = Obs.now_ns () in
+  let r = f () in
+  (r, Int64.to_int (Int64.sub (Obs.now_ns ()) t0))
+
 let is_speculative = function
   | Forerunner | Perfect_match | Perfect_multi -> true
   | Baseline -> false
@@ -267,7 +273,7 @@ let replay ?(config = default_config) ~policy (record : Netsim.Record.t) : resul
         receipt )
     in
     let full_exec outcome =
-      let receipt, ns = Clock.time (fun () -> Evm.Processor.execute_tx st benv tx) in
+      let receipt, ns = time (fun () -> Evm.Processor.execute_tx st benv tx) in
       record_of receipt outcome ns None
     in
     match policy with
@@ -281,7 +287,7 @@ let replay ?(config = default_config) ~policy (record : Netsim.Record.t) : resul
           else e.spec.paths
         | Some _ | None -> []
       in
-      let res, ns = Clock.time (fun () ->
+      let res, ns = time (fun () ->
           match Perfect.try_paths paths st benv tx with
           | Some receipt -> `Hit receipt
           | None -> `Miss (Evm.Processor.execute_tx st benv tx))
@@ -315,13 +321,11 @@ let replay ?(config = default_config) ~policy (record : Netsim.Record.t) : resul
           end
           else None
         in
-        let res, ns = Clock.time (fun () ->
-            match Ap.Exec.execute ~use_memos:config.use_memos ap st benv tx with
-            | Ap.Exec.Hit (receipt, stats) -> `Hit (receipt, stats)
-            | Ap.Exec.Violation -> `Miss (Evm.Processor.execute_tx st benv tx))
+        let (receipt, stats), ns =
+          time (fun () -> Ap.Exec.execute_or_fallback ~use_memos:config.use_memos ap st benv tx)
         in
-        match res with
-        | `Hit (receipt, stats) ->
+        match stats with
+        | Some stats ->
           (match reference with
           | Some r ->
             if
@@ -337,7 +341,7 @@ let replay ?(config = default_config) ~policy (record : Netsim.Record.t) : resul
                    (Khash.Keccak.to_hex hash))
           | None -> ());
           record_of receipt (if was_perfect then O_perfect else O_imperfect) ns (Some stats)
-        | `Miss receipt -> record_of receipt miss_outcome ns None
+        | None -> record_of receipt miss_outcome ns None
       in
       match ap_usable with
       | Some e -> run_ap ~paths:e.spec.paths ~miss_outcome:O_missed e.spec.ap

@@ -69,50 +69,48 @@ let obs_tmpl_errors = Obs.counter "speculator.template_errors"
    lifted into a template path (input registers instead of baked tx
    constants) and merged into it. *)
 let speculate_one ~tmpl spec bk ~root (env : Evm.Env.block_env) ~pre_txs (tx : Evm.Env.tx) =
-  let (), elapsed =
-    Clock.time (fun () ->
-        let st = Statedb.create bk ~root in
-        List.iter
-          (fun t ->
-            let (r : Evm.Processor.receipt) = Evm.Processor.execute_tx st env t in
-            spec.spec_gas <- spec.spec_gas + r.gas_used)
-          pre_txs;
-        (* capture the target's read set for the prefetcher *)
-        Statedb.set_tracking st true;
-        Statedb.clear_touches st;
-        let snap = Statedb.snapshot st in
-        let sink, get = Evm.Trace.collector () in
-        let (receipt : Evm.Processor.receipt), base_ns =
-          Clock.time (fun () -> Evm.Processor.execute_tx ~trace:sink st env tx)
-        in
-        spec.base_exec_ns <- spec.base_exec_ns + base_ns;
-        spec.spec_gas <- spec.spec_gas + receipt.gas_used;
-        Statedb.revert st snap;
-        Statedb.set_tracking st false;
-        spec.touches <- Statedb.touches st @ spec.touches;
-        spec.contexts <- spec.contexts + 1;
-        Obs.incr obs_contexts;
-        let events = get () in
-        (match Sevm.Builder.build tx env events receipt st with
-        | Ok path ->
-          spec.synth.paths_built <- spec.synth.paths_built + 1;
-          spec.synth.sum <- Sevm.Ir.add_stats spec.synth.sum path.stats;
-          Ap.Program.add_path spec.ap path;
-          Obs.incr obs_paths;
-          if List.length spec.paths < max_paths_kept then spec.paths <- spec.paths @ [ path ]
-        | Error _ ->
-          spec.build_errors <- spec.build_errors + 1;
-          Obs.incr obs_build_errors);
-        match tmpl with
-        | None -> ()
-        | Some tp -> (
-          (* second pass over the same trace, tx fields lifted to inputs *)
-          match Sevm.Builder.build ~template:true tx env events receipt st with
-          | Ok path ->
-            Ap.Program.add_path tp path;
-            Obs.incr obs_tmpl_paths
-          | Error _ -> Obs.incr obs_tmpl_errors))
-  in
+  let t0 = Obs.now_ns () in
+  let st = Statedb.create bk ~root in
+  List.iter
+    (fun t ->
+      let (r : Evm.Processor.receipt) = Evm.Processor.execute_tx st env t in
+      spec.spec_gas <- spec.spec_gas + r.gas_used)
+    pre_txs;
+  (* capture the target's read set for the prefetcher *)
+  Statedb.set_tracking st true;
+  Statedb.clear_touches st;
+  let snap = Statedb.snapshot st in
+  let sink, get = Evm.Trace.collector () in
+  let t1 = Obs.now_ns () in
+  let (receipt : Evm.Processor.receipt) = Evm.Processor.execute_tx ~trace:sink st env tx in
+  spec.base_exec_ns <- spec.base_exec_ns + Int64.to_int (Int64.sub (Obs.now_ns ()) t1);
+  spec.spec_gas <- spec.spec_gas + receipt.gas_used;
+  Statedb.revert st snap;
+  Statedb.set_tracking st false;
+  spec.touches <- Statedb.touches st @ spec.touches;
+  spec.contexts <- spec.contexts + 1;
+  Obs.incr obs_contexts;
+  let events = get () in
+  (match Sevm.Builder.build tx env events receipt st with
+  | Ok path ->
+    spec.synth.paths_built <- spec.synth.paths_built + 1;
+    spec.synth.sum <- Sevm.Ir.add_stats spec.synth.sum path.stats;
+    Ap.Program.add_path spec.ap path;
+    Obs.incr obs_paths;
+    if List.length spec.paths < max_paths_kept then spec.paths <- spec.paths @ [ path ]
+  | Error _ ->
+    spec.build_errors <- spec.build_errors + 1;
+    Obs.incr obs_build_errors);
+  (match tmpl with
+  | None -> ()
+  | Some tp -> (
+    (* second pass over the same trace, tx fields lifted to inputs *)
+    match Sevm.Builder.build ~template:true tx env events receipt st with
+    | Ok path ->
+      Ap.Program.add_path tp path;
+      Obs.incr obs_tmpl_paths
+    | Error _ -> Obs.incr obs_tmpl_errors));
+  let elapsed = Int64.to_int (Int64.sub (Obs.now_ns ()) t0) in
   Obs.observe_int obs_build_ns elapsed;
   spec.spec_time_ns <- spec.spec_time_ns + elapsed
 

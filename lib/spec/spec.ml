@@ -303,7 +303,8 @@ let default_fork = Istanbul
 let default () = resolve Istanbul
 
 (* The process-wide default spec, consulted when no explicit spec is
-   threaded.  Only `bench/main.exe --fork` sets it; perfbench reads it. *)
+   threaded.  Nothing sets it; it stays a ref only because perfbench reads
+   [!Spec.current]. *)
 let current : t ref = ref (resolve Istanbul)
 
 (* ---- fork-invariant charges ---- *)

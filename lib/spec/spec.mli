@@ -78,9 +78,9 @@ val default_fork : fork
 val default : unit -> t
 
 val current : t ref
-(** Process-wide default spec, used when no explicit spec is threaded.
-    Only [bench/main.exe --fork] sets it; perfbench reads it.  A test
-    that sets it must restore it. *)
+(** Process-wide default spec, used when no explicit spec is threaded:
+    Istanbul.  Nothing in the program sets it; it stays a ref only because
+    perfbench reads [!Spec.current].  A test that sets it must restore it. *)
 
 (** {2 Fork-invariant charges}
 

@@ -364,4 +364,77 @@ let metrics_tests =
         Alcotest.(check bool) "reverse CDF decreases" true (monotone rcdf))
   ]
 
-let suite = predictor_tests @ perfect_tests @ node_tests @ metrics_tests
+(* ---- the report path: one Core.Metrics printer per table and figure ---- *)
+
+(* The four policy replays [forerunner compare] prints from. *)
+let four_results () =
+  ( replay Core.Node.Baseline,
+    replay Core.Node.Perfect_match,
+    replay Core.Node.Perfect_multi,
+    replay Core.Node.Forerunner )
+
+(* Every printer, keyed by the heading it must write. *)
+let printers (baseline, perfect, perfect_multi, forerunner) =
+  let record = Lazy.force small_record in
+  Core.Metrics.
+    [ ("Table 1", fun ppf -> pp_table1 ppf ~tag:"S" record ~baseline);
+      ("Figure 11", fun ppf -> pp_fig11 ppf record);
+      ("Table 2", fun ppf -> pp_table2 ppf ~baseline [ perfect; perfect_multi; forerunner ]);
+      ("Table 3", fun ppf -> pp_table3 ppf ~baseline forerunner);
+      ("Figure 12", fun ppf -> pp_fig12 ppf ~baseline forerunner);
+      ("Figure 13", fun ppf -> pp_fig13 ppf ~baseline forerunner);
+      ("Figure 15", fun ppf -> pp_fig15 ppf forerunner);
+      ("Sec 5.5", fun ppf -> pp_sec55 ppf forerunner);
+      ("Sec 5.6", fun ppf -> pp_sec56 ppf forerunner);
+      ("Ablations", fun ppf -> pp_ablation ppf ~baseline [ ("forerunner (full)", forerunner) ])
+    ]
+
+let render print =
+  let buf = Buffer.create 1024 in
+  print (Format.formatter_of_buffer buf);
+  Buffer.contents buf
+
+let contains s sub =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
+(* The whitespace-separated cells of each line whose first cell is in [rows]. *)
+let rows_of text rows =
+  String.split_on_char '\n' text
+  |> List.map (fun l -> List.filter (( <> ) "") (String.split_on_char ' ' l))
+  |> List.filter (function c :: _ -> List.mem c rows | [] -> false)
+
+let outcome_rows = [ "satisfied/perfect"; "satisfied/imperfect"; "unsatisfied/missed" ]
+let policy_rows = [ "perfect"; "perfect+multi"; "forerunner" ]
+let strip_pct c = String.concat "" (String.split_on_char '%' c)
+
+(* The report lines that do not depend on wall time: Table 2's %satisfied
+   and Table 3's % txs cells, Fig. 11, Fig. 15 and Sec 5.5. *)
+let deterministic ps =
+  let r h = render (List.assoc h ps) in
+  ( List.map (fun cells -> List.nth cells 3) (rows_of (r "Table 2") policy_rows),
+    List.map (fun cells -> List.nth cells 1) (rows_of (r "Table 3") outcome_rows),
+    r "Figure 11" ^ r "Figure 15" ^ r "Sec 5.5" )
+
+let report_tests =
+  [ t "report: every printer writes its heading; deterministic lines repeat" (fun () ->
+        let ps = printers (four_results ()) in
+        List.iter
+          (fun (heading, print) ->
+            Alcotest.(check bool) (heading ^ " heading") true (contains (render print) heading))
+          ps;
+        let sat, shares, figs = deterministic ps in
+        Alcotest.(check int) "three policy rows" 3 (List.length sat);
+        Alcotest.(check int) "three outcome rows" 3 (List.length shares);
+        let total = List.fold_left (fun a c -> a +. float_of_string (strip_pct c)) 0.0 shares in
+        Alcotest.(check bool) "Table 3 % txs sums to 100" true
+          (abs_float (total -. 100.0) <= 0.01 +. 1e-9);
+        (* the printers read nothing but their arguments *)
+        let sat', shares', figs' = deterministic ps in
+        Alcotest.(check (list string)) "%satisfied" sat sat';
+        Alcotest.(check (list string)) "outcome shares" shares shares';
+        Alcotest.(check string) "Fig. 11, Fig. 15 and Sec 5.5" figs figs')
+  ]
+
+let suite = predictor_tests @ perfect_tests @ node_tests @ metrics_tests @ report_tests
