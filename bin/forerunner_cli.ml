@@ -1,10 +1,13 @@
 (* Command-line front end: simulate DiCE traffic, replay it under any
-   execution policy, inspect per-kind outcomes, or disassemble the bundled
-   contracts.
+   execution policy, inspect per-kind outcomes, disassemble the bundled
+   contracts, or fuzz the fast path and seed the faults its defences must
+   reject.
 
      forerunner run --seed 7 --duration 300 --policy forerunner
      forerunner compare --dataset L1 --duration 60
-     forerunner contracts *)
+     forerunner contracts
+     forerunner fuzz --iters 1000 --seed 42
+     forerunner fuzz --fault add --iters 0 *)
 
 open Cmdliner
 
@@ -262,7 +265,20 @@ let fuzz_fork_conv =
 
 let fuzz_cmd =
   let iters_arg =
-    Arg.(value & opt int 1000 & info [ "iters" ] ~docv:"N" ~doc:"Fuzzing iterations.")
+    Arg.(
+      value & opt int 1000
+      & info [ "iters" ] ~docv:"N"
+          ~doc:
+            "Generated scenarios after the corpus (seeded, reproducible).  A fault run \
+             sweeping the footprint lane generates $(docv) per hardfork.")
+  in
+  let corpus_arg =
+    Arg.(
+      value & opt string "test/corpus"
+      & info [ "corpus" ] ~docv:"DIR"
+          ~doc:
+            "Counterexample corpus directory: every entry is replayed first (fanned out \
+             across forks), and a clean run saves its shrunk counterexample there.")
   in
   let fork_arg =
     Arg.(
@@ -271,246 +287,98 @@ let fuzz_cmd =
       & info [ "fork" ] ~docv:"FORK"
           ~doc:
             (Printf.sprintf
-               "Hardfork to fuzz under: one of %s, or $(b,random) (default) to draw a \
-                fork per scenario — the N-fork differential matrix.  Unknown names are \
-                a CLI error (exit 124); a divergence under any fork exits 1."
+               "Hardfork for a clean run's generated scenarios: one of %s, or \
+                $(b,random) (default) to draw a fork per scenario.  A fault run follows \
+                the sweep's own fork rule."
                fork_names))
   in
-  let corpus_arg =
+  let fault_arg =
     Arg.(
-      value & opt string "fuzz-corpus"
-      & info [ "corpus" ] ~docv:"DIR"
+      value
+      & opt
+          (some
+             (enum (List.map (fun f -> (Fuzz.Runner.fault_name f, f)) Fuzz.Runner.faults)))
+          None
+      & info [ "fault" ] ~docv:"NAME"
           ~doc:
-            "Counterexample corpus directory: existing entries are replayed as regression \
-             tests before fuzzing, and new shrunk counterexamples are saved there.")
+            "Seed one fault and sweep the lanes its rejection contract names: $(b,add) \
+             miscompiles ADD in the AP executor (the AP lane and the verifier's memo \
+             soundness must reject), $(b,drop-guard) removes the first guard of every \
+             built path (guard coverage must reject), $(b,cfg), $(b,stack), \
+             $(b,footprint) and $(b,calldata) narrow one static-analysis domain (the \
+             footprint lane must reject).  Nothing is shrunk or saved.")
   in
-  let mutate_arg =
-    Arg.(
-      value & flag
-      & info [ "mutate" ]
-          ~doc:
-            "Intentionally mis-compile ADD in the AP executor (test-only fault injection) \
-             to demonstrate that the differential oracle detects divergences.")
+  let print_findings fs =
+    let shown = 12 in
+    List.iteri (fun i f -> if i < shown then Fmt.pr "  %a@." Fuzz.Runner.pp_finding f) fs;
+    if List.length fs > shown then Printf.printf "  ... and %d more\n" (List.length fs - shown)
   in
-  let run seed iters corpus fork mutate metrics metrics_json =
-    with_metrics ~metrics ~metrics_json @@ fun () ->
-    let fault = if mutate then Some Fuzz.Runner.Add else None in
-    let r = Fuzz.Runner.sweep ~lanes:Fuzz.Runner.oracle ?fault ~corpus ~seed ~iters:0 () in
-    if r.corpus_files > 0 then begin
-      Printf.printf "corpus: replayed %d entries (fork-pinned once, unpinned under all %d \
-                     forks), %d diverged\n%!"
-        r.corpus_files Spec.n_forks
-        (List.length r.corpus_failed + List.length r.corpus_errors);
-      List.iter (fun (f, e) -> Printf.printf "  %s: %s\n" f e) r.corpus_errors;
-      List.iter (fun f -> Fmt.pr "  %a@." Fuzz.Runner.pp_finding f) r.findings
-    end;
-    let corpus_broken = r.findings <> [] || r.corpus_errors <> [] in
-    Printf.printf "fuzzing: %d iterations, seed %d, fork %s%s\n%!" iters seed
-      (match fork with None -> "random" | Some f -> Spec.fork_name f)
-      (if mutate then " [AP EXECUTOR MUTATED]" else "");
-    let s = Fuzz.Driver.fuzz ~corpus_dir:corpus ?fork ?fault ~seed ~iters () in
-    let t = s.tally in
-    Printf.printf
-      "ran %d iterations: %d txs, %d build fallbacks, %d perturbed violations, %d perturbed \
-       hits, %d warm-built cold-replay violations\n%!"
-      s.iters_run t.txs t.fallbacks t.perturbed_violations t.perturbed_hits t.warm_violations;
-    match s.counterexample with
-    | None ->
-      Printf.printf "no divergences: EVM, S-EVM replay and AP fast path agree.\n%!";
-      if corpus_broken then exit 1
-    | Some f ->
-      Printf.printf "DIVERGENCE at iteration %d (scenario size %d, shrunk to %d):\n%!" f.iter
-        (Fuzz.Scenario.size f.original) (Fuzz.Scenario.size f.scenario);
-      List.iter (fun d -> Fmt.pr "  %a@." Fuzz.Runner.pp_finding d) f.findings;
-      (match f.file with
-      | Some file -> Printf.printf "shrunk counterexample saved to %s\n%!" file
-      | None -> ());
-      print_string (Fuzz.Scenario.to_string f.scenario);
+  (* the sweep's verdict: print its lines, or its reason and exit 1 *)
+  let judge ~lanes fault (r : Fuzz.Runner.sweep_result) =
+    List.iter (fun (f, e) -> Printf.printf "corpus error: %s: %s\n" f e) r.corpus_errors;
+    match Fuzz.Runner.verdict ~lanes fault r with
+    | Ok lines -> List.iter print_endline lines
+    | Error e ->
+      print_findings r.findings;
+      print_endline e;
       exit 1
+  in
+  let run seed iters corpus fork fault metrics metrics_json =
+    with_metrics ~metrics ~metrics_json @@ fun () ->
+    match fault with
+    | Some fault ->
+      let lanes = List.sort_uniq compare (List.map fst (Fuzz.Runner.rejected_by fault)) in
+      let r = Fuzz.Runner.sweep ~lanes ~fault ~corpus ~seed ~iters () in
+      let t = r.tally in
+      Printf.printf
+        "fault %s: swept %d scenarios from %d corpus entries and --iters %d (seed %d), %d \
+         txs; %d finding(s) in lanes %s\n%!"
+        (Fuzz.Runner.fault_name fault) t.scenarios r.corpus_files iters seed t.txs
+        (List.length r.findings)
+        (String.concat ", " (List.map Fuzz.Runner.lane_name lanes));
+      judge ~lanes (Some fault) r
+    | None ->
+      let lanes = Fuzz.Runner.oracle @ [ Fuzz.Runner.Footprint ] in
+      let r = Fuzz.Runner.sweep ~lanes ~corpus ~seed ~iters:0 () in
+      Printf.printf
+        "corpus: replayed %d entries (fork-pinned once, unpinned under all %d forks) and \
+         %d footprint sentinels\n%!"
+        r.corpus_files Spec.n_forks (List.length Fuzz.Runner.sentinels);
+      judge ~lanes None r;
+      Printf.printf "fuzzing: %d iterations, seed %d, fork %s\n%!" iters seed
+        (match fork with None -> "random" | Some f -> Spec.fork_name f);
+      let s = Fuzz.Driver.fuzz ~corpus_dir:corpus ?fork ~lanes ~seed ~iters () in
+      let t = s.tally in
+      Printf.printf
+        "ran %d iterations: %d txs, %d build fallbacks, %d perturbed violations, %d perturbed \
+         hits, %d warm-built cold-replay violations, %d footprint touches\n%!"
+        s.iters_run t.txs t.fallbacks t.perturbed_violations t.perturbed_hits
+        t.warm_violations t.touches;
+      (match s.counterexample with
+      | None ->
+        print_endline
+          "no divergences: EVM, S-EVM replay and AP fast path agree, every AP verifies, \
+           and static footprints cover every runtime touch."
+      | Some f ->
+        Printf.printf "DIVERGENCE at iteration %d (scenario size %d, shrunk to %d):\n%!"
+          f.iter (Fuzz.Scenario.size f.original) (Fuzz.Scenario.size f.scenario);
+        List.iter (fun d -> Fmt.pr "  %a@." Fuzz.Runner.pp_finding d) f.findings;
+        Option.iter (Printf.printf "shrunk counterexample saved to %s\n") f.file;
+        print_string (Fuzz.Scenario.to_string f.scenario);
+        exit 1)
   in
   Cmd.v
     (Cmd.info "fuzz"
        ~doc:
-         "Differential conformance fuzzing: random contracts and tx batches executed by the \
-          EVM interpreter, S-EVM trace replay, and the AP fast path must agree on receipts, \
-          state roots and touched accounts — under a random hardfork per scenario (or one \
-          pinned with --fork).")
+         "Differential conformance fuzzing and the seeded-fault rejection contract.  A \
+          clean run replays the corpus, then fuzzes generated scenarios: the EVM \
+          interpreter, S-EVM trace replay and the AP fast path must agree on receipts, \
+          state roots and touched accounts, every AP must pass the static verifier, and \
+          every runtime touch must lie inside lib/bca's static footprint.  With --fault \
+          the named lanes must reject the seeded fault instead.  Exits 0 iff every \
+          defence did its job.")
     Term.(
-      const run $ seed_arg $ iters_arg $ corpus_arg $ fork_arg $ mutate_arg $ metrics_arg
-      $ metrics_json_arg)
-
-let check_cmd =
-  let iters_arg =
-    Arg.(
-      value & opt int 25
-      & info [ "iters" ] ~docv:"N"
-          ~doc:"Generated scenarios to verify on top of the corpus (seeded, reproducible).")
-  in
-  let corpus_arg =
-    Arg.(
-      value & opt string "test/corpus"
-      & info [ "corpus" ] ~docv:"DIR"
-          ~doc:"Directory of s-expression scenarios; every AP built from them is verified.")
-  in
-  let mutate_arg =
-    Arg.(
-      value
-      & opt
-          (some (enum [ ("add", Fuzz.Runner.Add); ("drop-guard", Fuzz.Runner.Drop_guard) ]))
-          None
-      & info [ "mutate" ] ~docv:"KIND"
-          ~doc:
-            "Seed a miscompilation before verifying: $(b,add) miscompiles ADD in the AP \
-             executor (the memo-soundness checker must reject), $(b,drop-guard) removes \
-             the first guard from every built path (the guard-coverage checker must \
-             reject).  Exits 0 iff the matching checker rejected.")
-  in
-  let run seed iters corpus mutate metrics metrics_json =
-    with_metrics ~metrics ~metrics_json @@ fun () ->
-    let r =
-      Fuzz.Runner.sweep ~lanes:[ Fuzz.Runner.Verifier ] ?fault:mutate ~corpus ~seed ~iters ()
-    in
-    List.iter (fun (f, e) -> Printf.printf "corpus error: %s: %s\n" f e) r.corpus_errors;
-    let t = r.tally in
-    Printf.printf
-      "verified %d programs (%d linear paths) from %d corpus entries + %d generated \
-       scenarios; %d builder fallbacks%s\n%!"
-      t.programs t.programs r.corpus_files iters t.fallbacks
-      (match mutate with
-      | None -> ""
-      | Some m ->
-        Printf.sprintf "; mutation %s in effect on %d" (Fuzz.Runner.fault_name m) t.mutated);
-    let shown = 12 in
-    List.iteri (fun i f -> if i < shown then Fmt.pr "  %a@." Fuzz.Runner.pp_finding f) r.findings;
-    if List.length r.findings > shown then
-      Printf.printf "  ... and %d more\n" (List.length r.findings - shown);
-    let corpus_broken = r.corpus_errors <> [] in
-    match mutate with
-    | None ->
-      if r.findings = [] && not corpus_broken then
-        Printf.printf
-          "all programs verify: def-before-use, rollback-freedom, guard coverage, memo \
-           soundness, well-formedness.\n\
-           %!"
-      else begin
-        Printf.printf "%d violation(s)\n" (List.length r.findings);
-        exit 1
-      end
-    | Some m ->
-      (* the verifier kind the fault's rejection contract names *)
-      let kind = Option.get (List.assoc Fuzz.Runner.Verifier (Fuzz.Runner.rejected_by m)) in
-      let hits = List.filter (Fuzz.Runner.rejects (Fuzz.Runner.Verifier, Some kind)) r.findings in
-      if hits = [] || corpus_broken then begin
-        Printf.printf "mutation %s NOT rejected: no %s violation reported\n"
-          (Fuzz.Runner.fault_name m) kind;
-        exit 1
-      end
-      else
-        Printf.printf "mutation %s rejected: %d %s violation(s) with path-level diagnostics\n%!"
-          (Fuzz.Runner.fault_name m) (List.length hits) kind
-  in
-  Cmd.v
-    (Cmd.info "check"
-       ~doc:
-         "Statically verify Accelerated Programs: build an AP for every corpus and \
-          generated scenario transaction and prove the fast-path invariants \
-          (def-before-use, rollback-freedom, guard coverage, memo soundness, \
-          well-formedness) instead of sampling for them.  Violations name the path \
-          through the program DAG and the offending instruction.")
-    Term.(
-      const run $ seed_arg $ iters_arg $ corpus_arg $ mutate_arg $ metrics_arg
-      $ metrics_json_arg)
-
-let analyze_cmd =
-  let iters_arg =
-    Arg.(
-      value & opt int 25
-      & info [ "iters" ] ~docv:"N"
-          ~doc:
-            "Generated scenarios per hardfork to sweep on top of the corpus and the \
-             built-in sentinels (seeded, reproducible).")
-  in
-  let corpus_arg =
-    Arg.(
-      value & opt string "test/corpus"
-      & info [ "corpus" ] ~docv:"DIR"
-          ~doc:"Directory of s-expression scenarios to check the footprints on.")
-  in
-  let mutate_arg =
-    let narrow_conv =
-      let parse s =
-        match Bca.narrowing_of_string s with
-        | Some n -> Ok n
-        | None ->
-          Error (`Msg (Printf.sprintf "unknown narrowing %S (cfg, stack, footprint, calldata)" s))
-      in
-      Arg.conv (parse, fun ppf n -> Fmt.string ppf (Bca.narrowing_name n))
-    in
-    Arg.(
-      value
-      & opt (some narrow_conv) None
-      & info [ "mutate" ] ~docv:"DOMAIN"
-          ~doc:
-            "Seed an unsound narrowing of one analysis domain ($(b,cfg) drops JUMPI taken \
-             edges, $(b,stack) corrupts DUP constant propagation, $(b,footprint) ignores \
-             SSTORE, $(b,calldata) claims calldata never reaches control flow) before \
-             sweeping.  The oracle must then report violations, so the run exits nonzero \
-             — the rejection contract.")
-  in
-  let run seed iters corpus narrow metrics metrics_json =
-    with_metrics ~metrics ~metrics_json @@ fun () ->
-    let r =
-      Fuzz.Runner.sweep ~lanes:[ Fuzz.Runner.Footprint ]
-        ?fault:(Option.map (fun n -> Fuzz.Runner.Narrow n) narrow)
-        ~corpus ~seed ~iters ()
-    in
-    List.iter (fun (f, e) -> Printf.printf "corpus error: %s: %s\n" f e) r.corpus_errors;
-    let s = r.tally in
-    Printf.printf
-      "analyzed %d scenarios (%d corpus entries + sentinels + %d generated per fork x %d \
-       forks), %d txs%s\n\
-       footprint coverage: %d runtime touches, %d committed changes, %d wild predictions\n\
-       calldata witnesses: %d flip re-executions\n%!"
-      s.scenarios r.corpus_files iters Spec.n_forks s.txs
-      (match narrow with
-      | None -> ""
-      | Some n -> Printf.sprintf "; narrowing %s SEEDED" (Bca.narrowing_name n))
-      s.touches s.changes s.wild s.flips;
-    let shown = 12 in
-    List.iteri (fun i f -> if i < shown then Fmt.pr "  %a@." Fuzz.Runner.pp_finding f) r.findings;
-    if List.length r.findings > shown then
-      Printf.printf "  ... and %d more\n" (List.length r.findings - shown);
-    let nv = List.length r.findings in
-    match narrow with
-    | None ->
-      if nv = 0 && r.corpus_errors = [] then
-        Printf.printf
-          "all footprints sound: static analysis ⊇ runtime touch log on every execution.\n%!"
-      else begin
-        Printf.printf "%d violation(s)\n" nv;
-        exit 1
-      end
-    | Some n ->
-      if nv = 0 then
-        Printf.printf "narrowing %s produced no violation — the oracle missed it.\n%!"
-          (Bca.narrowing_name n)
-      else begin
-        Printf.printf
-          "narrowing %s caught: %d violation(s); exiting nonzero per the rejection \
-           contract.\n%!"
-          (Bca.narrowing_name n) nv;
-        exit 1
-      end
-  in
-  Cmd.v
-    (Cmd.info "analyze"
-       ~doc:
-         "Check lib/bca's static bytecode analysis against real executions: every runtime \
-          state touch and committed change must lie inside the per-transaction static \
-          footprint, and every calldata-independence claim must survive a witness flip.  \
-          --mutate seeds an unsound narrowing the sweep must catch.")
-    Term.(
-      const run $ seed_arg $ iters_arg $ corpus_arg $ mutate_arg $ metrics_arg
+      const run $ seed_arg $ iters_arg $ corpus_arg $ fork_arg $ fault_arg $ metrics_arg
       $ metrics_json_arg)
 
 let main =
@@ -519,6 +387,6 @@ let main =
   Cmd.group ~default:run_term
     (Cmd.info "forerunner" ~version:"1.0.0"
        ~doc:"Constraint-based speculative transaction execution (SOSP'21) in OCaml.")
-    [ run_cmd; compare_cmd; contracts_cmd; fuzz_cmd; check_cmd; analyze_cmd ]
+    [ run_cmd; compare_cmd; contracts_cmd; fuzz_cmd ]
 
 let () = exit (Cmd.eval main)

@@ -211,22 +211,13 @@ let partition_and_prefetch ~spec st (benv : Evm.Env.block_env) txs_arr =
       serial)
     txs_arr
 
-let apply_txs_parallel ?pool ?(ap = no_ap) ?spec ?(static_partition = true) st
+let apply_txs_parallel ~pool ?(ap = no_ap) ?spec ?(static_partition = true) st
     (benv : Evm.Env.block_env) txs =
   (* resolve once on the caller's domain: worker-domain speculation and the
      commit-phase reruns must run under the same hardfork *)
   let spec = match spec with Some s -> s | None -> !Spec.current in
   if Statedb.snapshot st <> 0 then
     invalid_arg "apply_txs_parallel: master state has an open journal";
-  let parent_root = Statedb.root st in
-  let owned, sched =
-    match pool with
-    | Some p -> (None, p)
-    | None ->
-      let p = create_pool ~jobs:1 () in
-      (Some p, p)
-  in
-  Fun.protect ~finally:(fun () -> Option.iter shutdown_pool owned) @@ fun () ->
   let txs_arr = Array.of_list txs in
   let n_txs = Array.length txs_arr in
   (* static pre-partition: transactions the footprints prove must
@@ -246,19 +237,18 @@ let apply_txs_parallel ?pool ?(ap = no_ap) ?spec ?(static_partition = true) st
         (fun idx tx ->
           if not serial.(idx) then begin
             incr n_submitted;
-            Sched.submit sched ~hash:(string_of_int idx) ~root:parent_root
-              ~priority:tx.Evm.Env.gas_price
+            Sched.submit pool ~hash:(string_of_int idx) ~priority:tx.Evm.Env.gas_price
               (speculate_one ~spec st ~ap benv idx tx)
           end)
         txs_arr;
-      Sched.barrier sched);
+      Sched.barrier pool);
   let results : spec option array = Array.make n_txs None in
   List.iter
     (fun (r : spec Sched.result) ->
       match r.r_value with
       | Ok sp -> results.(sp.sp_idx) <- Some sp
       | Error e -> raise e)
-    (Sched.drain sched);
+    (Sched.drain pool);
   let n_results = Array.fold_left (fun a r -> if r <> None then a + 1 else a) 0 results in
   if n_results <> !n_submitted then
     invalid_arg "apply_txs_parallel: speculation result count mismatch";
@@ -321,7 +311,7 @@ let apply_txs_parallel ?pool ?(ap = no_ap) ?spec ?(static_partition = true) st
   in
   ( { state_root; receipts; gas_used },
     {
-      par_jobs = Sched.jobs sched;
+      par_jobs = Sched.jobs pool;
       par_txs = n_txs;
       par_aborted = !aborted;
       par_forced = !forced;

@@ -65,7 +65,7 @@ type par_stats = {
 }
 
 val apply_txs_parallel :
-  ?pool:pool ->
+  pool:pool ->
   ?ap:(Evm.Env.tx -> Ap.Program.t option) ->
   ?spec:Spec.t ->
   ?static_partition:bool ->
@@ -78,8 +78,7 @@ val apply_txs_parallel :
     [ap] supplies a transaction's accelerated program, if any (never
     consulted for creations); default: none, interpreter only.  [spec] is
     resolved once on the submitting domain so speculation and commit-phase
-    reruns agree on the hardfork.  Without [pool] an ephemeral
-    inline pool is used.  With [static_partition] (default on) each
+    reruns agree on the hardfork.  With [static_partition] (default on) each
     transaction's static footprint ({!Bca.predict_tx}) is concretized
     first and transactions that provably conflict with an earlier one
     skip speculation entirely, executing in consensus order at commit

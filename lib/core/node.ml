@@ -180,11 +180,12 @@ let replay ?(config = default_config) ~policy (record : Netsim.Record.t) : resul
 
   (* Fingerprint of one speculation's inputs: the head root plus every
      predicted future (the deterministic env fields and the ordered tx
-     hashes; [block_hash] is the same closure everywhere).  Equal keys mean
-     the speculation would recompute the tx's spec record to the identical
-     state, so [Sched.submit] skips the duplicate — the jobs>1 merged-waste
-     fix.  Prediction still runs first (it draws from the replay's RNG
-     stream), so dedupe never changes what later predictions see. *)
+     hashes; [block_hash] is always [Netsim.Record.block_hash]).  Equal keys
+     mean the speculation would recompute the tx's spec record to the
+     identical state, so [Sched.submit] skips the duplicate — the jobs>1
+     merged-waste fix.  Prediction still runs first (it draws from the
+     replay's RNG stream), so dedupe never changes what later predictions
+     see. *)
   let spec_key ~root ctxs =
     let b = Buffer.create 256 in
     Buffer.add_string b root;
@@ -214,7 +215,7 @@ let replay ?(config = default_config) ~policy (record : Netsim.Record.t) : resul
         ~tx_hash:entry.p.hash entry.p.tx
     in
     let root = !head_root in
-    Sched.submit sched ~dedupe_key:(spec_key ~root ctxs) ~hash:entry.p.hash ~root
+    Sched.submit sched ~dedupe_key:(spec_key ~root ctxs) ~hash:entry.p.hash
       ~priority:entry.p.tx.gas_price (fun () ->
         Speculator.speculate entry.spec bk ~root ~now ctxs entry.p.tx;
         entry)
@@ -437,7 +438,7 @@ let replay ?(config = default_config) ~policy (record : Netsim.Record.t) : resul
           let canonical = Netsim.Record.is_canonical record b in
           if not extends_head then incr fork_blocks;
           let benv =
-            Chain.Stf.block_env_of_header b.header ~block_hash:(fun n -> U256.of_int64 n)
+            Chain.Stf.block_env_of_header b.header ~block_hash:Netsim.Record.block_hash
           in
           let block_ns = ref 0 in
           let gas = ref 0 in

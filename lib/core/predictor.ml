@@ -70,7 +70,7 @@ let predict_envs t ~n : Evm.Env.block_env list =
       difficulty = U256.of_int 1;
       gas_limit = t.head_gas_limit;
       chain_id = 1;
-      block_hash = (fun bn -> U256.of_int64 bn);
+      block_hash = Netsim.Record.block_hash;
     }
   in
   let m = mean_interval t in

@@ -1,5 +1,5 @@
-(* The fuzzing loop: per-iteration deterministic scenario -> the runner's
-   oracle lanes; on the first finding, shrink to a minimal scenario and
+(* The fuzzing loop: per-iteration deterministic scenario -> the given
+   runner lanes; on the first finding, shrink to a minimal scenario and
    (optionally) save it to the corpus directory, where it doubles as a
    regression test ({!Runner.sweep} replays the corpus). *)
 
@@ -21,8 +21,8 @@ let obs_iters = Obs.counter "fuzz.iterations"
 let obs_findings = Obs.counter "fuzz.findings"
 let obs_shrink_probes = Obs.counter "fuzz.shrink_probes"
 
-let check s = Runner.run ~lanes:Runner.oracle ~label:"fuzz" s
-let diverges s = check s <> []
+let check ~lanes s = Runner.run ~lanes ~label:"fuzz" s
+let diverges ~lanes s = check ~lanes s <> []
 
 let mkdir_p dir =
   let rec go d =
@@ -39,7 +39,7 @@ let save_counterexample ~dir ~seed ~iter s =
   Out_channel.with_open_bin file (fun oc -> output_string oc (Scenario.to_string s));
   file
 
-let fuzz ?corpus_dir ?(shrink = true) ?fork ?fault ~seed ~iters () : summary =
+let fuzz ?corpus_dir ?fork ?fault ~lanes ~seed ~iters () : summary =
   Runner.with_fault fault @@ fun () ->
   let tally = Runner.new_tally () in
   let found = ref None in
@@ -51,22 +51,20 @@ let fuzz ?corpus_dir ?(shrink = true) ?fork ?fault ~seed ~iters () : summary =
        generator's per-scenario random draw stands *)
     let s = match fork with None -> s | Some f -> { s with Scenario.fork = Some f } in
     let label = Printf.sprintf "gen(seed=%d,iter=%d)" seed !i in
-    let fs = Runner.run ~tally ~lanes:Runner.oracle ~label s in
+    let fs = Runner.run ~tally ~lanes ~label s in
     if fs <> [] then begin
       Obs.incr obs_findings;
       let shrunk =
-        if shrink then
-          Shrink.minimize
-            ~diverges:(fun c ->
-              Obs.incr obs_shrink_probes;
-              diverges c)
-            s
-        else s
+        Shrink.minimize
+          ~diverges:(fun c ->
+            Obs.incr obs_shrink_probes;
+            diverges ~lanes c)
+          s
       in
       (* shrinking preserves *some* finding by construction, but guard
          against a flaky predicate: fall back to the original if the
          minimal form stopped reproducing *)
-      let shrunk, fs = match check shrunk with [] -> (s, fs) | fs' -> (shrunk, fs') in
+      let shrunk, fs = match check ~lanes shrunk with [] -> (s, fs) | fs' -> (shrunk, fs') in
       let file =
         Option.map (fun dir -> save_counterexample ~dir ~seed ~iter:!i shrunk) corpus_dir
       in

@@ -1,5 +1,5 @@
-(* The scenario runner: the one harness behind `forerunner fuzz`, `check`
-   and `analyze`, the CI lane aliases and the alcotest oracles.
+(* The scenario runner: the one harness behind `forerunner fuzz`, the CI
+   lane aliases and the alcotest oracles.
 
    A scenario is installed once and executed once by the reference
    interpreter (the decoded engine), committing after every transaction.
@@ -34,7 +34,8 @@
    the lanes (counted).
 
    A seeded {!fault} switches one global test hook on for a run; each
-   fault names the lane and finding kind that must reject it. *)
+   fault names the lane and finding kind that must reject it, and
+   {!verdict} is the one judge of that contract. *)
 
 open State
 
@@ -671,8 +672,8 @@ let speculate_all c ~jobs =
   Fun.protect ~finally:(fun () -> Sched.shutdown sched) @@ fun () ->
   List.iter
     (fun step ->
-      Sched.submit sched ~hash:(Evm.Env.tx_hash step.tx) ~root:step.pre
-        ~priority:step.tx.gas_price (speculate c step))
+      Sched.submit sched ~hash:(Evm.Env.tx_hash step.tx) ~priority:step.tx.gas_price
+        (speculate c step))
     c.steps;
   Sched.barrier sched;
   List.map
@@ -1007,3 +1008,38 @@ let sweep ~lanes ?fault ~corpus ~seed ~iters () =
   else for i = 0 to iters - 1 do gen i done;
   { tally; findings = List.rev !found; corpus_files = List.length entries; corpus_errors;
     corpus_failed }
+
+(* The rejection contract, judged once for every caller.  Without a fault
+   the sweep must find nothing.  With one, every (lane, kind) its contract
+   names among the [lanes] swept must have rejected it, and at least one
+   must have been swept.  An unreadable corpus entry fails either way.
+   [Ok] carries one line per rejecting (lane, kind). *)
+let verdict ~lanes fault r =
+  let unreadable = List.length r.corpus_errors in
+  match fault with
+  | None when r.findings = [] && unreadable = 0 -> Ok []
+  | None ->
+    Error
+      (Printf.sprintf "%d finding(s), %d unreadable corpus entries" (List.length r.findings)
+         unreadable)
+  | Some fault when unreadable > 0 ->
+    Error (Printf.sprintf "fault %s: %d unreadable corpus entries" (fault_name fault) unreadable)
+  | Some fault -> (
+    let name = fault_name fault in
+    match List.filter (fun (lane, _) -> List.mem lane lanes) (rejected_by fault) with
+    | [] -> Error (Printf.sprintf "fault %s: no lane of its contract was swept" name)
+    | wants ->
+      List.fold_left
+        (fun acc ((lane, field) as want) ->
+          Result.bind acc @@ fun lines ->
+          let kind = Option.value field ~default:"any" in
+          match List.filter (rejects want) r.findings with
+          | [] ->
+            Error
+              (Printf.sprintf "FAULT %s NOT REJECTED by %s (%s)" name (lane_name lane) kind)
+          | hit :: _ as hits ->
+            Ok
+              (lines
+              @ [ Printf.sprintf "fault %-9s rejected by %s: %d %s finding(s), e.g. %s" name
+                    (lane_name lane) (List.length hits) kind hit.ctx ]))
+        (Ok []) wants)

@@ -25,6 +25,8 @@ type t = {
   tx_kinds : (string, Workload.Gen.kind) Hashtbl.t;
 }
 
+let block_hash n = U256.of_int64 n
+
 let is_canonical r b = Hashtbl.mem r.canonical (Chain.Block.hash b)
 
 let event_time = function Heard (t, _) -> t | Block (t, _) -> t | Tick t -> t

@@ -26,6 +26,11 @@ type t = {
   tx_kinds : (string, Workload.Gen.kind) Hashtbl.t;
 }
 
+val block_hash : int64 -> U256.t
+(** The recorded chain's BLOCKHASH rule: block [n] hashes to [n].  The
+    miner, the replay and the predictor all use this one function, so a
+    replayed block reaches the miner's header root. *)
+
 val event_time : obs_event -> float
 val is_canonical : t -> Chain.Block.t -> bool
 

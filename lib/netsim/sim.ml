@@ -181,7 +181,7 @@ let run ?(params = default_params) () : Record.t =
             in
             let block_proto = { Chain.Block.header = header_proto; txs } in
             let result =
-              Chain.Stf.apply_block st ~block_hash:(fun n -> U256.of_int64 n) block_proto
+              Chain.Stf.apply_block st ~block_hash:Record.block_hash block_proto
             in
             { block_proto with header = { header_proto with state_root = result.state_root } }
           in

@@ -13,14 +13,9 @@
 module Workq = Workq
 module Mailbox = Mailbox
 
-type 'r req = { seq : int; hash : string; root : string; prio : U256.t; job : unit -> 'r }
+type 'r req = { seq : int; hash : string; prio : U256.t; job : unit -> 'r }
 
-type 'r result = {
-  r_seq : int;
-  r_hash : string;
-  r_root : string;
-  r_value : ('r, exn) Stdlib.result;
-}
+type 'r result = { r_seq : int; r_hash : string; r_value : ('r, exn) Stdlib.result }
 
 type 'r cell = {
   mutable chain : 'r req list; (* submission order *)
@@ -80,8 +75,7 @@ let jobs t = t.n_jobs
 let run_job job = try Ok (Obs.span "sched.job" job) with e -> Error e
 
 let publish t req value =
-  Mailbox.push t.results
-    { r_seq = req.seq; r_hash = req.hash; r_root = req.root; r_value = value }
+  Mailbox.push t.results { r_seq = req.seq; r_hash = req.hash; r_value = value }
 
 (* under [t.mu] *)
 let signal_if_idle t = if t.n_queued = 0 && t.n_running = 0 then Condition.broadcast t.idle
@@ -186,7 +180,7 @@ let memo_check t hash = function
       false
     end
 
-let submit ?dedupe_key t ~hash ~root ~priority job =
+let submit ?dedupe_key t ~hash ~priority job =
   if t.stopped then invalid_arg "Sched.submit: scheduler is shut down";
   if t.n_jobs <= 1 then begin
     if memo_check t hash dedupe_key then begin
@@ -199,7 +193,7 @@ let submit ?dedupe_key t ~hash ~root ~priority job =
       t.next_seq <- seq + 1;
       t.s_submitted <- t.s_submitted + 1;
       Obs.incr obs_submitted;
-      let req = { seq; hash; root; prio = priority; job } in
+      let req = { seq; hash; prio = priority; job } in
       publish t req (run_job job);
       t.s_completed <- t.s_completed + 1;
       Obs.incr obs_completed
@@ -217,7 +211,7 @@ let submit ?dedupe_key t ~hash ~root ~priority job =
       t.next_seq <- seq + 1;
       t.s_submitted <- t.s_submitted + 1;
       Obs.incr obs_submitted;
-      let req = { seq; hash; root; prio = priority; job } in
+      let req = { seq; hash; prio = priority; job } in
       let need_push =
         match Hashtbl.find_opt t.cells hash with
         | Some c ->

@@ -29,7 +29,6 @@ type 'r t
 type 'r result = {
   r_seq : int;  (** submission sequence number, 0-based *)
   r_hash : string;  (** the [~hash] the job was submitted under *)
-  r_root : string;  (** the [~root] the job was submitted against *)
   r_value : ('r, exn) Stdlib.result;  (** [Error e] if the job raised [e] *)
 }
 
@@ -55,14 +54,12 @@ val submit :
   ?dedupe_key:string ->
   'r t ->
   hash:string ->
-  root:string ->
   priority:U256.t ->
   (unit -> 'r) ->
   unit
 (** Enqueue a job.  [priority] orders dispatch (higher first — predicted
-    inclusion order, i.e. gas price); [root] tags the job with the state
-    root it speculates against.  Blocks when the queue is at capacity.  In
-    inline mode the job runs before [submit] returns.
+    inclusion order, i.e. gas price).  Blocks when the queue is at
+    capacity.  In inline mode the job runs before [submit] returns.
 
     [dedupe_key] is a fingerprint of the work (e.g. state root + speculated
     contexts): when it equals the key of the hash's latest live submission,

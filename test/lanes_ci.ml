@@ -25,41 +25,31 @@ let fail fmt = Printf.ksprintf (fun m -> print_endline m; exit 1) fmt
 let print_findings name fs =
   List.iter (fun f -> Fmt.pr "%s:   %a@." name Runner.pp_finding f) fs
 
-(* The sweep's findings and unreadable corpus entries fail the alias. *)
-let clean name (r : Runner.sweep_result) =
-  List.iter
-    (fun (f, e) -> Printf.printf "%s: CORPUS ERROR %s: %s\n%!" name f e)
-    r.corpus_errors;
-  print_findings name r.findings;
-  if r.findings <> [] || r.corpus_errors <> [] then
-    fail "%s: %d finding(s), %d unreadable corpus entries" name (List.length r.findings)
-      (List.length r.corpus_errors)
-
-(* A fault must be rejected by every (lane, kind) its contract names among
-   the [lanes] swept. *)
-let rejected name ~lanes fault (r : Runner.sweep_result) =
-  List.iter
-    (fun ((lane, field) as want) ->
-      let hits = List.filter (Runner.rejects want) r.findings in
-      let kind = Option.value field ~default:"any" in
-      if hits = [] then
-        fail "%s: FAULT %s NOT REJECTED by %s (%s)" name (Runner.fault_name fault)
-          (Runner.lane_name lane) kind;
-      Printf.printf "%s: fault %-9s rejected by %s: %d %s finding(s), e.g. %s\n%!" name
-        (Runner.fault_name fault) (Runner.lane_name lane) (List.length hits) kind
-        (List.hd hits).ctx)
-    (List.filter (fun (lane, _) -> List.mem lane lanes) (Runner.rejected_by fault))
+(* The sweep's verdict: a clean sweep prints its unreadable corpus entries
+   and findings, a faulted one the lines naming who rejected the fault;
+   anything but [Ok] fails the alias. *)
+let judge name ~lanes ?fault (r : Runner.sweep_result) =
+  if fault = None then begin
+    List.iter
+      (fun (f, e) -> Printf.printf "%s: CORPUS ERROR %s: %s\n%!" name f e)
+      r.corpus_errors;
+    print_findings name r.findings
+  end;
+  match Runner.verdict ~lanes fault r with
+  | Ok lines -> List.iter (Printf.printf "%s: %s\n%!" name) lines
+  | Error e -> fail "%s: %s" name e
 
 let fuzz () =
   Obs.reset ();
   Obs.set_enabled true;
-  let r = Runner.sweep ~lanes:Runner.oracle ~corpus:"corpus" ~seed:0 ~iters:0 () in
+  let lanes = Runner.oracle in
+  let r = Runner.sweep ~lanes ~corpus:"corpus" ~seed:0 ~iters:0 () in
   Printf.printf "fuzz-ci: corpus %d/%d entries clean\n%!"
     (r.corpus_files - List.length r.corpus_failed)
     r.corpus_files;
-  clean "fuzz-ci" r;
+  judge "fuzz-ci" ~lanes r;
   let seed = 42 and iters = 500 in
-  let s = Driver.fuzz ~seed ~iters () in
+  let s = Driver.fuzz ~lanes ~seed ~iters () in
   let t = s.tally in
   Printf.printf
     "fuzz-ci: %d iterations (seed %d): %d txs, %d fallbacks, %d perturbed violations, %d \
@@ -120,7 +110,7 @@ let record_workload ~name ~seed ~n_users mix =
       List.iter
         (fun (b : Chain.Block.t) ->
           let benv =
-            Chain.Stf.block_env_of_header b.header ~block_hash:(fun n -> U256.of_int64 n)
+            Chain.Stf.block_env_of_header b.header ~block_hash:Netsim.Record.block_hash
           in
           let aps = Hashtbl.create 64 in
           let st = State.Statedb.create bk ~root:!parent in
@@ -169,8 +159,9 @@ let record_workload ~name ~seed ~n_users mix =
     [ false; true ]
 
 let parallel () =
-  let r = Runner.sweep ~lanes:[ Runner.Apply ] ~corpus:"corpus" ~seed:1301 ~iters:8 () in
-  clean "parallel-ci" r;
+  let lanes = [ Runner.Apply ] in
+  let r = Runner.sweep ~lanes ~corpus:"corpus" ~seed:1301 ~iters:8 () in
+  judge "parallel-ci" ~lanes r;
   let t = r.tally in
   Printf.printf
     "parallel-ci: %d scenarios (%d corpus files, all forks, + 8 generated), %d txs applied \
@@ -187,31 +178,31 @@ let parallel () =
 
 let analysis () =
   let seed = 42 and iters = 8 in
-  let r = Runner.sweep ~lanes:[ Runner.Verifier ] ~corpus:"corpus" ~seed ~iters () in
+  let lanes = [ Runner.Verifier ] in
+  let r = Runner.sweep ~lanes ~corpus:"corpus" ~seed ~iters () in
   Printf.printf
     "analysis-ci: verified %d programs from %d corpus files (all forks) + %d generated \
      scenarios, %d fallbacks\n%!"
     r.tally.programs r.corpus_files iters r.tally.fallbacks;
-  clean "analysis-ci" r;
+  judge "analysis-ci" ~lanes r;
   (* for any generator seed, builder output verifies *)
   let prop =
     QCheck.Test.make ~count:40 ~name:"verifier accepts builder output"
       QCheck.(int_bound 10_000)
       (fun s ->
         let s = Generate.seeded ~seed:s 0 in
-        let fs = Runner.run ~lanes:[ Runner.Verifier ] ~label:"prop" s in
+        let fs = Runner.run ~lanes ~label:"prop" s in
         print_findings "analysis-ci" fs;
         fs = [])
   in
   (try QCheck.Test.check_exn prop
    with exn -> fail "analysis-ci: PROPERTY FAILED: %s" (Printexc.to_string exn));
-  let lanes = [ Runner.Verifier ] in
   List.iter
     (fun fault ->
       let r = Runner.sweep ~lanes ~fault ~corpus:"corpus" ~seed ~iters () in
       if r.tally.mutated = 0 then
         fail "analysis-ci: fault %s was in effect on no program" (Runner.fault_name fault);
-      rejected "analysis-ci" ~lanes fault r)
+      judge "analysis-ci" ~lanes ~fault r)
     [ Runner.Add; Runner.Drop_guard ];
   print_string "analysis-ci: verifier clean on corpus + generated, both faults rejected\n"
 
@@ -280,7 +271,7 @@ let bca () =
      touches + %d changes covered, %d wild, %d witness flips\n%!"
     t.scenarios r.corpus_files iters_per_fork Spec.n_forks t.txs t.touches t.changes t.wild
     t.flips;
-  clean "bca-ci" r;
+  judge "bca-ci" ~lanes r;
   if t.touches = 0 || t.changes = 0 || t.flips = 0 then
     fail "bca-ci: sweep checked nothing (touches=%d changes=%d flips=%d)" t.touches t.changes
       t.flips;
@@ -288,8 +279,7 @@ let bca () =
   List.iter
     (fun n ->
       let fault = Runner.Narrow n in
-      rejected "bca-ci" ~lanes fault
-        (Runner.sweep ~lanes ~fault ~corpus:"corpus" ~seed ~iters:2 ()))
+      judge "bca-ci" ~lanes ~fault (Runner.sweep ~lanes ~fault ~corpus:"corpus" ~seed ~iters:2 ()))
     [ Bca.N_cfg; Bca.N_stack; Bca.N_footprint; Bca.N_calldata ];
   if !Bca.seeded_narrowing <> None then
     fail "bca-ci: narrowing leaked out of the rejection runs";

@@ -25,7 +25,7 @@ let dedupe_regression ~jobs =
   for h = 0 to hashes - 1 do
     let hash = Printf.sprintf "tx%d" h in
     for _ = 0 to dups do
-      Sched.submit s ~dedupe_key:"ctx" ~hash ~root:"r" ~priority:(U256.of_int 1)
+      Sched.submit s ~dedupe_key:"ctx" ~hash ~priority:(U256.of_int 1)
         (fun () -> h)
     done
   done;
@@ -52,7 +52,7 @@ let forget_bound_regression ~jobs =
   let hashes = List.init n (Printf.sprintf "tx%d") in
   List.iter
     (fun hash ->
-      Sched.submit s ~dedupe_key:"ctx" ~hash ~root:"r" ~priority:(U256.of_int 1)
+      Sched.submit s ~dedupe_key:"ctx" ~hash ~priority:(U256.of_int 1)
         (fun () -> 0))
     hashes;
   Sched.barrier s;

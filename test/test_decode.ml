@@ -154,7 +154,7 @@ let hammer_battery () =
   in
   let s : (string * int) Sched.t = Sched.create ~jobs () in
   for i = 0 to n - 1 do
-    Sched.submit s ~hash:(Printf.sprintf "hammer%d" i) ~root:"r" ~priority:(U256.of_int 1) run
+    Sched.submit s ~hash:(Printf.sprintf "hammer%d" i) ~priority:(U256.of_int 1) run
   done;
   Sched.barrier s;
   let results =
@@ -232,7 +232,7 @@ let mixed_spec_battery () =
       for i = 0 to per_fork - 1 do
         Sched.submit s
           ~hash:(Printf.sprintf "mixed%d-%d" fi i)
-          ~root:"r" ~priority:(U256.of_int 1)
+          ~priority:(U256.of_int 1)
           (fun () ->
             let spec = Spec.resolve fork in
             let r, root =

@@ -1,7 +1,7 @@
 (* lib/fuzz: the conformance fuzzer's own tests — corpus serialization,
    deterministic generation, a bounded clean pass, corpus replay, the
-   mutation smoke test proving the oracle has teeth, and the seeded-fault
-   table proving every lane does. *)
+   mutation smoke test proving the oracle has teeth, the seeded-fault
+   table proving every lane does, and the rejection verdict's own cases. *)
 
 let check = Alcotest.check
 let checkb = Alcotest.(check bool)
@@ -34,7 +34,7 @@ let deterministic_generation () =
 open Fuzz
 
 let clean_pass () =
-  let s = Driver.fuzz ~seed:42 ~iters:60 () in
+  let s = Driver.fuzz ~lanes:Runner.oracle ~seed:42 ~iters:60 () in
   (match s.counterexample with
   | None -> ()
   | Some f ->
@@ -53,12 +53,13 @@ let corpus_replays_clean () =
 let mutation_smoke () =
   (* A miscompiled C_add in the AP executor must be detected within a small
      fixed budget, and the shrunk counterexample must still reproduce. *)
-  let s = Driver.fuzz ~fault:Runner.Add ~seed:42 ~iters:25 () in
+  let s = Driver.fuzz ~fault:Runner.Add ~lanes:Runner.oracle ~seed:42 ~iters:25 () in
   match s.counterexample with
   | None -> Alcotest.fail "mutated AP executor survived 25 iterations undetected"
   | Some f ->
     checkb "shrunk scenario still diverges" true
-      (Runner.with_fault (Some Runner.Add) (fun () -> Driver.diverges f.scenario));
+      (Runner.with_fault (Some Runner.Add) (fun () ->
+           Driver.diverges ~lanes:Runner.oracle f.scenario));
     checkb "shrinking did not grow the scenario" true
       (Scenario.size f.scenario <= Scenario.size f.original);
     checkb "divergences were reported" true (f.findings <> [])
@@ -66,7 +67,8 @@ let mutation_smoke () =
 let mutation_gone_after_reset () =
   (* the smoke test's fault must not leak: the same scenario is clean now *)
   let s = Generate.seeded ~seed:42 0 in
-  checkb "scenario is clean without the mutation" false (Driver.diverges s)
+  checkb "scenario is clean without the mutation" false
+    (Driver.diverges ~lanes:Runner.oracle s)
 
 (* Every seeded fault through [sweep]: each must be rejected by every
    (lane, kind) its contract names, the same sweep without a fault must
@@ -94,6 +96,41 @@ let fault_table () =
   checkb "drop-guard switched off" false !Runner.drop_guard_fault;
   checkb "add_path hook restored" true (!Ap.Program.add_path_hook == hook)
 
+(* [Runner.verdict] on hand-built sweep results: no sweep runs, so each
+   case pins one clause of the rejection contract. *)
+let verdict_cases () =
+  let result ?(corpus_errors = []) findings =
+    { Runner.tally = Runner.new_tally (); findings; corpus_files = 1; corpus_errors;
+      corpus_failed = [] }
+  in
+  let finding lane field = { Runner.ctx = "case"; lane; field; detail = "" } in
+  let memo = Analysis.Report.(kind_name Memo_soundness)
+  and guard = Analysis.Report.(kind_name Guard_coverage) in
+  let verdict = Alcotest.(result (list string) string) in
+  let lanes = Runner.oracle in
+  check verdict "a clean sweep passes" (Ok []) (Runner.verdict ~lanes None (result []));
+  checkb "a finding fails a clean run" true
+    (Result.is_error (Runner.verdict ~lanes None (result [ finding Runner.Ap "receipt" ])));
+  check verdict "ADD rejected by the AP lane alone fails, naming memo soundness"
+    (Error ("FAULT add NOT REJECTED by verifier (" ^ memo ^ ")"))
+    (Runner.verdict ~lanes (Some Runner.Add) (result [ finding Runner.Ap "receipt" ]));
+  checkb "ADD rejected by both contract lanes passes" true
+    (Result.is_ok
+       (Runner.verdict ~lanes (Some Runner.Add)
+          (result [ finding Runner.Ap "receipt"; finding Runner.Verifier memo ])));
+  checkb "a fault whose contract lanes were not swept fails" true
+    (Result.is_error
+       (Runner.verdict ~lanes
+          (Some (Runner.Narrow Bca.N_cfg))
+          (result [ finding Runner.Footprint "touch" ])));
+  let dropped = result [ finding Runner.Verifier guard ] in
+  checkb "drop-guard rejected by guard coverage passes" true
+    (Result.is_ok (Runner.verdict ~lanes (Some Runner.Drop_guard) dropped));
+  checkb "an unreadable corpus entry fails a rejected fault" true
+    (Result.is_error
+       (Runner.verdict ~lanes (Some Runner.Drop_guard)
+          { dropped with corpus_errors = [ ("corpus/x.sexp", "parse error: eof") ] }))
+
 let suite =
   [ t "scenario sexp round-trips" sexp_roundtrip;
     t "generation is deterministic per (seed, iteration)" deterministic_generation;
@@ -101,4 +138,5 @@ let suite =
     t "corpus counterexamples replay clean" corpus_replays_clean;
     t "mutation smoke: miscompiled ADD is caught and shrunk" mutation_smoke;
     t "mutation flag does not leak" mutation_gone_after_reset;
-    t "seeded faults: each rejected by its named lane" fault_table ]
+    t "seeded faults: each rejected by its named lane" fault_table;
+    t "verdict: each clause of the rejection contract bites" verdict_cases ]

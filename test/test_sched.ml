@@ -120,7 +120,6 @@ let test_inline () =
   for i = 0 to 9 do
     Sched.submit s
       ~hash:(Printf.sprintf "h%d" i)
-      ~root:"r"
       ~priority:(u (i mod 3))
       (fun () -> i * i)
   done;
@@ -138,7 +137,7 @@ let test_inline () =
 
 let test_exn () =
   let s : int Sched.t = Sched.create ~jobs:1 () in
-  Sched.submit s ~hash:"boom" ~root:"r" ~priority:(u 1) (fun () -> failwith "boom");
+  Sched.submit s ~hash:"boom" ~priority:(u 1) (fun () -> failwith "boom");
   (match Sched.drain s with
   | [ { Sched.r_value = Error (Failure m); _ } ] ->
     Alcotest.(check string) "exception captured" "boom" m
@@ -152,7 +151,7 @@ let test_chaining () =
   let s : int Sched.t = Sched.create ~jobs:4 () in
   let order = ref [] in
   for i = 0 to 19 do
-    Sched.submit s ~hash:"same-tx" ~root:"r" ~priority:(u 1) (fun () ->
+    Sched.submit s ~hash:"same-tx" ~priority:(u 1) (fun () ->
         order := i :: !order;
         i)
   done;
@@ -172,11 +171,11 @@ let test_chaining () =
 let test_chain_survives_exn () =
   let s : int Sched.t = Sched.create ~jobs:2 () in
   let wait, release = gate () in
-  Sched.submit s ~hash:"tx" ~root:"r" ~priority:(u 1) (fun () ->
+  Sched.submit s ~hash:"tx" ~priority:(u 1) (fun () ->
       wait ();
       0);
-  Sched.submit s ~hash:"tx" ~root:"r" ~priority:(u 1) (fun () -> failwith "boom");
-  Sched.submit s ~hash:"tx" ~root:"r" ~priority:(u 1) (fun () -> 2);
+  Sched.submit s ~hash:"tx" ~priority:(u 1) (fun () -> failwith "boom");
+  Sched.submit s ~hash:"tx" ~priority:(u 1) (fun () -> 2);
   release ();
   Sched.barrier s;
   let outcome (r : int Sched.result) =
@@ -197,7 +196,7 @@ let test_chain_survives_exn () =
 let dedupe_script jobs =
   let s : string Sched.t = Sched.create ~jobs () in
   let sub ?dedupe_key hash =
-    Sched.submit s ?dedupe_key ~hash ~root:"r" ~priority:(u 1) (fun () -> hash)
+    Sched.submit s ?dedupe_key ~hash ~priority:(u 1) (fun () -> hash)
   in
   sub ~dedupe_key:"k1" "x";
   sub ~dedupe_key:"k1" "x" (* duplicate: must be skipped, not chained *);
@@ -249,20 +248,20 @@ let memo_bound_script jobs =
   let s : int Sched.t = Sched.create ~jobs () in
   Fun.protect ~finally:(fun () -> Sched.shutdown s) @@ fun () ->
   for i = 0 to 9 do
-    Sched.submit s ~dedupe_key:"ctx" ~hash:(string_of_int i) ~root:"r" ~priority:(u 1)
+    Sched.submit s ~dedupe_key:"ctx" ~hash:(string_of_int i) ~priority:(u 1)
       (fun () -> i)
   done;
   Sched.barrier s;
   Alcotest.(check int) "memo holds one entry per live hash" 10 (Sched.memo_size s);
   (* a duplicate submission is deduped without growing the memo *)
-  Sched.submit s ~dedupe_key:"ctx" ~hash:"3" ~root:"r" ~priority:(u 1) (fun () -> 3);
+  Sched.submit s ~dedupe_key:"ctx" ~hash:"3" ~priority:(u 1) (fun () -> 3);
   Alcotest.(check int) "dedupe does not grow the memo" 10 (Sched.memo_size s);
   (* block commit: the node forgets every retired hash (absent ones are a
      no-op), bounding the memo to what is still pending *)
   Sched.forget s [ "0"; "1"; "2"; "absent" ];
   Alcotest.(check int) "forget drops retired hashes" 7 (Sched.memo_size s);
   (* a forgotten hash speculates again instead of being deduped stale *)
-  Sched.submit s ~dedupe_key:"ctx" ~hash:"0" ~root:"r" ~priority:(u 1) (fun () -> 0);
+  Sched.submit s ~dedupe_key:"ctx" ~hash:"0" ~priority:(u 1) (fun () -> 0);
   Sched.barrier s;
   Alcotest.(check int) "forgotten hash re-memoizes on resubmission" 8 (Sched.memo_size s);
   let st = Sched.stats s in
@@ -278,7 +277,7 @@ let test_barrier_quiesces () =
     for i = 0 to 49 do
       Sched.submit s
         ~hash:(Printf.sprintf "r%d-j%d" round i)
-        ~root:"r" ~priority:(u (i mod 5))
+        ~priority:(u (i mod 5))
         (fun () -> i)
     done;
     Sched.barrier s;
