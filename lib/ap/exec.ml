@@ -199,7 +199,7 @@ let rec exec_node ~use_memos ~warm st benv regs stats tx = function
       gas_refund = leaf.gas_refund;
       output = I.bytes_of_pieces regs leaf.output;
       logs;
-      contract_address = None;
+      contract_address = Evm.Processor.created_address tx leaf.status;
       sender_balance_before;
       sender_nonce_before;
     }

@@ -43,13 +43,6 @@ type narrowing = N_cfg | N_stack | N_footprint | N_calldata
 
 let seeded_narrowing : narrowing option ref = ref None
 
-let narrowing_of_string = function
-  | "cfg" -> Some N_cfg
-  | "stack" -> Some N_stack
-  | "footprint" -> Some N_footprint
-  | "calldata" -> Some N_calldata
-  | _ -> None
-
 let narrowing_name = function
   | N_cfg -> "cfg"
   | N_stack -> "stack"

@@ -165,5 +165,4 @@ type narrowing = N_cfg | N_stack | N_footprint | N_calldata
 
 val seeded_narrowing : narrowing option ref
 
-val narrowing_of_string : string -> narrowing option
 val narrowing_name : narrowing -> string

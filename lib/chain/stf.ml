@@ -2,10 +2,11 @@
    in order against a Statedb and commit.  Used by miners to fill in the
    state root and by every node to validate it.
 
-   Two ways to run a block:
+   Two ways to run a block, one block loop:
 
    - [apply_txs]: the sequential reference — execute in consensus order on
-     the master state.
+     the master state through a per-transaction step (the interpreter by
+     default), commit, and fold the block's gas.  Every block commits here.
 
    - [apply_txs_parallel]: conflict-aware optimistic concurrency (DESIGN.md
      §10, after Saraph & Herlihy).  Every transaction is pre-executed on a
@@ -20,9 +21,11 @@
      meet none of those writes gets its extracted effects replayed onto
      the master state; one that read a location an earlier transaction
      wrote speculated against a state the sequential schedule never
-     produces, so it is aborted and rerun on the master state.  The
-     committed root is byte-identical to [apply_txs] — the fuzz oracle and
-     the @parallel tests pin this.
+     produces, so it is aborted and rerun on the master state — through
+     its AP first, like the speculative phase.  That walk is [apply_txs]
+     with a commit-or-rerun step.  The committed root is byte-identical to
+     the sequential apply's — the fuzz oracle and the @parallel tests pin
+     this.
 
    Coinbase commutativity: every transaction credits the miner fee, so the
    coinbase balance would serialize all pairs.  Fee-like coinbase balance
@@ -56,8 +59,16 @@ let block_env_of_header (h : Block.header) ~block_hash : Evm.Env.block_env =
 
 (* ---- sequential ---- *)
 
-let apply_txs ?spec st benv txs =
-  let receipts = List.map (fun tx -> Evm.Processor.execute_tx ?spec st benv tx) txs in
+(* The one block loop: every transaction through [step] in consensus order
+   on [st], then commit and fold the block's gas.  The default step is the
+   interpreter; the parallel commit phase and the node pass their own. *)
+let apply_txs ?spec ?step st benv txs =
+  let step =
+    match step with
+    | Some step -> step
+    | None -> fun st benv _ tx -> Evm.Processor.execute_tx ?spec st benv tx
+  in
+  let receipts = List.mapi (fun idx tx -> step st benv idx tx) txs in
   let state_root = Statedb.commit st in
   let gas_used =
     List.fold_left (fun acc (r : Evm.Processor.receipt) -> acc + r.gas_used) 0 receipts
@@ -76,9 +87,9 @@ let check_valid ~what receipts =
 (* Execute all transactions of [b] against [st] (which must be at the parent
    state), committing at the end.  Raises [Invalid_argument] if any
    transaction is invalid — a correctly mined block never contains one. *)
-let apply_block ?spec st ~block_hash (b : Block.t) =
+let apply_block ?spec ?step st ~block_hash (b : Block.t) =
   let benv = block_env_of_header b.header ~block_hash in
-  let r = apply_txs ?spec st benv b.txs in
+  let r = apply_txs ?spec ?step st benv b.txs in
   check_valid ~what:"apply_block" r.receipts;
   r
 
@@ -110,13 +121,13 @@ let create_pool ~jobs () : pool = Sched.create ~jobs ()
 let shutdown_pool (p : pool) = Sched.shutdown p
 
 type par_stats = {
-  par_jobs : int;
   par_txs : int;
   par_aborted : int; (* read/write conflicts: speculation discarded *)
   par_forced : int; (* non-commutative coinbase patterns *)
   par_reruns : int; (* sequential re-executions = aborted + forced *)
   par_static_serial : int; (* statically partitioned out: never speculated *)
-  par_ap_hits : int; (* speculative executions through the AP fast path *)
+  par_ap_hits : int; (* committed speculations through the AP fast path *)
+  par_inline_ap_hits : int; (* commit-loop executions through the AP fast path *)
   par_commit_ns : int;
 }
 
@@ -126,24 +137,26 @@ let obs_par_aborts = Obs.counter "stf.parallel.aborts"
 let obs_par_reruns = Obs.counter "stf.parallel.reruns"
 let obs_par_block_aborts = Obs.histogram "stf.parallel.block_aborts"
 
+(* The per-transaction step of both phases: the transaction's AP fast path
+   when one is supplied and its constraints hold on [st], the interpreter
+   otherwise.  Returns whether the AP served it. *)
+let exec_tx ~spec ~ap st benv tx =
+  match ap tx with
+  | Some prog ->
+    let r, stats = Ap.Exec.execute_or_fallback ~spec prog st benv tx in
+    (r, Option.is_some stats)
+  | None -> (Evm.Processor.execute_tx ~spec st benv tx, false)
+
 (* Speculative phase: one transaction on a fork of the master state.  Runs
    on a worker domain; the master is only read between the fan-out and the
    barrier, so every fork may share it (the caller guarantees the backend
    is quiescent while the block executes). *)
-let speculate_one ?spec master ~ap (benv : Evm.Env.block_env) idx (tx : Evm.Env.tx) () =
+let speculate_one ~spec master ~ap (benv : Evm.Env.block_env) idx (tx : Evm.Env.tx) () =
   let st = Statedb.fork master in
   let cb0 = Statedb.get_balance st benv.coinbase in
   Statedb.set_tracking st true;
   let mark = Statedb.snapshot st in
-  let receipt, ap_hit =
-    match if tx.to_ = None then None else ap tx with
-    | Some prog ->
-      (* creations are excluded above: an AP path never carries the
-         receipt's [contract_address] *)
-      let r, stats = Ap.Exec.execute_or_fallback ?spec prog st benv tx in
-      (r, Option.is_some stats)
-    | None -> (Evm.Processor.execute_tx ?spec st benv tx, false)
-  in
+  let receipt, ap_hit = exec_tx ~spec ~ap st benv tx in
   Statedb.set_tracking st false;
   let changes = Statedb.changes_since st mark in
   let cb1 = Statedb.get_balance st benv.coinbase in
@@ -254,69 +267,65 @@ let apply_txs_parallel ~pool ?(ap = no_ap) ?spec ?(static_partition = true) st
     invalid_arg "apply_txs_parallel: speculation result count mismatch";
   (* commit phase: consensus order, conflict check, abort-and-rerun *)
   let written = Bca.Union.create () in
-  let aborted = ref 0 and forced = ref 0 and ap_hits = ref 0 in
+  let aborted = ref 0 and forced = ref 0 and ap_hits = ref 0 and inline_ap_hits = ref 0 in
   let static_serial = ref 0 in
   let commit_ns = ref 0 in
-  (* sequential execution on the master state: by induction it holds
-     exactly the sequential prefix, so this execution is the sequential
-     one; its writes join the conflict set so later speculated
-     transactions abort correctly *)
+  (* sequential execution on the master state, through the same step as
+     the speculative phase: by induction the master holds exactly the
+     sequential prefix, so this execution is the sequential one; its
+     writes join the conflict set so later speculated transactions abort
+     correctly *)
   let run_inline tx =
     let mark = Statedb.snapshot st in
-    let r = Evm.Processor.execute_tx ~spec st benv tx in
-    let changes = Statedb.changes_since st mark in
-    Bca.Union.add_changes written ~coinbase:benv.coinbase changes;
+    let r, hit = exec_tx ~spec ~ap st benv tx in
+    if hit then incr inline_ap_hits;
+    Bca.Union.add_changes written ~coinbase:benv.coinbase (Statedb.changes_since st mark);
     r
   in
-  let receipts =
-    List.init n_txs (fun idx ->
-        let tx = txs_arr.(idx) in
-        let t0 = Obs.now_ns () in
-        let receipt =
-          match results.(idx) with
-          | None ->
-            (* statically partitioned out: first execution, not a rerun *)
-            incr static_serial;
-            Obs.incr obs_static_serial;
-            run_inline tx
-          | Some sp ->
-            let clash =
-              if sp.sp_forced then (incr forced; true)
-              else if Bca.Union.reads_written written sp.sp_reads then (incr aborted; true)
-              else false
-            in
-            if clash then begin
-              Obs.incr obs_par_reruns;
-              run_inline tx
-            end
-            else begin
-              if sp.sp_ap_hit then incr ap_hits;
-              Statedb.apply_changes st sp.sp_changes;
-              if not (U256.is_zero sp.sp_cb_delta) then
-                Statedb.add_balance st benv.coinbase sp.sp_cb_delta;
-              Bca.Union.add_changes written ~coinbase:benv.coinbase sp.sp_changes;
-              sp.sp_receipt
-            end
+  let commit_or_rerun _ _ idx tx =
+    let t0 = Obs.now_ns () in
+    let receipt =
+      match results.(idx) with
+      | None ->
+        (* statically partitioned out: first execution, not a rerun *)
+        incr static_serial;
+        Obs.incr obs_static_serial;
+        run_inline tx
+      | Some sp ->
+        let clash =
+          if sp.sp_forced then (incr forced; true)
+          else if Bca.Union.reads_written written sp.sp_reads then (incr aborted; true)
+          else false
         in
-        commit_ns := !commit_ns + Int64.to_int (Int64.sub (Obs.now_ns ()) t0);
-        receipt)
+        if clash then begin
+          Obs.incr obs_par_reruns;
+          run_inline tx
+        end
+        else begin
+          if sp.sp_ap_hit then incr ap_hits;
+          Statedb.apply_changes st sp.sp_changes;
+          if not (U256.is_zero sp.sp_cb_delta) then
+            Statedb.add_balance st benv.coinbase sp.sp_cb_delta;
+          Bca.Union.add_changes written ~coinbase:benv.coinbase sp.sp_changes;
+          sp.sp_receipt
+        end
+    in
+    commit_ns := !commit_ns + Int64.to_int (Int64.sub (Obs.now_ns ()) t0);
+    receipt
   in
+  let block = apply_txs ~step:commit_or_rerun st benv txs in
   Obs.add obs_par_aborts !aborted;
   Obs.incr obs_par_blocks;
   Obs.add obs_par_txs n_txs;
   Obs.observe_int obs_par_block_aborts (!aborted + !forced);
-  let state_root = Obs.span "stf.parallel.commit" (fun () -> Statedb.commit st) in
-  let gas_used =
-    List.fold_left (fun acc (r : Evm.Processor.receipt) -> acc + r.gas_used) 0 receipts
-  in
-  ( { state_root; receipts; gas_used },
+  ( block,
     {
-      par_jobs = Sched.jobs pool;
       par_txs = n_txs;
       par_aborted = !aborted;
       par_forced = !forced;
       par_reruns = !aborted + !forced;
       par_static_serial = !static_serial;
       par_ap_hits = !ap_hits;
+      par_inline_ap_hits = !inline_ap_hits;
       par_commit_ns = !commit_ns;
     } )

@@ -13,15 +13,28 @@ val block_env_of_header :
   Block.header -> block_hash:(int64 -> U256.t) -> Evm.Env.block_env
 
 val apply_txs :
-  ?spec:Spec.t -> Statedb.t -> Evm.Env.block_env -> Evm.Env.tx list -> block_result
-(** Execute the transactions in order against [st] (at the parent state)
-    and commit.  Invalid transactions produce [Invalid] receipts and no
-    state change — callers validating mined blocks should use
-    {!apply_block}, which rejects them.  [spec] selects the hardfork rules
-    (default [!Spec.current]). *)
+  ?spec:Spec.t ->
+  ?step:(Statedb.t -> Evm.Env.block_env -> int -> Evm.Env.tx -> Evm.Processor.receipt) ->
+  Statedb.t ->
+  Evm.Env.block_env ->
+  Evm.Env.tx list ->
+  block_result
+(** Execute the transactions in order against [st] (at the parent state),
+    commit, and sum the receipts' gas: the one loop every block commits
+    through.  [step st benv idx tx] executes the [idx]-th transaction on
+    [st]; the default is the interpreter under [spec] (default
+    [!Spec.current]), which a supplied [step] replaces.  Invalid
+    transactions produce [Invalid] receipts and no state change — callers
+    validating mined blocks should use {!apply_block}, which rejects
+    them. *)
 
 val apply_block :
-  ?spec:Spec.t -> Statedb.t -> block_hash:(int64 -> U256.t) -> Block.t -> block_result
+  ?spec:Spec.t ->
+  ?step:(Statedb.t -> Evm.Env.block_env -> int -> Evm.Env.tx -> Evm.Processor.receipt) ->
+  Statedb.t ->
+  block_hash:(int64 -> U256.t) ->
+  Block.t ->
+  block_result
 (** {!apply_txs} on a block's transactions under its header environment.
     @raise Invalid_argument if a transaction is invalid — a correctly mined
     block never contains one. *)
@@ -36,7 +49,9 @@ val apply_block :
     commit walks consensus order, replaying each transaction's effects onto
     the master state unless its reads meet an earlier-ordered transaction's
     writes in the block's {!Bca.Union} conflict set — then it is aborted and
-    rerun sequentially.  Instruments: [stf.parallel.{aborts,reruns}]
+    rerun sequentially, through the same AP-or-interpreter step as the
+    speculative phase.  The commit loop is {!apply_txs} with that
+    commit-or-rerun step.  Instruments: [stf.parallel.{aborts,reruns}]
     counters and the per-block [stf.parallel.block_aborts] histogram.
     The committed state root is byte-identical to {!apply_txs}. *)
 
@@ -52,7 +67,6 @@ val create_pool : jobs:int -> unit -> pool
 val shutdown_pool : pool -> unit
 
 type par_stats = {
-  par_jobs : int;
   par_txs : int;
   par_aborted : int;  (** commits aborted on a read/write conflict *)
   par_forced : int;  (** forced sequential reruns (non-commutative coinbase) *)
@@ -60,7 +74,10 @@ type par_stats = {
   par_static_serial : int;
       (** transactions the static pre-partitioner (lib/bca) kept out of the
           speculative phase and executed in order on the master state *)
-  par_ap_hits : int;  (** speculative executions through the AP fast path *)
+  par_ap_hits : int;  (** committed speculations through the AP fast path *)
+  par_inline_ap_hits : int;
+      (** commit-loop executions (statically serial transactions and
+          reruns) through the AP fast path *)
   par_commit_ns : int;  (** wall time of the consensus-order commit loop *)
 }
 
@@ -75,8 +92,9 @@ val apply_txs_parallel :
   block_result * par_stats
 (** Parallel counterpart of {!apply_txs}.  [st] must be freshly created or
     committed (no open journal) — the workers speculate on forks of it.
-    [ap] supplies a transaction's accelerated program, if any (never
-    consulted for creations); default: none, interpreter only.  [spec] is
+    [ap] supplies a transaction's accelerated program, if any; default:
+    none, interpreter only.  Both the speculative phase and the commit
+    loop's sequential executions try it first.  [spec] is
     resolved once on the submitting domain so speculation and commit-phase
     reruns agree on the hardfork.  With [static_partition] (default on) each
     transaction's static footprint ({!Bca.predict_tx}) is concretized

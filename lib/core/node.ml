@@ -132,7 +132,6 @@ let replay ?(config = default_config) ~policy (record : Netsim.Record.t) : resul
   let phase_pfx = "replay." ^ policy_name policy in
   let l_speculate = phase_pfx ^ ".speculate" in
   let l_execute = phase_pfx ^ ".execute" in
-  let l_commit = phase_pfx ^ ".commit" in
   let l_respec = phase_pfx ^ ".respec" in
   let l_barrier = phase_pfx ^ ".barrier" in
   let bk = record.backend in
@@ -328,18 +327,13 @@ let replay ?(config = default_config) ~policy (record : Netsim.Record.t) : resul
         match stats with
         | Some stats ->
           (match reference with
-          | Some r ->
-            if
-              not
-                (Evm.Processor.status_equal r.status receipt.status
-                && r.gas_used = receipt.gas_used
-                && String.equal r.output receipt.output
-                && List.length r.logs = List.length receipt.logs
-                && List.for_all2 Evm.Env.log_equal r.logs receipt.logs)
-            then
+          | Some r -> (
+            match Evm.Processor.receipt_diffs r receipt with
+            | [] -> ()
+            | (field, detail) :: _ ->
               invalid_arg
-                (Printf.sprintf "AP hit diverged from EVM for tx %s"
-                   (Khash.Keccak.to_hex hash))
+                (Printf.sprintf "AP hit diverged from EVM for tx %s: %s %s"
+                   (Khash.Keccak.to_hex hash) field detail))
           | None -> ());
           record_of receipt (if was_perfect then O_perfect else O_imperfect) ns (Some stats)
         | None -> record_of receipt miss_outcome ns None
@@ -437,21 +431,17 @@ let replay ?(config = default_config) ~policy (record : Netsim.Record.t) : resul
           in
           let canonical = Netsim.Record.is_canonical record b in
           if not extends_head then incr fork_blocks;
-          let benv =
-            Chain.Stf.block_env_of_header b.header ~block_hash:Netsim.Record.block_hash
-          in
           let block_ns = ref 0 in
-          let gas = ref 0 in
-          List.iter
-            (fun tx ->
-              let tr, _receipt =
-                Obs.span l_execute (fun () -> exec_one exec_st ~canonical benv t tx)
-              in
-              block_ns := !block_ns + tr.exec_ns;
-              gas := !gas + tr.gas_used;
-              txs := tr :: !txs)
-            b.txs;
-          let root = Obs.span l_commit (fun () -> Statedb.commit exec_st) in
+          let step st benv _ tx =
+            let tr, receipt = Obs.span l_execute (fun () -> exec_one st ~canonical benv t tx) in
+            block_ns := !block_ns + tr.exec_ns;
+            txs := tr :: !txs;
+            receipt
+          in
+          let applied =
+            Chain.Stf.apply_block ~step exec_st ~block_hash:Netsim.Record.block_hash b
+          in
+          let root = applied.state_root in
           let root_ok = String.equal root b.header.state_root in
           if not root_ok then
             invalid_arg
@@ -463,7 +453,7 @@ let replay ?(config = default_config) ~policy (record : Netsim.Record.t) : resul
             {
               number = b.header.number;
               n_txs = List.length b.txs;
-              gas_used = !gas;
+              gas_used = applied.gas_used;
               gas_limit = b.header.gas_limit;
               root_ok;
               canonical;

@@ -68,7 +68,7 @@ let try_path (path : I.path) st (benv : Evm.Env.block_env) (tx : Evm.Env.tx) :
         gas_refund = path.gas_refund;
         output = I.bytes_of_pieces regs path.output;
         logs;
-        contract_address = None;
+        contract_address = Evm.Processor.created_address tx path.status;
         sender_balance_before;
         sender_nonce_before;
       }

@@ -12,9 +12,6 @@ type block_env = {
   block_hash : int64 -> U256.t;  (** hash of a recent block number *)
 }
 
-let pp_block_env ppf b =
-  Fmt.pf ppf "{#%Ld ts=%Ld coinbase=%a}" b.number b.timestamp Address.pp b.coinbase
-
 (** A signed transaction as it travels the network.  [to_] of [None] is
     contract creation. *)
 type tx = {
@@ -36,11 +33,6 @@ let tx_hash (t : tx) =
         Rlp.encode_int t.gas_limit; Rlp.Str (U256.to_bytes_be t.gas_price) ]
   in
   Khash.Keccak.digest (Rlp.encode body)
-
-let pp_tx ppf t =
-  Fmt.pf ppf "tx{%a->%a nonce=%d gas=%d price=%a}" Address.pp t.sender
-    (Fmt.option ~none:(Fmt.any "create") Address.pp)
-    t.to_ t.nonce t.gas_limit U256.pp t.gas_price
 
 type log = { log_address : Address.t; topics : U256.t list; log_data : string }
 

@@ -14,8 +14,6 @@ type block_env = {
   block_hash : int64 -> U256.t;  (** hashes of recent blocks *)
 }
 
-val pp_block_env : Format.formatter -> block_env -> unit
-
 (** A signed transaction as it travels the network; [to_ = None] is contract
     creation. *)
 type tx = {
@@ -30,8 +28,6 @@ type tx = {
 
 val tx_hash : tx -> string
 (** Keccak-256 of the RLP-encoded transaction (its network identity). *)
-
-val pp_tx : Format.formatter -> tx -> unit
 
 type log = { log_address : Address.t; topics : U256.t list; log_data : string }
 

@@ -32,17 +32,6 @@ type fail_reason =
   | Return_data_oob
   | Code_too_large
 
-let pp_fail ppf r =
-  Fmt.string ppf
-    (match r with
-    | Out_of_gas -> "out of gas"
-    | Stack_underflow -> "stack underflow"
-    | Stack_overflow -> "stack overflow"
-    | Invalid_jump d -> Printf.sprintf "invalid jump to %d" d
-    | Invalid_opcode b -> Printf.sprintf "invalid opcode 0x%02x" b
-    | Static_violation -> "write in static context"
-    | Return_data_oob -> "returndata out of bounds"
-    | Code_too_large -> "deployed code too large")
 
 exception Fail of fail_reason
 

@@ -16,8 +16,6 @@ type fail_reason =
   | Return_data_oob
   | Code_too_large
 
-val pp_fail : Format.formatter -> fail_reason -> unit
-
 type status = Returned of string | Reverted of string | Failed of fail_reason
 
 exception Fail of fail_reason

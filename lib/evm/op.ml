@@ -131,5 +131,4 @@ let stack_out = function
   | CREATE2 | STATICCALL -> 1
 
 let push_bytes = function PUSH n -> n | _ -> 0
-let is_terminator = function STOP | RETURN | REVERT | SELFDESTRUCT | INVALID -> true | _ -> false
 let is_call = function CALL | CALLCODE | DELEGATECALL | STATICCALL -> true | _ -> false

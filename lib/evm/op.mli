@@ -41,8 +41,6 @@ val stack_out : t -> int
 val push_bytes : t -> int
 (** Immediate length: n for [PUSH n], 0 otherwise. *)
 
-val is_terminator : t -> bool
-(** STOP / RETURN / REVERT / SELFDESTRUCT / INVALID. *)
 
 val is_call : t -> bool
 (** CALL / CALLCODE / DELEGATECALL / STATICCALL. *)

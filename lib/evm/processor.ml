@@ -34,6 +34,31 @@ let pp_status ppf = function
   | Reverted -> Fmt.string ppf "reverted"
   | Invalid r -> Fmt.pf ppf "invalid(%s)" r
 
+(* The [contract_address] of a replayed receipt: an AP or path replay never
+   runs the creation frame, so it derives what [execute_tx] reports from the
+   sender and the (guarded) nonce. *)
+let created_address (tx : Env.tx) status =
+  match (tx.to_, status) with
+  | None, Success -> Some (Interp.create_address tx.sender tx.nonce)
+  | (None | Some _), (Success | Reverted | Invalid _) -> None
+
+let receipt_diffs a b =
+  let field name equal pp x y =
+    if equal x y then None else Some (name, Fmt.str "%a vs %a" pp x pp y)
+  in
+  let pp_hex ppf s = Fmt.pf ppf "0x%s" (Khash.Keccak.to_hex s) in
+  List.filter_map Fun.id
+    [ field "status" status_equal pp_status a.status b.status;
+      field "gas_used" Int.equal Fmt.int a.gas_used b.gas_used;
+      field "output" String.equal pp_hex a.output b.output;
+      field "logs" (List.equal Env.log_equal) (Fmt.list Env.pp_log) a.logs b.logs;
+      field "contract_address" (Option.equal Address.equal)
+        Fmt.(option ~none:(any "none") Address.pp) a.contract_address b.contract_address;
+      field "sender_balance_before" U256.equal U256.pp a.sender_balance_before
+        b.sender_balance_before;
+      field "sender_nonce_before" Int.equal Fmt.int a.sender_nonce_before
+        b.sender_nonce_before ]
+
 (* Upfront cost: gas_limit * gas_price + value. *)
 let upfront_cost (tx : Env.tx) =
   U256.add (U256.mul (U256.of_int tx.gas_limit) tx.gas_price) tx.value

@@ -27,6 +27,20 @@ type receipt = {
 val status_equal : status -> status -> bool
 val pp_status : Format.formatter -> status -> unit
 
+val created_address : Env.tx -> status -> Address.t option
+(** The [contract_address] {!execute_tx} reports: the creation address
+    derived from the sender and nonce for a successful creation, [None]
+    otherwise.  Replays that skip the creation frame (AP and path replays)
+    fill their receipts from it. *)
+
+val receipt_diffs : receipt -> receipt -> (string * string) list
+(** The one receipt comparator: each field that differs between a
+    reference receipt and a replayed one, as [(field, "reference vs got")],
+    over status, gas_used, output, logs, contract_address,
+    sender_balance_before and sender_nonce_before; [] when they agree.
+    [gas_refund] is left out: it is builder input, not an observable
+    result. *)
+
 val upfront_cost : Env.tx -> U256.t
 (** [gas_limit * gas_price + value] — what the sender must be able to pay. *)
 

@@ -38,20 +38,6 @@ type event =
 
 type sink = event -> unit
 
-let pp_step ppf s =
-  Fmt.pf ppf "%4d %-14s %a -> %a" s.pc (Op.name s.op)
-    (Fmt.array ~sep:Fmt.comma U256.pp)
-    s.inputs
-    (Fmt.array ~sep:Fmt.comma U256.pp)
-    s.outputs
-
-let pp_event ppf = function
-  | Step s -> pp_step ppf s
-  | Call_enter (s, i) ->
-    Fmt.pf ppf "%a [enter ctx=%a]" pp_step s Address.pp i.child_ctx
-  | Call_exit { success; output; _ } ->
-    Fmt.pf ppf "  [exit ok=%b out=%d bytes]" success (String.length output)
-
 (** Collect a full trace into an array. *)
 let collector () =
   let events = ref [] in

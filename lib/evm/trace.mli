@@ -39,9 +39,6 @@ type event =
 
 type sink = event -> unit
 
-val pp_step : Format.formatter -> step -> unit
-val pp_event : Format.formatter -> event -> unit
-
 val collector : unit -> sink * (unit -> event array)
 (** [let sink, get = collector ()]: pass [sink] to the interpreter, call
     [get] afterwards for the full trace. *)

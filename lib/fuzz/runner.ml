@@ -220,32 +220,6 @@ let emit_all o lane ~ctx ?(sub = "") diffs =
 let guarded o lane ~ctx f =
   try f () with exn -> emit o lane ~ctx "exception" (Printexc.to_string exn)
 
-(* Every receipt field as (field, "reference vs got"). *)
-let receipt_diffs (a : Evm.Processor.receipt) (b : Evm.Processor.receipt) =
-  List.filter_map Fun.id
-    [ (if Evm.Processor.status_equal a.status b.status then None
-       else
-         Some
-           ( "status",
-             Fmt.str "%a vs %a" Evm.Processor.pp_status a.status Evm.Processor.pp_status
-               b.status ));
-      (if a.gas_used = b.gas_used then None
-       else Some ("gas_used", Fmt.str "%d vs %d" a.gas_used b.gas_used));
-      (if String.equal a.output b.output then None
-       else
-         Some
-           ( "output",
-             Fmt.str "%s vs %s" (Sexp.hex_of_string a.output) (Sexp.hex_of_string b.output) ));
-      (if
-         List.length a.logs = List.length b.logs
-         && List.for_all2 Evm.Env.log_equal a.logs b.logs
-       then None
-       else
-         Some
-           ( "logs",
-             Fmt.str "%a vs %a" (Fmt.list Evm.Env.pp_log) a.logs (Fmt.list Evm.Env.pp_log)
-               b.logs )) ]
-
 (* The closed address universe a scenario can touch. *)
 let universe (s : Scenario.t) =
   List.init Scenario.n_senders Scenario.sender_addr
@@ -317,7 +291,7 @@ let own_chain o c lane exec =
 let legacy o c =
   own_chain o c Legacy (fun st ~pre:_ ~ctx step ->
       emit_all o Legacy ~ctx
-        (receipt_diffs step.receipt
+        (Evm.Processor.receipt_diffs step.receipt
            (Evm.Processor.execute_tx ~engine:Evm.Interp.Legacy ~spec:c.spec st benv step.tx)))
 
 (* A one-contract world: [code] installed at a fixed address next to a
@@ -346,7 +320,7 @@ let diff_code ?(data = "") ?(gas_limit = 300_000) ?(value = U256.zero) ~tx code 
   let run engine = run_code ~engine ~code ~data ~gas_limit ~value () in
   let r_d, root_d = run Evm.Interp.Decoded and r_l, root_l = run Evm.Interp.Legacy in
   let o = { tally = new_tally (); found = [] } and ctx = Printf.sprintf "raw#%d" tx in
-  emit_all o Legacy ~ctx (receipt_diffs r_d r_l);
+  emit_all o Legacy ~ctx (Evm.Processor.receipt_diffs r_d r_l);
   if not (String.equal root_d root_l) then
     emit o Legacy ~ctx "state_root"
       (Printf.sprintf "decoded %s vs legacy %s" (Sexp.hex_of_string root_d)
@@ -452,10 +426,12 @@ let sevm o c =
   own_chain o c Sevm (fun st ~pre:_ ~ctx step ->
       match Lazy.force step.path with
       | Error _ ->
-        emit_all o Sevm ~ctx ~sub:"fallback" (receipt_diffs step.receipt (execute c st step.tx))
+        emit_all o Sevm ~ctx ~sub:"fallback"
+          (Evm.Processor.receipt_diffs step.receipt (execute c st step.tx))
       | Ok path -> (
         match Sevm.Replay.run ~spec:c.spec path st benv step.tx with
-        | Sevm.Replay.Replayed r -> emit_all o Sevm ~ctx (receipt_diffs step.receipt r)
+        | Sevm.Replay.Replayed r ->
+          emit_all o Sevm ~ctx (Evm.Processor.receipt_diffs step.receipt r)
         | Sevm.Replay.Violated v ->
           (* the path was synthesized against this very state — every
              guard must hold *)
@@ -504,7 +480,7 @@ let perturbed o c ~pre ~ctx step ap (addr, key) =
       ("perturbed-hit", r)
   in
   let st_ref = perturb () in
-  emit_all o Ap ~ctx ~sub (receipt_diffs (execute c st_ref step.tx) got);
+  emit_all o Ap ~ctx ~sub (Evm.Processor.receipt_diffs (execute c st_ref step.tx) got);
   if not (String.equal (Statedb.commit st_ap) (Statedb.commit st_ref)) then
     emit o Ap ~ctx (sub ^ ":state_root") "perturbed-context state differs from plain EVM"
 
@@ -524,11 +500,12 @@ let warm_cold o c ~pre ~ctx step (addr, key) =
       o.tally.warm_violations <- o.tally.warm_violations + 1;
       (* untouched state: the cold fallback must equal the reference run *)
       emit_all o Ap ~ctx ~sub:"warm-fallback"
-        (receipt_diffs step.receipt (execute c st_cold step.tx))
+        (Evm.Processor.receipt_diffs step.receipt (execute c st_cold step.tx))
     | Ap.Exec.Hit (r, _) ->
       (* no warmth guard fired: only sound if the warm-built path charges
          exactly like the cold EVM run *)
-      emit_all o Ap ~ctx ~sub:"warm-built-cold-replay" (receipt_diffs step.receipt r))
+      emit_all o Ap ~ctx ~sub:"warm-built-cold-replay"
+        (Evm.Processor.receipt_diffs step.receipt r))
 
 (* Serve the template traced from a message-call step at the smallest
    gas limit its envelope admits, and one gas below.  A trace with no call
@@ -567,7 +544,7 @@ let boundary o c ~pre ~ctx step =
        emit o Ap ~ctx "boundary:violation"
          (Fmt.str "template refused the limit %d its envelope admits" limit)
      | Ap.Exec.Hit (r, _) ->
-       emit_all o Ap ~ctx ~sub:"boundary" (receipt_diffs r_ref r);
+       emit_all o Ap ~ctx ~sub:"boundary" (Evm.Processor.receipt_diffs r_ref r);
        emit_all o Ap ~ctx ~sub:"boundary"
          (root_diffs c ~pre ~ref_root:(Statedb.commit st_ref)
             ~got_root:(Statedb.commit st_tp)));
@@ -589,7 +566,8 @@ let ap o c =
       if step.tx.to_ <> None then boundary o c ~pre ~ctx step;
       match Lazy.force step.path with
       | Error _ ->
-        emit_all o Ap ~ctx ~sub:"fallback" (receipt_diffs step.receipt (execute c st step.tx))
+        emit_all o Ap ~ctx ~sub:"fallback"
+          (Evm.Processor.receipt_diffs step.receipt (execute c st step.tx))
       | Ok path -> (
         let ap = program_of path in
         Option.iter (perturbed o c ~pre ~ctx step ap) (constrained_slot path);
@@ -601,7 +579,7 @@ let ap o c =
          match Ap.Exec.execute ~spec:c.spec ~use_memos:false ap st_nm benv step.tx with
          | Ap.Exec.Violation -> emit o Ap ~ctx "nomemo:spurious_violation" spurious
          | Ap.Exec.Hit (r, _) ->
-           emit_all o Ap ~ctx ~sub:"nomemo" (receipt_diffs step.receipt r);
+           emit_all o Ap ~ctx ~sub:"nomemo" (Evm.Processor.receipt_diffs step.receipt r);
            emit_all o Ap ~ctx ~sub:"nomemo"
              (root_diffs c ~pre ~ref_root:step.post ~got_root:(Statedb.commit st_nm)));
         (* satisfied context with memoization, carrying state forward *)
@@ -609,7 +587,8 @@ let ap o c =
         | Ap.Exec.Violation ->
           emit o Ap ~ctx "spurious_violation" spurious;
           ignore (execute c st step.tx)
-        | Ap.Exec.Hit (r, _) -> emit_all o Ap ~ctx (receipt_diffs step.receipt r)))
+        | Ap.Exec.Hit (r, _) ->
+          emit_all o Ap ~ctx (Evm.Processor.receipt_diffs step.receipt r)))
 
 (* ---- Verifier ---- *)
 
@@ -744,7 +723,8 @@ let apply o c =
             emit o Apply ~ctx (sub ^ ":block_gas")
               (Fmt.str "%d vs %d" seq.gas_used par.gas_used);
           List.iteri
-            (fun i (a, b) -> emit_all o Apply ~ctx:(tx_ctx c i) ~sub (receipt_diffs a b))
+            (fun i (a, b) ->
+              emit_all o Apply ~ctx:(tx_ctx c i) ~sub (Evm.Processor.receipt_diffs a b))
             (List.combine seq.receipts par.receipts))
         [ false; true ])
     [ 1; par_jobs ]
@@ -844,7 +824,7 @@ let footprint_tx o ~ctx ~spec bk ~root ?post (tx : Evm.Env.tx) =
           (fun data' ->
             let r', _, _, _, st' = flipped data' in
             if
-              receipt_diffs receipt r' <> []
+              Evm.Processor.receipt_diffs receipt r' <> []
               || not (String.equal (Lazy.force post) (Statedb.commit st'))
             then
               emit o Footprint ~ctx "selector_witness"

@@ -6,5 +6,4 @@ let rec push t x =
   let old = Atomic.get t in
   if not (Atomic.compare_and_set t old (x :: old)) then push t x
 
-let is_empty t = Atomic.get t = []
 let drain t = List.rev (Atomic.exchange t [])

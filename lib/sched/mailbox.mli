@@ -8,7 +8,6 @@ type 'a t
 
 val create : unit -> 'a t
 val push : 'a t -> 'a -> unit
-val is_empty : 'a t -> bool
 
 val drain : 'a t -> 'a list
 (** Atomically take everything currently in the mailbox. *)

@@ -137,12 +137,12 @@ let rec worker t =
       run_chain t hash c req);
     worker t
 
-let create ?(capacity = 4096) ~jobs () =
+let create ~jobs () =
   if jobs < 1 then invalid_arg "Sched.create: jobs must be >= 1";
   let t =
     {
       n_jobs = jobs;
-      q = Workq.create ~capacity ();
+      q = Workq.create ();
       mu = Mutex.create ();
       idle = Condition.create ();
       cells = Hashtbl.create 256;
@@ -163,12 +163,12 @@ let create ?(capacity = 4096) ~jobs () =
     t.domains <- List.init jobs (fun _ -> Domain.spawn (fun () -> worker t));
   t
 
-(* under [t.mu] in parallel mode; single-threaded in inline mode.  A
-   submission is a duplicate when its [dedupe_key] matches the latest live
-   submission for the hash: that job's result is already in the Mailbox (or
-   on its way there), so running the identical work again would only burn a
-   worker — the jobs=4 merged-waste regression.  Keyless submissions never
-   dedupe and clear the memo (they will publish a fresh result). *)
+(* under [t.mu].  A submission is a duplicate when its [dedupe_key]
+   matches the latest live submission for the hash: that job's result is
+   already in the Mailbox (or on its way there), so running the identical
+   work again would only burn a worker — the jobs=4 merged-waste
+   regression.  Keyless submissions never dedupe and clear the memo (they
+   will publish a fresh result). *)
 let memo_check t hash = function
   | None ->
     Hashtbl.remove t.memo hash;
@@ -180,57 +180,49 @@ let memo_check t hash = function
       false
     end
 
+(* One bookkeeping path for both modes; inline mode differs only in who
+   runs the fresh cell's chain: this domain, before [submit] returns,
+   exactly as a worker would after popping the hash. *)
 let submit ?dedupe_key t ~hash ~priority job =
   if t.stopped then invalid_arg "Sched.submit: scheduler is shut down";
-  if t.n_jobs <= 1 then begin
-    if memo_check t hash dedupe_key then begin
-      t.s_deduped <- t.s_deduped + 1;
-      Obs.incr obs_deduped
-    end
-    else begin
-      (* inline deterministic mode: run now, on this domain *)
-      let seq = t.next_seq in
-      t.next_seq <- seq + 1;
-      t.s_submitted <- t.s_submitted + 1;
-      Obs.incr obs_submitted;
-      let req = { seq; hash; prio = priority; job } in
-      publish t req (run_job job);
-      t.s_completed <- t.s_completed + 1;
-      Obs.incr obs_completed
-    end
+  Mutex.lock t.mu;
+  if memo_check t hash dedupe_key then begin
+    t.s_deduped <- t.s_deduped + 1;
+    Obs.incr obs_deduped;
+    Mutex.unlock t.mu
   end
   else begin
-    Mutex.lock t.mu;
-    if memo_check t hash dedupe_key then begin
-      t.s_deduped <- t.s_deduped + 1;
-      Obs.incr obs_deduped;
-      Mutex.unlock t.mu
-    end
+    let seq = t.next_seq in
+    t.next_seq <- seq + 1;
+    t.s_submitted <- t.s_submitted + 1;
+    Obs.incr obs_submitted;
+    let req = { seq; hash; prio = priority; job } in
+    let fresh =
+      match Hashtbl.find_opt t.cells hash with
+      | Some c ->
+        (* live cell: a worker owns it (running) or will pop it (in_queue)
+           or will continue its chain — just append *)
+        c.chain <- c.chain @ [ req ];
+        t.n_queued <- t.n_queued + 1;
+        t.s_merged <- t.s_merged + 1;
+        false
+      | None ->
+        Hashtbl.add t.cells hash { chain = [ req ]; running = false; in_queue = true };
+        t.n_queued <- t.n_queued + 1;
+        true
+    in
+    if t.n_jobs = 1 then
+      (* inline deterministic mode: run now, on this domain *)
+      match claim t hash with
+      | Some (c, req) ->
+        Mutex.unlock t.mu;
+        run_chain t hash c req
+      | None -> Mutex.unlock t.mu
     else begin
-      let seq = t.next_seq in
-      t.next_seq <- seq + 1;
-      t.s_submitted <- t.s_submitted + 1;
-      Obs.incr obs_submitted;
-      let req = { seq; hash; prio = priority; job } in
-      let need_push =
-        match Hashtbl.find_opt t.cells hash with
-        | Some c ->
-          (* live cell: a worker owns it (running) or will pop it (in_queue)
-             or will continue its chain — just append *)
-          c.chain <- c.chain @ [ req ];
-          t.n_queued <- t.n_queued + 1;
-          t.s_merged <- t.s_merged + 1;
-          false
-        | None ->
-          Hashtbl.add t.cells hash
-            { chain = [ req ]; running = false; in_queue = true };
-          t.n_queued <- t.n_queued + 1;
-          true
-      in
       if !Obs.enabled then Obs.set obs_depth (float_of_int t.n_queued);
       Mutex.unlock t.mu;
       (* push outside the lock: it may block on backpressure *)
-      if need_push then ignore (Workq.push t.q ~priority hash : bool)
+      if fresh then ignore (Workq.push t.q ~priority hash : bool)
     end
   end
 
@@ -239,66 +231,45 @@ let drain t =
     (fun a b -> compare a.r_seq b.r_seq)
     (Mailbox.drain t.results)
 
+(* No-op in inline mode, where nothing is ever left queued or running. *)
 let barrier t =
-  if t.n_jobs > 1 then begin
-    Mutex.lock t.mu;
-    while t.n_queued > 0 || t.n_running > 0 do
-      Condition.wait t.idle t.mu
-    done;
-    Mutex.unlock t.mu
-  end
+  Mutex.lock t.mu;
+  while t.n_queued > 0 || t.n_running > 0 do
+    Condition.wait t.idle t.mu
+  done;
+  Mutex.unlock t.mu
 
 (* Bookkeeping-only: no queue or cell state is touched, so this is safe
    to call for hashes with live work — although the node only calls it
    for retired ones.  The memo grows monotonically with
-   the set of hashes ever submitted otherwise.  Taking the mutex in
-   parallel mode mirrors [memo_check]'s locking discipline. *)
+   the set of hashes ever submitted otherwise. *)
 let forget t hashes =
-  if t.n_jobs <= 1 then List.iter (Hashtbl.remove t.memo) hashes
-  else begin
-    Mutex.lock t.mu;
-    List.iter (Hashtbl.remove t.memo) hashes;
-    Mutex.unlock t.mu
-  end
+  Mutex.lock t.mu;
+  List.iter (Hashtbl.remove t.memo) hashes;
+  Mutex.unlock t.mu
 
 let memo_size t =
-  if t.n_jobs <= 1 then Hashtbl.length t.memo
-  else begin
-    Mutex.lock t.mu;
-    let n = Hashtbl.length t.memo in
-    Mutex.unlock t.mu;
-    n
-  end
+  Mutex.lock t.mu;
+  let n = Hashtbl.length t.memo in
+  Mutex.unlock t.mu;
+  n
 
 let stats t =
-  if t.n_jobs <= 1 then
+  Mutex.lock t.mu;
+  let s =
     {
       jobs = t.n_jobs;
       submitted = t.s_submitted;
       completed = t.s_completed;
       merged = t.s_merged;
       deduped = t.s_deduped;
-      queued = 0;
-      running = 0;
+      queued = t.n_queued;
+      running = t.n_running;
       high_water = Workq.high_water t.q;
     }
-  else begin
-    Mutex.lock t.mu;
-    let s =
-      {
-        jobs = t.n_jobs;
-        submitted = t.s_submitted;
-        completed = t.s_completed;
-        merged = t.s_merged;
-        deduped = t.s_deduped;
-        queued = t.n_queued;
-        running = t.n_running;
-        high_water = Workq.high_water t.q;
-      }
-    in
-    Mutex.unlock t.mu;
-    s
-  end
+  in
+  Mutex.unlock t.mu;
+  s
 
 let shutdown t =
   if not t.stopped then begin

@@ -43,10 +43,12 @@ type stats = {
   high_water : int;  (** max depth the work queue ever reached *)
 }
 
-val create : ?capacity:int -> jobs:int -> unit -> 'r t
+val create : jobs:int -> unit -> 'r t
 (** Spawn [jobs] worker domains ([jobs = 1] spawns none: inline mode).
-    [capacity] bounds the work queue (default 4096); a full queue blocks
-    {!submit} until workers catch up. *)
+    The work queue holds 4096 jobs; a full queue blocks {!submit} until
+    workers catch up.  Both modes keep the same bookkeeping: inline mode
+    differs only in running each job at {!submit} and spawning no
+    domain. *)
 
 val jobs : 'r t -> int
 

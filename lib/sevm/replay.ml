@@ -133,7 +133,7 @@ let run ?spec ?(prewarm = []) (p : I.path) st benv (tx : Evm.Env.tx) : outcome =
         gas_refund = p.gas_refund;
         output = I.bytes_of_pieces regs p.output;
         logs = List.rev !logs;
-        contract_address = None;
+        contract_address = Evm.Processor.created_address tx p.status;
         sender_balance_before;
         sender_nonce_before;
       }

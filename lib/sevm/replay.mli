@@ -35,8 +35,8 @@ val run :
   outcome
 (** [run path st benv tx] replays [path] against [st].  On [Replayed r],
     the deferred writes have been applied to [st] and [r] mirrors what
-    [Evm.Processor.execute_tx] would have returned (modulo
-    [contract_address], which paths never carry).
+    [Evm.Processor.execute_tx] would have returned, a creation's
+    [contract_address] included ({!Evm.Processor.created_address}).
 
     [?spec] defaults to [!Spec.current]; a path built under a different
     fork id is [Violated] at [index = -1] before any instruction runs.

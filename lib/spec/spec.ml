@@ -296,9 +296,6 @@ let rec resolve fork =
     table.(i) <- Some t;
     t
 
-let by_id id =
-  match fork_of_id id with Some f -> Some (resolve f) | None -> None
-
 let default_fork = Istanbul
 let default () = resolve Istanbul
 

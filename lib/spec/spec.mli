@@ -70,8 +70,6 @@ val resolve : fork -> t
 (** Resolve a fork's full spec by folding deltas from the base.
     Memoized: repeated calls return the same record. *)
 
-val by_id : int -> t option
-
 val default_fork : fork
 (** Istanbul, the process default. *)
 

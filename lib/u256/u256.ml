@@ -9,7 +9,6 @@ let max_value = { x0 = -1L; x1 = -1L; x2 = -1L; x3 = -1L }
 let of_limbs x0 x1 x2 x3 = { x0; x1; x2; x3 }
 let to_limbs { x0; x1; x2; x3 } = (x0, x1, x2, x3)
 let of_int64 x = { zero with x0 = x }
-let to_int64 x = x.x0
 
 let of_int n =
   if n < 0 then invalid_arg "U256.of_int: negative"
@@ -490,4 +489,3 @@ let of_string s =
   else of_decimal s
 
 let pp ppf x = if bits x <= 64 then Fmt.string ppf (to_decimal x) else Fmt.string ppf (to_hex x)
-let pp_hex ppf x = Fmt.string ppf (to_hex x)

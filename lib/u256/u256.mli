@@ -25,9 +25,6 @@ val to_int_exn : t -> int
 val of_int64 : int64 -> t
 (** Interprets the argument as unsigned. *)
 
-val to_int64 : t -> int64
-(** Low 64 bits. *)
-
 val of_limbs : int64 -> int64 -> int64 -> int64 -> t
 (** [of_limbs x0 x1 x2 x3] with [x0] least significant. *)
 
@@ -130,5 +127,3 @@ val testbit : t -> int -> bool
 
 val pp : Format.formatter -> t -> unit
 (** Prints decimal for small values and hex for large ones. *)
-
-val pp_hex : Format.formatter -> t -> unit

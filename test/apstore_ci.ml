@@ -184,19 +184,10 @@ let hammer_tests () =
 
 (* ---- 3. the differential oracle ---- *)
 
-let receipts_agree ~what (a : Evm.Processor.receipt) (b : Evm.Processor.receipt) =
-  check (Evm.Processor.status_equal a.status b.status) "%s: status differs" what;
-  check (a.gas_used = b.gas_used) "%s: gas_used %d vs %d" what a.gas_used b.gas_used;
-  check (String.equal a.output b.output) "%s: output differs" what;
-  check
-    (List.length a.logs = List.length b.logs
-    && List.for_all2 Evm.Env.log_equal a.logs b.logs)
-    "%s: logs differ" what;
-  check (a.contract_address = b.contract_address) "%s: contract_address differs" what;
-  check
-    (U256.equal a.sender_balance_before b.sender_balance_before)
-    "%s: sender_balance_before differs" what;
-  check (a.sender_nonce_before = b.sender_nonce_before) "%s: sender_nonce differs" what
+let receipts_agree ~what a b =
+  List.iter
+    (fun (field, detail) -> fail "%s: %s differs: %s" what field detail)
+    (Evm.Processor.receipt_diffs a b)
 
 (* The speculator's idiom: trace [tx] on [st], undo it, and specialize the
    trace into a one-path AP (a template when [template]). *)

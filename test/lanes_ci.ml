@@ -9,9 +9,10 @@
                byte-identical to the sequential apply; then the same on
                recorded transfer / amm / mixed traffic against the
                miner's header roots, with forks served by the prefetched
-               master on the partitioned transfer blocks and the
-               commit loop's conflict check aborting both in the sweep
-               and on the partitioned mixed blocks
+               master on the partitioned transfer blocks, the commit
+               loop's conflict check aborting both in the sweep and on
+               the partitioned mixed blocks, and the commit loop's
+               sequential executions served by their APs there
      analysis  the Verifier lane, a qcheck property that the verifier
                accepts builder output, and the add / drop-guard faults
      bca       the Footprint lane (sentinels + corpus + 200 scenarios per
@@ -106,7 +107,7 @@ let record_workload ~name ~seed ~n_users mix =
     (fun static_partition ->
       let hits0 = Obs.count parent_hits in
       let parent = ref record.genesis_root in
-      let txs = ref 0 and aborted = ref 0 and serial = ref 0 in
+      let txs = ref 0 and aborted = ref 0 and serial = ref 0 and inline_hits = ref 0 in
       List.iter
         (fun (b : Chain.Block.t) ->
           let benv =
@@ -141,21 +142,26 @@ let record_workload ~name ~seed ~n_users mix =
           txs := !txs + stats.par_txs;
           aborted := !aborted + stats.par_aborted + stats.par_forced;
           serial := !serial + stats.par_static_serial;
+          inline_hits := !inline_hits + stats.par_inline_ap_hits;
           parent := b.header.state_root)
         blocks;
       let hits = Obs.count parent_hits - hits0 in
       Printf.printf
         "parallel-ci: %-8s static %-3s %d blocks, %d txs, %d aborted, %d statically serial, \
-         %d fork reads served by the master\n%!"
+         %d fork reads served by the master, %d commit-loop AP hits\n%!"
         name
         (if static_partition then "on" else "off")
-        (List.length blocks) !txs !aborted !serial hits;
+        (List.length blocks) !txs !aborted !serial hits !inline_hits;
       (* the partition prefetches the master: forks must read from it *)
       if static_partition && name = "transfer" && hits = 0 then
         fail "parallel-ci: no fork read was served by the prefetched master";
       (* what the partition lets through must still meet the dynamic check *)
       if static_partition && name = "mixed" && !aborted = 0 then
-        fail "parallel-ci: no partitioned mixed transaction was aborted at commit")
+        fail "parallel-ci: no partitioned mixed transaction was aborted at commit";
+      (* serialized and rerun transactions take their AP, like speculation *)
+      if static_partition && name = "mixed" && !inline_hits = 0 then
+        fail "parallel-ci: no partitioned mixed transaction committed through its AP in \
+              the commit loop")
     [ false; true ]
 
 let parallel () =

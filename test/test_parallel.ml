@@ -3,7 +3,9 @@
    must abort and rerun when static partitioning is off, and be kept out of
    speculation when it is on; disjoint transfers must commit speculatively
    with zero aborts; a conflict hidden from the partition must still abort
-   at commit), plus the qcheck property that the parallel state root is
+   at commit; a statically serialized transaction runs its AP when the
+   master state satisfies it and falls back to the interpreter when not),
+   plus the qcheck property that the parallel state root is
    byte-identical to the sequential apply on random fuzz scenarios. *)
 
 open State
@@ -36,7 +38,7 @@ let world senders =
   List.iter (fun a -> Statedb.set_balance st a ether) senders;
   (bk, Statedb.commit st)
 
-let apply_both ?(jobs = 1) ?static_partition bk root txs =
+let apply_both ?(jobs = 1) ?ap ?static_partition bk root txs =
   let seq =
     Chain.Stf.apply_txs (Statedb.create bk ~root) benv txs
   in
@@ -45,8 +47,8 @@ let apply_both ?(jobs = 1) ?static_partition bk root txs =
     Fun.protect
       ~finally:(fun () -> Chain.Stf.shutdown_pool pool)
       (fun () ->
-        Chain.Stf.apply_txs_parallel ~pool ?static_partition (Statedb.create bk ~root) benv
-          txs)
+        Chain.Stf.apply_txs_parallel ~pool ?ap ?static_partition (Statedb.create bk ~root)
+          benv txs)
   in
   Alcotest.(check string) "parallel root byte-identical to sequential"
     (Khash.Keccak.to_hex seq.Chain.Stf.state_root)
@@ -185,6 +187,62 @@ let test_backstop () =
       Alcotest.(check int) (what ^ "and rerun") 1 stats.Chain.Stf.par_reruns)
     [ 1; 4 ]
 
+(* The commit loop's sequential executions take the supplied AP first, like
+   the speculative phase.  The first transaction mints tokens to [b]; the
+   partition serializes the second, [b]'s transfer of some of them, which
+   then runs on the master state after the mint.  Its AP holds there when
+   it was traced against that state, and is violated when it was traced
+   against the parent, where [b] held no tokens and the transfer took the
+   revert branch — then the interpreter runs it.  Either way the root is
+   the sequential apply's. *)
+let token_world () =
+  let a = addr 20 and b = addr 21 and c = addr 22 and token = addr 23 in
+  let bk = Statedb.Backend.create () in
+  let st = Statedb.create bk ~root:Statedb.empty_root in
+  List.iter (fun s -> Statedb.set_balance st s ether) [ a; b ];
+  Statedb.set_code st token Contracts.Erc20.code;
+  let root = Statedb.commit st in
+  let call sender data : Evm.Env.tx =
+    { sender; to_ = Some token; nonce = 0; value = U256.zero; data; gas_limit = 200_000;
+      gas_price = u 2 }
+  in
+  ( bk,
+    root,
+    call a (Contracts.Erc20.mint_call ~to_:b ~amount:(u 100)),
+    call b (Contracts.Erc20.transfer_call ~to_:c ~amount:(u 40)) )
+
+let serial_ap ~traced_after_first =
+  let bk, root, first, second = token_world () in
+  let st = Statedb.create bk ~root in
+  if traced_after_first then ignore (Evm.Processor.execute_tx st benv first);
+  let ap = Ap.Program.create () in
+  (match Fuzz.Runner.build_path st benv second with
+  | Ok path -> Ap.Program.add_path ap path
+  | Error e -> Alcotest.failf "builder rejected: %s" e);
+  let st = Statedb.create bk ~root in
+  ignore (Evm.Processor.execute_tx st benv first);
+  Alcotest.(check bool) "the AP holds after the mint" traced_after_first
+    (match Ap.Exec.execute ap st benv second with
+    | Ap.Exec.Hit _ -> true
+    | Ap.Exec.Violation -> false);
+  let only_second (tx : Evm.Env.tx) =
+    if Address.equal tx.sender second.sender then Some ap else None
+  in
+  List.iter
+    (fun jobs ->
+      let _, stats = apply_both ~jobs ~ap:only_second bk root [ first; second ] in
+      let what = Printf.sprintf "jobs=%d: " jobs in
+      Alcotest.(check int) (what ^ "transfer statically serialized") 1
+        stats.Chain.Stf.par_static_serial;
+      Alcotest.(check int) (what ^ "no speculation hit") 0 stats.Chain.Stf.par_ap_hits;
+      Alcotest.(check int) (what ^ "commit-loop AP hits")
+        (if traced_after_first then 1 else 0)
+        stats.Chain.Stf.par_inline_ap_hits)
+    [ 1; 4 ]
+
+let test_serial_ap_hit () = serial_ap ~traced_after_first:true
+let test_serial_ap_violation () = serial_ap ~traced_after_first:false
+
 (* Random scenarios: storage-heavy generated contracts, applied as one
    block.  The runner's Apply lane compares the committed root and every
    receipt field at jobs=1 and jobs=4, static partitioning off and on,
@@ -201,6 +259,8 @@ let suite =
     t "jobs=4 roots match on a mixed conflicting block" test_jobs4_roots;
     t "dynamic check catches a conflict the partition missed" test_backstop;
     t "forks of a committed master see its last block" test_committed_master;
+    t "statically serialized tx commits through its satisfied AP" test_serial_ap_hit;
+    t "statically serialized tx with a violated AP falls back" test_serial_ap_violation;
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~count:10 ~name:"parallel apply ≡ sequential apply (random scenarios)"
          QCheck.(make Gen.(int_range 0 100))

@@ -68,12 +68,7 @@ let build_path ?(template = false) bk root env pre_txs tx =
   | Ok path -> path
   | Error e -> Alcotest.failf "builder rejected: %s" e
 
-let receipts_agree (a : Processor.receipt) (b : Processor.receipt) =
-  Processor.status_equal a.status b.status
-  && a.gas_used = b.gas_used
-  && String.equal a.output b.output
-  && List.length a.logs = List.length b.logs
-  && List.for_all2 Env.log_equal a.logs b.logs
+let receipts_agree a b = Processor.receipt_diffs a b = []
 
 (* The core soundness check: run the AP and the EVM against the same actual
    context; if the AP hits, everything must agree. *)
@@ -455,6 +450,8 @@ let creation_tests =
         (match Ap.Exec.execute ap st (benv ()) tx with
         | Ap.Exec.Hit (r, _) ->
           let addr = Address.of_bytes r.output in
+          Alcotest.(check bool) "receipt carries the created address" true
+            (r.contract_address = Some addr);
           Alcotest.(check string) "runtime" "\x60\x2a\x00" (Statedb.get_code st addr);
           Alcotest.(check int) "nonce 1" 1 (Statedb.get_nonce st addr)
         | Ap.Exec.Violation -> Alcotest.fail "expected hit"));
