@@ -128,6 +128,7 @@ type par_stats = {
   par_static_serial : int; (* statically partitioned out: never speculated *)
   par_ap_hits : int; (* committed speculations through the AP fast path *)
   par_inline_ap_hits : int; (* commit-loop executions through the AP fast path *)
+  par_ap_served : bool array; (* per block position: committed through the AP *)
   par_commit_ns : int;
 }
 
@@ -269,16 +270,20 @@ let apply_txs_parallel ~pool ?(ap = no_ap) ?spec ?(static_partition = true) st
   let written = Bca.Union.create () in
   let aborted = ref 0 and forced = ref 0 and ap_hits = ref 0 and inline_ap_hits = ref 0 in
   let static_serial = ref 0 in
+  let served = Array.make n_txs false in
   let commit_ns = ref 0 in
   (* sequential execution on the master state, through the same step as
      the speculative phase: by induction the master holds exactly the
      sequential prefix, so this execution is the sequential one; its
      writes join the conflict set so later speculated transactions abort
      correctly *)
-  let run_inline tx =
+  let run_inline idx tx =
     let mark = Statedb.snapshot st in
     let r, hit = exec_tx ~spec ~ap st benv tx in
-    if hit then incr inline_ap_hits;
+    if hit then begin
+      incr inline_ap_hits;
+      served.(idx) <- true
+    end;
     Bca.Union.add_changes written ~coinbase:benv.coinbase (Statedb.changes_since st mark);
     r
   in
@@ -290,7 +295,7 @@ let apply_txs_parallel ~pool ?(ap = no_ap) ?spec ?(static_partition = true) st
         (* statically partitioned out: first execution, not a rerun *)
         incr static_serial;
         Obs.incr obs_static_serial;
-        run_inline tx
+        run_inline idx tx
       | Some sp ->
         let clash =
           if sp.sp_forced then (incr forced; true)
@@ -299,10 +304,13 @@ let apply_txs_parallel ~pool ?(ap = no_ap) ?spec ?(static_partition = true) st
         in
         if clash then begin
           Obs.incr obs_par_reruns;
-          run_inline tx
+          run_inline idx tx
         end
         else begin
-          if sp.sp_ap_hit then incr ap_hits;
+          if sp.sp_ap_hit then begin
+            incr ap_hits;
+            served.(idx) <- true
+          end;
           Statedb.apply_changes st sp.sp_changes;
           if not (U256.is_zero sp.sp_cb_delta) then
             Statedb.add_balance st benv.coinbase sp.sp_cb_delta;
@@ -327,5 +335,6 @@ let apply_txs_parallel ~pool ?(ap = no_ap) ?spec ?(static_partition = true) st
       par_static_serial = !static_serial;
       par_ap_hits = !ap_hits;
       par_inline_ap_hits = !inline_ap_hits;
+      par_ap_served = served;
       par_commit_ns = !commit_ns;
     } )

@@ -78,6 +78,9 @@ type par_stats = {
   par_inline_ap_hits : int;
       (** commit-loop executions (statically serial transactions and
           reruns) through the AP fast path *)
+  par_ap_served : bool array;
+      (** per block position: whether the committed execution ran through
+          the AP fast path, speculated or in the commit loop *)
   par_commit_ns : int;  (** wall time of the consensus-order commit loop *)
 }
 

@@ -71,6 +71,7 @@ type tally = {
   mutable fingerprints : int;  (** AP fingerprints compared, jobs=1 vs jobs=4 *)
   mutable aborted : int;  (** parallel-apply conflict aborts *)
   mutable forced : int;  (** parallel-apply forced sequential reruns *)
+  mutable apply_ap_hits : int;  (** parallel-apply commits through the AP fast path *)
   mutable touches : int;  (** runtime touches tested against footprints *)
   mutable changes : int;  (** committed changes tested against write sets *)
   mutable wild : int;  (** predictions that collapsed to the wild footprint *)
@@ -82,7 +83,8 @@ type tally = {
 let new_tally () =
   { scenarios = 0; txs = 0; fallbacks = 0; perturbed_hits = 0; perturbed_violations = 0;
     warm_violations = 0; programs = 0; mutated = 0; fingerprints = 0; aborted = 0;
-    forced = 0; touches = 0; changes = 0; wild = 0; flips = 0; boundary_serves = 0 }
+    forced = 0; apply_ap_hits = 0; touches = 0; changes = 0; wild = 0; flips = 0;
+    boundary_serves = 0 }
 
 let obs_txs = Obs.counter "fuzz.txs"
 
@@ -157,6 +159,23 @@ let trace ?spec ?(prewarm = []) st benv tx =
 let build_path ?spec ?(prewarm = []) st benv tx =
   let receipt, events = trace ?spec ~prewarm st benv tx in
   Sevm.Builder.build ?spec ~prewarm tx benv events receipt st
+
+(* A block's APs for [Chain.Stf.apply_txs_parallel]: each transaction's
+   path built against [st], the block's pre-state, as a node's speculation
+   built it while the transaction sat in the pool; none where the builder
+   falls back. *)
+let block_aps ?spec st benv txs =
+  let aps = Hashtbl.create 64 in
+  List.iter
+    (fun tx ->
+      match build_path ?spec st benv tx with
+      | Ok path ->
+        let ap = Ap.Program.create () in
+        Ap.Program.add_path ap path;
+        Hashtbl.replace aps (Evm.Env.tx_hash tx) ap
+      | Error _ -> ())
+    txs;
+  fun tx -> Hashtbl.find_opt aps (Evm.Env.tx_hash tx)
 
 type step = {
   idx : int;
@@ -695,12 +714,16 @@ let sched o c =
 (* The scenario's whole batch as one block: the conflict-aware parallel
    apply must commit the sequential apply's root and receipts byte for
    byte — inline (the commit protocol in isolation) and on worker domains,
-   with and without lib/bca static pre-partitioning. *)
+   with and without lib/bca static pre-partitioning.  Every transaction
+   carries its AP built on the scenario's pre-state, so both the
+   speculative phase and the commit loop's reruns take the fast path
+   where its constraints still hold. *)
 let apply o c =
   let ctx = Printf.sprintf "%s [%s] block" c.label c.spec.Spec.name in
   guarded o Apply ~ctx @@ fun () ->
   let txs = List.map (fun s -> s.tx) c.steps in
   let seq = Chain.Stf.apply_txs ~spec:c.spec (Statedb.create c.bk ~root:c.root0) benv txs in
+  let ap = block_aps ~spec:c.spec (Statedb.create c.bk ~root:c.root0) benv txs in
   List.iter
     (fun jobs ->
       let pool = Chain.Stf.create_pool ~jobs () in
@@ -708,12 +731,14 @@ let apply o c =
       List.iter
         (fun static_partition ->
           let par, (stats : Chain.Stf.par_stats) =
-            Chain.Stf.apply_txs_parallel ~pool ~spec:c.spec ~static_partition
+            Chain.Stf.apply_txs_parallel ~pool ~ap ~spec:c.spec ~static_partition
               (Statedb.create c.bk ~root:c.root0)
               benv txs
           in
           o.tally.aborted <- o.tally.aborted + stats.par_aborted;
           o.tally.forced <- o.tally.forced + stats.par_forced;
+          o.tally.apply_ap_hits <-
+            o.tally.apply_ap_hits + stats.par_ap_hits + stats.par_inline_ap_hits;
           let sub = Printf.sprintf "jobs=%d,static=%b" jobs static_partition in
           if not (String.equal seq.Chain.Stf.state_root par.Chain.Stf.state_root) then
             emit o Apply ~ctx (sub ^ ":state_root")

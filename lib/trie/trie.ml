@@ -1,3 +1,12 @@
+(* The Merkle-Patricia trie: a content-addressed node store, dirty
+   in-memory nodes, and the node codec.  Nodes are written and read in
+   place, with no [Rlp.item] tree in between: [encode_node] works out a
+   node's exact RLP size, then writes its list header, hex-prefix path and
+   each child hash or value into one buffer; [decode_node] and the lookup
+   walk read a stored encoding through the header readers below.  The
+   format is the yellow paper's, with every node stored under its hash —
+   nodes shorter than 32 bytes are not inlined into their parent. *)
+
 module Db = struct
   (* The I/O counters are atomics: speculation worker domains (lib/sched)
      walk tries concurrently, and lost increments would skew the disk-I/O
@@ -77,37 +86,11 @@ let common_prefix_len a b =
 
 let drop n s = String.sub s n (String.length s - n)
 
-(* ---- hex-prefix encoding (yellow paper appendix C) ---- *)
-
-let hp_encode nibbles is_leaf =
-  let flag = if is_leaf then 2 else 0 in
-  let n = String.length nibbles in
-  if n mod 2 = 1 then
-    String.init
-      ((n + 1) / 2)
-      (fun i ->
-        if i = 0 then Char.chr (((flag + 1) lsl 4) lor Char.code nibbles.[0])
-        else Char.chr ((Char.code nibbles.[(2 * i) - 1] lsl 4) lor Char.code nibbles.[2 * i]))
-  else
-    String.init
-      ((n / 2) + 1)
-      (fun i ->
-        if i = 0 then Char.chr (flag lsl 4)
-        else Char.chr ((Char.code nibbles.[(2 * i) - 2] lsl 4) lor Char.code nibbles.[(2 * i) - 1]))
-
-let hp_decode s =
-  if String.length s = 0 then invalid_arg "Trie.hp_decode: empty";
-  let b0 = Char.code s.[0] in
-  let is_leaf = b0 land 0x20 <> 0 in
-  let odd = b0 land 0x10 <> 0 in
-  let rest = to_nibbles (drop 1 s) in
-  let nibbles = if odd then String.make 1 (Char.chr (b0 land 0xf)) ^ rest else rest in
-  (nibbles, is_leaf)
-
 (* ---- RLP item headers ----
-   [decode_node] and the lookup walk both read a stored node through these
-   three functions, so they make the same checks [Rlp.decode] makes: every
-   header and payload in bounds and every length minimal. *)
+   [decode_node] and the lookup walk both read a stored node in place
+   through [payload_start], [item_end] and the two wrappers below, so they
+   make the same checks [Rlp.decode] makes: every header and payload in
+   bounds and every length minimal. *)
 
 let rlp_fail msg = raise (Rlp.Decode_error msg)
 
@@ -164,35 +147,130 @@ let item_str enc pos stop =
   let a = payload_start enc pos in
   String.sub enc a (stop - a)
 
+(* The hex-prefix path (yellow paper appendix C) whose item payload starts
+   at [a] and ends at [stop]: the offset in nibbles of its first nibble in
+   [enc], past the flag nibble and, for an even path, the pad nibble. *)
+let path_base enc a stop =
+  if a = stop then invalid_arg "Trie: empty hex-prefix path";
+  if Char.code enc.[a] land 0x10 <> 0 then (2 * a) + 1 else (2 * a) + 2
+
+let path_is_leaf enc a = Char.code enc.[a] land 0x20 <> 0
+
 (* ---- node (de)serialisation ---- *)
 
-let child_ref h = if h = "" then Empty else Hash h
+let rec be_len n = if n = 0 then 0 else 1 + be_len (n lsr 8)
+let header_len len = if len < 56 then 1 else 1 + be_len len
+
+(* Bytes the string item of [s] takes. *)
+let str_size s =
+  let n = String.length s in
+  if n = 1 && s.[0] < '\x80' then 1 else header_len n + n
+
+(* A hex-prefix path of [n] nibbles is [n / 2 + 1] bytes; when that is one
+   byte it is below 0x80 (the flag nibble is at most 3) and has no header. *)
+let path_size n =
+  let m = (n / 2) + 1 in
+  if m = 1 then 1 else header_len m + m
+
+(* Write the header of an item with a [len]-byte payload at [pos] ([base]
+   is 0x80 for a string, 0xc0 for a list); returns where the payload goes. *)
+let put_header b pos base len =
+  if len < 56 then begin
+    Bytes.set b pos (Char.chr (base + len));
+    pos + 1
+  end
+  else begin
+    let nb = be_len len in
+    Bytes.set b pos (Char.chr (base + 55 + nb));
+    for i = 1 to nb do
+      Bytes.set b (pos + i) (Char.chr ((len lsr (8 * (nb - i))) land 0xff))
+    done;
+    pos + 1 + nb
+  end
+
+let put_str b pos s =
+  let n = String.length s in
+  if n = 1 && s.[0] < '\x80' then begin
+    Bytes.set b pos s.[0];
+    pos + 1
+  end
+  else begin
+    let pos = put_header b pos 0x80 n in
+    Bytes.blit_string s 0 b pos n;
+    pos + n
+  end
+
+(* The path [p] (one nibble per char), hex-prefixed: a flag nibble of 2
+   for a leaf or 0 for an extension, plus 1 when the path is odd, in which
+   case the path's first nibble shares the flag's byte. *)
+let put_path b pos p ~leaf =
+  let n = String.length p in
+  let odd = n land 1 in
+  let m = (n / 2) + 1 in
+  let pos = if m = 1 then pos else put_header b pos 0x80 m in
+  let flag = (if leaf then 2 else 0) + odd in
+  Bytes.set b pos (Char.chr ((flag lsl 4) lor if odd = 1 then Char.code p.[0] else 0));
+  for i = 1 to m - 1 do
+    let j = (2 * i) - 2 + odd in
+    Bytes.set b (pos + i) (Char.chr ((Char.code p.[j] lsl 4) lor Char.code p.[j + 1]))
+  done;
+  pos + m
+
+let list_bytes payload =
+  let b = Bytes.create (header_len payload + payload) in
+  (b, put_header b 0 0xc0 payload)
+
+(* A leaf or extension: its path and then its value or child hash. *)
+let encode_pair p ~leaf s =
+  let b, pos = list_bytes (path_size (String.length p) + str_size s) in
+  ignore (put_str b (put_path b pos p ~leaf) s);
+  Bytes.unsafe_to_string b
 
 (* [child] gives the hash a child reference is encoded as. *)
 let encode_node child = function
-  | Leaf (path, value) -> Rlp.encode (Rlp.List [ Rlp.Str (hp_encode path true); Rlp.Str value ])
-  | Ext (path, c) -> Rlp.encode (Rlp.List [ Rlp.Str (hp_encode path false); Rlp.Str (child c) ])
+  | Leaf (p, v) -> encode_pair p ~leaf:true v
+  | Ext (p, c) -> encode_pair p ~leaf:false (child c)
   | Branch (children, value) ->
-    let items = Array.to_list (Array.map (fun c -> Rlp.Str (child c)) children) in
-    let v = match value with Some v -> Rlp.Str v | None -> Rlp.Str "" in
-    Rlp.encode (Rlp.List (items @ [ v ]))
+    let hashes = Array.map child children in
+    let v = Option.value value ~default:"" in
+    let b, pos = list_bytes (Array.fold_left (fun n h -> n + str_size h) (str_size v) hashes) in
+    ignore (put_str b (Array.fold_left (put_str b) pos hashes) v);
+    Bytes.unsafe_to_string b
+
+(* The child reference held by the item from [pos] to [stop]. *)
+let child_at enc pos stop =
+  let a = payload_start enc pos in
+  if a = stop then Empty else Hash (String.sub enc a (stop - a))
 
 let decode_node enc =
   let n = String.length enc in
-  let rec items acc pos =
-    if pos = n then Array.of_list (List.rev acc)
-    else
-      let stop = str_end enc pos in
-      items (item_str enc pos stop :: acc) stop
-  in
-  let it = items [] (first_item enc) in
-  match Array.length it with
-  | 2 ->
-    let path, is_leaf = hp_decode it.(0) in
-    if is_leaf then Leaf (path, it.(1)) else Ext (path, child_ref it.(1))
-  | 17 ->
-    Branch (Array.init 16 (fun i -> child_ref it.(i)), if it.(16) = "" then None else Some it.(16))
-  | _ -> bad_node ()
+  let first = first_item enc in
+  if first = n then bad_node ();
+  let second = str_end enc first in
+  if second = n then bad_node ();
+  let third = str_end enc second in
+  if third = n then begin
+    let a = payload_start enc first in
+    let base = path_base enc a second in
+    let path = String.init ((2 * second) - base) (fun i -> Char.chr (nib enc (base + i))) in
+    if path_is_leaf enc a then Leaf (path, item_str enc second n)
+    else Ext (path, child_at enc second n)
+  end
+  else begin
+    let children = Array.make 16 Empty in
+    children.(0) <- child_at enc first second;
+    children.(1) <- child_at enc second third;
+    let pos = ref third in
+    for i = 2 to 15 do
+      if !pos = n then bad_node ();
+      let stop = str_end enc !pos in
+      children.(i) <- child_at enc !pos stop;
+      pos := stop
+    done;
+    if !pos = n || str_end enc !pos <> n then bad_node ();
+    let v = item_str enc !pos n in
+    Branch (children, if v = "" then None else Some v)
+  end
 
 let resolve db = function
   | Hash h -> decode_node (Db.get db h)
@@ -242,12 +320,9 @@ and get_stored db enc key i =
   match !count with
   | 2 ->
     let a = payload_start enc first and b = !second in
-    if a = b then invalid_arg "Trie.hp_decode: empty";
-    let b0 = Char.code enc.[a] in
-    (* the path's nibbles, as nibble offsets into [enc] *)
-    let base = if b0 land 0x10 <> 0 then (2 * a) + 1 else (2 * a) + 2 in
+    let base = path_base enc a b in
     let len = (2 * b) - base in
-    if b0 land 0x20 <> 0 then
+    if path_is_leaf enc a then
       if len = rest && nibs_equal enc base key i len then Some (item_str enc b n) else None
     else if len <= rest && nibs_equal enc base key i len then
       match item_str enc b n with "" -> None | h -> get_stored db (Db.get db h) key (i + len)

@@ -1,7 +1,8 @@
 (** Hexary Merkle-Patricia trie over a content-addressed node store.
 
     This is the state-commitment structure of Ethereum: every node is
-    RLP-encoded and stored under its Keccak-256 hash, so two tries with equal
+    RLP-encoded (written and read in place, without an {!Rlp.item} tree)
+    and stored under its Keccak-256 hash, so two tries with equal
     {!root_hash} hold identical contents — which is how Forerunner's
     correctness is validated (paper §5.2).
 
@@ -27,6 +28,12 @@ module Db : sig
   val node_writes : t -> int
   val reset_counters : t -> unit
   val size : t -> int
+
+  val put : t -> string -> string
+  (** [put db enc] stores the node encoding [enc] under its Keccak-256
+      hash and returns the hash.  {!commit} stores through it; a store
+      seeded with other encodings makes {!get} and {!set} raise on a
+      malformed node. *)
 end
 
 type t

@@ -12,7 +12,8 @@
                master on the partitioned transfer blocks, the commit
                loop's conflict check aborting both in the sweep and on
                the partitioned mixed blocks, and the commit loop's
-               sequential executions served by their APs there
+               sequential executions — contract creations among them —
+               served by their APs there
      analysis  the Verifier lane, a qcheck property that the verifier
                accepts builder output, and the add / drop-guard faults
      bca       the Footprint lane (sentinels + corpus + 200 scenarios per
@@ -108,24 +109,13 @@ let record_workload ~name ~seed ~n_users mix =
       let hits0 = Obs.count parent_hits in
       let parent = ref record.genesis_root in
       let txs = ref 0 and aborted = ref 0 and serial = ref 0 and inline_hits = ref 0 in
+      let creations = ref 0 and served_creations = ref 0 in
       List.iter
         (fun (b : Chain.Block.t) ->
           let benv =
             Chain.Stf.block_env_of_header b.header ~block_hash:Netsim.Record.block_hash
           in
-          let aps = Hashtbl.create 64 in
-          let st = State.Statedb.create bk ~root:!parent in
-          List.iter
-            (fun (tx : Evm.Env.tx) ->
-              if tx.to_ <> None then
-                match Runner.build_path st benv tx with
-                | Ok path ->
-                  let ap = Ap.Program.create () in
-                  Ap.Program.add_path ap path;
-                  Hashtbl.replace aps (Evm.Env.tx_hash tx) ap
-                | Error _ -> ())
-            b.txs;
-          let ap (tx : Evm.Env.tx) = Hashtbl.find_opt aps (Evm.Env.tx_hash tx) in
+          let ap = Runner.block_aps (State.Statedb.create bk ~root:!parent) benv b.txs in
           let seq = Chain.Stf.apply_txs (State.Statedb.create bk ~root:!parent) benv b.txs in
           let par, stats =
             Chain.Stf.apply_txs_parallel ~pool ~ap ~static_partition
@@ -143,15 +133,24 @@ let record_workload ~name ~seed ~n_users mix =
           aborted := !aborted + stats.par_aborted + stats.par_forced;
           serial := !serial + stats.par_static_serial;
           inline_hits := !inline_hits + stats.par_inline_ap_hits;
+          List.iteri
+            (fun i (tx : Evm.Env.tx) ->
+              if tx.to_ = None then begin
+                incr creations;
+                if stats.par_ap_served.(i) then incr served_creations
+              end)
+            b.txs;
           parent := b.header.state_root)
         blocks;
       let hits = Obs.count parent_hits - hits0 in
       Printf.printf
         "parallel-ci: %-8s static %-3s %d blocks, %d txs, %d aborted, %d statically serial, \
-         %d fork reads served by the master, %d commit-loop AP hits\n%!"
+         %d fork reads served by the master, %d commit-loop AP hits, %d/%d creations served \
+         by the AP\n%!"
         name
         (if static_partition then "on" else "off")
-        (List.length blocks) !txs !aborted !serial hits !inline_hits;
+        (List.length blocks) !txs !aborted !serial hits !inline_hits !served_creations
+        !creations;
       (* the partition prefetches the master: forks must read from it *)
       if static_partition && name = "transfer" && hits = 0 then
         fail "parallel-ci: no fork read was served by the prefetched master";
@@ -161,7 +160,10 @@ let record_workload ~name ~seed ~n_users mix =
       (* serialized and rerun transactions take their AP, like speculation *)
       if static_partition && name = "mixed" && !inline_hits = 0 then
         fail "parallel-ci: no partitioned mixed transaction committed through its AP in \
-              the commit loop")
+              the commit loop";
+      (* creations are built and served like calls *)
+      if name = "mixed" && !creations > 0 && !served_creations = 0 then
+        fail "parallel-ci: no mixed contract creation committed through its AP")
     [ false; true ]
 
 let parallel () =
@@ -171,8 +173,9 @@ let parallel () =
   let t = r.tally in
   Printf.printf
     "parallel-ci: %d scenarios (%d corpus files, all forks, + 8 generated), %d txs applied \
-     at jobs=1 and jobs=4, static partitioning off and on; %d aborts, %d forced reruns\n%!"
-    t.scenarios r.corpus_files t.txs t.aborted t.forced;
+     at jobs=1 and jobs=4, static partitioning off and on; %d aborts, %d forced reruns, %d \
+     AP hits\n%!"
+    t.scenarios r.corpus_files t.txs t.aborted t.forced t.apply_ap_hits;
   if t.aborted = 0 then fail "parallel-ci: the Apply sweep aborted no transaction at commit";
   (* disjoint transfers over 2000 users barely conflict; AMM swaps all
      serialize on one pair's reserves; the default mix sits between *)

@@ -266,4 +266,87 @@ let property_tests =
            String.equal (Trie.root_hash tr) (Trie.root_hash direct)))
   ]
 
-let suite = unit_tests @ golden_tests @ property_tests
+(* ---- codec: against Trie_ref, the Rlp.item-built reference ---- *)
+
+(* Keys are random or prefixes of three 40-byte stems, two of which part
+   at an odd nibble: shared prefixes give extension nodes and branch
+   values, and lengths of 1 to 40 bytes give odd and even paths.  Values
+   straddle the string header's short/long boundary (55/56 bytes). *)
+let stems =
+  let s0 = Khash.Keccak.digest "stem0" ^ String.sub (Khash.Keccak.digest "tail0") 0 8 in
+  let b5 = Char.code s0.[5] in
+  let s1 =
+    String.sub s0 0 5
+    ^ String.make 1 (Char.chr ((b5 land 0xf0) lor ((b5 + 1) land 0x0f)))
+    ^ String.sub (Khash.Keccak.digest "stem1" ^ Khash.Keccak.digest "tail1") 0 34
+  in
+  [| s0; s1; Khash.Keccak.digest "stem2" ^ String.sub (Khash.Keccak.digest "tail2") 0 8 |]
+
+let arb_codec_ops =
+  let open QCheck.Gen in
+  let key =
+    frequency
+      [ (3, map2 (fun s n -> String.sub stems.(s) 0 n) (int_bound 2) (int_range 1 40));
+        (1, string_size ~gen:char (int_range 1 40)) ]
+  in
+  let value = map2 String.make (oneofl [ 1; 55; 56; 101; 300 ]) char in
+  let op =
+    frequency
+      [ (6, map2 (fun k v -> `Set (k, v)) key value); (2, map (fun k -> `Remove k) key);
+        (1, return `Commit) ]
+  in
+  QCheck.make
+    ~print:(fun ops ->
+      String.concat ";"
+        (List.map
+           (function
+             | `Set (k, v) -> Printf.sprintf "set %s=%d bytes" (hex k) (String.length v)
+             | `Remove k -> "del " ^ hex k
+             | `Commit -> "commit")
+           ops))
+    (list_size (int_bound 80) op)
+
+(* Malformed stored nodes: each would decode under a lax reader. *)
+let malformed =
+  let l items = Rlp.encode (Rlp.List items) and s x = Rlp.Str x in
+  [ ("non-minimal list length", "\xf8\x02\x20v");
+    ("non-minimal string length", "\xc4\x20\xb8\x01v");
+    ("non-minimal single byte", "\xc3\x20\x81v");
+    ("trailing bytes", l [ s "\x20"; s "v" ] ^ "\x00");
+    ("one item", l [ s "\x20" ]);
+    ("three items", l [ s "\x20"; s "v"; s "w" ]);
+    ("eighteen items", l (List.init 18 (fun _ -> s "")));
+    ("list item", l [ s "\x20"; Rlp.List [ s "v" ] ]);
+    ("list value in a branch", l (List.init 16 (fun _ -> s "") @ [ Rlp.List [] ]));
+    ("empty hex-prefix path", l [ s ""; s "v" ]) ]
+
+let raises f =
+  match f () with _ -> false | exception (Invalid_argument _ | Rlp.Decode_error _) -> true
+
+let codec_tests =
+  [ QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:300 ~name:"root equals the reference root" arb_codec_ops
+         (fun ops ->
+           let tr, model =
+             List.fold_left
+               (fun (tr, m) op ->
+                 match op with
+                 | `Set (k, v) -> (Trie.set tr k v, SMap.add k v m)
+                 | `Remove k -> (Trie.remove tr k, SMap.remove k m)
+                 | `Commit -> (Trie.commit tr, m))
+               (fresh (), SMap.empty) ops
+           in
+           let stored = Trie.commit tr in
+           String.equal (Trie.root_hash tr) (Trie_ref.root (SMap.bindings model))
+           && SMap.for_all (fun k v -> Trie.get stored k = Some v) model));
+    t "malformed stored nodes raise" (fun () ->
+        List.iter
+          (fun (name, enc) ->
+            let db = Trie.Db.create () in
+            let tr = Trie.of_root db (Trie.Db.put db enc) in
+            Alcotest.(check bool) (name ^ ": get") true (raises (fun () -> Trie.get tr "k"));
+            Alcotest.(check bool) (name ^ ": set") true
+              (raises (fun () -> Trie.set tr "k" "x")))
+          malformed) ]
+
+let suite = unit_tests @ golden_tests @ property_tests @ codec_tests
