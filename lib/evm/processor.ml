@@ -105,7 +105,7 @@ let obs_fork_id = Obs.gauge "spec.fork_id"
 let execute_tx ?engine ?spec ?(prewarm = []) ?trace st (benv : Env.block_env)
     (tx : Env.tx) : receipt =
   let spec = match spec with Some s -> s | None -> !Spec.current in
-  Obs.set obs_fork_id (float_of_int spec.Spec.id);
+  if !Obs.enabled then Obs.set obs_fork_id (float_of_int spec.Spec.id);
   let sender_balance_before = Statedb.get_balance st tx.sender in
   let sender_nonce_before = Statedb.get_nonce st tx.sender in
   match check_validity ~spec st tx with

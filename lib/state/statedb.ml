@@ -51,7 +51,11 @@ type acct = {
   mutable code_hash : string;
   mutable storage_base : Trie.t; (* committed storage trie (dirty only inside [commit_acct]) *)
   slots : U256.t Umap.t; (* cached current values (clean + dirty) *)
-  original : U256.t Umap.t; (* committed values, as first seen *)
+  original : U256.t Umap.t; (* committed values, as first read or last committed *)
+  slot_keys : string Umap.t;
+      (* the [slot_trie_key] each storage-trie read hashed since the last
+         [commit]; the next commit writes those slots under them, so a slot
+         read then written is hashed once, and drops them all *)
   inherited : U256.t Umap.t option; (* a fork's view of the parent's [original] *)
   dirty_slots : unit Umap.t;
   mutable dirty_acct : bool;
@@ -85,6 +89,7 @@ let obs_journal_depth = Obs.gauge "statedb.journal.max_depth"
 let obs_commits = Obs.counter "statedb.commits"
 let obs_warm = Obs.counter "statedb.warm.touches"
 let obs_parent_hits = Obs.counter "statedb.fork.parent_hits"
+let obs_slot_key_hashes = Obs.counter "statedb.slot_key_hashes"
 
 let over ?parent bk base =
   {
@@ -115,7 +120,7 @@ let touch t what = if t.tracking then t.touch_log <- what :: t.touch_log
 let journal_push t e =
   t.journal <- e :: t.journal;
   t.jlen <- t.jlen + 1;
-  Obs.set_max obs_journal_depth (float_of_int t.jlen)
+  if !Obs.enabled then Obs.set_max obs_journal_depth (float_of_int t.jlen)
 
 (* ---- account encoding in the accounts trie ---- *)
 
@@ -131,7 +136,10 @@ let encode_account a storage_root =
          Rlp.Str a.code_hash ])
 
 let account_trie_key addr = Khash.Keccak.digest (Address.to_bytes addr)
-let slot_trie_key slot = Khash.Keccak.digest (U256.to_bytes_be slot)
+
+let slot_trie_key slot =
+  Obs.incr obs_slot_key_hashes;
+  Khash.Keccak.digest (U256.to_bytes_be slot)
 
 (* ---- account fetch / creation ---- *)
 
@@ -145,6 +153,7 @@ let fresh_acct t addr key =
     storage_base = Trie.create (Backend.trie_db t.backend);
     slots = Umap.create 8;
     original = Umap.create 8;
+    slot_keys = Umap.create 8;
     inherited = None;
     dirty_slots = Umap.create 8;
     dirty_acct = false;
@@ -250,7 +259,9 @@ let storage_read_committed t a slot =
         Obs.incr obs_parent_hits;
         v
       | None -> (
-        match Trie.get a.storage_base (slot_trie_key slot) with
+        let key = slot_trie_key slot in
+        Umap.replace a.slot_keys slot key;
+        match Trie.get a.storage_base key with
         | None -> U256.zero
         | Some enc -> (
           match Rlp.decode enc with
@@ -466,7 +477,9 @@ let commit_acct t a =
       match Umap.find_opt a.slots k with
       | None -> ()
       | Some v ->
-        let key = slot_trie_key k in
+        let key =
+          match Umap.find_opt a.slot_keys k with Some key -> key | None -> slot_trie_key k
+        in
         (if U256.is_zero v then a.storage_base <- Trie.remove a.storage_base key
          else
            a.storage_base <- Trie.set a.storage_base key (Rlp.encode (Rlp.Str (u256_min_be v))));
@@ -485,8 +498,10 @@ let commit_acct t a =
 let commit t =
   Obs.incr obs_commits;
   Obs.span "statedb.commit" @@ fun () ->
+  (* The root does not depend on the order accounts enter the trie.  The
+     bindings are walked as a snapshot list because destructs rewrite the
+     table. *)
   let bindings = Address.Tbl.fold (fun addr b acc -> (addr, b) :: acc) t.cache [] in
-  let bindings = List.sort (fun (a, _) (b, _) -> Address.compare a b) bindings in
   List.iter
     (fun (addr, binding) ->
       match binding with
@@ -496,7 +511,10 @@ let commit t =
           t.base <- Trie.remove t.base a.key;
           Address.Tbl.replace t.cache addr None
         end
-        else if a.dirty_acct || Umap.length a.dirty_slots > 0 then commit_acct t a)
+        else begin
+          if a.dirty_acct || Umap.length a.dirty_slots > 0 then commit_acct t a;
+          Umap.reset a.slot_keys
+        end)
     bindings;
   t.base <- Trie.commit t.base;
   t.journal <- [];

@@ -286,7 +286,26 @@ let resolve db = function
 let rec nibs_equal s si k ki n =
   n = 0 || (nib s si = nib k ki && nibs_equal s (si + 1) k (ki + 1) (n - 1))
 
-(* Same, for a path held one nibble per char. *)
+(* Do the [m] bytes of [s] from [sb] equal those of [k] from [kb]?  Eight
+   at a time, then one at a time. *)
+let rec bytes_equal s sb k kb m =
+  if m >= 8 then
+    Int64.equal (String.get_int64_ne s sb) (String.get_int64_ne k kb)
+    && bytes_equal s (sb + 8) k (kb + 8) (m - 8)
+  else m = 0 || (s.[sb] = k.[kb] && bytes_equal s (sb + 1) k (kb + 1) (m - 1))
+
+(* Does the stored path of [n] nibbles from nibble [si] of [s] equal the
+   [n] nibbles of [k] from [ki]?  A stored path ends on a byte boundary, so
+   when the two start on the same half-byte, only an odd first nibble needs
+   comparing on its own and the rest is whole bytes.  For a 32-byte key
+   that is always the case at a leaf. *)
+let path_matches s si k ki n =
+  if (si lxor ki) land 1 <> 0 then nibs_equal s si k ki n
+  else if si land 1 = 1 then
+    nib s si = nib k ki && bytes_equal s ((si + 1) lsr 1) k ((ki + 1) lsr 1) (n lsr 1)
+  else bytes_equal s (si lsr 1) k (ki lsr 1) (n lsr 1)
+
+(* Same as [nibs_equal], for a path held one nibble per char. *)
 let rec path_equal p pi k ki n =
   n = 0 || (Char.code p.[pi] = nib k ki && path_equal p (pi + 1) k (ki + 1) (n - 1))
 
@@ -323,8 +342,8 @@ and get_stored db enc key i =
     let base = path_base enc a b in
     let len = (2 * b) - base in
     if path_is_leaf enc a then
-      if len = rest && nibs_equal enc base key i len then Some (item_str enc b n) else None
-    else if len <= rest && nibs_equal enc base key i len then
+      if len = rest && path_matches enc base key i len then Some (item_str enc b n) else None
+    else if len <= rest && path_matches enc base key i len then
       match item_str enc b n with "" -> None | h -> get_stored db (Db.get db h) key (i + len)
     else None
   | 17 ->

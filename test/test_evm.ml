@@ -289,6 +289,17 @@ let memory_slice_tests =
           [ -3; 0; 2; 9; 10; 20 ])
   ]
 
+let obs_tests =
+  [ t "execute_tx reports the fork id gauge while Obs is on" (fun () ->
+        Test_obs.with_obs (fun () ->
+            ignore (run [ op Op.STOP ]);
+            Alcotest.(check (float 0.001)) "spec.fork_id"
+              (float_of_int !Spec.current.Spec.id)
+              (Test_obs.num
+                 (Test_obs.member "spec.fork_id"
+                    (Test_obs.member "gauges" (Test_obs.registry_json ()))))))
+  ]
+
 let suite =
   arithmetic_tests @ stack_memory_tests @ env_tests @ control_tests @ storage_log_tests
-  @ memory_slice_tests
+  @ memory_slice_tests @ obs_tests

@@ -279,12 +279,13 @@ let forked_world () =
 
 let parent_hits = Obs.counter "statedb.fork.parent_hits"
 
-let counting f =
+(* How far [f] moves counter [c], with Obs enabled for its duration. *)
+let counting c f =
   let was = !Obs.enabled in
   Obs.set_enabled true;
-  let before = Obs.count parent_hits in
+  let before = Obs.count c in
   Fun.protect ~finally:(fun () -> Obs.set_enabled was) f;
-  Obs.count parent_hits - before
+  Obs.count c - before
 
 (* the reads every fork test makes, returning what they saw *)
 let read_all st =
@@ -301,7 +302,7 @@ let fork_tests =
         let f = Statedb.fork parent in
         Statedb.set_tracking f true;
         let got = ref [] in
-        let hits = counting (fun () -> got := read_all f) in
+        let hits = counting parent_hits (fun () -> got := read_all f) in
         Alcotest.(check (list check_u)) "same values as a cold state" want !got;
         Alcotest.(check bool) "same touch log as a cold state" true
           (Statedb.touches f = Statedb.touches cold);
@@ -354,6 +355,158 @@ let fork_tests =
            with Invalid_argument _ -> true))
   ]
 
+(* Slot trie keys: a slot's key is hashed when a read walks the storage
+   trie and reused by the commit that writes it; a slot written without
+   such a read is hashed at commit.  Every commit drops the kept keys. *)
+let key_hashes = Obs.counter "statedb.slot_key_hashes"
+
+let key_tests =
+  [ t "each slot's trie key is hashed once per commit round" (fun () ->
+        let bk, st = fresh () in
+        Statedb.set_balance st a1 (u 1);
+        Statedb.set_storage st a1 (u 1) (u 10);
+        Statedb.set_storage st a1 (u 2) (u 20);
+        let root = Statedb.commit st in
+        let st = Statedb.create bk ~root in
+        let round f = counting key_hashes (fun () -> f (); ignore (Statedb.commit st : string)) in
+        Alcotest.(check int) "read then written" 1
+          (round (fun () ->
+               ignore (Statedb.get_storage st a1 (u 1));
+               Statedb.set_storage st a1 (u 1) (u 11)));
+        Alcotest.(check int) "committed read then written" 1
+          (round (fun () ->
+               ignore (Statedb.get_committed_storage st a1 (u 2));
+               Statedb.set_storage st a1 (u 2) (u 21)));
+        Alcotest.(check int) "blind write" 1
+          (round (fun () -> Statedb.set_storage st a1 (u 3) (u 30)));
+        Alcotest.(check int) "re-read after a commit, then written" 1
+          (round (fun () ->
+               ignore (Statedb.get_storage st a1 (u 1));
+               Statedb.set_storage st a1 (u 1) (u 12)));
+        Alcotest.(check int) "read twice, not written" 1
+          (round (fun () ->
+               ignore (Statedb.get_storage st a1 (u 4));
+               ignore (Statedb.get_committed_storage st a1 (u 4))));
+        Alcotest.(check int) "clean round" 0 (round ignore));
+    t "journaled writes box no gauge value while Obs is off" (fun () ->
+        let _, st = fresh () in
+        Statedb.set_nonce st a1 1;
+        let n = 1000 in
+        let before = Gc.minor_words () in
+        for i = 1 to n do
+          Statedb.set_nonce st a1 i
+        done;
+        let words = (Gc.minor_words () -. before) /. float_of_int n in
+        (* the entry, its list cell and the cache's [Some] binding *)
+        Alcotest.(check bool) (Printf.sprintf "%.2f words per journaled write" words) true
+          (words <= 8.0);
+        Test_obs.with_obs (fun () ->
+            let _, st = fresh () in
+            for i = 1 to 3 do
+              Statedb.set_nonce st a1 i
+            done;
+            Alcotest.(check (float 0.001)) "journal depth gauge while Obs is on" 4.0
+              (Test_obs.num
+                 (Test_obs.member "statedb.journal.max_depth"
+                    (Test_obs.member "gauges" (Test_obs.registry_json ()))))))
+  ]
+
+(* Scripts over 3 accounts x 4 slots, two of which share their low limb,
+   committed 1-3 times on one handle and once more through a fork whose
+   changes the master applies: every root must equal the root of a fresh
+   state given the same final values by blind writes. *)
+let key_accts = [| Address.of_int 0xC1; Address.of_int 0xC2; Address.of_int 0xC3 |]
+let key_slots = [| u 1; u 2; U256.of_limbs 1L 1L 0L 0L; U256.of_limbs 2L 0L 0L 1L |]
+
+type slot_op =
+  | Read of int * int
+  | Read_committed of int * int
+  | Write of int * int * int (* read, then write a nonzero value *)
+  | Zero of int * int (* read, then write zero *)
+  | Blind of int * int * int (* write, no read; the value may be zero *)
+
+let arb_key_script =
+  let open QCheck.Gen in
+  let a = int_bound 2 and s = int_bound 3 and v = int_range 1 5 in
+  let op =
+    frequency
+      [ (2, map2 (fun a s -> Read (a, s)) a s);
+        (1, map2 (fun a s -> Read_committed (a, s)) a s);
+        (3, map3 (fun a s v -> Write (a, s, v)) a s v);
+        (1, map2 (fun a s -> Zero (a, s)) a s);
+        (2, map3 (fun a s v -> Blind (a, s, v - 1)) a s v) ]
+  in
+  let ops = list_size (int_bound 10) op in
+  let genesis = list_repeat 12 (int_bound 3) in
+  QCheck.make
+    ~print:(fun (g, rounds, fork) ->
+      let pr = function
+        | Read (a, s) -> Printf.sprintf "r%d.%d" a s
+        | Read_committed (a, s) -> Printf.sprintf "c%d.%d" a s
+        | Write (a, s, v) -> Printf.sprintf "w%d.%d=%d" a s v
+        | Zero (a, s) -> Printf.sprintf "z%d.%d" a s
+        | Blind (a, s, v) -> Printf.sprintf "b%d.%d=%d" a s v
+      in
+      let prs l = String.concat " " (List.map pr l) in
+      Printf.sprintf "genesis %s | %s | fork %s"
+        (String.concat "," (List.map string_of_int g))
+        (String.concat " | " (List.map prs rounds))
+        (prs fork))
+    (triple genesis (list_size (int_range 1 3) ops) ops)
+
+(* Blind writes of [values] (slot [s] of account [a] at [4a + s]). *)
+let write_all st values =
+  Array.iteri
+    (fun ai addr ->
+      Statedb.set_balance st addr (u 1);
+      Array.iteri (fun si slot -> Statedb.set_storage st addr slot (u values.((ai * 4) + si))) key_slots)
+    key_accts
+
+let blind_root values =
+  let _, st = fresh () in
+  write_all st values;
+  Statedb.commit st
+
+let run_slot_op st values op =
+  let write ~read a s v =
+    let addr = key_accts.(a) and k = key_slots.(s) in
+    if read then ignore (Statedb.get_storage st addr k);
+    Statedb.set_storage st addr k (u v);
+    values.((a * 4) + s) <- v
+  in
+  match op with
+  | Read (a, s) -> ignore (Statedb.get_storage st key_accts.(a) key_slots.(s))
+  | Read_committed (a, s) -> ignore (Statedb.get_committed_storage st key_accts.(a) key_slots.(s))
+  | Write (a, s, v) -> write ~read:true a s v
+  | Zero (a, s) -> write ~read:true a s 0
+  | Blind (a, s, v) -> write ~read:false a s v
+
+let key_property =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:200 ~name:"reused slot keys commit the blind-write root"
+       arb_key_script (fun (genesis, rounds, fork) ->
+         let values = Array.of_list genesis in
+         let bk, st = fresh () in
+         write_all st values;
+         let st = Statedb.create bk ~root:(Statedb.commit st) in
+         let agrees st = String.equal (Statedb.commit st) (blind_root values) in
+         List.for_all
+           (fun ops ->
+             List.iter (run_slot_op st values) ops;
+             agrees st)
+           rounds
+         && begin
+              (* the master prefetches the fork's reads, as the parallel
+                 apply's static partition does *)
+              List.iter
+                (function Read _ | Read_committed _ as op -> run_slot_op st values op | _ -> ())
+                fork;
+              let f = Statedb.fork st in
+              List.iter (run_slot_op f values) fork;
+              Statedb.apply_changes st (Statedb.changes_since f 0);
+              agrees st
+            end))
+
 (* model-based property: random journaled ops + snapshots/reverts agree with
    a functional model *)
 type model = { bal : U256.t Address.Map.t; slot : U256.t Address.Map.t }
@@ -403,4 +556,4 @@ let property_tests =
                 !model.slot))
   ]
 
-let suite = unit_tests @ more_tests @ fork_tests @ property_tests
+let suite = unit_tests @ more_tests @ fork_tests @ key_tests @ (key_property :: property_tests)

@@ -268,10 +268,12 @@ let property_tests =
 
 (* ---- codec: against Trie_ref, the Rlp.item-built reference ---- *)
 
-(* Keys are random or prefixes of three 40-byte stems, two of which part
-   at an odd nibble: shared prefixes give extension nodes and branch
-   values, and lengths of 1 to 40 bytes give odd and even paths.  Values
-   straddle the string header's short/long boundary (55/56 bytes). *)
+(* Keys are random, 32-byte Keccak digests as in a secure trie, or
+   prefixes of three 40-byte stems, two of which part at an odd nibble:
+   shared prefixes give extension nodes and branch values, lengths of 1 to
+   40 bytes give odd and even paths, and digests sharing a first nibble
+   give leaves at even depth next to ones at odd depth.  Values straddle
+   the string header's short/long boundary (55/56 bytes). *)
 let stems =
   let s0 = Khash.Keccak.digest "stem0" ^ String.sub (Khash.Keccak.digest "tail0") 0 8 in
   let b5 = Char.code s0.[5] in
@@ -287,7 +289,8 @@ let arb_codec_ops =
   let key =
     frequency
       [ (3, map2 (fun s n -> String.sub stems.(s) 0 n) (int_bound 2) (int_range 1 40));
-        (1, string_size ~gen:char (int_range 1 40)) ]
+        (1, string_size ~gen:char (int_range 1 40));
+        (2, map (fun i -> Khash.Keccak.digest (string_of_int i)) (int_bound 40)) ]
   in
   let value = map2 String.make (oneofl [ 1; 55; 56; 101; 300 ]) char in
   let op =
@@ -320,6 +323,20 @@ let malformed =
     ("list value in a branch", l (List.init 16 (fun _ -> s "") @ [ Rlp.List [] ]));
     ("empty hex-prefix path", l [ s ""; s "v" ]) ]
 
+(* [k] with the low bit of nibble [j] flipped *)
+let flip_nibble k j =
+  String.mapi
+    (fun i c -> if i <> j lsr 1 then c else Char.chr (Char.code c lxor if j land 1 = 0 then 0x10 else 1))
+    k
+
+(* Keys next to [k]: its last nibble changed, its last byte changed, and
+   each nibble changed in turn, so the first nibble of every leaf and
+   extension path on [k]'s walk is probed, whatever its depth's parity. *)
+let near_misses k =
+  let n = String.length k in
+  (String.sub k 0 (n - 1) ^ String.make 1 (Char.chr (Char.code k.[n - 1] lxor 0xff)))
+  :: List.init (2 * n) (flip_nibble k)
+
 let raises f =
   match f () with _ -> false | exception (Invalid_argument _ | Rlp.Decode_error _) -> true
 
@@ -338,7 +355,21 @@ let codec_tests =
            in
            let stored = Trie.commit tr in
            String.equal (Trie.root_hash tr) (Trie_ref.root (SMap.bindings model))
-           && SMap.for_all (fun k v -> Trie.get stored k = Some v) model));
+           && SMap.for_all (fun k v -> Trie.get stored k = Some v) model
+           && SMap.for_all
+                (fun k _ ->
+                  List.for_all (fun k' -> Trie.get stored k' = SMap.find_opt k' model) (near_misses k))
+                model));
+    t "lookups miss next to leaves at odd and even depth" (fun () ->
+        (* under the root branch, [a] is a leaf from depth 1 and [b], [c]
+           are leaves from depth 2 under a branch at depth 1 *)
+        let tail i = String.sub (Khash.Keccak.digest (string_of_int i)) 1 31 in
+        let a = "\x10" ^ tail 0 and b = "\x21" ^ tail 1 and c = "\x22" ^ tail 2 in
+        let tr = with_bindings [ (a, "a"); (b, "b"); (c, "c") ] in
+        check_gets tr [ (a, Some "a"); (b, Some "b"); (c, Some "c") ];
+        List.iter
+          (fun k -> check_gets tr (List.map (fun k' -> (k', None)) (near_misses k)))
+          [ a; b; c ]);
     t "malformed stored nodes raise" (fun () ->
         List.iter
           (fun (name, enc) ->
