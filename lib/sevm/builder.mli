@@ -50,8 +50,10 @@ val build :
     precompile targets, invalid receipts and non-empty [?prewarm] hints.
 
     Returns [Error reason] for the few transaction shapes specialization
-    does not cover (contract creation, [SELFDESTRUCT]) — such transactions
-    simply run without an AP, like the paper's missed predictions. *)
+    does not cover (a nested CREATE/CREATE2, [SELFDESTRUCT]) and for
+    traces that do not match the symbolic state (e.g. a stack underflow)
+    — such transactions simply run without an AP, like the paper's missed
+    predictions.  Top-level creations are built. *)
 
 val count_trace_len : Evm.Trace.event array -> int
 (** Number of executed EVM instructions recorded in a trace. *)

@@ -283,6 +283,13 @@ let compute_op_of_evm : Evm.Op.t -> compute_op option = function
 (* EVM stack order note: for SHL/SHR/SAR the EVM pops shift then value, and
    eval_compute above follows that same order (args.(0) = shift). *)
 
+(* A distinct small int per operation, for hashing. *)
+let compute_code = function
+  | C_add -> 0 | C_mul -> 1 | C_sub -> 2 | C_div -> 3 | C_sdiv -> 4 | C_mod -> 5 | C_smod -> 6
+  | C_addmod -> 7 | C_mulmod -> 8 | C_exp -> 9 | C_signextend -> 10 | C_lt -> 11 | C_gt -> 12
+  | C_slt -> 13 | C_sgt -> 14 | C_eq -> 15 | C_iszero -> 16 | C_and -> 17 | C_or -> 18
+  | C_xor -> 19 | C_not -> 20 | C_byte -> 21 | C_shl -> 22 | C_shr -> 23 | C_sar -> 24
+
 let compute_name = function
   | C_add -> "ADD" | C_mul -> "MUL" | C_sub -> "SUB" | C_div -> "DIV" | C_sdiv -> "SDIV"
   | C_mod -> "MOD" | C_smod -> "SMOD" | C_addmod -> "ADDMOD" | C_mulmod -> "MULMOD"
@@ -357,35 +364,63 @@ let pp_path ppf p =
 
 (* ---- operand helpers ---- *)
 
+let operand_equal a b =
+  match (a, b) with
+  | Reg r, Reg r' -> r = r'
+  | Const v, Const v' -> U256.equal v v'
+  | Reg _, Const _ | Const _, Reg _ -> false
+
 let operand_regs = function Reg r -> [ r ] | Const _ -> []
 let piece_regs = function P_reg (r, _, _) -> [ r ] | P_const _ -> []
 
-let instr_uses = function
-  | Compute (_, _, args) -> Array.to_list args |> List.concat_map operand_regs
-  | Keccak (_, ps) | Sha256 (_, ps) | Pack (_, ps) -> List.concat_map piece_regs ps
+(* The registers an instruction or write reads, in operand order, without
+   building a list: the scheduler and the verifier walk these per
+   instruction.  The list forms below are derived from them. *)
+let iter_operand f = function Reg r -> f r | Const _ -> ()
+let iter_pieces f = List.iter (function P_reg (r, _, _) -> f r | P_const _ -> ())
+
+let iter_uses f = function
+  | Compute (_, _, args) -> Array.iter (iter_operand f) args
+  | Keccak (_, ps) | Sha256 (_, ps) | Pack (_, ps) -> iter_pieces f ps
   | Read (_, src) -> (
     match src with
     | R_blockhash o | R_balance o | R_nonce_of o | R_storage_dyn (_, o) | R_extcodesize o
     | R_extcodehash o ->
-      operand_regs o
+      iter_operand f o
     | R_timestamp | R_number | R_coinbase | R_difficulty | R_gaslimit | R_nonce _
-    | R_storage _ -> [])
-  | Guard (o, _) | Guard_size (o, _) -> operand_regs o
-  | Guard_warm _ -> []
+    | R_storage _ -> ())
+  | Guard (o, _) | Guard_size (o, _) -> iter_operand f o
+  | Guard_warm _ -> ()
 
-let instr_def = function
-  | Compute (r, _, _) | Keccak (r, _) | Sha256 (r, _) | Pack (r, _) | Read (r, _) -> Some r
-  | Guard _ | Guard_size _ | Guard_warm _ -> None
+let iter_write_uses f = function
+  | W_storage (_, _, v) -> iter_operand f v
+  | W_storage_dyn (_, a, v)
+  | W_balance_set (a, v)
+  | W_balance_add (a, v)
+  | W_balance_sub (a, v)
+  | W_nonce_dyn (a, v) ->
+    iter_operand f a;
+    iter_operand f v
+  | W_nonce_set _ -> ()
+  | W_code (_, ps) -> iter_pieces f ps
+  | W_log (_, topics, ps) ->
+    List.iter (iter_operand f) topics;
+    iter_pieces f ps
 
-let write_uses = function
-  | W_storage (_, _, v) -> operand_regs v
-  | W_storage_dyn (_, k, v) -> operand_regs k @ operand_regs v
-  | W_balance_set (a, v) | W_balance_add (a, v) | W_balance_sub (a, v) ->
-    operand_regs a @ operand_regs v
-  | W_nonce_set _ -> []
-  | W_nonce_dyn (a, n) -> operand_regs a @ operand_regs n
-  | W_code (_, ps) -> List.concat_map piece_regs ps
-  | W_log (_, topics, ps) -> List.concat_map operand_regs topics @ List.concat_map piece_regs ps
+let list_of_iter iter x =
+  let l = ref [] in
+  iter (fun r -> l := r :: !l) x;
+  List.rev !l
+
+let instr_uses = list_of_iter iter_uses
+let write_uses = list_of_iter iter_write_uses
+
+(* The register an instruction defines, or -1. *)
+let def_reg = function
+  | Compute (r, _, _) | Keccak (r, _) | Sha256 (r, _) | Pack (r, _) | Read (r, _) -> r
+  | Guard _ | Guard_size _ | Guard_warm _ -> -1
+
+let instr_def ins = match def_reg ins with -1 -> None | r -> Some r
 
 (* Materialize pieces into bytes given a register file. *)
 let bytes_of_pieces regs pieces =

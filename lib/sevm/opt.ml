@@ -15,56 +15,57 @@ type scheduled = {
   dead_removed : int;
 }
 
-let schedule (instrs : I.instr list) (writes : I.write list) (output : I.piece list) =
-  let arr = Array.of_list instrs in
-  let n = Array.length arr in
-  (* def index per register *)
-  let max_reg =
-    Array.fold_left
-      (fun acc ins -> match I.instr_def ins with Some r -> max acc (r + 1) | None -> acc)
-      0 arr
-  in
-  let def_of = Array.make max_reg (-1) in
-  Array.iteri
-    (fun i ins -> match I.instr_def ins with Some r -> def_of.(r) <- i | None -> ())
-    arr;
-  let constraint_live = Array.make n false in
-  let fast_live = Array.make n false in
-  (* mark [r]'s defining instruction and its dependencies into [live] *)
-  let rec mark live r =
-    if r < max_reg && def_of.(r) >= 0 && not (live.(def_of.(r))) then begin
-      live.(def_of.(r)) <- true;
-      List.iter (mark live) (I.instr_uses arr.(def_of.(r)))
+(* liveness flags, one int per instruction *)
+let constraint_live = 1
+let fast_live = 2
+
+let schedule (arr : I.instr array) n ~reg_count (writes : I.write list) (output : I.piece list)
+    =
+  let def_of = Array.make reg_count (-1) in
+  let live = Array.make n 0 in
+  (* mark [r]'s defining instruction and its dependencies with [flag] *)
+  let rec mark flag r =
+    let d = def_of.(r) in
+    if d >= 0 && live.(d) land flag = 0 then begin
+      live.(d) <- live.(d) lor flag;
+      I.iter_uses (if flag = constraint_live then mark_constraint else mark_fast) arr.(d)
     end
-  in
-  (* constraint roots: guards and their dependencies *)
-  Array.iteri
-    (fun i ins ->
-      match ins with
-      | I.Guard _ | I.Guard_size _ | I.Guard_warm _ ->
-        constraint_live.(i) <- true;
-        List.iter (mark constraint_live) (I.instr_uses ins)
-      | I.Compute _ | I.Keccak _ | I.Sha256 _ | I.Pack _ | I.Read _ -> ())
-    arr;
+  and mark_constraint r = mark constraint_live r
+  and mark_fast r = mark fast_live r in
+  (* one forward pass: a guard's operands are defined before it, so its
+     dependencies can be marked as soon as it is reached *)
+  for i = 0 to n - 1 do
+    let ins = arr.(i) in
+    match ins with
+    | I.Compute (r, _, _) | I.Keccak (r, _) | I.Sha256 (r, _) | I.Pack (r, _) | I.Read (r, _) ->
+      def_of.(r) <- i
+    | I.Guard _ | I.Guard_size _ | I.Guard_warm _ ->
+      live.(i) <- constraint_live;
+      I.iter_uses mark_constraint ins
+  done;
   (* fast-path roots: writes and output *)
-  List.iter (fun w -> List.iter (mark fast_live) (I.write_uses w)) writes;
-  List.iter (fun p -> List.iter (mark fast_live) (I.piece_regs p)) output;
-  (* partition, preserving order *)
-  let constraint_section = ref [] in
-  let fast_section = ref [] in
-  let dead = ref 0 in
-  Array.iteri
-    (fun i ins ->
-      if constraint_live.(i) then constraint_section := ins :: !constraint_section
-      else if fast_live.(i) then fast_section := ins :: !fast_section
-      else
-        match ins with
-        | I.Guard _ | I.Guard_size _ | I.Guard_warm _ -> assert false
-        | I.Compute _ | I.Keccak _ | I.Sha256 _ | I.Pack _ | I.Read _ -> incr dead)
-    arr;
-  let cs = List.rev !constraint_section and fs = List.rev !fast_section in
-  {
-    instrs = Array.of_list (cs @ fs);
-    first_fast = List.length cs;
-    dead_removed = !dead;
-  }
+  List.iter (I.iter_write_uses mark_fast) writes;
+  I.iter_pieces mark_fast output;
+  (* partition, preserving order: constraint section, then fast path *)
+  let n_constraint = ref 0 and n_fast = ref 0 in
+  for i = 0 to n - 1 do
+    let l = live.(i) in
+    if l land constraint_live <> 0 then incr n_constraint
+    else if l <> 0 then incr n_fast
+  done;
+  let first_fast = !n_constraint in
+  let len = first_fast + !n_fast in
+  let out = if len = 0 then [||] else Array.make len arr.(0) in
+  let c = ref 0 and f = ref first_fast in
+  for i = 0 to n - 1 do
+    let l = live.(i) in
+    if l land constraint_live <> 0 then begin
+      out.(!c) <- arr.(i);
+      incr c
+    end
+    else if l <> 0 then begin
+      out.(!f) <- arr.(i);
+      incr f
+    end
+  done;
+  { instrs = out; first_fast; dead_removed = n - len }

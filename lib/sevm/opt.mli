@@ -11,4 +11,8 @@ type scheduled = {
   dead_removed : int;
 }
 
-val schedule : Ir.instr list -> Ir.write list -> Ir.piece list -> scheduled
+val schedule :
+  Ir.instr array -> int -> reg_count:int -> Ir.write list -> Ir.piece list -> scheduled
+(** [schedule instrs n ~reg_count writes output] schedules the first [n] of
+    [instrs], in emission order, whose registers are all below
+    [reg_count]. *)

@@ -3,7 +3,8 @@
    sweep, and exits non-zero on any finding or on a seeded fault that
    slips through.
 
-     fuzz      the oracle lanes (legacy, S-EVM, AP, verifier) over the
+     fuzz      the synthesis pin (a digest of every S-EVM path built),
+               the oracle lanes (legacy, S-EVM, AP, verifier) over the
                corpus, then a bounded fuzz pass with shrinking
      parallel  the Apply lane: conflict-aware parallel block apply
                byte-identical to the sequential apply; then the same on
@@ -41,6 +42,158 @@ let judge name ~lanes ?fault (r : Runner.sweep_result) =
   | Ok lines -> List.iter (Printf.printf "%s: %s\n%!" name) lines
   | Error e -> fail "%s: %s" name e
 
+(* ---- the synthesis pin ----
+
+   A structural digest of every S-EVM path the builder synthesizes, per
+   transaction and in template mode, over the corpus under every fork, a
+   fixed generated sweep and a short default-mix recording.  Every field
+   of [Ir.path] is encoded, so a rewrite of the builder's internals must
+   reproduce its output exactly: the same instructions in the same order,
+   the same registers, writes, output pieces, traced values and
+   statistics.  A builder fallback encodes its reason.  The pinned digest
+   is the one the per-byte-table builder produced. *)
+
+module I = Sevm.Ir
+
+let synthesis_digest = "64a8f81f10bdaf9efa4f41df047ff206"
+let synthesis_seed = 31 and synthesis_iters = 500
+
+let encode_path buf (p : I.path) =
+  let int n = Buffer.add_string buf (string_of_int n); Buffer.add_char buf ',' in
+  let str s = int (String.length s); Buffer.add_string buf s in
+  let tag c = Buffer.add_char buf c in
+  let word v = Buffer.add_string buf (U256.to_bytes_be v) in
+  let addr a = Buffer.add_string buf (State.Address.to_bytes a) in
+  let operand = function I.Reg r -> tag 'r'; int r | I.Const v -> tag 'c'; word v in
+  let list f l = int (List.length l); List.iter f l in
+  let pieces =
+    list (function
+      | I.P_const s -> tag 'k'; str s
+      | I.P_reg (r, off, len) -> tag 'p'; int r; int off; int len)
+  in
+  let read = function
+    | I.R_timestamp -> tag 'T' | I.R_number -> tag 'N' | I.R_coinbase -> tag 'C'
+    | I.R_difficulty -> tag 'D' | I.R_gaslimit -> tag 'G'
+    | I.R_blockhash o -> tag 'H'; operand o
+    | I.R_balance o -> tag 'B'; operand o
+    | I.R_nonce a -> tag 'n'; addr a
+    | I.R_nonce_of o -> tag 'o'; operand o
+    | I.R_storage (a, k) -> tag 's'; addr a; word k
+    | I.R_storage_dyn (a, o) -> tag 'd'; addr a; operand o
+    | I.R_extcodesize o -> tag 'z'; operand o
+    | I.R_extcodehash o -> tag 'h'; operand o
+  in
+  int (Array.length p.instrs);
+  Array.iter
+    (function
+      | I.Compute (r, op, args) ->
+        tag 'C'; int r; Buffer.add_string buf (I.compute_name op);
+        int (Array.length args); Array.iter operand args
+      | I.Keccak (r, ps) -> tag 'K'; int r; pieces ps
+      | I.Sha256 (r, ps) -> tag 'S'; int r; pieces ps
+      | I.Pack (r, ps) -> tag 'P'; int r; pieces ps
+      | I.Read (r, src) -> tag 'R'; int r; read src
+      | I.Guard (o, v) -> tag 'g'; operand o; word v
+      | I.Guard_size (o, n) -> tag 'z'; operand o; int n
+      | I.Guard_warm ((a, k), w) ->
+        tag 'w'; addr a; (match k with None -> tag '-' | Some k -> word k);
+        tag (if w then '1' else '0'))
+    p.instrs;
+  int p.first_fast;
+  list
+    (function
+      | I.W_storage (a, k, v) -> tag 'S'; addr a; word k; operand v
+      | I.W_storage_dyn (a, k, v) -> tag 'D'; addr a; operand k; operand v
+      | I.W_balance_set (a, v) -> tag '='; operand a; operand v
+      | I.W_balance_add (a, v) -> tag '+'; operand a; operand v
+      | I.W_balance_sub (a, v) -> tag '-'; operand a; operand v
+      | I.W_nonce_set (a, n) -> tag 'N'; addr a; int n
+      | I.W_nonce_dyn (a, n) -> tag 'n'; operand a; operand n
+      | I.W_code (a, ps) -> tag 'C'; addr a; pieces ps
+      | I.W_log (a, topics, ps) -> tag 'L'; addr a; list operand topics; pieces ps)
+    p.writes;
+  str (Fmt.str "%a" Evm.Processor.pp_status p.status);
+  int p.gas_used;
+  (match p.gas_used_src with None -> tag '-' | Some o -> operand o);
+  int p.gas_refund;
+  pieces p.output;
+  int p.reg_count;
+  int (Array.length p.reg_values);
+  Array.iter word p.reg_values;
+  int p.fork;
+  int (Array.length p.inputs);
+  Array.iter (fun i -> str (Fmt.str "%a" I.pp_input i)) p.inputs;
+  let s = p.stats in
+  List.iter int
+    [ s.evm_trace_len; s.decomposed_added; s.stack_eliminated; s.mem_eliminated;
+      s.control_eliminated; s.state_eliminated; s.const_folded; s.cse_removed;
+      s.dead_removed; s.guards_added; s.constraint_len; s.fastpath_len ]
+
+(* [tx] built at [root], per transaction and as a template, each result
+   folded into the running digest [d]; [n] counts the paths built. *)
+let digest_tx d n ?spec bk ~root benv tx =
+  let fold r =
+    let buf = Buffer.create 1024 in
+    Buffer.add_string buf !d;
+    (match r with
+    | Ok p -> incr n; encode_path buf p
+    | Error e -> Buffer.add_string buf ("E:" ^ e));
+    d := Digest.string (Buffer.contents buf)
+  in
+  let st = State.Statedb.create bk ~root in
+  let receipt, events = Runner.trace ?spec st benv tx in
+  fold (Sevm.Builder.build ?spec tx benv events receipt st);
+  fold (Sevm.Builder.build ?spec ~template:true tx benv events receipt st)
+
+let digest_scenario d n (s : Scenario.t) =
+  let c = Runner.install ~tally:(Runner.new_tally ()) ~label:"synthesis" s in
+  List.iter
+    (fun (step : Runner.step) ->
+      digest_tx d n ~spec:c.spec c.bk ~root:step.pre Runner.benv step.tx)
+    c.steps
+
+(* The default mix's contracts (tokens, AMM pairs, creations): every
+   transaction of every canonical block of a short recording, built at
+   its block's parent state. *)
+let digest_record d n =
+  let params =
+    { Netsim.Sim.default_params with seed = 7003; duration = 30.0; tx_rate = 14.0;
+      n_users = 120 }
+  in
+  let record = Netsim.Sim.run ~params () in
+  let parent = ref record.genesis_root in
+  Array.to_list record.events
+  |> List.filter_map (function
+       | Netsim.Record.Block (_, b) when Netsim.Record.is_canonical record b -> Some b
+       | Netsim.Record.Block _ | Netsim.Record.Heard _ | Netsim.Record.Tick _ -> None)
+  |> List.sort (fun (a : Chain.Block.t) b -> compare a.header.number b.header.number)
+  |> List.iter (fun (b : Chain.Block.t) ->
+         let benv =
+           Chain.Stf.block_env_of_header b.header ~block_hash:Netsim.Record.block_hash
+         in
+         List.iter (digest_tx d n record.backend ~root:!parent benv) b.txs;
+         parent := b.header.state_root)
+
+let synthesis () =
+  let d = ref "" and n = ref 0 in
+  List.iter
+    (function
+      | _, Ok s ->
+        List.iter
+          (fun f -> digest_scenario d n { s with Scenario.fork = Some f })
+          Spec.all_forks
+      | path, Error e -> fail "fuzz-ci: synthesis: unreadable corpus entry %s: %s" path e)
+    (Runner.load_corpus "corpus");
+  for i = 0 to synthesis_iters - 1 do
+    digest_scenario d n (Generate.seeded ~seed:synthesis_seed i)
+  done;
+  digest_record d n;
+  let hex = Digest.to_hex !d in
+  Printf.printf "fuzz-ci: synthesis: %d paths, digest %s\n%!" !n hex;
+  if hex <> synthesis_digest then
+    fail "fuzz-ci: synthesis: the builder's output drifted (expected digest %s)"
+      synthesis_digest
+
 let fuzz () =
   Obs.reset ();
   Obs.set_enabled true;
@@ -66,6 +219,8 @@ let fuzz () =
   Printf.printf "fuzz-ci: decoded streams carried %d fused triples, %d fused dups\n%!" triples
     dups;
   if triples = 0 || dups = 0 then fail "fuzz-ci: no fused triple or no fused dup was decoded";
+  (* after the counted passes: its executions warm the decode cache *)
+  synthesis ();
   match s.counterexample with
   | None -> print_string "fuzz-ci: all engines agree\n"
   | Some f ->
