@@ -216,13 +216,14 @@ let memo_replay_mismatch (instrs : I.instr array) (m : P.memo) =
   Array.iter see m.in_regs;
   Array.iter see m.out_regs;
   let regs = Array.make (!top + 1) U256.zero in
-  let value_of = function I.Const v -> v | I.Reg r -> regs.(r) in
   try
     Array.iteri (fun i r -> regs.(r) <- m.in_vals.(i)) m.in_regs;
     Array.iter
       (fun ins ->
         match ins with
-        | I.Compute (r, op, args) -> regs.(r) <- Ap.Exec.compute op (Array.map value_of args)
+        | I.Compute (r, op, args) ->
+          let arg = I.arg_value regs args in
+          regs.(r) <- Ap.Exec.compute op (arg 0) (arg 1) (arg 2)
         | I.Keccak (r, ps) -> regs.(r) <- Khash.Keccak.digest_u256 (I.bytes_of_pieces regs ps)
         | I.Sha256 (r, ps) ->
           regs.(r) <- U256.of_bytes_be (Khash.Sha256.digest (I.bytes_of_pieces regs ps))

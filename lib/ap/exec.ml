@@ -25,13 +25,6 @@ let obs_instrs_skipped = Obs.counter "ap.instrs_skipped"
 
 let value_of regs = function I.Const v -> v | I.Reg r -> regs.(r)
 
-(* [Array.map (value_of regs) args] for the usual one or two operands,
-   without allocating the partial application *)
-let operands regs = function
-  | [| x |] -> [| value_of regs x |]
-  | [| x; y |] -> [| value_of regs x; value_of regs y |]
-  | args -> Array.map (value_of regs) args
-
 (* Fault injection for the conformance fuzzer's mutation smoke test: when
    set, every C_add computes a+b+1.  Must never be set outside tests. *)
 let miscompile_add_for_tests = ref false
@@ -40,8 +33,8 @@ let miscompile_add_for_tests = ref false
    replays memo segments through this exact function, so memo values
    recorded from the honest EVM trace expose the fault injection (or any
    future executor/IR evaluation skew) statically. *)
-let compute op args =
-  let v = I.eval_compute op args in
+let compute op a b c =
+  let v = I.eval_compute op a b c in
   if !miscompile_add_for_tests && op = I.C_add then U256.add v U256.one else v
 
 let eval_read st (benv : Evm.Env.block_env) regs = function
@@ -73,7 +66,9 @@ let eval_read st (benv : Evm.Env.block_env) regs = function
 let exec_instr st benv regs stats ins =
   stats.executed <- stats.executed + 1;
   match ins with
-  | I.Compute (r, op, args) -> regs.(r) <- compute op (operands regs args)
+  | I.Compute (r, op, args) ->
+    regs.(r) <-
+      compute op (I.arg_value regs args 0) (I.arg_value regs args 1) (I.arg_value regs args 2)
   | I.Keccak (r, pieces) ->
     regs.(r) <- Khash.Keccak.digest_u256 (I.bytes_of_pieces regs pieces)
   | I.Sha256 (r, pieces) ->
@@ -82,20 +77,28 @@ let exec_instr st benv regs stats ins =
   | I.Read (r, src) -> regs.(r) <- eval_read st benv regs src
   | I.Guard _ | I.Guard_size _ | I.Guard_warm _ -> assert false
 
+(* Do the registers hold memo [m]'s inputs from index [i] on? *)
+let rec memo_matches regs (m : Program.memo) i =
+  i >= Array.length m.in_regs
+  || (U256.equal regs.(m.in_regs.(i)) m.in_vals.(i) && memo_matches regs m (i + 1))
+
+(* Take the first matching shortcut: write its outputs and say so. *)
+let rec take_memo regs = function
+  | [] -> false
+  | (m : Program.memo) :: rest ->
+    if memo_matches regs m 0 then begin
+      for i = 0 to Array.length m.out_regs - 1 do
+        regs.(m.out_regs.(i)) <- m.out_vals.(i)
+      done;
+      true
+    end
+    else take_memo regs rest
+
 (* Run a block, trying its memoization shortcuts first, then its halves,
    then instruction by instruction.  [use_memos:false] disables shortcuts
    (the no-memoization ablation). *)
 let rec exec_block ~use_memos st benv regs stats (b : Program.block) =
-  let try_memo (m : Program.memo) =
-    let n = Array.length m.in_regs in
-    let rec check i = i >= n || (U256.equal regs.(m.in_regs.(i)) m.in_vals.(i) && check (i + 1)) in
-    if check 0 then begin
-      Array.iteri (fun i r -> regs.(r) <- m.out_vals.(i)) m.out_regs;
-      true
-    end
-    else false
-  in
-  if use_memos && List.exists try_memo b.memos then begin
+  if use_memos && take_memo regs b.memos then begin
     stats.memo_hits <- stats.memo_hits + 1;
     stats.skipped <- stats.skipped + Array.length b.instrs;
     Obs.incr obs_shortcut_hits
@@ -105,41 +108,57 @@ let rec exec_block ~use_memos st benv regs stats (b : Program.block) =
     | Some (l, r) ->
       exec_block ~use_memos st benv regs stats l;
       exec_block ~use_memos st benv regs stats r
-    | None -> Array.iter (exec_instr st benv regs stats) b.instrs
+    | None ->
+      for i = 0 to Array.length b.instrs - 1 do
+        exec_instr st benv regs stats b.instrs.(i)
+      done
 
-(* Apply the deferred write set; returns the logs it committed. *)
-let apply_writes st regs writes =
-  let logs = ref [] in
-  List.iter
-    (fun w ->
-      match w with
-      | I.W_nonce_set (addr, n) -> Statedb.set_nonce st addr n
-      | I.W_nonce_dyn (a, n) ->
-        Statedb.set_nonce st
-          (Address.of_u256 (value_of regs a))
-          (match U256.to_int_opt (value_of regs n) with Some v -> v | None -> 0)
-      | I.W_code (addr, pieces) -> Statedb.set_code st addr (I.bytes_of_pieces regs pieces)
-      | I.W_balance_set (addr_op, v) ->
-        Statedb.set_balance st (Address.of_u256 (value_of regs addr_op)) (value_of regs v)
-      | I.W_balance_add (addr_op, v) ->
-        let a = Address.of_u256 (value_of regs addr_op) in
-        Statedb.set_balance st a (U256.add (Statedb.get_balance st a) (value_of regs v))
-      | I.W_balance_sub (addr_op, v) ->
-        let a = Address.of_u256 (value_of regs addr_op) in
-        Statedb.set_balance st a (U256.sub (Statedb.get_balance st a) (value_of regs v))
-      | I.W_storage (addr, key, v) -> Statedb.set_storage st addr key (value_of regs v)
-      | I.W_storage_dyn (addr, key, v) ->
-        Statedb.set_storage st addr (value_of regs key) (value_of regs v)
-      | I.W_log (addr, topics, data) ->
-        logs :=
-          {
-            Evm.Env.log_address = addr;
-            topics = List.map (value_of regs) topics;
-            log_data = I.bytes_of_pieces regs data;
-          }
-          :: !logs)
-    writes;
-  List.rev !logs
+let rec exec_blocks ~use_memos st benv regs stats = function
+  | [] -> ()
+  | b :: rest ->
+    exec_block ~use_memos st benv regs stats b;
+    exec_blocks ~use_memos st benv regs stats rest
+
+let rec operand_values regs = function
+  | [] -> []
+  | o :: rest -> value_of regs o :: operand_values regs rest
+
+(* One deferred write; logs are collected by [apply_writes]. *)
+let apply_write st regs = function
+  | I.W_log _ -> ()
+  | I.W_nonce_set (addr, n) -> Statedb.set_nonce st addr n
+  | I.W_nonce_dyn (a, n) ->
+    Statedb.set_nonce st
+      (Address.of_u256 (value_of regs a))
+      (match U256.to_int_opt (value_of regs n) with Some v -> v | None -> 0)
+  | I.W_code (addr, pieces) -> Statedb.set_code st addr (I.bytes_of_pieces regs pieces)
+  | I.W_balance_set (addr_op, v) ->
+    Statedb.set_balance st (Address.of_u256 (value_of regs addr_op)) (value_of regs v)
+  | I.W_balance_add (addr_op, v) ->
+    let a = Address.of_u256 (value_of regs addr_op) in
+    Statedb.set_balance st a (U256.add (Statedb.get_balance st a) (value_of regs v))
+  | I.W_balance_sub (addr_op, v) ->
+    let a = Address.of_u256 (value_of regs addr_op) in
+    Statedb.set_balance st a (U256.sub (Statedb.get_balance st a) (value_of regs v))
+  | I.W_storage (addr, key, v) -> Statedb.set_storage st addr key (value_of regs v)
+  | I.W_storage_dyn (addr, key, v) ->
+    Statedb.set_storage st addr (value_of regs key) (value_of regs v)
+
+(* Apply the deferred write set in order; returns the logs it committed. *)
+let rec apply_writes st regs = function
+  | [] -> []
+  | I.W_log (addr, topics, data) :: rest ->
+    let log =
+      {
+        Evm.Env.log_address = addr;
+        topics = operand_values regs topics;
+        log_data = I.bytes_of_pieces regs data;
+      }
+    in
+    log :: apply_writes st regs rest
+  | w :: rest ->
+    apply_write st regs w;
+    apply_writes st regs rest
 
 (* The bind-inputs entry point (lib/apstore): a fresh register file for
    running [ap] on behalf of [tx], with the template's input registers
@@ -153,33 +172,33 @@ let bind_inputs ~spec (ap : Program.t) (tx : Evm.Env.tx) =
 
 exception Violated
 
-let rec exec_node ~use_memos ~warm st benv regs stats tx = function
+(* The case of a guard node whose recorded value matches, or [Violated]. *)
+let rec find_case equal v = function
+  | [] -> raise Violated
+  | (v', k) :: rest -> if equal v v' then k else find_case equal v rest
+
+let guard_checked stats =
+  stats.guards <- stats.guards + 1;
+  Obs.incr obs_guard_checks
+
+let rec exec_node ~use_memos ~prewarm st benv regs stats tx = function
   | Program.Seq (b, k) ->
     exec_block ~use_memos st benv regs stats b;
-    exec_node ~use_memos ~warm st benv regs stats tx k
-  | Program.Branch (op, cases) -> (
-    stats.guards <- stats.guards + 1;
-    Obs.incr obs_guard_checks;
+    exec_node ~use_memos ~prewarm st benv regs stats tx k
+  | Program.Branch (op, cases) ->
+    guard_checked stats;
     let v = value_of regs op in
-    match List.find_opt (fun (v', _) -> U256.equal v v') cases with
-    | Some (_, k) -> exec_node ~use_memos ~warm st benv regs stats tx k
-    | None -> raise Violated)
-  | Program.Branch_size (op, cases) -> (
-    stats.guards <- stats.guards + 1;
-    Obs.incr obs_guard_checks;
+    exec_node ~use_memos ~prewarm st benv regs stats tx (find_case U256.equal v cases)
+  | Program.Branch_size (op, cases) ->
+    guard_checked stats;
     let n = U256.byte_size (value_of regs op) in
-    match List.find_opt (fun (n', _) -> n = n') cases with
-    | Some (_, k) -> exec_node ~use_memos ~warm st benv regs stats tx k
-    | None -> raise Violated)
-  | Program.Branch_warm (key, cases) -> (
-    stats.guards <- stats.guards + 1;
-    Obs.incr obs_guard_checks;
-    let w : bool = warm key in
-    match List.find_opt (fun (w', _) -> w = w') cases with
-    | Some (_, k) -> exec_node ~use_memos ~warm st benv regs stats tx k
-    | None -> raise Violated)
+    exec_node ~use_memos ~prewarm st benv regs stats tx (find_case Int.equal n cases)
+  | Program.Branch_warm (key, cases) ->
+    guard_checked stats;
+    let w = Evm.Processor.entry_warm tx prewarm key in
+    exec_node ~use_memos ~prewarm st benv regs stats tx (find_case Bool.equal w cases)
   | Program.Leaf leaf ->
-    List.iter (exec_block ~use_memos st benv regs stats) leaf.fast;
+    exec_blocks ~use_memos st benv regs stats leaf.fast;
     let sender_balance_before = Statedb.get_balance st tx.Evm.Env.sender in
     let sender_nonce_before = Statedb.get_nonce st tx.Evm.Env.sender in
     let logs = apply_writes st regs leaf.writes in
@@ -204,6 +223,20 @@ let rec exec_node ~use_memos ~warm st benv regs stats tx = function
       sender_nonce_before;
     }
 
+(* Try each root in order; the first that passes every guard serves. *)
+let rec try_roots ~use_memos ~prewarm st benv regs stats tx = function
+  | [] ->
+    Obs.incr obs_violations;
+    Violation
+  | root :: rest -> (
+    match exec_node ~use_memos ~prewarm st benv regs stats tx root with
+    | receipt ->
+      Obs.incr obs_hits;
+      Obs.add obs_instrs_executed stats.executed;
+      Obs.add obs_instrs_skipped stats.skipped;
+      Hit (receipt, stats)
+    | exception Violated -> try_roots ~use_memos ~prewarm st benv regs stats tx rest)
+
 (* Execute [ap] for [tx] in the actual context.  On violation nothing has
    been written (writes are deferred past every guard), so the caller can
    fall back to the EVM directly.  A program built under another fork is a
@@ -219,23 +252,9 @@ let execute ?(use_memos = true) ?spec ?(prewarm = []) (ap : Program.t) st benv
     Violation
   end
   else begin
-    let warm = Evm.Processor.entry_warm tx prewarm in
     let regs = bind_inputs ~spec ap tx in
     let stats = { executed = 0; skipped = 0; guards = 0; memo_hits = 0 } in
-    let rec try_roots = function
-      | [] ->
-        Obs.incr obs_violations;
-        Violation
-      | root :: rest -> (
-        try
-          let receipt = exec_node ~use_memos ~warm st benv regs stats tx root in
-          Obs.incr obs_hits;
-          Obs.add obs_instrs_executed stats.executed;
-          Obs.add obs_instrs_skipped stats.skipped;
-          Hit (receipt, stats)
-        with Violated -> try_roots rest)
-    in
-    try_roots ap.roots
+    try_roots ~use_memos ~prewarm st benv regs stats tx ap.roots
   end
 
 let execute_or_fallback ?use_memos ?spec ?prewarm ap st benv tx =

@@ -22,8 +22,10 @@ val miscompile_add_for_tests : bool ref
     flips this to prove its oracle detects a miscompiled AP; production
     code must leave it false. *)
 
-val compute : Sevm.Ir.compute_op -> U256.t array -> U256.t
-(** The executor's arithmetic: [Sevm.Ir.eval_compute] plus the fault
+val compute : Sevm.Ir.compute_op -> U256.t -> U256.t -> U256.t -> U256.t
+(** [compute op a b c], the executor's arithmetic over operand values in
+    EVM stack order ([U256.zero] for operands [op] lacks):
+    [Sevm.Ir.eval_compute] plus the fault
     injection above.  The static verifier (lib/analysis) replays memo
     segments through this same function, so a miscompiled executor
     disagrees with memo values recorded from the honest trace and is

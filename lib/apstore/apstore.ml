@@ -77,7 +77,33 @@ let locked t f = Mutex.protect t.mu f
    obviously-divergent path classes get distinct templates instead of
    guard-violating each other's.  A wild or fully calldata-dependent
    analysis falls back to every legacy pin.  The key is the buffer itself:
-   its components are short, so a digest would only cost a keccak. *)
+   its components are short, so a digest would only cost a keccak.
+
+   Layout (DESIGN.md §13): code hash (32 bytes), target (20), fork id and
+   calldata length (8 bytes each, little-endian), 'z' or 'v' for value
+   zeroness; then, each only when pinned, 'g' with the gas limit and the
+   nonzero calldata byte count (8 bytes each), 's' with the selector (the
+   first min(4, length) calldata bytes), and '|' with one 'z', 'v' or '-'
+   per calldata word.  Numbers are fixed-width so no two field sequences
+   share a key; which sections appear is fixed by the code hash and the
+   state, and their lengths by the calldata length. *)
+
+let add_int b n = Buffer.add_int64_le b (Int64.of_int n)
+
+let nonzero_bytes s =
+  let n = ref 0 in
+  for i = 0 to String.length s - 1 do
+    if String.unsafe_get s i <> '\000' then incr n
+  done;
+  !n
+
+let rec zero_from data i stop =
+  i >= stop || (String.unsafe_get data i = '\000' && zero_from data (i + 1) stop)
+
+(* Is the calldata word at byte [off] zero?  Bytes past the end count as
+   zero. *)
+let word_is_zero data off = zero_from data off (min (off + 32) (String.length data))
+
 let key_of_tx st (spec : Spec.t) (tx : Evm.Env.tx) : string option =
   match tx.to_ with
   | None -> None (* creation: the created address depends on the sender *)
@@ -100,42 +126,26 @@ let key_of_tx st (spec : Spec.t) (tx : Evm.Env.tx) : string option =
         let b = Buffer.create 96 in
         Buffer.add_string b hash;
         Buffer.add_string b (State.Address.to_bytes target);
-        (* "|<fork>|<calldata length>|<z or v>|", written field by field:
-           a Printf format costs more allocation than the rest of the key *)
-        Buffer.add_char b '|';
-        Buffer.add_string b (string_of_int spec.id);
-        Buffer.add_char b '|';
-        Buffer.add_string b (string_of_int len);
-        Buffer.add_char b '|';
+        add_int b spec.id;
+        add_int b len;
         Buffer.add_char b (if U256.is_zero tx.value then 'z' else 'v');
-        Buffer.add_char b '|';
         if pin_gas then begin
-          let nonzero = ref 0 in
-          String.iter (fun c -> if c <> '\000' then incr nonzero) tx.data;
-          (* "g<gas limit>:<nonzero bytes>|" *)
           Buffer.add_char b 'g';
-          Buffer.add_string b (string_of_int tx.gas_limit);
-          Buffer.add_char b ':';
-          Buffer.add_string b (string_of_int !nonzero);
-          Buffer.add_char b '|'
+          add_int b tx.gas_limit;
+          add_int b (nonzero_bytes tx.data)
         end;
         if pin_selector then begin
           Buffer.add_char b 's';
-          Buffer.add_string b (if len <= 4 then tx.data else String.sub tx.data 0 4)
+          Buffer.add_substring b tx.data 0 (min len 4)
         end;
         if (not conservative) && f.Bca.f_cf_words <> 0 then begin
           Buffer.add_char b '|';
           let n_words = if len > 4 then (len - 4 + 31) / 32 else 0 in
           for k = 0 to min (n_words - 1) 60 do
-            if f.Bca.f_cf_words land (1 lsl k) <> 0 then begin
-              let off = 4 + (32 * k) in
-              let z = ref true in
-              for i = off to min (off + 31) (len - 1) do
-                if tx.data.[i] <> '\000' then z := false
-              done;
-              Buffer.add_char b (if !z then 'z' else 'v')
-            end
-            else Buffer.add_char b '-'
+            Buffer.add_char b
+              (if f.Bca.f_cf_words land (1 lsl k) = 0 then '-'
+               else if word_is_zero tx.data (4 + (32 * k)) then 'z'
+               else 'v')
           done
         end;
         Some (Buffer.contents b)
@@ -144,9 +154,18 @@ let key_of_tx st (spec : Spec.t) (tx : Evm.Env.tx) : string option =
 
 (* ---- probe / single-flight / publish ---- *)
 
+(* [Lru.find] does not raise: no [Mutex.protect] closure on the serve path *)
 let find t key =
-  locked t (fun () ->
-      Lru.find t.lru key |> Option.map (fun e -> e.reuses <- e.reuses + 1; e.ap))
+  Mutex.lock t.mu;
+  let ap =
+    match Lru.find t.lru key with
+    | Some e ->
+      e.reuses <- e.reuses + 1;
+      Some e.ap
+    | None -> None
+  in
+  Mutex.unlock t.mu;
+  ap
 
 let reserve t key =
   locked t (fun () ->

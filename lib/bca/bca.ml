@@ -353,9 +353,8 @@ let step acc (st : av list) (i : Evm.Decode.instr) : av list * flow =
       in
       let v =
         if consts && args <> [] then
-          Const
-            (Sevm.Ir.eval_compute c
-               (Array.of_list (List.map (function Const x -> x | _ -> U256.zero) args)))
+          let arg i = match List.nth_opt args i with Some (Const x) -> x | _ -> U256.zero in
+          Const (Sevm.Ir.eval_compute c (arg 0) (arg 1) (arg 2))
         else V (List.fold_left (fun m a -> m lor taint_of a) 0 args)
       in
       (v :: st, F_next)

@@ -24,15 +24,31 @@ type tx = {
   gas_price : U256.t;
 }
 
+(* A word is encoded as its full 32 bytes, header 0xa0. *)
+let put_word b pos v =
+  Bytes.set b pos '\xa0';
+  U256.blit_be v 0 b (pos + 1) 32;
+  pos + 33
+
+(* The RLP list [sender; to; nonce; value; data; gas limit; gas price],
+   sized exactly and written into one buffer. *)
 let tx_hash (t : tx) =
-  let body =
-    Rlp.List
-      [ Rlp.Str (Address.to_bytes t.sender);
-        Rlp.Str (match t.to_ with Some a -> Address.to_bytes a | None -> "");
-        Rlp.encode_int t.nonce; Rlp.Str (U256.to_bytes_be t.value); Rlp.Str t.data;
-        Rlp.encode_int t.gas_limit; Rlp.Str (U256.to_bytes_be t.gas_price) ]
+  let sender = Address.to_bytes t.sender in
+  let to_ = match t.to_ with Some a -> Address.to_bytes a | None -> "" in
+  let payload =
+    Rlp.str_size sender + Rlp.str_size to_ + Rlp.int_size t.nonce + 33 + Rlp.str_size t.data
+    + Rlp.int_size t.gas_limit + 33
   in
-  Khash.Keccak.digest (Rlp.encode body)
+  let b = Bytes.create (Rlp.header_len payload + payload) in
+  let pos = Rlp.put_header b 0 0xc0 payload in
+  let pos = Rlp.put_str b pos sender in
+  let pos = Rlp.put_str b pos to_ in
+  let pos = Rlp.put_int b pos t.nonce in
+  let pos = put_word b pos t.value in
+  let pos = Rlp.put_str b pos t.data in
+  let pos = Rlp.put_int b pos t.gas_limit in
+  ignore (put_word b pos t.gas_price : int);
+  Khash.Keccak.digest (Bytes.unsafe_to_string b)
 
 type log = { log_address : Address.t; topics : U256.t list; log_data : string }
 

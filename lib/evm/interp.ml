@@ -222,15 +222,32 @@ let add_log ctx l =
 
 (* ---- tracing helpers ---- *)
 
-let capture_inputs f op =
-  let n = Op.stack_in op in
-  Array.init n (fun i -> f.stack.(f.sp - 1 - i))
+(* The top [n] stack words, top first. *)
+let capture_top f n =
+  if n = 0 then [||]
+  else begin
+    let a = Array.make n f.stack.(f.sp - 1) in
+    for i = 1 to n - 1 do
+      a.(i) <- f.stack.(f.sp - 1 - i)
+    done;
+    a
+  end
 
-let capture_outputs f op =
-  let n = Op.stack_out op in
-  Array.init n (fun i -> f.stack.(f.sp - 1 - i))
+let capture_inputs f op = capture_top f (Op.stack_in op)
+let capture_outputs f op = capture_top f (Op.stack_out op)
 
 let emit ctx ev = match ctx.trace with Some sink -> sink ev | None -> ()
+
+(* Call- and create-family steps are traced by their handlers, as a
+   [Call_enter] carrying their own inputs; every other step becomes a
+   [Step]. *)
+let becomes_step (op : Op.t) =
+  match op with
+  | CALL | CALLCODE | DELEGATECALL | STATICCALL | CREATE | CREATE2 -> false
+  | _ -> true
+
+let emit_step ctx f pc op inputs outputs =
+  emit ctx (Trace.Step { pc; depth = f.depth; ctx_address = f.ctx_address; op; inputs; outputs })
 
 (* ---- create address derivation ---- *)
 
@@ -247,12 +264,15 @@ let create2_address sender salt init_hash =
 
 type precompile = P_sha256 | P_identity
 
+let sha256_address = Address.of_int 2
+let identity_address = Address.of_int 4
+
 let precompile_of addr =
-  if Address.equal addr (Address.of_int 2) then Some P_sha256
-  else if Address.equal addr (Address.of_int 4) then Some P_identity
+  if Address.equal addr sha256_address then Some P_sha256
+  else if Address.equal addr identity_address then Some P_identity
   else None
 
-let is_precompile addr = precompile_of addr <> None
+let is_precompile addr = match precompile_of addr with Some _ -> true | None -> false
 
 (* Returns (gas cost, output). *)
 let run_precompile kind data =
@@ -321,27 +341,14 @@ and exec_frame ctx f : status =
            if Op.stack_out op - Op.stack_in op + f.sp > max_stack then
              raise (Fail Stack_overflow);
            charge f (Array.unsafe_get ctx.spec.Spec.static_gas byte);
-           let traced = ctx.trace <> None in
-           let ins = if traced then capture_inputs f op else [||] in
+           let stepped = ctx.trace <> None && becomes_step op in
+           let ins = if stepped then capture_inputs f op else [||] in
            let pc0 = f.pc in
-           let emit_step outs =
-             if traced && not (Op.is_call op || op = CREATE || op = CREATE2) then
-               emit ctx
-                 (Trace.Step
-                    {
-                      pc = pc0;
-                      depth = f.depth;
-                      ctx_address = f.ctx_address;
-                      op;
-                      inputs = ins;
-                      outputs = outs;
-                    })
-           in
            (try exec_op ctx f op
             with Frame_done st ->
-              emit_step [||];
+              if stepped then emit_step ctx f pc0 op ins [||];
               raise (Frame_done st));
-           if traced then emit_step (capture_outputs f op);
+           if stepped then emit_step ctx f pc0 op ins (capture_outputs f op);
            f.pc <- f.pc + 1;
            if op = STOP then result := Some (Returned "")
        end
@@ -412,26 +419,14 @@ and exec_frame_decoded_traced ctx f : status =
              (if i.Decode.xop < 256 then i.Decode.xop else i.Decode.op_id)
          in
          let op = i.Decode.op in
-         let ins = capture_inputs f op in
+         let stepped = becomes_step op in
+         let ins = if stepped then capture_inputs f op else [||] in
          let pc0 = f.pc in
-         let emit_step outs =
-           if not (Op.is_call op || op = CREATE || op = CREATE2) then
-             emit ctx
-               (Trace.Step
-                  {
-                    pc = pc0;
-                    depth = f.depth;
-                    ctx_address = f.ctx_address;
-                    op;
-                    inputs = ins;
-                    outputs = outs;
-                  })
-         in
          (try h ctx f i
           with Frame_done st ->
-            emit_step [||];
+            if stepped then emit_step ctx f pc0 op ins [||];
             raise (Frame_done st));
-         emit_step (capture_outputs f op);
+         if stepped then emit_step ctx f pc0 op ins (capture_outputs f op);
          f.pc <- f.pc + 1
        end
      done
@@ -810,8 +805,9 @@ and exec_create ctx f op =
   let value = pop f in
   let off = as_offset (pop f) in
   let len = as_offset (pop f) in
-  let salt = if op = Op.CREATE2 then pop f else U256.zero in
-  if op = Op.CREATE2 then charge f (Spec.g_sha3_word * Memory.words len);
+  let create2 = match op with Op.CREATE2 -> true | _ -> false in
+  let salt = if create2 then pop f else U256.zero in
+  if create2 then charge f (Spec.g_sha3_word * Memory.words len);
   charge_mem f off len;
   let initcode = Memory.load f.mem off len in
   let init_hash = Khash.Keccak.digest initcode in
@@ -821,13 +817,13 @@ and exec_create ctx f op =
   charge f max_forward;
   let inputs =
     if ctx.trace <> None then
-      if op = Op.CREATE2 then [| value; U256.of_int off; U256.of_int len; salt |]
+      if create2 then [| value; U256.of_int off; U256.of_int len; salt |]
       else [| value; U256.of_int off; U256.of_int len |]
     else [||]
   in
   let sender_nonce = Statedb.get_nonce st f.ctx_address in
   let new_addr =
-    if op = Op.CREATE2 then create2_address f.ctx_address salt init_hash
+    if create2 then create2_address f.ctx_address salt init_hash
     else create_address f.ctx_address sender_nonce
   in
   (* creation makes the new account warm, with no cold charge *)
@@ -845,7 +841,7 @@ and exec_create ctx f op =
                outputs = [||];
              },
              {
-               Trace.kind = (if op = Op.CREATE2 then Trace.C_create2 else Trace.C_create);
+               Trace.kind = (if create2 then Trace.C_create2 else Trace.C_create);
                child_ctx = new_addr;
                child_code_addr = new_addr;
                child_code = initcode;

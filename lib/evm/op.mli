@@ -41,6 +41,3 @@ val stack_out : t -> int
 val push_bytes : t -> int
 (** Immediate length: n for [PUSH n], 0 otherwise. *)
 
-
-val is_call : t -> bool
-(** CALL / CALLCODE / DELEGATECALL / STATICCALL. *)

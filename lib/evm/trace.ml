@@ -38,9 +38,20 @@ type event =
 
 type sink = event -> unit
 
-(** Collect a full trace into an array. *)
+(** Collect a full trace into an array.  Events are consed newest first
+    and [get] fills the array from its end, so the list is never copied. *)
 let collector () =
-  let events = ref [] in
-  let sink e = events := e :: !events in
-  let get () = Array.of_list (List.rev !events) in
+  let events = ref [] and n = ref 0 in
+  let sink e =
+    events := e :: !events;
+    incr n
+  in
+  let get () =
+    match !events with
+    | [] -> [||]
+    | newest :: _ ->
+      let a = Array.make !n newest in
+      List.iteri (fun i e -> a.(!n - 1 - i) <- e) !events;
+      a
+  in
   (sink, get)

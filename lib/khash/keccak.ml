@@ -127,7 +127,9 @@ let xor_lane s i msg pos =
 
 let xor_byte s i b = Bytes.set s i (Char.unsafe_chr (Char.code (Bytes.get s i) lxor b))
 
-let digest msg =
+(* The sponge state after absorbing [msg]; the digest is its first 32
+   bytes. *)
+let sponge msg =
   let s = Bytes.make 200 '\000' in
   let len = String.length msg in
   (* Absorb every full block a lane at a time, straight from [msg]. *)
@@ -153,7 +155,9 @@ let digest msg =
   xor_byte s tail 0x01;
   xor_byte s (rate_bytes - 1) 0x80;
   keccak_f s;
-  Bytes.sub_string s 0 32
+  s
+
+let digest msg = Bytes.sub_string (sponge msg) 0 32
 
 let hex_digits = "0123456789abcdef"
 
@@ -168,4 +172,8 @@ let to_hex s =
   Bytes.unsafe_to_string out
 
 let digest_hex msg = to_hex (digest msg)
-let digest_u256 msg = U256.of_bytes_be (digest msg)
+(* read the word straight from the state, without the digest string *)
+let digest_u256 msg =
+  let s = sponge msg in
+  U256.of_limbs (Bytes.get_int64_be s 24) (Bytes.get_int64_be s 16) (Bytes.get_int64_be s 8)
+    (Bytes.get_int64_be s 0)

@@ -25,6 +25,60 @@ let rec encode = function
     let payload = String.concat "" (List.map encode items) in
     encode_length (String.length payload) 0xc0 ^ payload
 
+(* ---- in-place writers: exact sizes first, then one buffer ---- *)
+
+let rec be_len n = if n = 0 then 0 else 1 + be_len (n lsr 8)
+let header_len len = if len < 56 then 1 else 1 + be_len len
+
+let str_size s =
+  let n = String.length s in
+  if n = 1 && s.[0] < '\x80' then 1 else header_len n + n
+
+let int_size n =
+  if n < 0 then invalid_arg "Rlp.int_size: negative";
+  if n > 0 && n < 0x80 then 1 else 1 + be_len n
+
+let put_header b pos base len =
+  if len < 56 then begin
+    Bytes.set b pos (Char.chr (base + len));
+    pos + 1
+  end
+  else begin
+    let nb = be_len len in
+    Bytes.set b pos (Char.chr (base + 55 + nb));
+    for i = 1 to nb do
+      Bytes.set b (pos + i) (Char.chr ((len lsr (8 * (nb - i))) land 0xff))
+    done;
+    pos + 1 + nb
+  end
+
+let put_str b pos s =
+  let n = String.length s in
+  if n = 1 && s.[0] < '\x80' then begin
+    Bytes.set b pos s.[0];
+    pos + 1
+  end
+  else begin
+    let pos = put_header b pos 0x80 n in
+    Bytes.blit_string s 0 b pos n;
+    pos + n
+  end
+
+let put_int b pos n =
+  if n < 0 then invalid_arg "Rlp.put_int: negative";
+  if n > 0 && n < 0x80 then begin
+    Bytes.set b pos (Char.chr n);
+    pos + 1
+  end
+  else begin
+    let nb = be_len n in
+    let pos = put_header b pos 0x80 nb in
+    for i = 0 to nb - 1 do
+      Bytes.set b (pos + i) (Char.chr ((n lsr (8 * (nb - 1 - i))) land 0xff))
+    done;
+    pos + nb
+  end
+
 (* Decode one item starting at [pos]; returns (item, next position). *)
 let rec decode_at s pos =
   if pos >= String.length s then fail "truncated input";

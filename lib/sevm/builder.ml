@@ -405,7 +405,8 @@ let init_template b (receipt : Evm.Processor.receipt) =
    result observed during the pre-execution. *)
 let compute b op args traced =
   if Array.for_all (function I.Const _ -> true | I.Reg _ -> false) args then begin
-    let folded = I.eval_compute op (Array.map (val_of b) args) in
+    let arg = I.arg_value b.reg_vals args in
+    let folded = I.eval_compute op (arg 0) (arg 1) (arg 2) in
     if not (U256.equal folded traced) then
       raise (Unsupported "constant-fold mismatch (builder bug)");
     b.st_folded <- b.st_folded + 1;

@@ -233,42 +233,45 @@ type path = {
 
 let bool_word b = if b then U256.one else U256.zero
 
-let eval_compute op (args : U256.t array) =
+(* One compute over its operand values, in EVM stack order: [a] is the
+   first operand, [c] is read only by the ternary ops and [b] not by the
+   unary ones, so callers pass [U256.zero] for operands an op lacks. *)
+let eval_compute op a b c =
   match op with
-  | C_add -> U256.add args.(0) args.(1)
-  | C_mul -> U256.mul args.(0) args.(1)
-  | C_sub -> U256.sub args.(0) args.(1)
-  | C_div -> U256.div args.(0) args.(1)
-  | C_sdiv -> U256.sdiv args.(0) args.(1)
-  | C_mod -> U256.rem args.(0) args.(1)
-  | C_smod -> U256.srem args.(0) args.(1)
-  | C_addmod -> U256.addmod args.(0) args.(1) args.(2)
-  | C_mulmod -> U256.mulmod args.(0) args.(1) args.(2)
-  | C_exp -> U256.exp args.(0) args.(1)
-  | C_signextend -> U256.signextend args.(0) args.(1)
-  | C_lt -> bool_word (U256.lt args.(0) args.(1))
-  | C_gt -> bool_word (U256.gt args.(0) args.(1))
-  | C_slt -> bool_word (U256.slt args.(0) args.(1))
-  | C_sgt -> bool_word (U256.sgt args.(0) args.(1))
-  | C_eq -> bool_word (U256.equal args.(0) args.(1))
-  | C_iszero -> bool_word (U256.is_zero args.(0))
-  | C_and -> U256.logand args.(0) args.(1)
-  | C_or -> U256.logor args.(0) args.(1)
-  | C_xor -> U256.logxor args.(0) args.(1)
-  | C_not -> U256.lognot args.(0)
-  | C_byte -> U256.byte args.(0) args.(1)
+  | C_add -> U256.add a b
+  | C_mul -> U256.mul a b
+  | C_sub -> U256.sub a b
+  | C_div -> U256.div a b
+  | C_sdiv -> U256.sdiv a b
+  | C_mod -> U256.rem a b
+  | C_smod -> U256.srem a b
+  | C_addmod -> U256.addmod a b c
+  | C_mulmod -> U256.mulmod a b c
+  | C_exp -> U256.exp a b
+  | C_signextend -> U256.signextend a b
+  | C_lt -> bool_word (U256.lt a b)
+  | C_gt -> bool_word (U256.gt a b)
+  | C_slt -> bool_word (U256.slt a b)
+  | C_sgt -> bool_word (U256.sgt a b)
+  | C_eq -> bool_word (U256.equal a b)
+  | C_iszero -> bool_word (U256.is_zero a)
+  | C_and -> U256.logand a b
+  | C_or -> U256.logor a b
+  | C_xor -> U256.logxor a b
+  | C_not -> U256.lognot a
+  | C_byte -> U256.byte a b
   | C_shl -> (
-    match U256.to_int_opt args.(0) with
-    | Some k when k < 256 -> U256.shift_left args.(1) k
+    match U256.to_int_opt a with
+    | Some k when k < 256 -> U256.shift_left b k
     | _ -> U256.zero)
   | C_shr -> (
-    match U256.to_int_opt args.(0) with
-    | Some k when k < 256 -> U256.shift_right args.(1) k
+    match U256.to_int_opt a with
+    | Some k when k < 256 -> U256.shift_right b k
     | _ -> U256.zero)
   | C_sar -> (
-    match U256.to_int_opt args.(0) with
-    | Some k when k < 256 -> U256.shift_right_arith args.(1) k
-    | _ -> if U256.testbit args.(1) 255 then U256.max_value else U256.zero)
+    match U256.to_int_opt a with
+    | Some k when k < 256 -> U256.shift_right_arith b k
+    | _ -> if U256.testbit b 255 then U256.max_value else U256.zero)
 
 let compute_op_of_evm : Evm.Op.t -> compute_op option = function
   | ADD -> Some C_add | MUL -> Some C_mul | SUB -> Some C_sub | DIV -> Some C_div
@@ -281,7 +284,14 @@ let compute_op_of_evm : Evm.Op.t -> compute_op option = function
   | _ -> None
 
 (* EVM stack order note: for SHL/SHR/SAR the EVM pops shift then value, and
-   eval_compute above follows that same order (args.(0) = shift). *)
+   eval_compute above follows that same order ([a] = shift). *)
+
+(* Operand [i] of [args] over the register file [regs]; [U256.zero] past
+   the end, so [eval_compute op (arg_value regs args 0) (arg_value regs
+   args 1) (arg_value regs args 2)] evaluates a [Compute] of any arity. *)
+let arg_value regs (args : operand array) i =
+  if i >= Array.length args then U256.zero
+  else match Array.unsafe_get args i with Reg r -> regs.(r) | Const v -> v
 
 (* A distinct small int per operation, for hashing. *)
 let compute_code = function
@@ -422,18 +432,26 @@ let def_reg = function
 
 let instr_def ins = match def_reg ins with -1 -> None | r -> Some r
 
-(* Materialize pieces into bytes given a register file. *)
-let bytes_of_pieces regs pieces =
-  let buf = Buffer.create 64 in
-  List.iter
-    (fun p ->
-      match p with
-      | P_const s -> Buffer.add_string buf s
-      | P_reg (r, off, len) -> Buffer.add_substring buf (U256.to_bytes_be regs.(r)) off len)
-    pieces;
-  Buffer.contents buf
-
 let pieces_len pieces =
   List.fold_left
     (fun acc p -> acc + match p with P_const s -> String.length s | P_reg (_, _, l) -> l)
     0 pieces
+
+let rec blit_pieces regs buf pos = function
+  | [] -> ()
+  | P_const s :: rest ->
+    Bytes.blit_string s 0 buf pos (String.length s);
+    blit_pieces regs buf (pos + String.length s) rest
+  | P_reg (r, off, len) :: rest ->
+    U256.blit_be regs.(r) off buf pos len;
+    blit_pieces regs buf (pos + len) rest
+
+(* Materialize pieces into bytes given a register file: one buffer of the
+   exact size, register words written in place. *)
+let bytes_of_pieces regs pieces =
+  match pieces with
+  | [] -> ""
+  | _ :: _ ->
+    let buf = Bytes.create (pieces_len pieces) in
+    blit_pieces regs buf 0 pieces;
+    Bytes.unsafe_to_string buf

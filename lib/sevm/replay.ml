@@ -50,7 +50,9 @@ let eval_read st (benv : Evm.Env.block_env) regs src =
 
 let step ~warm st benv regs i ins =
   match ins with
-  | I.Compute (r, op, args) -> regs.(r) <- I.eval_compute op (Array.map (value_of regs) args)
+  | I.Compute (r, op, args) ->
+    let arg = I.arg_value regs args in
+    regs.(r) <- I.eval_compute op (arg 0) (arg 1) (arg 2)
   | I.Keccak (r, ps) -> regs.(r) <- Khash.Keccak.digest_u256 (I.bytes_of_pieces regs ps)
   | I.Sha256 (r, ps) -> regs.(r) <- U256.of_bytes_be (Khash.Sha256.digest (I.bytes_of_pieces regs ps))
   | I.Pack (r, ps) -> regs.(r) <- U256.of_bytes_be (I.bytes_of_pieces regs ps)

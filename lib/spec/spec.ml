@@ -320,7 +320,8 @@ let g_tx_data_zero = 4
 (* Intrinsic transaction gas under this spec: the per-fork nonzero-byte
    price over the fork-invariant base. *)
 let intrinsic_gas t ~is_create data =
-  let base = if is_create then g_tx + g_tx_create else g_tx in
-  String.fold_left
-    (fun acc c -> acc + if c = '\000' then g_tx_data_zero else t.g_tx_data_nonzero)
-    base data
+  let gas = ref (if is_create then g_tx + g_tx_create else g_tx) in
+  for i = 0 to String.length data - 1 do
+    gas := !gas + if String.unsafe_get data i = '\000' then g_tx_data_zero else t.g_tx_data_nonzero
+  done;
+  !gas

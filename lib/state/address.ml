@@ -7,7 +7,11 @@ let of_bytes s =
   s
 
 let to_bytes a = a
-let of_u256 v = String.sub (U256.to_bytes_be v) 12 20
+let of_u256 v =
+  let b = Bytes.create 20 in
+  U256.blit_be v 12 b 0 20;
+  Bytes.unsafe_to_string b
+
 let to_u256 a = U256.of_bytes_be a
 let of_int n = of_u256 (U256.of_int n)
 

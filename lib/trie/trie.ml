@@ -8,13 +8,25 @@
    nodes shorter than 32 bytes are not inlined into their parent. *)
 
 module Db = struct
+  (* Keys are Keccak-256 digests, already uniform, so the table hashes
+     their first 8 bytes instead of the generic hash over the string, and
+     compares with [String.equal].  Shorter keys can only come from
+     malformed stored nodes; they take the generic hash and miss. *)
+  module Tbl = Hashtbl.Make (struct
+    type t = string
+
+    let equal = String.equal
+    let hash h =
+      if String.length h >= 8 then Int64.to_int (String.get_int64_le h 0) else Hashtbl.hash h
+  end)
+
   (* The I/O counters are atomics: speculation worker domains (lib/sched)
      walk tries concurrently, and lost increments would skew the disk-I/O
      proxy the evaluation reports.  The store itself is only read
      concurrently — writers ([put], from commits) run with the worker pool
      quiesced, which the scheduler's block-boundary barrier guarantees. *)
   type t = {
-    store : (string, string) Hashtbl.t;
+    store : string Tbl.t;
     reads : int Atomic.t;
     writes : int Atomic.t;
   }
@@ -24,7 +36,7 @@ module Db = struct
   let obs_reads = Obs.counter "trie.node_reads"
   let obs_writes = Obs.counter "trie.node_writes"
 
-  let create () = { store = Hashtbl.create 1024; reads = Atomic.make 0; writes = Atomic.make 0 }
+  let create () = { store = Tbl.create 1024; reads = Atomic.make 0; writes = Atomic.make 0 }
   let node_reads t = Atomic.get t.reads
   let node_writes t = Atomic.get t.writes
 
@@ -32,12 +44,12 @@ module Db = struct
     Atomic.set t.reads 0;
     Atomic.set t.writes 0
 
-  let size t = Hashtbl.length t.store
+  let size t = Tbl.length t.store
 
   let put t encoded =
     let h = Khash.Keccak.digest encoded in
-    if not (Hashtbl.mem t.store h) then begin
-      Hashtbl.add t.store h encoded;
+    if not (Tbl.mem t.store h) then begin
+      Tbl.add t.store h encoded;
       Atomic.incr t.writes;
       Obs.incr obs_writes
     end;
@@ -46,9 +58,9 @@ module Db = struct
   let get t h =
     Atomic.incr t.reads;
     Obs.incr obs_reads;
-    match Hashtbl.find_opt t.store h with
-    | Some enc -> enc
-    | None -> invalid_arg "Trie.Db: missing node (corrupted store or bad root)"
+    match Tbl.find t.store h with
+    | enc -> enc
+    | exception Not_found -> invalid_arg "Trie.Db: missing node (corrupted store or bad root)"
 end
 
 (* A node reference.  [Hash h] names a node stored in the Db under the
@@ -132,7 +144,10 @@ let bad_node () = invalid_arg "Trie: bad node encoding"
 
 (* A stored node is one list spanning the whole encoding, whose items are
    all strings.  [first_item] checks the list header and returns the offset
-   of the first item; [str_end] checks one item and returns its end. *)
+   of the first item; [str_end] checks one item and returns its end.  The
+   two items a stored node is mostly made of, the empty string 0x80 and a
+   32-byte hash 0xa0, are skipped without the general header parse: for
+   both, [item_end]'s checks reduce to the payload being in bounds. *)
 let first_item enc =
   let n = String.length enc in
   if n = 0 || enc.[0] < '\xc0' then bad_node ();
@@ -140,8 +155,15 @@ let first_item enc =
   payload_start enc 0
 
 let str_end enc pos =
-  if pos < String.length enc && enc.[pos] >= '\xc0' then bad_node ();
-  item_end enc pos (String.length enc)
+  let n = String.length enc in
+  if pos >= n then item_end enc pos n
+  else
+    match String.unsafe_get enc pos with
+    | '\x80' -> pos + 1
+    | '\xa0' when n - pos > 32 -> pos + 33
+    | c ->
+      if c >= '\xc0' then bad_node ();
+      item_end enc pos n
 
 let item_str enc pos stop =
   let a = payload_start enc pos in
@@ -158,47 +180,11 @@ let path_is_leaf enc a = Char.code enc.[a] land 0x20 <> 0
 
 (* ---- node (de)serialisation ---- *)
 
-let rec be_len n = if n = 0 then 0 else 1 + be_len (n lsr 8)
-let header_len len = if len < 56 then 1 else 1 + be_len len
-
-(* Bytes the string item of [s] takes. *)
-let str_size s =
-  let n = String.length s in
-  if n = 1 && s.[0] < '\x80' then 1 else header_len n + n
-
 (* A hex-prefix path of [n] nibbles is [n / 2 + 1] bytes; when that is one
    byte it is below 0x80 (the flag nibble is at most 3) and has no header. *)
 let path_size n =
   let m = (n / 2) + 1 in
-  if m = 1 then 1 else header_len m + m
-
-(* Write the header of an item with a [len]-byte payload at [pos] ([base]
-   is 0x80 for a string, 0xc0 for a list); returns where the payload goes. *)
-let put_header b pos base len =
-  if len < 56 then begin
-    Bytes.set b pos (Char.chr (base + len));
-    pos + 1
-  end
-  else begin
-    let nb = be_len len in
-    Bytes.set b pos (Char.chr (base + 55 + nb));
-    for i = 1 to nb do
-      Bytes.set b (pos + i) (Char.chr ((len lsr (8 * (nb - i))) land 0xff))
-    done;
-    pos + 1 + nb
-  end
-
-let put_str b pos s =
-  let n = String.length s in
-  if n = 1 && s.[0] < '\x80' then begin
-    Bytes.set b pos s.[0];
-    pos + 1
-  end
-  else begin
-    let pos = put_header b pos 0x80 n in
-    Bytes.blit_string s 0 b pos n;
-    pos + n
-  end
+  if m = 1 then 1 else Rlp.header_len m + m
 
 (* The path [p] (one nibble per char), hex-prefixed: a flag nibble of 2
    for a leaf or 0 for an extension, plus 1 when the path is odd, in which
@@ -207,7 +193,7 @@ let put_path b pos p ~leaf =
   let n = String.length p in
   let odd = n land 1 in
   let m = (n / 2) + 1 in
-  let pos = if m = 1 then pos else put_header b pos 0x80 m in
+  let pos = if m = 1 then pos else Rlp.put_header b pos 0x80 m in
   let flag = (if leaf then 2 else 0) + odd in
   Bytes.set b pos (Char.chr ((flag lsl 4) lor if odd = 1 then Char.code p.[0] else 0));
   for i = 1 to m - 1 do
@@ -217,13 +203,13 @@ let put_path b pos p ~leaf =
   pos + m
 
 let list_bytes payload =
-  let b = Bytes.create (header_len payload + payload) in
-  (b, put_header b 0 0xc0 payload)
+  let b = Bytes.create (Rlp.header_len payload + payload) in
+  (b, Rlp.put_header b 0 0xc0 payload)
 
 (* A leaf or extension: its path and then its value or child hash. *)
 let encode_pair p ~leaf s =
-  let b, pos = list_bytes (path_size (String.length p) + str_size s) in
-  ignore (put_str b (put_path b pos p ~leaf) s);
+  let b, pos = list_bytes (path_size (String.length p) + Rlp.str_size s) in
+  ignore (Rlp.put_str b (put_path b pos p ~leaf) s);
   Bytes.unsafe_to_string b
 
 (* [child] gives the hash a child reference is encoded as. *)
@@ -233,8 +219,9 @@ let encode_node child = function
   | Branch (children, value) ->
     let hashes = Array.map child children in
     let v = Option.value value ~default:"" in
-    let b, pos = list_bytes (Array.fold_left (fun n h -> n + str_size h) (str_size v) hashes) in
-    ignore (put_str b (Array.fold_left (put_str b) pos hashes) v);
+    let payload = Array.fold_left (fun n h -> n + Rlp.str_size h) (Rlp.str_size v) hashes in
+    let b, pos = list_bytes payload in
+    ignore (Rlp.put_str b (Array.fold_left (Rlp.put_str b) pos hashes) v);
     Bytes.unsafe_to_string b
 
 (* The child reference held by the item from [pos] to [stop]. *)

@@ -33,7 +33,13 @@ module Db : sig
   (** [put db enc] stores the node encoding [enc] under its Keccak-256
       hash and returns the hash.  {!commit} stores through it; a store
       seeded with other encodings makes {!get} and {!set} raise on a
-      malformed node. *)
+      malformed node.
+
+      The table is keyed by the 32-byte digests themselves: since they are
+      already uniform, it hashes a key by its first 8 bytes (read as an
+      int) rather than by the generic hash over the string, and compares
+      keys with [String.equal].  A key shorter than 8 bytes, which only a
+      malformed stored node can name, takes the generic hash. *)
 end
 
 type t

@@ -389,6 +389,22 @@ let signextend k x =
 
 (* ---- conversions ---- *)
 
+(* Limb [k] (0 least significant) of the word whose big-endian encoding
+   ends at byte [e] of [s] and starts no earlier than [off]: zero when the
+   limb lies wholly before [off], a partial limb when it straddles it. *)
+let short_limb s off e k =
+  let stop = e - (8 * k) in
+  if stop <= off then 0L
+  else if stop - off >= 8 then String.get_int64_be s (stop - 8)
+  else begin
+    (* at most 7 bytes: the value fits an OCaml int *)
+    let v = ref 0 in
+    for i = off to stop - 1 do
+      v := (!v lsl 8) lor Char.code (String.unsafe_get s i)
+    done;
+    Int64.of_int !v
+  end
+
 let of_bytes_be ?(off = 0) ?len s =
   let len = match len with Some l -> l | None -> String.length s - off in
   if len < 0 || len > 32 || off < 0 || off + len > String.length s then
@@ -399,13 +415,12 @@ let of_bytes_be ?(off = 0) ?len s =
       x1 = String.get_int64_be s (off + 16);
       x0 = String.get_int64_be s (off + 24) }
   else begin
-    (* right-align the short tail in a zeroed word, then read whole limbs *)
-    let b = Bytes.make 32 '\000' in
-    Bytes.blit_string s off b (32 - len) len;
-    { x3 = Bytes.get_int64_be b 0;
-      x2 = Bytes.get_int64_be b 8;
-      x1 = Bytes.get_int64_be b 16;
-      x0 = Bytes.get_int64_be b 24 }
+    (* a short input is right-aligned, read limb by limb in place *)
+    let e = off + len in
+    { x0 = short_limb s off e 0;
+      x1 = short_limb s off e 1;
+      x2 = short_limb s off e 2;
+      x3 = short_limb s off e 3 }
   end
 
 let to_bytes_be x =
@@ -415,6 +430,29 @@ let to_bytes_be x =
   Bytes.set_int64_be b 16 x.x1;
   Bytes.set_int64_be b 24 x.x0;
   Bytes.unsafe_to_string b
+
+let blit_be x src_off dst dst_off len =
+  if len < 0 || src_off < 0 || src_off + len > 32 || dst_off < 0
+     || dst_off + len > Bytes.length dst
+  then invalid_arg "U256.blit_be";
+  if len = 32 then begin
+    Bytes.set_int64_be dst dst_off x.x3;
+    Bytes.set_int64_be dst (dst_off + 8) x.x2;
+    Bytes.set_int64_be dst (dst_off + 16) x.x1;
+    Bytes.set_int64_be dst (dst_off + 24) x.x0
+  end
+  else if src_off = 12 && len = 20 then begin
+    (* the address window: the low 160 bits *)
+    Bytes.set_int32_be dst dst_off (Int64.to_int32 x.x2);
+    Bytes.set_int64_be dst (dst_off + 4) x.x1;
+    Bytes.set_int64_be dst (dst_off + 12) x.x0
+  end
+  else
+    for i = src_off to src_off + len - 1 do
+      let limb = match i lsr 3 with 0 -> x.x3 | 1 -> x.x2 | 2 -> x.x1 | _ -> x.x0 in
+      let b = Int64.to_int (Int64.shift_right_logical limb (8 * (7 - (i land 7)))) land 0xff in
+      Bytes.unsafe_set dst (dst_off + i - src_off) (Char.unsafe_chr b)
+    done
 
 let hex_digit c =
   match c with

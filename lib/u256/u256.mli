@@ -52,6 +52,12 @@ val of_bytes_be : ?off:int -> ?len:int -> string -> t
 val to_bytes_be : t -> string
 (** Always 32 bytes, big-endian. *)
 
+val blit_be : t -> int -> Bytes.t -> int -> int -> unit
+(** [blit_be x src_off dst dst_off len] writes bytes [src_off .. src_off +
+    len - 1] of [x]'s 32-byte big-endian encoding into [dst] at [dst_off],
+    without building the encoding.
+    @raise Invalid_argument when either range is out of bounds. *)
+
 (** {1 Predicates and comparison (unsigned unless noted)} *)
 
 val is_zero : t -> bool

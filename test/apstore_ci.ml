@@ -113,10 +113,26 @@ let key_tests () =
   (match Apstore.key_of_tx st other_spec b with
   | Some k -> check (not (String.equal (key a) k)) "fork id is part of the key"
   | None -> fail "keyable tx lost its key under another fork");
+  (* numeric fields are written at fixed width: on the GAS-using target
+     (no selector or word pins), each pair below differs in one field only,
+     by a multiple of 256, so a field cut to its low byte would collide *)
+  check (String.equal (gkey g) (gkey g)) "the same tx keyed twice gets the same key";
+  check
+    (not (String.equal (gkey g) (gkey { g with data = g.data ^ String.make 256 '\000' })))
+    "calldata lengths 256 apart key apart";
+  check
+    (not (String.equal (gkey g) (gkey { g with gas_limit = g.gas_limit + 256 })))
+    "gas limits 256 apart key apart when gas is pinned";
+  (match Apstore.key_of_tx stg other_spec g with
+  | Some k -> check (not (String.equal (gkey g) k)) "the same tx under another fork keys apart"
+  | None -> fail "GAS-using target lost its key under another fork");
   check (Apstore.key_of_tx st spec { a with to_ = None } = None) "creations have no key";
   check
     (Apstore.key_of_tx st spec { a with to_ = Some (Address.of_int 2) } = None)
     "precompile targets have no key";
+  check
+    (Apstore.key_of_tx st spec { a with to_ = Some (Address.of_int 4) } = None)
+    "the identity precompile has no key";
   check
     (Apstore.key_of_tx st spec { a with to_ = Some (Address.of_int 0xD0D0) } = None)
     "codeless targets have no key";

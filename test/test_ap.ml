@@ -339,4 +339,57 @@ let fingerprint_tests =
            b.Ap.Program.inputs <- [| Sevm.Ir.In_sender |];
            not (String.equal (fp a) (fp b)))) ]
 
-let suite = structure_tests @ violation_tests @ fingerprint_tests
+(* ---- allocation per template hit ----
+
+   The airdrop ERC-20 template (the perfbench [airdrop] workload's shape),
+   built from one storm transaction's trace and served to the next one on
+   a warm state.  The minor words one hit allocates are a host-free
+   measure of executor overhead: the state is warm, so the count is the
+   executor's own dispatch, codecs and receipt, not I/O.
+
+   The bound is a ratchet: it is the count the executor reaches today,
+   and a change that lowers the count lowers the bound with it. *)
+
+let words_per_hit_bound = 770.
+
+let template_hit_words () =
+  let token = Address.of_int 0x70C0 in
+  let storm = Workload.Airdrop.create ~n_senders:8 ~seed:31337 ~token () in
+  let bk = Statedb.Backend.create () in
+  let st = Statedb.create bk ~root:(Workload.Airdrop.genesis storm bk) in
+  let top = Workload.Airdrop.gas_limit_levels in
+  let first = { (Workload.Airdrop.tx storm) with gas_limit = top.(Array.length top - 1) } in
+  let snap = Statedb.snapshot st in
+  let sink, get = Evm.Trace.collector () in
+  let receipt = Evm.Processor.execute_tx ~trace:sink st benv first in
+  Statedb.revert st snap;
+  let path =
+    match Sevm.Builder.build ~template:true first benv (get ()) receipt st with
+    | Ok p -> p
+    | Error e -> Alcotest.failf "template build failed: %s" e
+  in
+  let ap = Ap.Program.create () in
+  Ap.Program.add_path ap path;
+  let tx = Workload.Airdrop.tx storm in
+  let hit () =
+    let snap = Statedb.snapshot st in
+    let before = Gc.minor_words () in
+    let r = Ap.Exec.execute ap st benv tx in
+    let words = Gc.minor_words () -. before in
+    Statedb.revert st snap;
+    (match r with Ap.Exec.Hit _ -> () | Ap.Exec.Violation -> Alcotest.fail "template violated");
+    words
+  in
+  (* the first serve warms the state caches; keep the least of the rest *)
+  ignore (hit () : float);
+  List.fold_left min infinity (List.init 5 (fun _ -> hit ()))
+
+let alloc_tests =
+  [ t "a warm template hit stays under its minor-word bound" (fun () ->
+        let words = template_hit_words () in
+        Printf.printf "template hit: %.0f minor words (bound %.0f)\n" words words_per_hit_bound;
+        if words > words_per_hit_bound then
+          Alcotest.failf "a template hit allocated %.0f minor words, bound %.0f" words
+            words_per_hit_bound) ]
+
+let suite = structure_tests @ violation_tests @ fingerprint_tests @ alloc_tests

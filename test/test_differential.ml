@@ -75,9 +75,9 @@ let compile_and_model steps =
         let op, cop, arity = List.nth pool i in
         if List.length !model >= arity then begin
           items := Asm.op op :: !items;
-          let args = Array.of_list (List.filteri (fun j _ -> j < arity) !model) in
+          let arg j = if j < arity then List.nth !model j else U256.zero in
           let rest = List.filteri (fun j _ -> j >= arity) !model in
-          model := Sevm.Ir.eval_compute cop args :: rest
+          model := Sevm.Ir.eval_compute cop (arg 0) (arg 1) (arg 2) :: rest
         end)
     steps;
   (* guarantee a result word *)

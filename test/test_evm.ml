@@ -300,6 +300,47 @@ let obs_tests =
                     (Test_obs.member "gauges" (Test_obs.registry_json ()))))))
   ]
 
+(* ---- transaction hash: against the Rlp item tree ---- *)
+
+let tx_hash_ref (t : Env.tx) =
+  let body =
+    Rlp.List
+      [ Rlp.Str (Address.to_bytes t.sender);
+        Rlp.Str (match t.to_ with Some a -> Address.to_bytes a | None -> "");
+        Rlp.encode_int t.nonce; Rlp.Str (U256.to_bytes_be t.value); Rlp.Str t.data;
+        Rlp.encode_int t.gas_limit; Rlp.Str (U256.to_bytes_be t.gas_price) ]
+  in
+  Khash.Keccak.digest (Rlp.encode body)
+
+let arb_tx =
+  let open QCheck.Gen in
+  let word = map (fun (a, b, c, d) -> U256.of_limbs a b c d) (quad int64 int64 int64 int64) in
+  let addr = map (fun s -> Address.of_bytes s) (string_size ~gen:char (return 20)) in
+  let num = oneof [ int_bound 300; map abs int; oneofl [ 0; 0x7f; 0x80; max_int ] ] in
+  (* data lengths on both sides of the 55-byte short-header limit, and
+     bodies long enough for a multi-byte list header *)
+  let data = string_size ~gen:char (oneof [ 0 -- 3; 50 -- 60; 250 -- 300 ]) in
+  let gen =
+    addr >>= fun sender ->
+    opt addr >>= fun to_ ->
+    num >>= fun nonce ->
+    oneof [ word; return U256.zero ] >>= fun value ->
+    data >>= fun data ->
+    num >>= fun gas_limit ->
+    map
+      (fun gas_price -> { Env.sender; to_; nonce; value; data; gas_limit; gas_price })
+      word
+  in
+  let print (t : Env.tx) =
+    Printf.sprintf "nonce %d, %d data bytes" t.nonce (String.length t.data)
+  in
+  QCheck.make ~print gen
+
+let tx_hash_tests =
+  [ QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:300 ~name:"tx_hash equals the hash of Rlp.encode" arb_tx
+         (fun tx -> String.equal (Env.tx_hash tx) (tx_hash_ref tx))) ]
+
 let suite =
   arithmetic_tests @ stack_memory_tests @ env_tests @ control_tests @ storage_log_tests
-  @ memory_slice_tests @ obs_tests
+  @ memory_slice_tests @ obs_tests @ tx_hash_tests

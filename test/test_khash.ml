@@ -102,7 +102,12 @@ let property_tests =
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~count:300 ~name:"agrees with the reference up to 2 KB"
          QCheck.(string_of_size Gen.(0 -- 2048))
-         (fun s -> Khash.Keccak.digest s = Keccak_ref.digest s))
+         (fun s -> Khash.Keccak.digest s = Keccak_ref.digest s));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:200 ~name:"digest_u256 is the digest read big-endian"
+         QCheck.(string_of_size Gen.(0 -- 300))
+         (fun s ->
+           U256.equal (Khash.Keccak.digest_u256 s) (U256.of_bytes_be (Khash.Keccak.digest s))))
   ]
 
 let suite = unit_tests @ property_tests

@@ -99,7 +99,33 @@ let property_tests =
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~count:500 ~name:"encoding is injective-ish"
          (QCheck.pair arb_item arb_item) (fun (a, b) ->
-           item_equal a b || not (String.equal (encode a) (encode b))))
+           item_equal a b || not (String.equal (encode a) (encode b))));
+    (* the in-place writers against the item encoder *)
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:500 ~name:"put_str and str_size match encode"
+         QCheck.(string_of_size Gen.(0 -- 80))
+         (fun s ->
+           let b = Bytes.create (str_size s) in
+           put_str b 0 s = Bytes.length b && String.equal (Bytes.to_string b) (encode (Str s))));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:500 ~name:"put_int and int_size match encode_int"
+         QCheck.(oneof [ int_bound 300; map abs int; oneofl [ 0; 0x7f; 0x80; max_int ] ])
+         (fun n ->
+           let b = Bytes.create (int_size n) in
+           put_int b 0 n = Bytes.length b
+           && String.equal (Bytes.to_string b) (encode (encode_int n))));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:200 ~name:"put_header matches a list's encoding" arb_item
+         (fun item ->
+           match item with
+           | Str _ -> true
+           | List items ->
+             let payload = String.concat "" (List.map encode items) in
+             let n = String.length payload in
+             let b = Bytes.create (header_len n + n) in
+             let pos = put_header b 0 0xc0 n in
+             Bytes.blit_string payload 0 b pos n;
+             pos + n = Bytes.length b && String.equal (Bytes.to_string b) (encode item)))
   ]
 
 let suite = unit_tests @ property_tests

@@ -632,6 +632,33 @@ let envelope_tests =
         check "intrinsic" (u intrinsic) regs.(4);
         check "gas used" (u (intrinsic + 1000)) regs.(5)) ]
 
+(* ---- piece materialization: against Pieces_ref, the Buffer version ---- *)
+
+let pieces_tests =
+  let open QCheck.Gen in
+  let word = map (fun (a, b, c, d) -> U256.of_limbs a b c d) (quad int64 int64 int64 int64) in
+  let n_regs = 4 in
+  (* constants, full words, and partial words at every offset (empty ones
+     included) *)
+  let piece =
+    frequency
+      [ (2, map (fun s -> Sevm.Ir.P_const s) (string_size ~gen:char (0 -- 40)));
+        (2, map (fun r -> Sevm.Ir.P_reg (r, 0, 32)) (int_bound (n_regs - 1)));
+        ( 3,
+          int_bound (n_regs - 1) >>= fun r ->
+          int_bound 31 >>= fun off ->
+          map (fun len -> Sevm.Ir.P_reg (r, off, len)) (int_bound (32 - off)) ) ]
+  in
+  let gen = pair (array_repeat n_regs word) (list_size (0 -- 8) piece) in
+  let print (_, ps) = Fmt.str "%a" (Fmt.Dump.list Sevm.Ir.pp_piece) ps in
+  [ QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:500 ~name:"bytes_of_pieces equals the Buffer reference"
+         (QCheck.make ~print gen) (fun (regs, ps) ->
+           String.equal (Sevm.Ir.bytes_of_pieces regs ps) (Pieces_ref.bytes_of_pieces regs ps)));
+    t "bytes_of_pieces of no pieces is empty" (fun () ->
+        Alcotest.(check string) "empty" "" (Sevm.Ir.bytes_of_pieces [||] [])) ]
+
 let suite =
-  builder_tests @ symmem_tests @ underflow_tests @ equivalence_tests @ sha256_precompile_tests
+  builder_tests @ symmem_tests @ pieces_tests @ underflow_tests @ equivalence_tests
+  @ sha256_precompile_tests
   @ extcodecopy_tests @ auction_equiv_tests @ creation_tests @ envelope_tests @ random_soundness

@@ -553,7 +553,16 @@ let property_tests =
            Address.Map.for_all (fun a v -> U256.equal (Statedb.get_balance st a) v) !model.bal
            && Address.Map.for_all
                 (fun a v -> U256.equal (Statedb.get_storage st a U256.zero) v)
-                !model.slot))
+                !model.slot));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:300 ~name:"an address is the low 20 bytes of its word"
+         QCheck.(quad int64 int64 int64 int64)
+         (fun (a, b, c, d) ->
+           let v = U256.of_limbs a b c d in
+           let addr = Address.of_u256 v in
+           String.equal (Address.to_bytes addr) (String.sub (U256.to_bytes_be v) 12 20)
+           && U256.equal (Address.to_u256 addr)
+                (U256.logand v (U256.shift_right U256.max_value 96))))
   ]
 
 let suite = unit_tests @ more_tests @ fork_tests @ key_tests @ (key_property :: property_tests)

@@ -321,7 +321,15 @@ let malformed =
     ("eighteen items", l (List.init 18 (fun _ -> s "")));
     ("list item", l [ s "\x20"; Rlp.List [ s "v" ] ]);
     ("list value in a branch", l (List.init 16 (fun _ -> s "") @ [ Rlp.List [] ]));
-    ("empty hex-prefix path", l [ s ""; s "v" ]) ]
+    ("empty hex-prefix path", l [ s ""; s "v" ]);
+    (* the list header covers the bytes present, but the last item's 0xa0
+       header promises 32 bytes where 31 remain *)
+    ("last 0xa0 item cut short", "\xe1\x00\xa0" ^ String.make 31 'h');
+    ( "branch whose last 0xa0 item is cut short",
+      let payload = String.make 16 '\x80' ^ "\xa0" ^ String.make 31 'h' in
+      String.make 1 (Char.chr (0xc0 + String.length payload)) ^ payload );
+    (* both items take the fast skips; the empty path still raises *)
+    ("0x80 then 0xa0", l [ s ""; s (String.make 32 'h') ]) ]
 
 (* [k] with the low bit of nibble [j] flipped *)
 let flip_nibble k j =

@@ -199,7 +199,41 @@ let property_tests =
         U256.equal a (go 0 U256.zero));
     prop "testbit matches shift" (QCheck.pair arb_u256 QCheck.small_nat) (fun (a, n) ->
         let n = n mod 256 in
-        U256.testbit a n = not (U256.is_zero (U256.logand (U256.shift_right a n) U256.one)))
-  ]
+        U256.testbit a n = not (U256.is_zero (U256.logand (U256.shift_right a n) U256.one)));
+    (* the 32-byte read is the reference for the short ones *)
+    prop "a short read is the zero-padded 32-byte read"
+      QCheck.(pair (string_of_size Gen.(0 -- 40)) (pair small_nat small_nat))
+      (fun (s, (a, b)) ->
+        let n = String.length s in
+        let off = if n = 0 then 0 else a mod (n + 1) in
+        let len = min 32 (b mod (n - off + 1)) in
+        let padded = String.make (32 - len) '\000' ^ String.sub s off len in
+        U256.equal (U256.of_bytes_be ~off ~len s) (U256.of_bytes_be padded));
+    prop "blit_be writes one slice of the encoding and nothing else"
+      QCheck.(pair arb_u256 (triple small_nat small_nat small_nat))
+      (fun (v, (a, b, c)) ->
+        let src_off = a mod 33 in
+        let len = b mod (33 - src_off) in
+        let dst = Bytes.make 40 '\x5a' in
+        let dst_off = c mod (41 - len) in
+        U256.blit_be v src_off dst dst_off len;
+        let want =
+          String.make dst_off '\x5a'
+          ^ String.sub (U256.to_bytes_be v) src_off len
+          ^ String.make (40 - dst_off - len) '\x5a'
+        in
+        String.equal (Bytes.to_string dst) want) ]
 
-let suite = unit_tests @ property_tests
+let range_tests =
+  [ t "blit_be rejects out-of-range slices" (fun () ->
+        let raises f = match f () with () -> false | exception Invalid_argument _ -> true in
+        let dst = Bytes.create 32 in
+        List.iter
+          (fun (src_off, dst_off, len) ->
+            Alcotest.(check bool)
+              (Printf.sprintf "src %d dst %d len %d" src_off dst_off len)
+              true
+              (raises (fun () -> U256.blit_be U256.one src_off dst dst_off len)))
+          [ (-1, 0, 1); (1, 0, 32); (0, -1, 1); (0, 1, 32); (12, 13, 20); (0, 0, -1) ]) ]
+
+let suite = unit_tests @ property_tests @ range_tests
