@@ -47,6 +47,21 @@ let warm_step_of a ko w =
   in
   S_guard (I.Const (State.Address.to_u256 a), desc)
 
+let warm_of_key v = not (U256.is_zero v)
+
+let case_label (test : P.test) v =
+  match test with
+  | P.Value _ -> "=" ^ U256.to_hex v
+  | P.Size _ -> "size=" ^ U256.to_decimal v
+  | P.Warm _ -> Printf.sprintf "warm=%b" (warm_of_key v)
+
+(* A guard node's case as the step a line takes through it. *)
+let guard_step (test : P.test) v =
+  match test with
+  | P.Value op -> S_guard (op, "== " ^ U256.to_hex v)
+  | P.Size op -> S_guard (op, "bytesize == " ^ U256.to_decimal v)
+  | P.Warm (a, ko) -> warm_step_of a ko (warm_of_key v)
+
 let mutable_read_src = function
   | I.R_storage _ | I.R_storage_dyn _ | I.R_balance _ | I.R_nonce _ | I.R_nonce_of _
   | I.R_blockhash _ | I.R_extcodesize _ | I.R_extcodehash _ -> true
@@ -103,34 +118,14 @@ let lines_of_program ?(max_paths = 4096) (ap : P.t) : line list * bool =
           else { m_site = site; m_block = b; m_end = count' } :: memos
         in
         go prefix (pos + 1) rev_steps count' memos k
-      | P.Branch (op, cases) ->
+      | P.Branch (test, cases) ->
         List.iter
           (fun (v, sub) ->
             let site = Printf.sprintf "%s>br#%d" prefix pos in
             go
-              (Printf.sprintf "%s>br#%d[=%s]" prefix pos (U256.to_hex v))
+              (Printf.sprintf "%s[%s]" site (case_label test v))
               (pos + 1)
-              ((site, S_guard (op, "== " ^ U256.to_hex v)) :: rev_steps)
-              (count + 1) memos sub)
-          cases
-      | P.Branch_size (op, cases) ->
-        List.iter
-          (fun (sz, sub) ->
-            let site = Printf.sprintf "%s>br#%d" prefix pos in
-            go
-              (Printf.sprintf "%s>br#%d[size=%d]" prefix pos sz)
-              (pos + 1)
-              ((site, S_guard (op, Printf.sprintf "bytesize == %d" sz)) :: rev_steps)
-              (count + 1) memos sub)
-          cases
-      | P.Branch_warm ((a, ko), cases) ->
-        List.iter
-          (fun (w, sub) ->
-            let site = Printf.sprintf "%s>br#%d" prefix pos in
-            go
-              (Printf.sprintf "%s>br#%d[warm=%b]" prefix pos w)
-              (pos + 1)
-              ((site, warm_step_of a ko w) :: rev_steps)
+              ((site, guard_step test v) :: rev_steps)
               (count + 1) memos sub)
           cases
       | P.Leaf l ->
@@ -158,5 +153,5 @@ let lines_of_program ?(max_paths = 4096) (ap : P.t) : line list * bool =
           }
           :: !acc
   in
-  List.iteri (fun ri root -> go (Printf.sprintf "root#%d" ri) 0 [] 0 [] root) ap.roots;
+  Option.iter (go "root" 0 [] 0 []) ap.root;
   (List.rev !acc, !truncated)

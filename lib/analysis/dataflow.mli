@@ -3,11 +3,11 @@
     root→leaf paths through compiled AP DAGs ([Ap.Program.t]).
 
     Every step of a line carries the site trail that reaches it
-    ("root#0>br#1[=0x5]>seq#2>i#3"), so checkers that walk lines report
+    ("root>br#1[=0x5]>seq#2>i#3"), so checkers that walk lines report
     path-level diagnostics for free.  Guards appear as {!S_guard} steps
-    whether they came from a linear [Guard] instruction or from a
-    [Branch]/[Branch_size] node, which is what lets one set of checkers
-    cover both representations. *)
+    whether they came from a linear guard instruction or from a [Branch]
+    node, which is what lets one set of checkers cover both
+    representations. *)
 
 module I = Sevm.Ir
 module P = Ap.Program
@@ -43,6 +43,10 @@ val mutable_read_src : I.read_src -> bool
     execution (storage, balances, nonces, block hashes, code): exactly the
     reads guard coverage must account for.  Pure block-env reads
     (timestamp, number, …) are pinned by the block being executed. *)
+
+val case_label : P.test -> U256.t -> string
+(** The trail label of one guard-node case: ["=0x5"], ["size=3"] or
+    ["warm=true"]. *)
 
 val of_path : I.path -> line
 (** The linear view of one synthesized path (no memos yet at this stage). *)

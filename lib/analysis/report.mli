@@ -1,7 +1,7 @@
 (** Violation reports for the static AP / S-EVM verifier.
 
     Each violation names the invariant class it breaks, the site — a trail
-    through the program ("root#0>br#1[=0x5]>seq#2>i#3") or through a linear
+    through the program ("root>br#1[=0x5]>seq#2>i#3") or through a linear
     path ("i#7") — and a human-readable account of the offending
     instruction, so a rejected program is debuggable without re-running
     anything. *)

@@ -314,73 +314,27 @@ let rec check_node acc ~reg_count prefix pos = function
   | P.Seq (b, k) ->
     check_block acc ~reg_count (Printf.sprintf "%s>seq#%d" prefix pos) b;
     check_node acc ~reg_count prefix (pos + 1) k
-  | P.Branch (op, cases) ->
+  | P.Branch (test, cases) ->
     let site = Printf.sprintf "%s>br#%d" prefix pos in
-    (match op with
-    | I.Reg r when r < 0 || r >= reg_count ->
+    (match test with
+    | (P.Value (I.Reg r) | P.Size (I.Reg r)) when r < 0 || r >= reg_count ->
       report acc R.Reg_bounds site "branch operand v%d out of bounds (reg_count = %d)" r
         reg_count
-    | I.Reg _ | I.Const _ -> ());
+    | P.Value _ | P.Size _ | P.Warm _ -> ());
     if cases = [] then
       report acc R.Well_formedness site
         "guard node with no cases: every execution would be a violation";
+    let case_site v = Printf.sprintf "%s[%s]" site (D.case_label test v) in
     let rec dups = function
       | [] -> ()
       | (v, _) :: rest ->
         if List.exists (fun (v', _) -> U256.equal v v') rest then
-          report acc R.Well_formedness site
-            "duplicate branch case %s: the second alternative is unreachable" (U256.to_hex v);
+          report acc R.Well_formedness (case_site v)
+            "duplicate case: the second alternative is unreachable";
         dups rest
     in
     dups cases;
-    List.iter
-      (fun (v, sub) ->
-        check_node acc ~reg_count
-          (Printf.sprintf "%s>br#%d[=%s]" prefix pos (U256.to_hex v))
-          (pos + 1) sub)
-      cases
-  | P.Branch_size (op, cases) ->
-    let site = Printf.sprintf "%s>br#%d" prefix pos in
-    (match op with
-    | I.Reg r when r < 0 || r >= reg_count ->
-      report acc R.Reg_bounds site "branch operand v%d out of bounds (reg_count = %d)" r
-        reg_count
-    | I.Reg _ | I.Const _ -> ());
-    if cases = [] then
-      report acc R.Well_formedness site
-        "guard node with no cases: every execution would be a violation";
-    let rec dups = function
-      | [] -> ()
-      | (sz, _) :: rest ->
-        if List.exists (fun (sz', _) -> sz = sz') rest then
-          report acc R.Well_formedness site
-            "duplicate size case %d: the second alternative is unreachable" sz;
-        dups rest
-    in
-    dups cases;
-    List.iter
-      (fun (sz, sub) ->
-        check_node acc ~reg_count
-          (Printf.sprintf "%s>br#%d[size=%d]" prefix pos sz)
-          (pos + 1) sub)
-      cases
-  | P.Branch_warm (_, cases) ->
-    let site = Printf.sprintf "%s>br#%d" prefix pos in
-    (* key is concrete — no operand to bounds-check *)
-    if cases = [] then
-      report acc R.Well_formedness site
-        "guard node with no cases: every execution would be a violation";
-    (match cases with
-    | (w, _) :: rest when List.exists (fun (w', _) -> w = w') rest ->
-      report acc R.Well_formedness site
-        "duplicate warmth case %b: the second alternative is unreachable" w
-    | _ :: _ | [] -> ());
-    List.iter
-      (fun (w, sub) ->
-        check_node acc ~reg_count
-          (Printf.sprintf "%s>br#%d[warm=%b]" prefix pos w)
-          (pos + 1) sub)
-      cases
+    List.iter (fun (v, sub) -> check_node acc ~reg_count (case_site v) (pos + 1) sub) cases
   | P.Leaf l ->
     List.iteri
       (fun fi b -> check_block acc ~reg_count (Printf.sprintf "%s>fast#%d" prefix fi) b)
@@ -416,9 +370,7 @@ let verify ?max_paths (ap : P.t) : R.violation list =
   if Array.length ap.inputs > ap.reg_count then
     report acc R.Reg_bounds "program" "%d input registers exceed reg_count %d"
       (Array.length ap.inputs) ap.reg_count;
-  List.iteri
-    (fun ri root -> check_node acc ~reg_count:ap.reg_count (Printf.sprintf "root#%d" ri) 0 root)
-    ap.roots;
+  Option.iter (check_node acc ~reg_count:ap.reg_count "root" 0) ap.root;
   let lines, _truncated = D.lines_of_program ?max_paths ap in
   List.iter
     (fun l ->

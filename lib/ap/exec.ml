@@ -172,10 +172,10 @@ let bind_inputs ~spec (ap : Program.t) (tx : Evm.Env.tx) =
 
 exception Violated
 
-(* The case of a guard node whose recorded value matches, or [Violated]. *)
-let rec find_case equal v = function
+(* The case of a guard node whose recorded key matches, or [Violated]. *)
+let rec find_case v = function
   | [] -> raise Violated
-  | (v', k) :: rest -> if equal v v' then k else find_case equal v rest
+  | (v', k) :: rest -> if U256.equal v v' then k else find_case v rest
 
 let guard_checked stats =
   stats.guards <- stats.guards + 1;
@@ -185,18 +185,16 @@ let rec exec_node ~use_memos ~prewarm st benv regs stats tx = function
   | Program.Seq (b, k) ->
     exec_block ~use_memos st benv regs stats b;
     exec_node ~use_memos ~prewarm st benv regs stats tx k
-  | Program.Branch (op, cases) ->
+  | Program.Branch (test, cases) ->
     guard_checked stats;
-    let v = value_of regs op in
-    exec_node ~use_memos ~prewarm st benv regs stats tx (find_case U256.equal v cases)
-  | Program.Branch_size (op, cases) ->
-    guard_checked stats;
-    let n = U256.byte_size (value_of regs op) in
-    exec_node ~use_memos ~prewarm st benv regs stats tx (find_case Int.equal n cases)
-  | Program.Branch_warm (key, cases) ->
-    guard_checked stats;
-    let w = Evm.Processor.entry_warm tx prewarm key in
-    exec_node ~use_memos ~prewarm st benv regs stats tx (find_case Bool.equal w cases)
+    let key =
+      match test with
+      | Program.Value op -> value_of regs op
+      | Program.Size op -> U256.of_int (U256.byte_size (value_of regs op))
+      | Program.Warm loc ->
+        if Evm.Processor.entry_warm tx prewarm loc then U256.one else U256.zero
+    in
+    exec_node ~use_memos ~prewarm st benv regs stats tx (find_case key cases)
   | Program.Leaf leaf ->
     exec_blocks ~use_memos st benv regs stats leaf.fast;
     let sender_balance_before = Statedb.get_balance st tx.Evm.Env.sender in
@@ -223,20 +221,6 @@ let rec exec_node ~use_memos ~prewarm st benv regs stats tx = function
       sender_nonce_before;
     }
 
-(* Try each root in order; the first that passes every guard serves. *)
-let rec try_roots ~use_memos ~prewarm st benv regs stats tx = function
-  | [] ->
-    Obs.incr obs_violations;
-    Violation
-  | root :: rest -> (
-    match exec_node ~use_memos ~prewarm st benv regs stats tx root with
-    | receipt ->
-      Obs.incr obs_hits;
-      Obs.add obs_instrs_executed stats.executed;
-      Obs.add obs_instrs_skipped stats.skipped;
-      Hit (receipt, stats)
-    | exception Violated -> try_roots ~use_memos ~prewarm st benv regs stats tx rest)
-
 (* Execute [ap] for [tx] in the actual context.  On violation nothing has
    been written (writes are deferred past every guard), so the caller can
    fall back to the EVM directly.  A program built under another fork is a
@@ -247,15 +231,22 @@ let rec try_roots ~use_memos ~prewarm st benv regs stats tx = function
 let execute ?(use_memos = true) ?spec ?(prewarm = []) (ap : Program.t) st benv
     (tx : Evm.Env.tx) : outcome =
   let spec = match spec with Some s -> s | None -> !Spec.current in
-  if ap.fork <> spec.Spec.id then begin
+  let violation () =
     Obs.incr obs_violations;
     Violation
-  end
-  else begin
+  in
+  match ap.root with
+  | Some root when ap.fork = spec.Spec.id -> (
     let regs = bind_inputs ~spec ap tx in
     let stats = { executed = 0; skipped = 0; guards = 0; memo_hits = 0 } in
-    try_roots ~use_memos ~prewarm st benv regs stats tx ap.roots
-  end
+    match exec_node ~use_memos ~prewarm st benv regs stats tx root with
+    | receipt ->
+      Obs.incr obs_hits;
+      Obs.add obs_instrs_executed stats.executed;
+      Obs.add obs_instrs_skipped stats.skipped;
+      Hit (receipt, stats)
+    | exception Violated -> violation ())
+  | Some _ | None -> violation ()
 
 let execute_or_fallback ?use_memos ?spec ?prewarm ap st benv tx =
   match execute ?use_memos ?spec ?prewarm ap st benv tx with

@@ -62,7 +62,7 @@ val execute :
     a program whose paths were built under a different fork id is a
     {!Violation} before anything runs.  [?prewarm] is the actual entry
     access list the transaction executes with — warmth branches
-    ([Program.Branch_warm]) are evaluated against
+    ([Program.Branch (Warm _, _)]) are evaluated against
     [Evm.Processor.entry_warm tx prewarm]. *)
 
 val execute_or_fallback :

@@ -3,9 +3,11 @@
    An AP is a DAG of straight-line blocks joined by guard nodes.  Each guard
    node both checks a constraint and case-branches between the constraint
    sets of the merged pre-executions, so executing an AP merged from N
-   futures costs the same as executing one.  Blocks carry memoization
-   shortcuts: remembered (input values -> output values) pairs from each
-   pre-execution, letting whole segments be skipped when the context repeats.
+   futures costs the same as executing one: every path merges into the one
+   tree, and a path that will not merge is dropped.  Blocks carry
+   memoization shortcuts: remembered (input values -> output values) pairs
+   from each pre-execution, letting whole segments be skipped when the
+   context repeats.
 
    Register numbering is shared: paths synthesized from the same transaction
    agree on register ids for their common prefix (the builder is
@@ -39,15 +41,20 @@ type leaf = {
   output : I.piece list;
 }
 
+(* What a guard node tests; its case keys are the operand's value, the
+   operand's byte size (EXP gas) or 1/0 for warm/cold on entry. *)
+type test =
+  | Value of I.operand
+  | Size of I.operand
+  | Warm of (State.Address.t * U256.t option)
+
 type node =
   | Seq of block * node
-  | Branch of I.operand * (U256.t * node) list
-  | Branch_size of I.operand * (int * node) list
-  | Branch_warm of (State.Address.t * U256.t option) * (bool * node) list
+  | Branch of test * (U256.t * node) list
   | Leaf of leaf
 
 type t = {
-  mutable roots : node list; (* alternatives, tried in order; normally one *)
+  mutable root : node option; (* the merged tree; None while empty *)
   mutable reg_count : int;
   mutable n_paths : int; (* distinct control/data paths merged *)
   mutable n_futures : int; (* pre-executions incorporated *)
@@ -59,7 +66,6 @@ type t = {
 }
 
 let max_memo_alternatives = 4
-let max_roots = 8
 let min_block_for_memo = 2
 let bisect_threshold = 8
 
@@ -143,6 +149,13 @@ let blocks_of_run instrs reg_values =
 
 (* ---- path -> node chain ---- *)
 
+(* An IR guard as a guard node's test and the case key it recorded. *)
+let guard_case = function
+  | I.Guard (op, v) -> Some (Value op, v)
+  | I.Guard_size (op, n) -> Some (Size op, U256.of_int n)
+  | I.Guard_warm (key, w) -> Some (Warm key, if w then U256.one else U256.zero)
+  | I.Compute _ | I.Keccak _ | I.Sha256 _ | I.Pack _ | I.Read _ -> None
+
 let of_path (p : I.path) : node =
   (* constraint section: runs of plain instrs separated by guards *)
   let rec build i pending =
@@ -165,21 +178,12 @@ let of_path (p : I.path) : node =
       List.fold_right (fun b acc -> Seq (b, acc)) blocks leaf
     end
     else
-      match p.instrs.(i) with
-      | I.Guard (op, v) ->
+      match guard_case p.instrs.(i) with
+      | Some (test, v) ->
         let blocks = blocks_of_run (List.rev pending) p.reg_values in
         let rest = build (i + 1) [] in
-        List.fold_right (fun b acc -> Seq (b, acc)) blocks (Branch (op, [ (v, rest) ]))
-      | I.Guard_size (op, n) ->
-        let blocks = blocks_of_run (List.rev pending) p.reg_values in
-        let rest = build (i + 1) [] in
-        List.fold_right (fun b acc -> Seq (b, acc)) blocks (Branch_size (op, [ (n, rest) ]))
-      | I.Guard_warm (key, w) ->
-        let blocks = blocks_of_run (List.rev pending) p.reg_values in
-        let rest = build (i + 1) [] in
-        List.fold_right (fun b acc -> Seq (b, acc)) blocks (Branch_warm (key, [ (w, rest) ]))
-      | (I.Compute _ | I.Keccak _ | I.Sha256 _ | I.Pack _ | I.Read _) as ins ->
-        build (i + 1) (ins :: pending)
+        List.fold_right (fun b acc -> Seq (b, acc)) blocks (Branch (test, [ (v, rest) ]))
+      | None -> build (i + 1) (p.instrs.(i) :: pending)
   in
   build 0 []
 
@@ -208,66 +212,20 @@ let rec merge_block b1 b2 =
     Some { instrs = b1.instrs; memos = merge_memos b1.memos b2.memos; sub }
   end
 
-let writes_equal w1 w2 = w1 = w2
-
-let warm_key_equal (a1, k1) (a2, k2) =
-  State.Address.equal a1 a2
-  &&
-  match (k1, k2) with
-  | None, None -> true
-  | Some x, Some y -> U256.equal x y
-  | None, Some _ | Some _, None -> false
-
 let rec merge_node n1 n2 : node option =
   match (n1, n2) with
   | Seq (b1, k1), Seq (b2, k2) -> (
     match merge_block b1 b2 with
     | Some b -> ( match merge_node k1 k2 with Some k -> Some (Seq (b, k)) | None -> None)
     | None -> None)
-  | Branch (op1, cases1), Branch (op2, cases2) when op1 = op2 ->
-    let merged =
-      List.fold_left
-        (fun acc (v, sub) ->
-          match List.partition (fun (v', _) -> U256.equal v v') acc with
-          | [ (_, sub') ], others -> (
-            match merge_node sub' sub with
-            | Some m -> (v, m) :: others
-            | None -> acc (* keep the existing branch; drop the duplicate *))
-          | [], others -> (v, sub) :: others
-          | _ :: _ :: _, _ -> acc)
-        cases1 cases2
-    in
-    Some (Branch (op1, merged))
-  | Branch_size (op1, cases1), Branch_size (op2, cases2) when op1 = op2 ->
-    let merged =
-      List.fold_left
-        (fun acc (n, sub) ->
-          match List.partition (fun (n', _) -> n = n') acc with
-          | [ (_, sub') ], others -> (
-            match merge_node sub' sub with Some m -> (n, m) :: others | None -> acc)
-          | [], others -> (n, sub) :: others
-          | _ :: _ :: _, _ -> acc)
-        cases1 cases2
-    in
-    Some (Branch_size (op1, merged))
-  | Branch_warm (k1, cases1), Branch_warm (k2, cases2) when warm_key_equal k1 k2 ->
-    let merged =
-      List.fold_left
-        (fun acc (w, sub) ->
-          match List.partition (fun (w', _) -> w = w') acc with
-          | [ (_, sub') ], others -> (
-            match merge_node sub' sub with Some m -> (w, m) :: others | None -> acc)
-          | [], others -> (w, sub) :: others
-          | _ :: _ :: _, _ -> acc)
-        cases1 cases2
-    in
-    Some (Branch_warm (k1, merged))
+  | Branch (t1, cases1), Branch (t2, cases2) when t1 = t2 ->
+    Option.map (fun cases -> Branch (t1, cases)) (merge_cases cases1 cases2)
   | Leaf l1, Leaf l2 ->
     if
       l1.status = l2.status && l1.gas_used = l2.gas_used
       && l1.gas_used_src = l2.gas_used_src
       && l1.gas_refund = l2.gas_refund
-      && writes_equal l1.writes l2.writes
+      && l1.writes = l2.writes
       && l1.output = l2.output
     then begin
       let fast =
@@ -280,27 +238,34 @@ let rec merge_node n1 n2 : node option =
       Some (Leaf { l1 with fast })
     end
     else None
-  | (Seq _ | Branch _ | Branch_size _ | Branch_warm _ | Leaf _), _ -> None
+  | (Seq _ | Branch _ | Leaf _), _ -> None
+
+(* Merge [cases2] into [cases1] key by key: a new key adds a case, and a key
+   both hold must merge its subtrees, or the whole merge fails. *)
+and merge_cases acc = function
+  | [] -> Some acc
+  | (v, sub) :: rest -> (
+    match List.partition (fun (v', _) -> U256.equal v v') acc with
+    | [], others -> merge_cases ((v, sub) :: others) rest
+    | [ (_, sub') ], others -> (
+      match merge_node sub' sub with
+      | Some m -> merge_cases ((v, m) :: others) rest
+      | None -> None)
+    | _ :: _ :: _, _ -> None)
 
 let rec count_shortcuts = function
   | Seq (b, k) -> count_memos b + count_shortcuts k
   | Branch (_, cases) -> List.fold_left (fun acc (_, n) -> acc + count_shortcuts n) 0 cases
-  | Branch_size (_, cases) ->
-    List.fold_left (fun acc (_, n) -> acc + count_shortcuts n) 0 cases
-  | Branch_warm (_, cases) ->
-    List.fold_left (fun acc (_, n) -> acc + count_shortcuts n) 0 cases
   | Leaf l -> List.fold_left (fun acc b -> acc + count_memos b) 0 l.fast
 
 let rec count_paths = function
   | Seq (_, k) -> count_paths k
   | Branch (_, cases) -> List.fold_left (fun acc (_, n) -> acc + count_paths n) 0 cases
-  | Branch_size (_, cases) -> List.fold_left (fun acc (_, n) -> acc + count_paths n) 0 cases
-  | Branch_warm (_, cases) -> List.fold_left (fun acc (_, n) -> acc + count_paths n) 0 cases
   | Leaf _ -> 1
 
 let create () =
   {
-    roots = [];
+    root = None;
     reg_count = 0;
     n_paths = 0;
     n_futures = 0;
@@ -309,9 +274,7 @@ let create () =
     inputs = [||];
   }
 
-let refresh_counts ap =
-  ap.n_paths <- List.fold_left (fun acc n -> acc + count_paths n) 0 ap.roots;
-  ap.shortcut_count <- List.fold_left (fun acc n -> acc + count_shortcuts n) 0 ap.roots
+let obs_paths_dropped = Obs.counter "ap.paths_dropped"
 
 (* Post-add self-check hook: lib/analysis points this at the static
    verifier so every program the builder grows is checked as it is built
@@ -319,34 +282,35 @@ let refresh_counts ap =
    Default: no-op. *)
 let add_path_hook : (t -> unit) ref = ref (fun _ -> ())
 
-(* Incorporate one more synthesized path (from one more pre-execution).
-   An AP is per-fork: the first path fixes [ap.fork], and a path built
-   under any other spec is dropped — the executor rejects cross-fork runs
-   outright, so merging them could only produce dead branches. *)
+(* Incorporate one more synthesized path (from one more pre-execution)
+   by merging it into the tree, or drop it and count the drop.  An AP is
+   per-fork: the first path fixes [ap.fork] and [ap.inputs], and a path
+   built under any other spec or inputs is dropped — the executor rejects
+   cross-fork runs outright, so merging them could only produce dead
+   branches.  Nor does a path merge whose instruction stream disagrees
+   with the tree before their first common guard, or whose guards all take
+   existing cases but whose blocks or effects below them differ. *)
 let add_path ap (p : I.path) =
-  if ap.roots = [] then begin
+  if Option.is_none ap.root then begin
     ap.fork <- p.fork;
     ap.inputs <- p.inputs
   end;
-  if p.fork <> ap.fork || p.inputs <> ap.inputs then ()
-  else begin
-  ap.n_futures <- ap.n_futures + 1;
-  ap.reg_count <- max ap.reg_count p.reg_count;
-  let node = of_path p in
-  let rec try_merge = function
-    | [] -> None
-    | root :: rest -> (
-      match merge_node root node with
-      | Some merged -> Some (merged :: rest)
-      | None -> (
-        match try_merge rest with Some rest' -> Some (root :: rest') | None -> None))
+  let merged =
+    if p.fork <> ap.fork || p.inputs <> ap.inputs then None
+    else
+      match ap.root with
+      | None -> Some (of_path p)
+      | Some root -> merge_node root (of_path p)
   in
-  (match try_merge ap.roots with
-  | Some roots -> ap.roots <- roots
-  | None -> if List.length ap.roots < max_roots then ap.roots <- ap.roots @ [ node ]);
-  refresh_counts ap;
-  !add_path_hook ap
-  end
+  match merged with
+  | None -> Obs.incr obs_paths_dropped
+  | Some root ->
+    ap.root <- Some root;
+    ap.n_futures <- ap.n_futures + 1;
+    ap.reg_count <- max ap.reg_count p.reg_count;
+    ap.n_paths <- count_paths root;
+    ap.shortcut_count <- count_shortcuts root;
+    !add_path_hook ap
 
 (* Structural digest.  Every constituent type (instrs, operands, pieces,
    writes, statuses, U256 int64 limbs) is pure data — no closures, no
@@ -356,7 +320,7 @@ let add_path ap (p : I.path) =
 let fingerprint ap =
   Khash.Keccak.digest
     (Marshal.to_string
-       (ap.roots, ap.reg_count, ap.n_paths, ap.n_futures, ap.shortcut_count, ap.fork,
+       (ap.root, ap.reg_count, ap.n_paths, ap.n_futures, ap.shortcut_count, ap.fork,
         ap.inputs)
        [ Marshal.No_sharing ])
 
@@ -364,12 +328,7 @@ let instr_count ap =
   let rec block_len b = Array.length b.instrs
   and node_len = function
     | Seq (b, k) -> block_len b + node_len k
-    | Branch (_, cases) ->
-      1 + List.fold_left (fun acc (_, n) -> acc + node_len n) 0 cases
-    | Branch_size (_, cases) ->
-      1 + List.fold_left (fun acc (_, n) -> acc + node_len n) 0 cases
-    | Branch_warm (_, cases) ->
-      1 + List.fold_left (fun acc (_, n) -> acc + node_len n) 0 cases
+    | Branch (_, cases) -> 1 + List.fold_left (fun acc (_, n) -> acc + node_len n) 0 cases
     | Leaf l -> List.fold_left (fun acc b -> acc + block_len b) 0 l.fast
   in
-  List.fold_left (fun acc n -> acc + node_len n) 0 ap.roots
+  match ap.root with Some root -> node_len root | None -> 0

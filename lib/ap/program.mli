@@ -1,12 +1,14 @@
 (** Accelerated Programs (paper §4.3–4.4): merged constraint sets, fast
     paths and memoization shortcuts.
 
-    An AP is a DAG of straight-line {!block}s joined by guard nodes; each
-    guard both checks a constraint and case-branches between the futures
-    merged into the program, so running an AP merged from N futures costs
-    the same as running one.  Blocks carry {!memo} shortcuts — remembered
-    (input values → output values) pairs from each pre-execution — that let
-    the executor skip whole segments when context values repeat. *)
+    An AP is one tree of straight-line {!block}s joined by guard nodes;
+    each guard both checks a constraint and case-branches between the
+    futures merged into the program, so running an AP merged from N
+    futures costs the same as running one.  A path that will not merge
+    into the tree is dropped and counted on [ap.paths_dropped].  Blocks
+    carry {!memo} shortcuts — remembered (input values → output values)
+    pairs from each pre-execution — that let the executor skip whole
+    segments when context values repeat. *)
 
 module I = Sevm.Ir
 
@@ -35,20 +37,22 @@ type leaf = {
   output : I.piece list;
 }
 
+(** What a guard node tests, and so what its case keys are. *)
+type test =
+  | Value of I.operand  (** the operand's value *)
+  | Size of I.operand  (** the operand's byte size (EXP gas) *)
+  | Warm of (State.Address.t * U256.t option)
+      (** whether the location is warm on transaction entry (access-list
+          specs, DESIGN.md §12): key 1 for warm, 0 for cold *)
+
 type node =
   | Seq of block * node
-  | Branch of I.operand * (U256.t * node) list
+  | Branch of test * (U256.t * node) list
       (** guard + case-branch; no matching case = constraint violation *)
-  | Branch_size of I.operand * (int * node) list
-      (** byte-size data constraint (EXP gas), same dual role *)
-  | Branch_warm of (State.Address.t * U256.t option) * (bool * node) list
-      (** entry-warmth constraint (access-list specs, DESIGN.md §12):
-          branches on whether the location is warm on transaction entry *)
   | Leaf of leaf
 
 type t = {
-  mutable roots : node list;
-      (** alternative merged trees, tried in order; normally a single one *)
+  mutable root : node option;  (** the merged tree; [None] while empty *)
   mutable reg_count : int;
   mutable n_paths : int;  (** distinct control/data paths merged *)
   mutable n_futures : int;  (** pre-executions incorporated *)
@@ -67,16 +71,19 @@ type t = {
 val create : unit -> t
 
 val add_path : t -> I.path -> unit
-(** Incorporate one more synthesized path: merge it into an existing root
-    where the instruction streams agree (they diverge only at guards), or
-    keep it as an alternative root.  The first path fixes the program's
-    fork; later paths built under a different spec are dropped.  Calls
-    {!add_path_hook} on the grown program before returning. *)
+(** Incorporate one more synthesized path: merge it into the tree where
+    the instruction streams agree (they diverge only at guards), or drop
+    it.  The first path fixes the program's fork and inputs; a later path
+    built under a different spec or inputs, or one that will not merge, is
+    dropped and counted on the [ap.paths_dropped] [Obs] counter.  Calls
+    {!add_path_hook} on the grown program before returning; a dropped path
+    leaves the program as it was. *)
 
 val add_path_hook : (t -> unit) ref
-(** Self-check hook run at the end of every {!add_path}.  The static
-    verifier (lib/analysis) installs itself here in tests, raising so a
-    miscompiled program fails loudly at build time.  Defaults to a no-op. *)
+(** Self-check hook run at the end of every {!add_path} that merges its
+    path.  The static verifier (lib/analysis) installs itself here in
+    tests, raising so a miscompiled program fails loudly at build time.
+    Defaults to a no-op. *)
 
 val block_io : I.instr array -> int array * int array
 (** [(inputs, outputs)] of one instruction run: registers read before being
@@ -84,12 +91,6 @@ val block_io : I.instr array -> int array * int array
     the contract each memo's [in_regs]/[out_regs] must match — exposed so
     the verifier checks memos against the same definition the builder
     used. *)
-
-val of_path : I.path -> node
-(** The single-future tree for one path (used by [add_path]). *)
-
-val merge_node : node -> node -> node option
-(** Structural merge; [None] when the trees are incompatible. *)
 
 val merge_block : block -> block -> block option
 (** Merge identical instruction blocks, pooling their memo alternatives
@@ -101,11 +102,8 @@ val instr_count : t -> int
 (** Total S-EVM instructions across the program (for Fig. 15-style stats). *)
 
 val fingerprint : t -> string
-(** A 32-byte structural digest of the whole program (trees, memos, counts).
+(** A 32-byte structural digest of the whole program (tree, memos, counts).
     Structurally identical programs digest identically, independent of how
     they were built — the parallel-speculation oracle uses this to assert
     that worker-domain and sequential speculation produce byte-identical
     APs. *)
-
-val count_paths : node -> int
-val count_shortcuts : node -> int

@@ -184,7 +184,7 @@ let reserve t key =
    structural content.  [Program.fingerprint] already relies on the same
    representation being marshal-clean. *)
 let estimate_bytes (ap : Ap.Program.t) =
-  64 + String.length (Marshal.to_string (ap.roots, ap.inputs) [ Marshal.No_sharing ])
+  64 + String.length (Marshal.to_string (ap.root, ap.inputs) [ Marshal.No_sharing ])
 
 let publish t key ap =
   let bytes = estimate_bytes ap in

@@ -299,7 +299,7 @@ let replay ?(config = default_config) ~policy (record : Netsim.Record.t) : resul
     | Forerunner -> (
       let ap_usable =
         match entry with
-        | Some e when e.spec.ready_at <= t_block && e.spec.ap.roots <> [] -> Some e
+        | Some e when e.spec.ready_at <= t_block && Option.is_some e.spec.ap.root -> Some e
         | Some _ | None -> None
       in
       (* Shared AP-execution arm: per-tx APs classify a guard violation as

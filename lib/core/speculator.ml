@@ -140,7 +140,7 @@ let speculate spec bk ~root ~now contexts tx =
   in
   List.iter (fun (env, pre_txs) -> speculate_one ~tmpl spec bk ~root env ~pre_txs tx) contexts;
   (match tmpl with
-  | Some tp when tp.roots <> [] -> spec.template_ready <- Some tp
+  | Some tp when Option.is_some tp.root -> spec.template_ready <- Some tp
   | Some _ | None -> ());
   let elapsed_s = float_of_int (spec.spec_gas - g0) *. ns_per_gas /. 1e9 in
   let candidate = now +. elapsed_s in

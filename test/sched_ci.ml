@@ -96,7 +96,16 @@ let node_replay_identity () =
       ~config:{ Core.Node.default_config with jobs }
       ~policy:Core.Node.Forerunner record
   in
-  let r1 = replay 1 and r4 = replay 4 in
+  (* counters only count while Obs is on: every path speculation builds
+     must merge into its AP's one tree *)
+  let dropped = Obs.counter "ap.paths_dropped" in
+  let was = !Obs.enabled in
+  Obs.set_enabled true;
+  let dropped_before = Obs.count dropped in
+  let r1, r4 =
+    Fun.protect ~finally:(fun () -> Obs.set_enabled was) (fun () -> (replay 1, replay 4))
+  in
+  let n_dropped = Obs.count dropped - dropped_before in
   let fail fmt = Printf.ksprintf (fun m -> prerr_endline m; exit 1) fmt in
   let tx_key (t : Core.Node.tx_record) = (t.hash, t.outcome, t.gas_used, t.block_number) in
   let block_key (b : Core.Node.block_record) = (b.number, b.root_ok, b.gas_used) in
@@ -114,7 +123,10 @@ let node_replay_identity () =
   Printf.printf
     "sched-ci: node replay: %d blocks, %d txs, %d speculation jobs; jobs=1 and jobs=4 \
      agree on every tx and block\n%!"
-    n_blocks (List.length r1.txs) r1.sched.Sched.completed
+    n_blocks (List.length r1.txs) r1.sched.Sched.completed;
+  Printf.printf "sched-ci: node replay: %d ap.paths_dropped (jobs=1 and jobs=4)\n%!" n_dropped;
+  if n_dropped <> 0 then
+    fail "sched-ci: NODE REPLAY: %d speculated path(s) failed to merge into their AP" n_dropped
 
 let () =
   dedupe_regression ~jobs:1;

@@ -46,8 +46,8 @@ let leaf ?(writes = []) () =
     { fast = []; writes; status = Evm.Processor.Success; gas_used = 0;
       gas_used_src = None; gas_refund = 0; output = [] }
 
-let program ~reg_count roots =
-  { P.roots; reg_count; n_paths = List.length roots; n_futures = 1; shortcut_count = 0;
+let program ~reg_count root =
+  { P.root = Some root; reg_count; n_paths = 1; n_futures = 1; shortcut_count = 0;
     fork = Spec.fork_id Spec.default_fork; inputs = [||] }
 
 let path_tests =
@@ -111,6 +111,13 @@ let path_tests =
 
 let block instrs = { P.instrs; memos = []; sub = None }
 
+(* Some violation of kind [k] sits at [site]. *)
+let check_site name k site vs =
+  Alcotest.(check bool)
+    (Fmt.str "%s: a %s at %s (got %a)" name (R.kind_name k) site R.pp_list vs)
+    true
+    (List.exists (fun (v : R.violation) -> v.kind = k && v.site = site) vs)
+
 let ap_tests =
   [ t "good path compiles to a verifying program" (fun () ->
         let ap = P.create () in
@@ -157,17 +164,40 @@ let ap_tests =
         in
         let ap =
           program ~reg_count:2
-            [ P.Seq (b, leaf ~writes:[ I.W_storage (addr, U256.one, I.Reg 1) ] ()) ]
+            (P.Seq (b, leaf ~writes:[ I.W_storage (addr, U256.one, I.Reg 1) ] ()))
         in
         check_kind "memo drops live v1" R.Memo_soundness (Analysis.Verify.verify ap));
     t "well-formedness: duplicate branch cases" (fun () ->
         let ap =
           program ~reg_count:1
-            [ P.Seq
-                ( block [| I.Compute (0, I.C_add, [| I.Const (u 1); I.Const (u 1) |]) |],
-                  P.Branch (I.Reg 0, [ (u 2, leaf ()); (u 2, leaf ()) ]) ) ]
+            (P.Seq
+               ( block [| I.Compute (0, I.C_add, [| I.Const (u 1); I.Const (u 1) |]) |],
+                 P.Branch (P.Value (I.Reg 0), [ (u 2, leaf ()); (u 2, leaf ()) ]) ))
         in
         check_kind "duplicate case 0x2" R.Well_formedness (Analysis.Verify.verify ap));
+    t "well-formedness: a duplicate warmth case after the first" (fun () ->
+        (* [false; true; true]: the duplicate is not the first case *)
+        let warm = P.Warm (addr, None) in
+        let ap =
+          program ~reg_count:1
+            (P.Branch
+               (warm, [ (U256.zero, leaf ()); (U256.one, leaf ()); (U256.one, leaf ()) ]))
+        in
+        check_site "duplicate warm case" R.Well_formedness "root>br#0[warm=true]"
+          (Analysis.Verify.verify ap));
+    t "well-formedness: duplicate size cases" (fun () ->
+        let ap =
+          program ~reg_count:1
+            (P.Seq
+               ( block [| I.Compute (0, I.C_add, [| I.Const (u 1); I.Const (u 1) |]) |],
+                 P.Branch (P.Size (I.Reg 0), [ (u 1, leaf ()); (u 1, leaf ()) ]) ))
+        in
+        check_site "duplicate size case" R.Well_formedness "root>br#1[size=1]"
+          (Analysis.Verify.verify ap));
+    t "reg-bounds: size-branch operand beyond reg_count" (fun () ->
+        let ap = program ~reg_count:1 (P.Branch (P.Size (I.Reg 4), [ (u 1, leaf ()) ])) in
+        (* the operand is the guard node's own, so its site carries no case *)
+        check_site "size operand v4" R.Reg_bounds "root>br#0" (Analysis.Verify.verify ap));
     t "well-formedness: bisection halves must partition the parent" (fun () ->
         let c v = I.Compute (v, I.C_add, [| I.Const (u 1); I.Const (u 1) |]) in
         let b =
@@ -177,24 +207,24 @@ let ap_tests =
             sub = Some (block [| c 0 |], block [| c 0 |]);
           }
         in
-        let ap = program ~reg_count:2 [ P.Seq (b, leaf ()) ] in
+        let ap = program ~reg_count:2 (P.Seq (b, leaf ())) in
         check_kind "bad bisection" R.Well_formedness (Analysis.Verify.verify ap));
     t "rollback-freedom: guard smuggled into a block" (fun () ->
         let b = block [| I.Guard (I.Const (u 1), u 1) |] in
-        let ap = program ~reg_count:1 [ P.Seq (b, leaf ()) ] in
+        let ap = program ~reg_count:1 (P.Seq (b, leaf ())) in
         check_kind "guard inside block" R.Rollback_freedom (Analysis.Verify.verify ap));
     t "violations carry a path through the DAG" (fun () ->
         (* two nested branches, each fed by the block before it *)
         let mk src =
           program ~reg_count:3
-            [ P.Seq
-                ( block [| I.Compute (1, I.C_iszero, [| I.Const (u 0) |]) |],
-                  P.Branch
-                    ( I.Reg 1,
-                      [ ( u 1,
-                          P.Seq
-                            ( block [| I.Compute (0, I.C_add, [| src; I.Const (u 1) |]) |],
-                              P.Branch (I.Reg 0, [ (u 2, leaf ()) ]) ) ) ] ) ) ]
+            (P.Seq
+               ( block [| I.Compute (1, I.C_iszero, [| I.Const (u 0) |]) |],
+                 P.Branch
+                   ( P.Value (I.Reg 1),
+                     [ ( u 1,
+                         P.Seq
+                           ( block [| I.Compute (0, I.C_add, [| src; I.Const (u 1) |]) |],
+                             P.Branch (P.Value (I.Reg 0), [ (u 2, leaf ()) ]) ) ) ] ) ))
         in
         Alcotest.(check (list string))
           "baseline verifies" []
@@ -206,7 +236,7 @@ let ap_tests =
           (Fmt.str "site is a DAG trail (got %a)" R.pp_list vs)
           true
           (List.exists
-             (fun (v : R.violation) -> v.site = "root#0>br#1[=0x1]>seq#2>i#0")
+             (fun (v : R.violation) -> v.site = "root>br#1[=0x1]>seq#2>i#0")
              vs)) ]
 
 (* ---- integration with the builder and the hook ---- *)

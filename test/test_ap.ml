@@ -63,22 +63,46 @@ let structure_tests =
   [ t "single path: one root, one leaf" (fun () ->
         let ap = Ap.Program.create () in
         Ap.Program.add_path ap (mk_path ~guard_value:(u 5));
-        Alcotest.(check int) "roots" 1 (List.length ap.roots);
         Alcotest.(check int) "paths" 1 ap.n_paths;
         Alcotest.(check int) "futures" 1 ap.n_futures);
     t "same-guard paths merge without multiplying" (fun () ->
         let ap = Ap.Program.create () in
         Ap.Program.add_path ap (mk_path ~guard_value:(u 5));
         Ap.Program.add_path ap (mk_path ~guard_value:(u 5));
-        Alcotest.(check int) "roots" 1 (List.length ap.roots);
         Alcotest.(check int) "still one path" 1 ap.n_paths;
         Alcotest.(check int) "two futures" 2 ap.n_futures);
     t "different guard values become case branches" (fun () ->
         let ap = Ap.Program.create () in
         Ap.Program.add_path ap (mk_path ~guard_value:(u 5));
         Ap.Program.add_path ap (mk_path ~guard_value:(u 9));
-        Alcotest.(check int) "one root" 1 (List.length ap.roots);
         Alcotest.(check int) "two paths" 2 ap.n_paths);
+    t "a path that will not merge is dropped and counted" (fun () ->
+        let base = mk_path ~guard_value:(u 5) in
+        (* reads slot 1 where [base] reads slot 0: they differ before their
+           first guard *)
+        let early = { base with instrs = Array.copy base.instrs } in
+        early.instrs.(0) <- I.Read (0, I.R_storage (addr, U256.one));
+        (* takes [base]'s guard case but charges other gas *)
+        let late = { base with gas_used = base.gas_used + 1 } in
+        let one = Ap.Program.create () in
+        Ap.Program.add_path one base;
+        let ap = Ap.Program.create () in
+        Ap.Program.add_path ap base;
+        let dropped = Obs.counter "ap.paths_dropped" in
+        let was = !Obs.enabled in
+        Obs.set_enabled true;
+        let before = Obs.count dropped in
+        Fun.protect
+          ~finally:(fun () -> Obs.set_enabled was)
+          (fun () ->
+            Ap.Program.add_path ap early;
+            Alcotest.(check int) "early drop counted" (before + 1) (Obs.count dropped);
+            Ap.Program.add_path ap late;
+            Alcotest.(check int) "late drop counted" (before + 2) (Obs.count dropped));
+        Alcotest.(check int) "one path" 1 ap.n_paths;
+        Alcotest.(check int) "one future" 1 ap.n_futures;
+        Alcotest.(check string) "fingerprint of the one-path program"
+          (Ap.Program.fingerprint one) (Ap.Program.fingerprint ap));
     t "executor picks the matching branch" (fun () ->
         let ap = Ap.Program.create () in
         Ap.Program.add_path ap (mk_path ~guard_value:(u 5));

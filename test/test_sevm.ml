@@ -190,7 +190,6 @@ let equivalence_tests =
         let ap = Ap.Program.create () in
         Ap.Program.add_path ap (build_path bk root env [ bob_oracle ] oracle_tx);
         Ap.Program.add_path ap (build_path bk root (benv ~ts:3_990_478L ()) [] oracle_tx);
-        Alcotest.(check int) "one merged root" 1 (List.length ap.roots);
         Alcotest.(check int) "two paths" 2 ap.n_paths;
         check_equiv ap bk root env [ bob_oracle ] oracle_tx;
         check_equiv ap bk root (benv ~ts:3_990_521L ()) [] oracle_tx);

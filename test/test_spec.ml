@@ -347,10 +347,17 @@ let cross_fork_rejection () =
   (match Ap.Exec.execute ~spec:(Spec.resolve Spec.Berlin) ap st benv tx with
   | Ap.Exec.Hit _ -> ()
   | Ap.Exec.Violation -> Alcotest.fail "same-fork AP execution violated");
-  (* a path from another fork is dropped, not merged *)
+  (* a path from another fork is dropped, not merged, and counted *)
   let before = ap.Ap.Program.n_paths in
-  Ap.Program.add_path ap (path (Spec.fork_id Spec.Istanbul));
-  Alcotest.(check int) "cross-fork path dropped" before ap.Ap.Program.n_paths
+  let dropped = Obs.counter "ap.paths_dropped" in
+  let was = !Obs.enabled in
+  Obs.set_enabled true;
+  let dropped_before = Obs.count dropped in
+  Fun.protect
+    ~finally:(fun () -> Obs.set_enabled was)
+    (fun () -> Ap.Program.add_path ap (path (Spec.fork_id Spec.Istanbul)));
+  Alcotest.(check int) "cross-fork path dropped" before ap.Ap.Program.n_paths;
+  Alcotest.(check int) "cross-fork drop counted" (dropped_before + 1) (Obs.count dropped)
 
 let () =
   Alcotest.run "spec"
