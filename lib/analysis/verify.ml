@@ -84,7 +84,10 @@ let check_write_pieces acc site = function
 
 (* ---- the linear checkers (shared by paths and AP enumerations) ---- *)
 
-let check_line acc ~reg_count ~n_inputs (l : D.line) =
+(* On a line through an AP ([~node_guards:true]) every guard step is a
+   branch node's test, whose operand [check_node] bounds-checks once at the
+   node; reporting it again per line would count one fault once per case. *)
+let check_line acc ~reg_count ~n_inputs ~node_guards (l : D.line) =
   let n = Array.length l.steps in
   let nregs = max reg_count 1 in
   let in_bounds r = r >= 0 && r < reg_count in
@@ -96,10 +99,12 @@ let check_line acc ~reg_count ~n_inputs (l : D.line) =
   for r = 0 to min n_inputs nregs - 1 do
     defined.(r) <- true
   done;
-  let check_use site what r =
-    if not (in_bounds r) then
-      report acc R.Reg_bounds site "register v%d out of bounds (reg_count = %d) in %s" r
-        reg_count (what ())
+  let check_use ?(bounds = true) site what r =
+    if not (in_bounds r) then begin
+      if bounds then
+        report acc R.Reg_bounds site "register v%d out of bounds (reg_count = %d) in %s" r
+          reg_count (what ())
+    end
     else if not defined.(r) then
       report acc R.Def_before_use site "v%d used before any definition on this path, in %s" r
         (what ())
@@ -107,7 +112,8 @@ let check_line acc ~reg_count ~n_inputs (l : D.line) =
   Array.iteri
     (fun i (site, step) ->
       let what () = Fmt.str "%a" D.pp_step step in
-      List.iter (check_use site what) (D.step_uses step);
+      let bounds = match step with D.S_guard _ -> not node_guards | D.S_instr _ -> true in
+      List.iter (check_use ~bounds site what) (D.step_uses step);
       (match step with
       | D.S_guard _ ->
         if i >= first_fast then
@@ -359,7 +365,8 @@ let verify_path (p : I.path) : R.violation list =
   Array.iteri (fun i ins -> check_instr_pieces acc (Printf.sprintf "i#%d" i) ins) p.instrs;
   List.iter (check_write_pieces acc "writes") p.writes;
   List.iter (check_piece acc "output" "the output") p.output;
-  check_line acc ~reg_count:p.reg_count ~n_inputs:(Array.length p.inputs) (D.of_path p);
+  check_line acc ~reg_count:p.reg_count ~n_inputs:(Array.length p.inputs) ~node_guards:false
+    (D.of_path p);
   finalize acc
 
 let verify ?max_paths (ap : P.t) : R.violation list =
@@ -375,7 +382,8 @@ let verify ?max_paths (ap : P.t) : R.violation list =
   List.iter
     (fun l ->
       Obs.incr obs_paths;
-      check_line acc ~reg_count:ap.reg_count ~n_inputs:(Array.length ap.inputs) l)
+      check_line acc ~reg_count:ap.reg_count ~n_inputs:(Array.length ap.inputs)
+        ~node_guards:true l)
     lines;
   finalize acc
 

@@ -818,13 +818,6 @@ let covers_change p (c : Statedb.change) =
    change records and tests a speculation's touch log against them. *)
 
 module Union = struct
-  module Slots = Hashtbl.Make (struct
-    type t = Address.t * U256.t
-
-    let equal (a, k) (a', k') = Address.equal a a' && U256.equal k k'
-    let hash (a, k) = Address.hash a + (31 * U256.hash k)
-  end)
-
   (* per-address flags *)
   let f_acct = 1 (* account read or written *)
   let f_acct_w = 2 (* account written *)
@@ -834,9 +827,9 @@ module Union = struct
   let f_owner_w = 32 (* owns an exact slot written *)
   let f_code_w = 64 (* code written *)
 
-  type t = { addrs : int Address.Tbl.t; slots : bool Slots.t (* slot -> written *) }
+  type t = { addrs : int Address.Tbl.t; slots : bool Slot.Tbl.t (* slot -> written *) }
 
-  let create () = { addrs = Address.Tbl.create 256; slots = Slots.create 256 }
+  let create () = { addrs = Address.Tbl.create 256; slots = Slot.Tbl.create 256 }
 
   let flags u a = Option.value ~default:0 (Address.Tbl.find_opt u.addrs a)
   let has u a f = flags u a land f <> 0
@@ -847,9 +840,9 @@ module Union = struct
     p.p_wild
     || List.exists (fun a -> has u a f_acct) p.p_w_accounts
     || List.exists (fun a -> has u a f_acct_w) p.p_r_accounts
-    || List.exists (fun ((a, _) as s) -> Slots.mem u.slots s || has u a f_sw) p.p_w_slots
+    || List.exists (fun ((a, _) as s) -> Slot.Tbl.mem u.slots s || has u a f_sw) p.p_w_slots
     || List.exists
-         (fun ((a, _) as s) -> Slots.find_opt u.slots s = Some true || has u a f_sw_w)
+         (fun ((a, _) as s) -> Slot.Tbl.find_opt u.slots s = Some true || has u a f_sw_w)
          p.p_r_slots
     || List.exists (fun a -> has u a (f_sw lor f_owner)) p.p_w_slot_wild
     || List.exists (fun a -> has u a (f_sw_w lor f_owner_w)) p.p_r_slot_wild
@@ -860,12 +853,12 @@ module Union = struct
       List.iter (fun a -> mark u a (f_acct lor f_acct_w)) p.p_w_accounts;
       List.iter
         (fun ((a, _) as s) ->
-          if not (Slots.mem u.slots s) then Slots.replace u.slots s false;
+          if not (Slot.Tbl.mem u.slots s) then Slot.Tbl.replace u.slots s false;
           mark u a f_owner)
         p.p_r_slots;
       List.iter
         (fun ((a, _) as s) ->
-          Slots.replace u.slots s true;
+          Slot.Tbl.replace u.slots s true;
           mark u a (f_owner lor f_owner_w))
         p.p_w_slots;
       List.iter (fun a -> mark u a f_sw) p.p_r_slot_wild;
@@ -889,7 +882,7 @@ module Union = struct
             lor (if ch.ch_slots <> [] then f_owner lor f_owner_w else 0)
           in
           if f <> 0 then mark u a f;
-          List.iter (fun (k, _) -> Slots.replace u.slots (a, k) true) ch.ch_slots
+          List.iter (fun (k, _) -> Slot.Tbl.replace u.slots (a, k) true) ch.ch_slots
         end)
       changes
 
@@ -898,6 +891,7 @@ module Union = struct
       (function
         | Statedb.T_account a -> has u a f_acct_w
         | Statedb.T_code a -> has u a f_code_w
-        | Statedb.T_slot (a, k) -> has u a f_sw_w || Slots.find_opt u.slots (a, k) = Some true)
+        | Statedb.T_slot (a, k) ->
+          has u a f_sw_w || Slot.Tbl.find_opt u.slots (a, k) = Some true)
       touches
 end

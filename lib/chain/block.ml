@@ -27,8 +27,7 @@ let encode_header h =
 
 let hash b = Khash.Keccak.digest (Rlp.encode (encode_header b.header))
 
-let tx_root txs =
-  Khash.Keccak.digest (String.concat "" (List.map Evm.Env.tx_hash txs))
+let tx_root hashes = Khash.Keccak.digest (String.concat "" hashes)
 
 let gas_used_upper_bound b =
   List.fold_left (fun acc (tx : Evm.Env.tx) -> acc + tx.gas_limit) 0 b.txs

@@ -21,7 +21,10 @@ val encode_header : header -> Rlp.item
 val hash : t -> string
 (** Keccak-256 of the RLP-encoded header. *)
 
-val tx_root : Evm.Env.tx list -> string
+val tx_root : string list -> string
+(** The commitment to a block's transactions, from their hashes in block
+    order: the digest of the concatenated hashes. *)
+
 val gas_used_upper_bound : t -> int
 (** Sum of the transactions' gas limits (the packer's budget). *)
 

@@ -9,7 +9,7 @@
 
 open State
 
-type candidate = { tx : Evm.Env.tx; heard_at : float }
+type candidate = { tx : Evm.Env.tx; hash : string; heard_at : float }
 
 type policy = {
   self : Address.t option; (* miner's own sender address to prioritize *)
@@ -45,7 +45,8 @@ let pack policy ~next_nonce ~spendable candidates =
   let deferred = Address.Tbl.create 8 in
   (* same-sender txs with future nonces wait for their predecessors *)
   let included = ref [] in
-  let try_include (tx : Evm.Env.tx) =
+  let try_include (c : candidate) =
+    let tx = c.tx in
     let expected =
       match Address.Tbl.find_opt nonces tx.sender with
       | Some n -> n
@@ -61,25 +62,25 @@ let pack policy ~next_nonce ~spendable candidates =
       Address.Tbl.replace nonces tx.sender (expected + 1);
       Address.Tbl.replace budgets tx.sender (U256.sub budget cost);
       gas_left := !gas_left - tx.gas_limit;
-      included := tx :: !included;
+      included := c :: !included;
       true
     end
     else false
   in
   List.iter
     (fun (c : candidate) ->
-      if try_include c.tx then begin
+      if try_include c then begin
         (* pull in any deferred successors now unblocked *)
         let rec drain sender =
           match Address.Tbl.find_opt deferred sender with
           | Some waiting ->
             let expected = Address.Tbl.find nonces sender in
             let ready, still =
-              List.partition (fun (tx : Evm.Env.tx) -> tx.nonce = expected) waiting
+              List.partition (fun (c : candidate) -> c.tx.nonce = expected) waiting
             in
             Address.Tbl.replace deferred sender still;
             (match ready with
-            | [ tx ] -> if try_include tx then drain sender
+            | [ c ] -> if try_include c then drain sender
             | [] -> ()
             | _ :: _ :: _ -> ())
           | None -> ()
@@ -90,7 +91,7 @@ let pack policy ~next_nonce ~spendable candidates =
                            | Some n -> n
                            | None -> next_nonce c.tx.sender) then
         Address.Tbl.replace deferred c.tx.sender
-          (c.tx
+          (c
           :: (match Address.Tbl.find_opt deferred c.tx.sender with
              | Some l -> l
              | None -> [])))

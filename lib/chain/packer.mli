@@ -3,7 +3,11 @@
     randomly, paper footnote 8), optional self-priority, per-sender nonce
     sequencing with deferral, a balance floor, and the block gas limit. *)
 
-type candidate = { tx : Evm.Env.tx; heard_at : float }
+type candidate = { tx : Evm.Env.tx; hash : string; heard_at : float }
+(** A heard pending transaction: the transaction, its hash (computed once,
+    by whoever first handles the transaction) and when this pool heard it.
+    A miner's pool and the node's pending set ([Core.Predictor.pending])
+    are lists of it. *)
 
 type policy = {
   self : State.Address.t option;  (** miner's own sender to prioritize *)
@@ -20,7 +24,8 @@ val pack :
   next_nonce:(State.Address.t -> int) ->
   spendable:(State.Address.t -> U256.t) ->
   candidate list ->
-  Evm.Env.tx list
-(** Fill a block.  [next_nonce]/[spendable] reflect the parent state; a
-    transaction whose nonce is ahead of its sender's sequence is deferred
-    until its predecessors are included. *)
+  candidate list
+(** Fill a block: the packed candidates in block order.  [next_nonce] and
+    [spendable] reflect the parent state; a transaction whose nonce is ahead
+    of its sender's sequence is deferred until its predecessors are
+    included. *)

@@ -12,7 +12,7 @@
 
 open State
 
-type pending = { tx : Evm.Env.tx; hash : string; heard_at : float }
+type pending = Chain.Packer.candidate = { tx : Evm.Env.tx; hash : string; heard_at : float }
 
 type t = {
   mutable head_number : int64;

@@ -7,7 +7,9 @@
     (same contract, or same sender — where lower nonces {e must} precede)
     and enumerating plausible orderings, erring on the side of recall. *)
 
-type pending = { tx : Evm.Env.tx; hash : string; heard_at : float }
+type pending = Chain.Packer.candidate = { tx : Evm.Env.tx; hash : string; heard_at : float }
+(** A heard pending transaction: the miners' pool entry, shared with
+    {!Chain.Packer}. *)
 
 type t
 

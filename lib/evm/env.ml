@@ -30,9 +30,12 @@ let put_word b pos v =
   U256.blit_be v 0 b (pos + 1) 32;
   pos + 33
 
+let obs_tx_hashes = Obs.counter "evm.tx_hashes"
+
 (* The RLP list [sender; to; nonce; value; data; gas limit; gas price],
    sized exactly and written into one buffer. *)
 let tx_hash (t : tx) =
+  Obs.incr obs_tx_hashes;
   let sender = Address.to_bytes t.sender in
   let to_ = match t.to_ with Some a -> Address.to_bytes a | None -> "" in
   let payload =

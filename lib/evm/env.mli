@@ -27,7 +27,9 @@ type tx = {
 }
 
 val tx_hash : tx -> string
-(** Keccak-256 of the RLP-encoded transaction (its network identity). *)
+(** Keccak-256 of the RLP-encoded transaction (its network identity).
+    Counted on the Obs counter [evm.tx_hashes]: compute it once per
+    transaction and carry it. *)
 
 type log = { log_address : Address.t; topics : U256.t list; log_data : string }
 

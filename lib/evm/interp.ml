@@ -53,8 +53,8 @@ type ctx = {
   mutable logs : Env.log list; (* newest first *)
   mutable logs_len : int;
   mutable refund : int;  (* SSTORE-clear refund counter, journaled with logs *)
-  warm_accounts : (Address.t, unit) Hashtbl.t;  (* EIP-2929 access sets; *)
-  warm_slots : (Address.t * U256.t, unit) Hashtbl.t;  (* per-transaction *)
+  warm_accounts : unit Address.Tbl.t;  (* EIP-2929 access sets; *)
+  warm_slots : unit Slot.Tbl.t;  (* per-transaction *)
   mutable steps_executed : int;
 }
 
@@ -70,8 +70,8 @@ let make_ctx ?engine ?spec ?trace st benv ~origin ~gas_price =
     logs = [];
     logs_len = 0;
     refund = 0;
-    warm_accounts = Hashtbl.create 16;
-    warm_slots = Hashtbl.create 16;
+    warm_accounts = Address.Tbl.create 16;
+    warm_slots = Slot.Tbl.create 16;
     steps_executed = 0;
   }
 
@@ -81,8 +81,8 @@ let make_ctx ?engine ?spec ?trace st benv ~origin ~gas_price =
    execution hint — no intrinsic charge). *)
 let warm_entry ctx (a, ko) =
   match ko with
-  | None -> Hashtbl.replace ctx.warm_accounts a ()
-  | Some k -> Hashtbl.replace ctx.warm_slots (a, k) ()
+  | None -> Address.Tbl.replace ctx.warm_accounts a ()
+  | Some k -> Slot.Tbl.replace ctx.warm_slots (a, k) ()
 
 type frame = {
   ctx_address : Address.t; (* storage context; ADDRESS *)
@@ -174,9 +174,9 @@ let obs_cold_misses = Obs.counter "spec.cold_misses"
 
 let charge_cold_account ctx f a =
   if ctx.spec.Spec.has_access_lists then begin
-    if Hashtbl.mem ctx.warm_accounts a then Obs.incr obs_warm_hits
+    if Address.Tbl.mem ctx.warm_accounts a then Obs.incr obs_warm_hits
     else begin
-      Hashtbl.replace ctx.warm_accounts a ();
+      Address.Tbl.replace ctx.warm_accounts a ();
       Obs.incr obs_cold_misses;
       charge f ctx.spec.Spec.g_cold_account
     end
@@ -185,9 +185,9 @@ let charge_cold_account ctx f a =
 let charge_cold_slot ctx f a k ~cost =
   if ctx.spec.Spec.has_access_lists then begin
     let key = (a, k) in
-    if Hashtbl.mem ctx.warm_slots key then Obs.incr obs_warm_hits
+    if Slot.Tbl.mem ctx.warm_slots key then Obs.incr obs_warm_hits
     else begin
-      Hashtbl.replace ctx.warm_slots key ();
+      Slot.Tbl.replace ctx.warm_slots key ();
       Obs.incr obs_cold_misses;
       charge f cost
     end
@@ -827,7 +827,7 @@ and exec_create ctx f op =
     else create_address f.ctx_address sender_nonce
   in
   (* creation makes the new account warm, with no cold charge *)
-  if ctx.spec.Spec.has_access_lists then Hashtbl.replace ctx.warm_accounts new_addr ();
+  if ctx.spec.Spec.has_access_lists then Address.Tbl.replace ctx.warm_accounts new_addr ();
   let emit_enter () =
     if ctx.trace <> None then
       emit ctx
@@ -1334,7 +1334,7 @@ let create_message ctx ~caller ~value ~initcode ~gas =
   (* The processor already bumped the sender nonce; contract address uses the
      pre-bump value, matching Ethereum. *)
   let new_addr = create_address caller nonce in
-  if ctx.spec.Spec.has_access_lists then Hashtbl.replace ctx.warm_accounts new_addr ();
+  if ctx.spec.Spec.has_access_lists then Address.Tbl.replace ctx.warm_accounts new_addr ();
   let snap = Statedb.snapshot st in
   let lsnap = log_snapshot ctx in
   if Statedb.get_nonce st new_addr > 0 || Statedb.get_code st new_addr <> "" then

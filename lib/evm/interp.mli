@@ -45,9 +45,9 @@ type ctx = {
   mutable refund : int;
       (** SSTORE-clear refund counter; journaled alongside logs so inner
           reverts undo it.  Always 0 under refund-free specs. *)
-  warm_accounts : (Address.t, unit) Hashtbl.t;
+  warm_accounts : unit Address.Tbl.t;
       (** EIP-2929 per-transaction account access set (access-list specs). *)
-  warm_slots : (Address.t * U256.t, unit) Hashtbl.t;
+  warm_slots : unit Slot.Tbl.t;
       (** EIP-2929 per-transaction storage-slot access set. *)
   mutable steps_executed : int;
 }

@@ -5,8 +5,11 @@
    at byte offset [8 * (x + 5*y)].  The permutation loads the lanes once
    into local [int64] variables (which ocamlopt keeps unboxed), runs the
    24 rounds with theta, rho+pi and chi written out lane by lane, and
-   stores them back once.  Every digest owns its state: speculation worker
-   domains hash concurrently, so no state is shared between digests. *)
+   stores them back once.  Speculation worker domains hash concurrently, so
+   each domain absorbs into its own scratch state ([Domain.DLS]), zeroed at
+   the start of every digest; a digest allocates only its result.  The
+   state is per domain, not per thread: no systhreads hash, and two that
+   did could switch inside one digest and share its state. *)
 
 let round_constants =
   [| 0x0000000000000001L; 0x0000000000008082L; 0x800000000000808AL;
@@ -127,10 +130,13 @@ let xor_lane s i msg pos =
 
 let xor_byte s i b = Bytes.set s i (Char.unsafe_chr (Char.code (Bytes.get s i) lxor b))
 
-(* The sponge state after absorbing [msg]; the digest is its first 32
-   bytes. *)
+let state = Domain.DLS.new_key (fun () -> Bytes.create 200)
+
+(* The sponge state after absorbing [msg], in this domain's scratch state;
+   the digest is its first 32 bytes. *)
 let sponge msg =
-  let s = Bytes.make 200 '\000' in
+  let s = Domain.DLS.get state in
+  Bytes.fill s 0 200 '\000';
   let len = String.length msg in
   (* Absorb every full block a lane at a time, straight from [msg]. *)
   let full = len / rate_bytes * rate_bytes in

@@ -57,7 +57,10 @@ let default_params =
     tick_interval = None;
   }
 
-type ev = E_tx | E_block | E_miner_hear of int * Evm.Env.tx
+(* A miner hearing a transaction carries the pool entry built at gossip
+   time: the hash computed once when the transaction was generated, and
+   that miner's hearing time. *)
+type ev = E_tx | E_block | E_miner_hear of int * Chain.Packer.candidate
 
 type miner = {
   addr : Address.t;
@@ -132,7 +135,9 @@ let run ?(params = default_params) () : Record.t =
           (* gossip to miners *)
           Array.iteri
             (fun i _ ->
-              Heap.push q (t +. exp_sample rng p.gossip_delay_mean) (E_miner_hear (i, tx)))
+              let heard_at = t +. exp_sample rng p.gossip_delay_mean in
+              Heap.push q heard_at
+                (E_miner_hear (i, { Chain.Packer.tx; hash = h; heard_at })))
             miners;
           (* gossip to the observer *)
           if Random.State.float rng 1.0 >= p.p_never_heard then begin
@@ -140,27 +145,27 @@ let run ?(params = default_params) () : Record.t =
             events := Record.Heard (th, tx) :: !events
           end;
           Heap.push q (t +. Workload.Gen.next_interarrival gen) E_tx
-        | E_miner_hear (i, tx) ->
-          if not (Hashtbl.mem included (Evm.Env.tx_hash tx)) then
-            miners.(i).pool <- { Chain.Packer.tx; heard_at = t } :: miners.(i).pool
+        | E_miner_hear (i, c) ->
+          if not (Hashtbl.mem included c.hash) then miners.(i).pool <- c :: miners.(i).pool
         | E_block ->
           (* Mine one block from the canonical tip, by a miner's own pool
-             view; [on_state] chooses which Statedb the block executes on. *)
+             view, on the Statedb [st]: the block and its packed
+             candidates. *)
           let mine (w : miner) st =
             w.pool <-
               List.filter
-                (fun (c : Chain.Packer.candidate) ->
-                  not (Hashtbl.mem included (Evm.Env.tx_hash c.tx)))
+                (fun (c : Chain.Packer.candidate) -> not (Hashtbl.mem included c.hash))
                 w.pool;
             let policy =
               { Chain.Packer.self = None; gas_limit = p.block_gas_limit; rng = w.tie_rng }
             in
-            let txs =
+            let packed =
               Chain.Packer.pack policy
                 ~next_nonce:(fun a -> Statedb.get_nonce st a)
                 ~spendable:(fun a -> Statedb.get_balance st a)
                 w.pool
             in
+            let txs = List.map (fun (c : Chain.Packer.candidate) -> c.tx) packed in
             let ts =
               let claimed = Int64.add (Int64.of_float (p.start_time +. t)) w.clock_skew in
               if Int64.compare claimed (Int64.add !parent_ts 1L) < 0 then
@@ -176,17 +181,20 @@ let run ?(params = default_params) () : Record.t =
                 gas_limit = p.block_gas_limit;
                 difficulty = U256.of_int 1;
                 state_root = "";
-                tx_root = Chain.Block.tx_root txs;
+                tx_root =
+                  Chain.Block.tx_root
+                    (List.map (fun (c : Chain.Packer.candidate) -> c.hash) packed);
               }
             in
             let block_proto = { Chain.Block.header = header_proto; txs } in
             let result =
               Chain.Stf.apply_block st ~block_hash:Record.block_hash block_proto
             in
-            { block_proto with header = { header_proto with state_root = result.state_root } }
+            ( { block_proto with header = { header_proto with state_root = result.state_root } },
+              packed )
           in
           let w1 = pick_winner () in
-          let block_a = mine miners.(w1) st_canon in
+          let block_a, packed_a = mine miners.(w1) st_canon in
           (* With probability p_fork a second miner solves the same height
              nearly simultaneously — a temporary fork, one of the paper's
              directly observable futures. *)
@@ -194,7 +202,7 @@ let run ?(params = default_params) () : Record.t =
             if Random.State.float rng 1.0 < p.p_fork && p.n_miners > 1 then begin
               let w2 = (w1 + 1 + Random.State.int rng (p.n_miners - 1)) mod p.n_miners in
               let st_side = Statedb.create bk ~root:!parent_root in
-              Some (mine miners.(w2) st_side)
+              Some (fst (mine miners.(w2) st_side))
             end
             else None
           in
@@ -202,8 +210,8 @@ let run ?(params = default_params) () : Record.t =
           let winner, loser = (block_a, fork) in
           Hashtbl.replace canonical (Chain.Block.hash winner) ();
           List.iter
-            (fun tx -> Hashtbl.replace included (Evm.Env.tx_hash tx) ())
-            winner.txs;
+            (fun (c : Chain.Packer.candidate) -> Hashtbl.replace included c.hash ())
+            packed_a;
           parent_hash := Chain.Block.hash winner;
           parent_root := winner.header.state_root;
           parent_ts := winner.header.timestamp;

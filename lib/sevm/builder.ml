@@ -36,25 +36,11 @@ exception Unsupported of string
 
 (* ---- symbolic world state (immutable, for snapshot/rollback) ---- *)
 
-(* a storage slot: (contract, traced key) *)
-module Slot = struct
-  type t = Address.t * U256.t
-
-  let compare (a, k) (a', k') =
-    let c = Address.compare a a' in
-    if c <> 0 then c else U256.compare k k'
-
-  let equal (a, k) (a', k') = Address.equal a a' && U256.equal k k'
-  let hash (a, k) = Address.hash a lxor U256.hash k
-end
-
-module SKey = Map.Make (Slot)
-module SlotTbl = Hashtbl.Make (Slot)
 module AKey = Address.Map
 
 type world = {
-  storage : I.operand SKey.t;
-  storage_dirty : SKey.key list; (* newest first, may contain dups *)
+  storage : I.operand Slot.Map.t;
+  storage_dirty : Slot.t list; (* newest first, may contain dups *)
   balances : I.operand AKey.t; (* symbolic balance of addresses read *)
   balance_dirty : unit AKey.t;
   deltas : (bool * I.operand) list AKey.t; (* (is_add, amount), unread addrs *)
@@ -64,7 +50,7 @@ type world = {
 
 let empty_world =
   {
-    storage = SKey.empty;
+    storage = Slot.Map.empty;
     storage_dirty = [];
     balances = AKey.empty;
     balance_dirty = AKey.empty;
@@ -212,7 +198,7 @@ type tmpl = {
   t_words : I.reg array; (* calldata word k = bytes [4+32k, 4+32k+32) *)
   t_inputs : I.input_src array;
   t_skeys : (I.operand * U256.t) list ref Address.Tbl.t;
-  t_skey_first : I.operand SlotTbl.t;
+  t_skey_first : I.operand Slot.Tbl.t;
   mutable t_addr_reads : (I.operand * U256.t) list;
   t_addr_ops : I.operand Address.Tbl.t;
 }
@@ -396,7 +382,7 @@ let init_template b (receipt : Evm.Processor.receipt) =
         t_words;
         t_inputs;
         t_skeys = Address.Tbl.create 8;
-        t_skey_first = SlotTbl.create 8;
+        t_skey_first = Slot.Tbl.create 8;
         t_addr_reads = [];
         t_addr_ops = Address.Tbl.create 4;
       }
@@ -559,13 +545,14 @@ let pin_skey b addr key_op traced_key =
 let skey_first_op b k key_op =
   match b.tmpl with
   | None -> ()
-  | Some t -> if not (SlotTbl.mem t.t_skey_first k) then SlotTbl.replace t.t_skey_first k key_op
+  | Some t ->
+    if not (Slot.Tbl.mem t.t_skey_first k) then Slot.Tbl.replace t.t_skey_first k key_op
 
 let sload b addr key_op traced_key traced_val =
   pin_skey b addr key_op traced_key;
   let k = (addr, traced_key) in
   skey_first_op b k key_op;
-  match SKey.find_opt k b.world.storage with
+  match Slot.Map.find_opt k b.world.storage with
   | Some op ->
     b.st_state <- b.st_state + 1;
     op
@@ -577,7 +564,7 @@ let sload b addr key_op traced_key traced_val =
       | (None | Some _), _ -> I.R_storage (addr, traced_key)
     in
     emit b (I.Read (r, src));
-    b.world <- { b.world with storage = SKey.add k (I.Reg r) b.world.storage };
+    b.world <- { b.world with storage = Slot.Map.add k (I.Reg r) b.world.storage };
     I.Reg r
 
 let sstore b addr key_op traced_key value_op =
@@ -587,7 +574,7 @@ let sstore b addr key_op traced_key value_op =
   b.world <-
     {
       b.world with
-      storage = SKey.add k value_op b.world.storage;
+      storage = Slot.Map.add k value_op b.world.storage;
       storage_dirty = k :: b.world.storage_dirty;
     }
 
@@ -1262,16 +1249,16 @@ let emit_writes b (receipt : Evm.Processor.receipt) ~extra_writes benv_coinbase_
     (match b.world.storage_dirty with
     | [] -> ()
     | dirty ->
-      let seen = SlotTbl.create 16 in
+      let seen = Slot.Tbl.create 16 in
       List.iter
         (fun ((addr, key) as k) ->
-          if not (SlotTbl.mem seen k) then begin
-            SlotTbl.replace seen k ();
-            let value = SKey.find k b.world.storage in
+          if not (Slot.Tbl.mem seen k) then begin
+            Slot.Tbl.replace seen k ();
+            let value = Slot.Map.find k b.world.storage in
             let dyn_key =
               match b.tmpl with
               | Some t -> (
-                match SlotTbl.find_opt t.t_skey_first k with
+                match Slot.Tbl.find_opt t.t_skey_first k with
                 | Some (I.Reg _ as op) -> Some op
                 | Some (I.Const _) | None -> None)
               | None -> None

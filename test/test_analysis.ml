@@ -118,6 +118,13 @@ let check_site name k site vs =
     true
     (List.exists (fun (v : R.violation) -> v.kind = k && v.site = site) vs)
 
+(* one fault, one report: the line checks must not repeat the node's *)
+let check_one_reg_bounds name vs =
+  Alcotest.(check int)
+    (Fmt.str "%s: one %s violation (got %a)" name (R.kind_name R.Reg_bounds) R.pp_list vs)
+    1
+    (List.length (List.filter (fun (v : R.violation) -> v.kind = R.Reg_bounds) vs))
+
 let ap_tests =
   [ t "good path compiles to a verifying program" (fun () ->
         let ap = P.create () in
@@ -197,7 +204,17 @@ let ap_tests =
     t "reg-bounds: size-branch operand beyond reg_count" (fun () ->
         let ap = program ~reg_count:1 (P.Branch (P.Size (I.Reg 4), [ (u 1, leaf ()) ])) in
         (* the operand is the guard node's own, so its site carries no case *)
-        check_site "size operand v4" R.Reg_bounds "root>br#0" (Analysis.Verify.verify ap));
+        let vs = Analysis.Verify.verify ap in
+        check_site "size operand v4" R.Reg_bounds "root>br#0" vs;
+        check_one_reg_bounds "size operand v4" vs);
+    t "reg-bounds: a two-case branch reports its operand once" (fun () ->
+        let ap =
+          program ~reg_count:1
+            (P.Branch (P.Size (I.Reg 4), [ (u 1, leaf ()); (u 2, leaf ()) ]))
+        in
+        let vs = Analysis.Verify.verify ap in
+        check_site "size operand v4, two cases" R.Reg_bounds "root>br#0" vs;
+        check_one_reg_bounds "size operand v4, two cases" vs);
     t "well-formedness: bisection halves must partition the parent" (fun () ->
         let c v = I.Compute (v, I.C_add, [| I.Const (u 1); I.Const (u 1) |]) in
         let b =

@@ -8,19 +8,24 @@ let u = U256.of_int
 let addr i = Address.of_int (0x500 + i)
 
 let cand ?(heard = 0.0) sender nonce price : Chain.Packer.candidate =
-  {
-    tx =
-      {
-        sender;
-        to_ = Some (addr 99);
-        nonce;
-        value = U256.zero;
-        data = "";
-        gas_limit = 21_000;
-        gas_price = u (price * 1_000_000_000);
-      };
-    heard_at = heard;
-  }
+  let tx : Evm.Env.tx =
+    {
+      sender;
+      to_ = Some (addr 99);
+      nonce;
+      value = U256.zero;
+      data = "";
+      gas_limit = 21_000;
+      gas_price = u (price * 1_000_000_000);
+    }
+  in
+  { tx; hash = Evm.Env.tx_hash tx; heard_at = heard }
+
+(* the packed block's transactions *)
+let pack policy ~next_nonce ~spendable cands =
+  List.map
+    (fun (c : Chain.Packer.candidate) -> c.tx)
+    (Chain.Packer.pack policy ~next_nonce ~spendable cands)
 
 let policy ?(gas_limit = 1_000_000) ?(seed = 1) ?self () : Chain.Packer.policy =
   { self; gas_limit; rng = Random.State.make [| seed |] }
@@ -32,7 +37,7 @@ let packer_tests =
   [ t "orders by gas price descending" (fun () ->
         let c1 = cand (addr 1) 0 50 and c2 = cand (addr 2) 0 100 and c3 = cand (addr 3) 0 80 in
         let packed =
-          Chain.Packer.pack (policy ()) ~next_nonce:zero_nonce ~spendable:rich [ c1; c2; c3 ]
+          pack (policy ()) ~next_nonce:zero_nonce ~spendable:rich [ c1; c2; c3 ]
         in
         Alcotest.(check (list int))
           "price order" [ 100; 80; 50 ]
@@ -43,10 +48,10 @@ let packer_tests =
     t "same-price ties broken by miner rng" (fun () ->
         let cands = List.init 10 (fun i -> cand (addr i) 0 80) in
         let p1 =
-          Chain.Packer.pack (policy ~seed:1 ()) ~next_nonce:zero_nonce ~spendable:rich cands
+          pack (policy ~seed:1 ()) ~next_nonce:zero_nonce ~spendable:rich cands
         in
         let p2 =
-          Chain.Packer.pack (policy ~seed:2 ()) ~next_nonce:zero_nonce ~spendable:rich cands
+          pack (policy ~seed:2 ()) ~next_nonce:zero_nonce ~spendable:rich cands
         in
         Alcotest.(check int) "all packed" 10 (List.length p1);
         Alcotest.(check bool) "different order across miners" true
@@ -55,44 +60,44 @@ let packer_tests =
     t "same miner is deterministic" (fun () ->
         let cands = List.init 8 (fun i -> cand (addr i) 0 80) in
         let p1 =
-          Chain.Packer.pack (policy ~seed:7 ()) ~next_nonce:zero_nonce ~spendable:rich cands
+          pack (policy ~seed:7 ()) ~next_nonce:zero_nonce ~spendable:rich cands
         in
         let p2 =
-          Chain.Packer.pack (policy ~seed:7 ()) ~next_nonce:zero_nonce ~spendable:rich cands
+          pack (policy ~seed:7 ()) ~next_nonce:zero_nonce ~spendable:rich cands
         in
         Alcotest.(check bool) "same order" true (p1 = p2));
     t "nonce sequencing within a sender" (fun () ->
         (* higher-priced nonce-1 must still come after nonce-0 *)
         let c0 = cand (addr 1) 0 50 and c1 = cand (addr 1) 1 120 in
         let packed =
-          Chain.Packer.pack (policy ()) ~next_nonce:zero_nonce ~spendable:rich [ c0; c1 ]
+          pack (policy ()) ~next_nonce:zero_nonce ~spendable:rich [ c0; c1 ]
         in
         Alcotest.(check (list int)) "nonce order" [ 0; 1 ]
           (List.map (fun (tx : Evm.Env.tx) -> tx.nonce) packed));
     t "nonce gap defers the later tx" (fun () ->
         let c2 = cand (addr 1) 2 200 in
         let packed =
-          Chain.Packer.pack (policy ()) ~next_nonce:zero_nonce ~spendable:rich [ c2 ]
+          pack (policy ()) ~next_nonce:zero_nonce ~spendable:rich [ c2 ]
         in
         Alcotest.(check int) "not packed" 0 (List.length packed));
     t "gas limit caps the block" (fun () ->
         let cands = List.init 10 (fun i -> cand (addr i) 0 80) in
         let packed =
-          Chain.Packer.pack (policy ~gas_limit:50_000 ()) ~next_nonce:zero_nonce
+          pack (policy ~gas_limit:50_000 ()) ~next_nonce:zero_nonce
             ~spendable:rich cands
         in
         Alcotest.(check int) "two fit" 2 (List.length packed));
     t "balance floor excludes paupers" (fun () ->
         let spendable a = if Address.equal a (addr 1) then U256.zero else rich a in
         let packed =
-          Chain.Packer.pack (policy ()) ~next_nonce:zero_nonce ~spendable
+          pack (policy ()) ~next_nonce:zero_nonce ~spendable
             [ cand (addr 1) 0 300; cand (addr 2) 0 50 ]
         in
         Alcotest.(check int) "only the funded one" 1 (List.length packed));
     t "self transactions first" (fun () ->
         let mine = addr 5 in
         let packed =
-          Chain.Packer.pack
+          pack
             (policy ~self:mine ())
             ~next_nonce:zero_nonce ~spendable:rich
             [ cand (addr 1) 0 500; cand mine 0 10 ]
@@ -122,7 +127,7 @@ let block_tests =
             gas_limit = 1_000_000;
             difficulty = u 1;
             state_root = "";
-            tx_root = Chain.Block.tx_root [ tx ];
+            tx_root = Chain.Block.tx_root [ Evm.Env.tx_hash tx ];
           }
         in
         let st1 = Statedb.create bk ~root:root0 in

@@ -7,6 +7,9 @@ let t name f = Alcotest.test_case name `Quick f
 let small_params =
   { Netsim.Sim.default_params with duration = 90.0; tx_rate = 6.0; seed = 11; n_users = 60 }
 
+(* a fork-heavy mix: every other block height is contested *)
+let fork_params = { small_params with duration = 300.0; p_fork = 0.5; seed = 99; tx_rate = 3.0 }
+
 let heap_tests =
   [ t "heap pops in time order" (fun () ->
         let h = Netsim.Heap.create () in
@@ -201,20 +204,14 @@ let sim_tests =
             | Netsim.Record.Block _ | Netsim.Record.Heard _ | Netsim.Record.Tick _ -> ())
           r.events);
     t "forked replay validates all roots and counts side blocks" (fun () ->
-        let params =
-          { small_params with duration = 300.0; p_fork = 0.5; seed = 99; tx_rate = 3.0 }
-        in
-        let r = Netsim.Sim.run ~params () in
+        let r = Netsim.Sim.run ~params:fork_params () in
         let result = Core.Node.replay ~policy:Core.Node.Baseline r in
         List.iter
           (fun (b : Core.Node.block_record) -> Alcotest.(check bool) "root ok" true b.root_ok)
           result.blocks;
         Alcotest.(check bool) "side blocks processed" true (result.fork_blocks > 0));
     t "forerunner survives forks and reorgs" (fun () ->
-        let params =
-          { small_params with duration = 300.0; p_fork = 0.5; seed = 99; tx_rate = 3.0 }
-        in
-        let r = Netsim.Sim.run ~params () in
+        let r = Netsim.Sim.run ~params:fork_params () in
         let result = Core.Node.replay ~policy:Core.Node.Forerunner r in
         List.iter
           (fun (b : Core.Node.block_record) -> Alcotest.(check bool) "root ok" true b.root_ok)
@@ -230,4 +227,65 @@ let sim_tests =
           r.events)
   ]
 
-let suite = heap_tests @ gen_tests @ sim_tests
+(* A keccak over the whole observer feed: every event's kind and time, each
+   block's hash (which commits to its header, state root and tx root) and
+   each heard transaction's hash.  Any drift in what the recorder emits —
+   heard events, blocks, roots, forks — changes it. *)
+let recording_digest (r : Netsim.Record.t) =
+  let b = Buffer.create 65536 in
+  Array.iter
+    (function
+      | Netsim.Record.Heard (t, tx) ->
+        Buffer.add_string b (Printf.sprintf "H%h" t);
+        Buffer.add_string b (Evm.Env.tx_hash tx)
+      | Netsim.Record.Block (t, blk) ->
+        Buffer.add_string b (Printf.sprintf "B%h" t);
+        Buffer.add_string b (Chain.Block.hash blk)
+      | Netsim.Record.Tick t -> Buffer.add_string b (Printf.sprintf "T%h" t))
+    r.events;
+  Khash.Keccak.digest_hex (Buffer.contents b)
+
+(* The transfer recording of perfbench's parallel workload, at its
+   smallest duration. *)
+let transfer_params =
+  {
+    Netsim.Sim.default_params with
+    seed = 7001;
+    duration = 20.0;
+    mean_block_interval = 4.0;
+    tx_rate = 50.0;
+    block_gas_limit = 100 * 21_000;
+    n_users = 2000;
+    mix = [ (Workload.Gen.Eth_transfer, 1.0) ];
+  }
+
+let golden_tests =
+  let golden name params want =
+    t ("golden recording: " ^ name) (fun () ->
+        Alcotest.(check string) name want (recording_digest (Netsim.Sim.run ~params ())))
+  in
+  [ golden "defaults, 60 s" { Netsim.Sim.default_params with duration = 60.0 }
+      "d480e82638260a2808bda26031fa4e87d11e3690a9d3c1bc44a54157f9105758";
+    golden "perfbench transfer" transfer_params
+      "e8a1b6eb1d5a0cbeefe2b567d26466ec20b47f989224d0af367a6502ba883eb4";
+    golden "fork-heavy mix" fork_params
+      "c564638e5d1f0e57f5150bf9f56a755d3b6f9830aa281d33200e0da6bf1d6103";
+    t "the recorder hashes each transaction about once" (fun () ->
+        (* each miner hearing a transaction, and each mined block, reads the
+           hash computed when the transaction was generated *)
+        let hashes = Obs.counter "evm.tx_hashes" in
+        Obs.reset ();
+        Obs.set_enabled true;
+        let r =
+          Fun.protect
+            ~finally:(fun () -> Obs.set_enabled false)
+            (fun () -> Netsim.Sim.run ~params:transfer_params ())
+        in
+        let generated = Hashtbl.length r.submit_times in
+        let per_tx = float_of_int (Obs.count hashes) /. float_of_int generated in
+        Alcotest.(check bool)
+          (Printf.sprintf "%d hashes for %d generated txs (%.2f per tx) <= 2 per tx"
+             (Obs.count hashes) generated per_tx)
+          true (per_tx <= 2.0)) ]
+
+let suite = heap_tests @ gen_tests @ sim_tests @ golden_tests
