@@ -45,6 +45,13 @@ let pack policy ~next_nonce ~spendable candidates =
   let deferred = Address.Tbl.create 8 in
   (* same-sender txs with future nonces wait for their predecessors *)
   let included = ref [] in
+  (* Once the gas left is below every candidate's gas limit nothing more
+     fits, so the walk stops there; [order] has already drawn every
+     candidate's tie-break, so the miner's rng stream does not depend on
+     where it stops. *)
+  let min_gas =
+    List.fold_left (fun m (c : candidate) -> min m c.tx.gas_limit) max_int candidates
+  in
   let try_include (c : candidate) =
     let tx = c.tx in
     let expected =
@@ -67,8 +74,8 @@ let pack policy ~next_nonce ~spendable candidates =
     end
     else false
   in
-  List.iter
-    (fun (c : candidate) ->
+  let rec walk = function
+    | (c : candidate) :: rest when !gas_left >= min_gas ->
       if try_include c then begin
         (* pull in any deferred successors now unblocked *)
         let rec drain sender =
@@ -94,6 +101,9 @@ let pack policy ~next_nonce ~spendable candidates =
           (c
           :: (match Address.Tbl.find_opt deferred c.tx.sender with
              | Some l -> l
-             | None -> [])))
-    ordered;
+             | None -> []));
+      walk rest
+    | _ -> ()
+  in
+  walk ordered;
   List.rev !included

@@ -28,4 +28,6 @@ val pack :
 (** Fill a block: the packed candidates in block order.  [next_nonce] and
     [spendable] reflect the parent state; a transaction whose nonce is ahead
     of its sender's sequence is deferred until its predecessors are
-    included. *)
+    included.  The walk stops once the gas left is below the smallest gas
+    limit among the candidates, so a full block does not look at the rest
+    of the backlog. *)

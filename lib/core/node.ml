@@ -194,7 +194,7 @@ let replay ?(config = default_config) ~policy (record : Netsim.Record.t) : resul
         Buffer.add_string b (Address.to_bytes e.coinbase);
         Buffer.add_string b (Printf.sprintf "%Ld:%Ld:%d:" e.timestamp e.number e.gas_limit);
         Buffer.add_string b (U256.to_bytes_be e.difficulty);
-        List.iter (fun tx -> Buffer.add_string b (Evm.Env.tx_hash tx)) ctx_txs)
+        List.iter (fun (p : Predictor.pending) -> Buffer.add_string b p.hash) ctx_txs)
       ctxs;
     Khash.Keccak.digest (Buffer.contents b)
   in
@@ -241,8 +241,8 @@ let replay ?(config = default_config) ~policy (record : Netsim.Record.t) : resul
       (Sched.drain sched)
   in
 
-  let exec_one st ~canonical benv t_block (tx : Evm.Env.tx) : tx_record * Evm.Processor.receipt =
-    let hash = Evm.Env.tx_hash tx in
+  let exec_one st ~canonical benv t_block ~hash (tx : Evm.Env.tx) :
+      tx_record * Evm.Processor.receipt =
     let entry = Hashtbl.find_opt pending hash in
     let heard = entry <> None in
     let record_of receipt outcome exec_ns (stats : Ap.Exec.stats option) =
@@ -432,8 +432,12 @@ let replay ?(config = default_config) ~policy (record : Netsim.Record.t) : resul
           let canonical = Netsim.Record.is_canonical record b in
           if not extends_head then incr fork_blocks;
           let block_ns = ref 0 in
-          let step st benv _ tx =
-            let tr, receipt = Obs.span l_execute (fun () -> exec_one st ~canonical benv t tx) in
+          (* each block transaction is hashed once, here *)
+          let hashes = Array.of_list (List.map Evm.Env.tx_hash b.txs) in
+          let step st benv idx tx =
+            let tr, receipt =
+              Obs.span l_execute (fun () -> exec_one st ~canonical benv t ~hash:hashes.(idx) tx)
+            in
             block_ns := !block_ns + tr.exec_ns;
             txs := tr :: !txs;
             receipt
@@ -470,9 +474,8 @@ let replay ?(config = default_config) ~policy (record : Netsim.Record.t) : resul
             Predictor.observe_block predictor b;
             next_st := Statedb.create bk ~root;
             (* account and retire the included pending txs *)
-            List.iter
-              (fun tx ->
-                let h = Evm.Env.tx_hash tx in
+            Array.iter
+              (fun h ->
                 Hashtbl.replace included h ();
                 match Hashtbl.find_opt pending h with
                 | Some e ->
@@ -485,7 +488,7 @@ let replay ?(config = default_config) ~policy (record : Netsim.Record.t) : resul
                   retire_template e;
                   Hashtbl.remove pending h
                 | None -> ())
-              b.txs;
+              hashes;
             (* drop pending txs made stale by this block *)
             let stale = ref [] in
             Hashtbl.iter
@@ -498,7 +501,7 @@ let replay ?(config = default_config) ~policy (record : Netsim.Record.t) : resul
             List.iter (Hashtbl.remove pending) !stale;
             (* bound the scheduler's dedupe memo: retired hashes never
                resubmit, so their entries would otherwise pile up forever *)
-            Sched.forget sched (List.map Evm.Env.tx_hash b.txs @ !stale);
+            Sched.forget sched (Array.to_list hashes @ !stale);
             (* re-speculate the hottest pending txs against the new head *)
             if is_speculative policy then begin
               let entries = Hashtbl.fold (fun _ e acc -> e :: acc) pending [] in

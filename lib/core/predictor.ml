@@ -151,7 +151,7 @@ let orderings t ~required ~optional ~n =
         end)
       cands
   in
-  List.filteri (fun i _ -> i < n) (List.map (List.map (fun (p : pending) -> p.tx)) uniq)
+  List.filteri (fun i _ -> i < n) uniq
 
 let obs_requests = Obs.counter "predictor.context_requests"
 let obs_contexts = Obs.counter "predictor.contexts_predicted"

@@ -34,10 +34,11 @@ val dependency_group :
     precede the target, and higher-or-tied-priced interferers that might. *)
 
 val orderings :
-  t -> required:pending list -> optional:pending list -> n:int -> Evm.Env.tx list list
+  t -> required:pending list -> optional:pending list -> n:int -> pending list list
 (** Up to [n] deduplicated orderings of the transactions that may execute
     before the target (price-sorted, empty, and random shuffles), each
-    prefixed with the required transactions in nonce order. *)
+    prefixed with the required transactions in nonce order.  The entries
+    keep their hashes, so callers never re-hash a context. *)
 
 val contexts :
   t ->
@@ -45,6 +46,6 @@ val contexts :
   max_contexts:int ->
   tx_hash:string ->
   Evm.Env.tx ->
-  (Evm.Env.block_env * Evm.Env.tx list) list
+  (Evm.Env.block_env * pending list) list
 (** The future contexts to pre-execute a transaction in: predicted
     environments crossed with predicted orderings, capped. *)

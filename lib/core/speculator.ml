@@ -72,8 +72,8 @@ let speculate_one ~tmpl spec bk ~root (env : Evm.Env.block_env) ~pre_txs (tx : E
   let t0 = Obs.now_ns () in
   let st = Statedb.create bk ~root in
   List.iter
-    (fun t ->
-      let (r : Evm.Processor.receipt) = Evm.Processor.execute_tx st env t in
+    (fun (p : Predictor.pending) ->
+      let (r : Evm.Processor.receipt) = Evm.Processor.execute_tx st env p.tx in
       spec.spec_gas <- spec.spec_gas + r.gas_used)
     pre_txs;
   (* capture the target's read set for the prefetcher *)

@@ -38,7 +38,7 @@ val speculate :
   State.Statedb.Backend.t ->
   root:string ->
   now:float ->
-  (Evm.Env.block_env * Evm.Env.tx list) list ->
+  (Evm.Env.block_env * Predictor.pending list) list ->
   Evm.Env.tx ->
   unit
 (** Pre-execute [tx] in every given future context against the chain head

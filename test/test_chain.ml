@@ -177,4 +177,28 @@ let block_tests =
         Alcotest.(check bool) "different hash" true (Chain.Block.hash b1 <> Chain.Block.hash b2))
   ]
 
-let suite = packer_tests @ block_tests
+(* Appended after the other lists so the earlier cases keep their indices. *)
+let full_block_tests =
+  [ t "packing stops once the block is full" (fun () ->
+        (* 1,000 distinct senders at distinct prices, room for 5: the walk
+           must stop at the sixth candidate instead of checking the backlog *)
+        let cands = List.init 1000 (fun i -> cand (addr i) 0 (2000 - i)) in
+        let calls = ref 0 in
+        let next_nonce _ =
+          incr calls;
+          0
+        in
+        let packed =
+          pack (policy ~gas_limit:(5 * 21_000) ()) ~next_nonce ~spendable:rich cands
+        in
+        Alcotest.(check (list int)) "the five best-priced senders, in price order"
+          [ 2000; 1999; 1998; 1997; 1996 ]
+          (List.map
+             (fun (tx : Evm.Env.tx) ->
+               Option.get (U256.to_int_opt tx.gas_price) / 1_000_000_000)
+             packed);
+        Alcotest.(check bool)
+          (Printf.sprintf "%d next_nonce calls for 5 included <= 10" !calls)
+          true (!calls <= 10)) ]
+
+let suite = packer_tests @ block_tests @ full_block_tests

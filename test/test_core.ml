@@ -89,8 +89,8 @@ let predictor_tests =
         Alcotest.(check int) "single ordering" 1 (List.length ords);
         match ords with
         | [ [ tx0; tx1 ] ] ->
-          Alcotest.(check int) "nonce 0 first" 0 tx0.nonce;
-          Alcotest.(check int) "nonce 1 second" 1 tx1.nonce
+          Alcotest.(check int) "nonce 0 first" 0 tx0.tx.nonce;
+          Alcotest.(check int) "nonce 1 second" 1 tx1.tx.nonce
         | _ -> Alcotest.fail "expected one ordering of two txs");
     t "contexts are capped" (fun () ->
         let p = Core.Predictor.create ~seed:1 in
@@ -437,4 +437,41 @@ let report_tests =
         Alcotest.(check string) "Fig. 11, Fig. 15 and Sec 5.5" figs figs')
   ]
 
-let suite = predictor_tests @ perfect_tests @ node_tests @ metrics_tests @ report_tests
+(* Appended after the other lists so the earlier cases keep their indices. *)
+let hashing_tests =
+  [ t "a forerunner replay hashes each transaction about once" (fun () ->
+        (* contexts carry the pending records' hashes into the dedupe key,
+           and each block transaction is hashed once per block *)
+        let record =
+          Netsim.Sim.run
+            ~params:
+              { Netsim.Sim.default_params with
+                seed = 4242; duration = 30.0; tx_rate = 14.0; n_users = 120 }
+            ()
+        in
+        let seen =
+          Array.fold_left
+            (fun n ev ->
+              match ev with
+              | Netsim.Record.Heard _ -> n + 1
+              | Netsim.Record.Block (_, b) -> n + List.length b.txs
+              | Netsim.Record.Tick _ -> n)
+            0 record.events
+        in
+        let hashes = Obs.counter "evm.tx_hashes" in
+        Obs.reset ();
+        Obs.set_enabled true;
+        let r =
+          Fun.protect
+            ~finally:(fun () -> Obs.set_enabled false)
+            (fun () -> Core.Node.replay ~policy:Core.Node.Forerunner record)
+        in
+        Alcotest.(check bool) "replayed" true (List.length r.txs > 0);
+        let per_tx = float_of_int (Obs.count hashes) /. float_of_int seen in
+        Alcotest.(check bool)
+          (Printf.sprintf "%d hashes for %d heard or block txs (%.2f per tx) <= 3 per tx"
+             (Obs.count hashes) seen per_tx)
+          true (per_tx <= 3.0)) ]
+
+let suite =
+  predictor_tests @ perfect_tests @ node_tests @ metrics_tests @ report_tests @ hashing_tests

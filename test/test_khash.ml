@@ -113,7 +113,7 @@ let property_tests =
 (* Appended after the other lists so the earlier cases keep their indices. *)
 let scratch_state_tests =
   [ t "two domains hashing random messages at once agree with the reference" (fun () ->
-        (* each domain absorbs into its own scratch state; lengths up to 300
+        (* each digest absorbs into its own state on the C stack; lengths up to 300
            cross the 136-byte rate, so some digests run two or three
            permutations while the other domain is mid-digest *)
         let messages k =
@@ -154,4 +154,81 @@ let scratch_state_tests =
           [ 0; 32; 136; 300 ])
   ]
 
-let suite = unit_tests @ property_tests @ scratch_state_tests
+(* The C kernel against the OCaml reference: every length class of the
+   sponge (empty, a short tail, exactly one block, one block and a byte,
+   several blocks), bytes the kernel must not treat as terminators, one long
+   message, and the allocation and permutation counts. *)
+let reference_check msg =
+  Alcotest.(check string)
+    (Printf.sprintf "length %d" (String.length msg))
+    (Khash.Keccak.to_hex (Keccak_ref.digest msg)) (hex msg)
+
+let pseudo_random_message n =
+  let rng = Random.State.make [| 0x4b; n |] in
+  String.init n (fun _ -> Char.chr (Random.State.int rng 256))
+
+let minor_words_per_call f =
+  let n = 1000 in
+  ignore (Sys.opaque_identity (f ()));
+  let before = Gc.minor_words () in
+  for _ = 1 to n do
+    ignore (Sys.opaque_identity (f ()))
+  done;
+  (Gc.minor_words () -. before) /. float_of_int n
+
+let kernel_tests =
+  [ QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:500 ~name:"kernel agrees with the reference over lengths 0..1100"
+         QCheck.(string_of_size Gen.(0 -- 1100))
+         (fun s -> Khash.Keccak.digest s = Keccak_ref.digest s));
+    t "kernel matches the reference at the sponge boundaries" (fun () ->
+        List.iter
+          (fun n -> reference_check (pseudo_random_message n))
+          [ 0; 1; 135; 136; 137; 271; 272; 273; 1088 ]);
+    t "embedded NUL bytes are message bytes" (fun () ->
+        (* the kernel takes the OCaml string's length, so a NUL neither ends
+           the message nor hashes like a shorter one *)
+        List.iter reference_check
+          [ "\000"; "\000\000"; "a\000b"; "abc\000"; String.make 136 '\000';
+            String.make 300 '\000';
+            String.mapi (fun i c -> if i mod 7 = 0 then '\000' else c) (pseudo_random_message 500) ];
+        Alcotest.(check bool) "trailing NUL changes the digest" true (hex "abc" <> hex "abc\000"));
+    t "a 100 KB message matches the reference" (fun () ->
+        reference_check (pseudo_random_message 100_000));
+    t "digest_u256 allocates only its word" (fun () ->
+        (* the word alone, built from four limbs read out of 32 bytes (a
+           record and its boxed limbs); a fresh 32-byte digest string would
+           add 5 more words *)
+        let bytes = Bytes.make 32 'w' in
+        let word =
+          minor_words_per_call (fun () ->
+              U256.of_limbs (Bytes.get_int64_be bytes 24) (Bytes.get_int64_be bytes 16)
+                (Bytes.get_int64_be bytes 8) (Bytes.get_int64_be bytes 0))
+        in
+        List.iter
+          (fun len ->
+            let msg = String.make len 'u' in
+            let w = minor_words_per_call (fun () -> Khash.Keccak.digest_u256 msg) in
+            Alcotest.(check bool)
+              (Printf.sprintf "%d-byte message: %.1f minor words per digest_u256 <= %.1f" len w
+                 word)
+              true (w <= word))
+          [ 0; 32; 136; 300 ]);
+    t "permutations: one per full block plus the padded one" (fun () ->
+        let digests = Obs.counter "khash.digests" in
+        let perms = Obs.counter "khash.permutations" in
+        let count len =
+          Obs.reset ();
+          Obs.set_enabled true;
+          Fun.protect
+            ~finally:(fun () -> Obs.set_enabled false)
+            (fun () -> ignore (Khash.Keccak.digest (String.make len 'p') : string));
+          (Obs.count digests, Obs.count perms)
+        in
+        List.iter
+          (fun (len, want) ->
+            Alcotest.(check (pair int int)) (Printf.sprintf "length %d" len) (1, want) (count len))
+          [ (0, 1); (135, 1); (136, 2); (271, 2); (272, 3) ])
+  ]
+
+let suite = unit_tests @ property_tests @ scratch_state_tests @ kernel_tests
