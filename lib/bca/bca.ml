@@ -672,7 +672,23 @@ let predict_tx ~(spec : Spec.t) ~coinbase st (tx : Evm.Env.tx) : prediction =
     add_addr r_acc tx_target;
     add_addr codes tx_target;
     if not (U256.is_zero tx.Evm.Env.value) then add_addr w_acc tx_target;
-    let visited = Hashtbl.create 8 in
+    (* built at the first resolved call edge: most targets are codeless *)
+    let visited = ref None in
+    let first_visit key =
+      let tbl =
+        match !visited with
+        | Some tbl -> tbl
+        | None ->
+          let tbl = Hashtbl.create 8 in
+          visited := Some tbl;
+          tbl
+      in
+      if Hashtbl.mem tbl key then false
+      else begin
+        Hashtbl.replace tbl key ();
+        true
+      end
+    in
     let resolve ~self ~caller = function
       | T_const a -> Some a
       | T_self -> Some self
@@ -715,8 +731,7 @@ let predict_tx ~(spec : Spec.t) ~coinbase st (tx : Evm.Env.tx) : prediction =
               end;
               let child_self = if c.c_keeps_self then self else a in
               let key = Address.to_bytes child_self ^ Address.to_bytes a in
-              if not (Hashtbl.mem visited key) then begin
-                Hashtbl.replace visited key ();
+              if first_visit key then begin
                 match code_at st a with
                 | None -> () (* no code / precompile: nothing more to touch *)
                 | Some child ->

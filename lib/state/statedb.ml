@@ -43,6 +43,19 @@ end
 
 type touch = T_account of Address.t | T_code of Address.t | T_slot of Address.t * U256.t
 
+(* An account's storage caches, built at its first slot read, committed
+   read or write: most accounts a block loads, creates or inherits never
+   touch storage, and the records live until commit. *)
+type store = {
+  slots : U256.t Umap.t; (* cached current values (clean + dirty) *)
+  original : U256.t Umap.t; (* committed values, as first read or last committed *)
+  slot_keys : string Umap.t;
+      (* the [slot_trie_key] each storage-trie read hashed since the last
+         [commit]; the next commit writes those slots under them, so a slot
+         read then written is hashed once, and drops them all *)
+  dirty_slots : unit Umap.t;
+}
+
 type acct = {
   addr : Address.t;
   key : string; (* [account_trie_key addr], hashed once per load or creation *)
@@ -50,14 +63,10 @@ type acct = {
   mutable balance : U256.t;
   mutable code_hash : string;
   mutable storage_base : Trie.t; (* committed storage trie (dirty only inside [commit_acct]) *)
-  slots : U256.t Umap.t; (* cached current values (clean + dirty) *)
-  original : U256.t Umap.t; (* committed values, as first read or last committed *)
-  slot_keys : string Umap.t;
-      (* the [slot_trie_key] each storage-trie read hashed since the last
-         [commit]; the next commit writes those slots under them, so a slot
-         read then written is hashed once, and drops them all *)
-  inherited : U256.t Umap.t option; (* a fork's view of the parent's [original] *)
-  dirty_slots : unit Umap.t;
+  mutable store : store option; (* [None] until the first slot access *)
+  inherited : acct option;
+      (* a fork's record of the parent's account, whose committed slot
+         values are read at lookup time *)
   mutable dirty_acct : bool;
   mutable destructed : bool;
 }
@@ -90,6 +99,8 @@ let obs_commits = Obs.counter "statedb.commits"
 let obs_warm = Obs.counter "statedb.warm.touches"
 let obs_parent_hits = Obs.counter "statedb.fork.parent_hits"
 let obs_slot_key_hashes = Obs.counter "statedb.slot_key_hashes"
+let obs_accounts = Obs.counter "statedb.accounts"
+let obs_storage_tables = Obs.counter "statedb.storage_tables"
 
 let over ?parent bk base =
   {
@@ -143,22 +154,32 @@ let slot_trie_key slot =
 
 (* ---- account fetch / creation ---- *)
 
-let fresh_acct t addr key =
+let new_acct addr key ~nonce ~balance ~code_hash ~storage_base ~inherited =
+  Obs.incr obs_accounts;
   {
     addr;
     key;
-    nonce = 0;
-    balance = U256.zero;
-    code_hash = empty_code_hash;
-    storage_base = Trie.create (Backend.trie_db t.backend);
-    slots = Umap.create 8;
-    original = Umap.create 8;
-    slot_keys = Umap.create 8;
-    inherited = None;
-    dirty_slots = Umap.create 8;
+    nonce;
+    balance;
+    code_hash;
+    storage_base;
+    store = None;
+    inherited;
     dirty_acct = false;
     destructed = false;
   }
+
+let store_of a =
+  match a.store with
+  | Some s -> s
+  | None ->
+    Obs.incr obs_storage_tables;
+    let s =
+      { slots = Umap.create 8; original = Umap.create 8; slot_keys = Umap.create 8;
+        dirty_slots = Umap.create 8 }
+    in
+    a.store <- Some s;
+    s
 
 let load_acct t addr =
   let key = account_trie_key addr in
@@ -168,13 +189,10 @@ let load_acct t addr =
     match Rlp.decode enc with
     | Rlp.List [ nonce; Rlp.Str bal; Rlp.Str sroot; Rlp.Str chash ] ->
       Some
-        {
-          (fresh_acct t addr key) with
-          nonce = Rlp.decode_int nonce;
-          balance = U256.of_bytes_be bal;
-          code_hash = chash;
-          storage_base = Trie.of_root (Backend.trie_db t.backend) sroot;
-        }
+        (new_acct addr key ~nonce:(Rlp.decode_int nonce) ~balance:(U256.of_bytes_be bal)
+           ~code_hash:chash
+           ~storage_base:(Trie.of_root (Backend.trie_db t.backend) sroot)
+           ~inherited:None)
     | _ -> invalid_arg "Statedb: bad account encoding")
 
 (* A fork copies the committed fields of an account its parent has cached:
@@ -185,19 +203,14 @@ let inherit_acct t addr =
   | Some p -> (
     match Address.Tbl.find_opt p.cache addr with
     | None -> load_acct t addr
-    | Some binding ->
+    | Some None ->
       Obs.incr obs_parent_hits;
-      Option.map
-        (fun pa ->
-          {
-            (fresh_acct t addr pa.key) with
-            nonce = pa.nonce;
-            balance = pa.balance;
-            code_hash = pa.code_hash;
-            storage_base = pa.storage_base;
-            inherited = Some pa.original;
-          })
-        binding)
+      None
+    | Some (Some pa as inherited) ->
+      Obs.incr obs_parent_hits;
+      Some
+        (new_acct addr pa.key ~nonce:pa.nonce ~balance:pa.balance ~code_hash:pa.code_hash
+           ~storage_base:pa.storage_base ~inherited))
 
 let get_acct t addr =
   match Address.Tbl.find_opt t.cache addr with
@@ -215,7 +228,12 @@ let get_or_create t addr =
   match get_acct t addr with
   | Some a -> a
   | None ->
-    let a = fresh_acct t addr (account_trie_key addr) in
+    let a =
+      new_acct addr (account_trie_key addr) ~nonce:0 ~balance:U256.zero
+        ~code_hash:empty_code_hash
+        ~storage_base:(Trie.create (Backend.trie_db t.backend))
+        ~inherited:None
+    in
     Address.Tbl.replace t.cache addr (Some a);
     journal_push t (J_create addr);
     a
@@ -247,12 +265,16 @@ let is_empty_account t addr =
 let is_destructed t addr =
   match get_acct t addr with Some a -> a.destructed | None -> false
 
-let storage_read_committed t a slot =
-  match Umap.find_opt a.original slot with
+let storage_read_committed t a s slot =
+  match Umap.find_opt s.original slot with
   | Some v -> v
   | None ->
     touch t (T_slot (a.addr, slot));
-    let inherited = match a.inherited with Some o -> Umap.find_opt o slot | None -> None in
+    let inherited =
+      match a.inherited with
+      | Some { store = Some ps; _ } -> Umap.find_opt ps.original slot
+      | Some { store = None; _ } | None -> None
+    in
     let v =
       match inherited with
       | Some v ->
@@ -260,7 +282,7 @@ let storage_read_committed t a slot =
         v
       | None -> (
         let key = slot_trie_key slot in
-        Umap.replace a.slot_keys slot key;
+        Umap.replace s.slot_keys slot key;
         match Trie.get a.storage_base key with
         | None -> U256.zero
         | Some enc -> (
@@ -268,27 +290,28 @@ let storage_read_committed t a slot =
           | Rlp.Str s -> U256.of_bytes_be s
           | Rlp.List _ -> invalid_arg "Statedb: bad slot encoding"))
     in
-    Umap.replace a.original slot v;
+    Umap.replace s.original slot v;
     v
 
 let get_storage t addr slot =
   match get_acct t addr with
   | None -> U256.zero
   | Some a -> (
-    match Umap.find_opt a.slots slot with
+    let s = store_of a in
+    match Umap.find_opt s.slots slot with
     | Some v ->
       Obs.incr obs_hits;
       v
     | None ->
       Obs.incr obs_misses;
-      let v = storage_read_committed t a slot in
-      Umap.replace a.slots slot v;
+      let v = storage_read_committed t a s slot in
+      Umap.replace s.slots slot v;
       v)
 
 let get_committed_storage t addr slot =
   match get_acct t addr with
   | None -> U256.zero
-  | Some a -> storage_read_committed t a slot
+  | Some a -> storage_read_committed t a (store_of a) slot
 
 (* ---- writes (journaled) ---- *)
 
@@ -327,9 +350,10 @@ let set_code t addr code =
 
 let set_storage t addr slot v =
   let a = get_or_create t addr in
-  journal_push t (J_storage (a, slot, Umap.find_opt a.slots slot));
-  Umap.replace a.slots slot v;
-  Umap.replace a.dirty_slots slot ();
+  let s = store_of a in
+  journal_push t (J_storage (a, slot, Umap.find_opt s.slots slot));
+  Umap.replace s.slots slot v;
+  Umap.replace s.dirty_slots slot ();
   a.dirty_acct <- true
 
 let self_destruct t addr =
@@ -348,7 +372,9 @@ let undo t = function
   | J_nonce (a, n) -> a.nonce <- n
   | J_code (a, h) -> a.code_hash <- h
   | J_storage (a, k, prev) -> (
-    match prev with Some v -> Umap.replace a.slots k v | None -> Umap.remove a.slots k)
+    (* the write built the store, so [store_of] only fetches it *)
+    let s = store_of a in
+    match prev with Some v -> Umap.replace s.slots k v | None -> Umap.remove s.slots k)
   | J_create addr -> Address.Tbl.replace t.cache addr None
   | J_destruct a -> a.destructed <- false
 
@@ -375,29 +401,50 @@ type change = {
   ch_destructed : bool;
 }
 
-(* Accumulator per touched address while scanning the journal suffix. *)
+(* Accumulator per touched address while scanning the journal suffix.  A
+   transaction touches a handful of addresses, so they sit in a list. *)
 type ch_acc = {
+  c_addr : Address.t;
   mutable f_balance : bool;
   mutable f_nonce : bool;
   mutable f_code : bool;
   mutable f_created : bool;
-  slots_written : unit Umap.t;
+  mutable f_slots : U256.t list; (* written slots, newest first, repeats kept *)
 }
+
+(* The written slots, sorted and deduplicated, with their final values. *)
+let final_slots a = function
+  | [] -> []
+  | written ->
+    let ks = Array.of_list written in
+    Array.stable_sort U256.compare ks;
+    let final k =
+      match a.store with
+      | Some s -> Option.value ~default:U256.zero (Umap.find_opt s.slots k)
+      | None -> U256.zero
+    in
+    let last = Array.length ks - 1 in
+    let slots = ref [] in
+    for i = last downto 0 do
+      if i = last || not (U256.equal ks.(i) ks.(i + 1)) then
+        slots := (ks.(i), final ks.(i)) :: !slots
+    done;
+    !slots
 
 let changes_since t snap =
   if snap > t.jlen then invalid_arg "Statedb.changes_since: stale snapshot";
-  let accs : (Address.t, ch_acc) Hashtbl.t = Hashtbl.create 8 in
-  let acc_of addr =
-    match Hashtbl.find_opt accs addr with
-    | Some a -> a
-    | None ->
-      let a =
-        { f_balance = false; f_nonce = false; f_code = false; f_created = false;
-          slots_written = Umap.create 4 }
+  let accs = ref [] in
+  let rec find addr = function
+    | c :: rest -> if Address.equal c.c_addr addr then c else find addr rest
+    | [] ->
+      let c =
+        { c_addr = addr; f_balance = false; f_nonce = false; f_code = false;
+          f_created = false; f_slots = [] }
       in
-      Hashtbl.add accs addr a;
-      a
+      accs := c :: !accs;
+      c
   in
+  let acc_of addr = find addr !accs in
   (* walk the (newest-first) journal down to the snapshot mark *)
   let rec scan n entries =
     if n > 0 then
@@ -408,7 +455,9 @@ let changes_since t snap =
         | J_balance (a, _) -> (acc_of a.addr).f_balance <- true
         | J_nonce (a, _) -> (acc_of a.addr).f_nonce <- true
         | J_code (a, _) -> (acc_of a.addr).f_code <- true
-        | J_storage (a, k, _) -> Umap.replace (acc_of a.addr).slots_written k ()
+        | J_storage (a, k, _) ->
+          let c = acc_of a.addr in
+          c.f_slots <- k :: c.f_slots
         | J_create addr -> (acc_of addr).f_created <- true
         | J_destruct a -> ignore (acc_of a.addr));
         scan (n - 1) rest
@@ -417,30 +466,24 @@ let changes_since t snap =
   (* read the *final* values out of the cache: extraction happens right
      after the execution whose effects we are lifting, with no intervening
      revert, so the cached account state is the post-state *)
-  Hashtbl.fold
-    (fun addr acc changes ->
-      match get_acct t addr with
+  List.fold_left
+    (fun changes c ->
+      match get_acct t c.c_addr with
       | None ->
         (* created then fully reverted inside the window: no net effect *)
         changes
       | Some a ->
-        let slots =
-          Umap.fold
-            (fun k () l -> (k, Option.value ~default:U256.zero (Umap.find_opt a.slots k)) :: l)
-            acc.slots_written []
-        in
-        let slots = List.sort (fun (a, _) (b, _) -> U256.compare a b) slots in
         {
-          ch_addr = addr;
-          ch_balance = (if acc.f_balance then Some a.balance else None);
-          ch_nonce = (if acc.f_nonce then Some a.nonce else None);
-          ch_code_hash = (if acc.f_code then Some a.code_hash else None);
-          ch_slots = slots;
-          ch_created = acc.f_created;
+          ch_addr = c.c_addr;
+          ch_balance = (if c.f_balance then Some a.balance else None);
+          ch_nonce = (if c.f_nonce then Some a.nonce else None);
+          ch_code_hash = (if c.f_code then Some a.code_hash else None);
+          ch_slots = final_slots a c.f_slots;
+          ch_created = c.f_created;
           ch_destructed = a.destructed;
         }
         :: changes)
-    accs []
+    [] !accs
   |> List.sort (fun a b -> Address.compare a.ch_addr b.ch_addr)
 
 let set_code_hash t addr h =
@@ -471,21 +514,25 @@ let apply_changes t changes =
 
 let commit_acct t a =
   (* Flush dirty slots into the storage trie. *)
-  let dirty = Umap.fold (fun k () acc -> k :: acc) a.dirty_slots [] in
-  List.iter
-    (fun k ->
-      match Umap.find_opt a.slots k with
-      | None -> ()
-      | Some v ->
-        let key =
-          match Umap.find_opt a.slot_keys k with Some key -> key | None -> slot_trie_key k
-        in
-        (if U256.is_zero v then a.storage_base <- Trie.remove a.storage_base key
-         else
-           a.storage_base <- Trie.set a.storage_base key (Rlp.encode (Rlp.Str (u256_min_be v))));
-        Umap.replace a.original k v)
-    dirty;
-  Umap.reset a.dirty_slots;
+  (match a.store with
+  | None -> ()
+  | Some s ->
+    let dirty = Umap.fold (fun k () acc -> k :: acc) s.dirty_slots [] in
+    List.iter
+      (fun k ->
+        match Umap.find_opt s.slots k with
+        | None -> ()
+        | Some v ->
+          let key =
+            match Umap.find_opt s.slot_keys k with Some key -> key | None -> slot_trie_key k
+          in
+          (if U256.is_zero v then a.storage_base <- Trie.remove a.storage_base key
+           else
+             a.storage_base <-
+               Trie.set a.storage_base key (Rlp.encode (Rlp.Str (u256_min_be v))));
+          Umap.replace s.original k v)
+      dirty;
+    Umap.reset s.dirty_slots);
   a.storage_base <- Trie.commit a.storage_base;
   let empty =
     a.nonce = 0 && U256.is_zero a.balance && a.code_hash = empty_code_hash
@@ -512,8 +559,11 @@ let commit t =
           Address.Tbl.replace t.cache addr None
         end
         else begin
-          if a.dirty_acct || Umap.length a.dirty_slots > 0 then commit_acct t a;
-          Umap.reset a.slot_keys
+          match a.store with
+          | None -> if a.dirty_acct then commit_acct t a
+          | Some s ->
+            if a.dirty_acct || Umap.length s.dirty_slots > 0 then commit_acct t a;
+            Umap.reset s.slot_keys
         end)
     bindings;
   t.base <- Trie.commit t.base;

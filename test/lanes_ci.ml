@@ -236,7 +236,7 @@ let fuzz () =
    sat in the pool), so the speculative phase runs the fast path and
    conflicts surface at commit.  The parallel root must equal the
    sequential root, which must equal the miner's header root, for every
-   block. *)
+   block.  Returns the record and its canonical blocks. *)
 let record_workload ~name ~seed ~n_users mix =
   let params =
     { Netsim.Sim.default_params with seed; duration = 60.0; tx_rate = 14.0; n_users; mix }
@@ -319,7 +319,50 @@ let record_workload ~name ~seed ~n_users mix =
       (* creations are built and served like calls *)
       if name = "mixed" && !creations > 0 && !served_creations = 0 then
         fail "parallel-ci: no mixed contract creation committed through its AP")
-    [ false; true ]
+    [ false; true ];
+  (record, blocks)
+
+(* Minor words per transaction of the sequential apply and of the inline
+   parallel apply (a jobs=1 pool) over the transfer recording's blocks,
+   with Obs off.  On one domain both counts are deterministic (1556 and
+   2330).  These transactions touch no storage, so each bound fails if
+   an account record builds storage tables before its first slot access
+   (1772 and 3019 words then) or effect extraction builds a table per
+   touched address. *)
+let max_seq_words_per_tx = 1650.0
+let max_par_words_per_tx = 2500.0
+
+let words_gate ((record : Netsim.Record.t), blocks) =
+  let bk = record.backend in
+  let pool = Chain.Stf.create_pool ~jobs:1 () in
+  Fun.protect ~finally:(fun () -> Chain.Stf.shutdown_pool pool) @@ fun () ->
+  let words f =
+    let w0 = Gc.minor_words () in
+    ignore (Sys.opaque_identity (f ()));
+    Gc.minor_words () -. w0
+  in
+  let seq = ref 0.0 and par = ref 0.0 and txs = ref 0 in
+  let parent = ref record.genesis_root in
+  List.iter
+    (fun (b : Chain.Block.t) ->
+      let root = !parent in
+      let benv = Chain.Stf.block_env_of_header b.header ~block_hash:Netsim.Record.block_hash in
+      let ap = Runner.block_aps (State.Statedb.create bk ~root) benv b.txs in
+      seq := !seq +. words (fun () -> Chain.Stf.apply_txs (State.Statedb.create bk ~root) benv b.txs);
+      par :=
+        !par
+        +. words (fun () ->
+               Chain.Stf.apply_txs_parallel ~pool ~ap (State.Statedb.create bk ~root) benv b.txs);
+      txs := !txs + List.length b.txs;
+      parent := b.header.state_root)
+    blocks;
+  let seq = !seq /. float_of_int !txs and par = !par /. float_of_int !txs in
+  Printf.printf
+    "parallel-ci: transfer minor words per tx: sequential apply %.0f (bound %.0f), inline \
+     parallel apply %.0f (bound %.0f)\n%!"
+    seq max_seq_words_per_tx par max_par_words_per_tx;
+  if seq > max_seq_words_per_tx || par > max_par_words_per_tx then
+    fail "parallel-ci: transfer apply allocates above its words-per-tx bound"
 
 let parallel () =
   let lanes = [ Runner.Apply ] in
@@ -334,10 +377,13 @@ let parallel () =
   if t.aborted = 0 then fail "parallel-ci: the Apply sweep aborted no transaction at commit";
   (* disjoint transfers over 2000 users barely conflict; AMM swaps all
      serialize on one pair's reserves; the default mix sits between *)
-  record_workload ~name:"transfer" ~seed:7001 ~n_users:2000
-    [ (Workload.Gen.Eth_transfer, 1.0) ];
-  record_workload ~name:"amm" ~seed:7002 ~n_users:120 [ (Workload.Gen.Amm_swap, 1.0) ];
-  record_workload ~name:"mixed" ~seed:7003 ~n_users:120 Workload.Gen.default_mix;
+  let transfer =
+    record_workload ~name:"transfer" ~seed:7001 ~n_users:2000
+      [ (Workload.Gen.Eth_transfer, 1.0) ]
+  in
+  ignore (record_workload ~name:"amm" ~seed:7002 ~n_users:120 [ (Workload.Gen.Amm_swap, 1.0) ]);
+  ignore (record_workload ~name:"mixed" ~seed:7003 ~n_users:120 Workload.Gen.default_mix);
+  words_gate transfer;
   print_string "parallel-ci: parallel apply = sequential apply everywhere\n"
 
 let analysis () =

@@ -565,4 +565,128 @@ let property_tests =
                 (U256.logand v (U256.shift_right U256.max_value 96))))
   ]
 
-let suite = unit_tests @ more_tests @ fork_tests @ key_tests @ (key_property :: property_tests)
+(* Allocation ratchets, Obs off: the minor words of one read.  An account
+   record holds no storage table until its first slot access, and a fork's
+   record of an account its parent has cached copies the parent's fields.
+   Records that build their tables at load take 295 and 138 words for the
+   first two reads.  A load plus the first slot read is bounded by what
+   it cost with tables built at load, 371 words. *)
+let words f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+let accounts = Obs.counter "statedb.accounts"
+let storage_tables = Obs.counter "statedb.storage_tables"
+
+let load st a () =
+  ignore (Statedb.get_balance st a);
+  ignore (Statedb.get_nonce st a)
+
+let ratchet name ~bound w =
+  Alcotest.(check bool) (Printf.sprintf "%s: %.0f words (bound %.0f)" name w bound) true (w <= bound)
+
+(* A window's change records, printed for comparison. *)
+let show (c : Statedb.change) =
+  let opt f = function Some v -> f v | None -> "-" in
+  Printf.sprintf "%s bal=%s nonce=%s code=%s slots=[%s] created=%b destructed=%b"
+    (Address.to_hex c.ch_addr) (opt U256.to_hex c.ch_balance) (opt string_of_int c.ch_nonce)
+    (opt Khash.Keccak.to_hex c.ch_code_hash)
+    (String.concat ";"
+       (List.map (fun (k, v) -> U256.to_hex k ^ "=" ^ U256.to_hex v) c.ch_slots))
+    c.ch_created c.ch_destructed
+
+let change ?balance ?nonce ?(slots = []) ?(created = false) addr =
+  show
+    {
+      Statedb.ch_addr = addr;
+      ch_balance = Option.map u balance;
+      ch_nonce = nonce;
+      ch_code_hash = None;
+      ch_slots = List.map (fun (k, v) -> (u k, u v)) slots;
+      ch_created = created;
+      ch_destructed = false;
+    }
+
+let lazy_tests =
+  [ t "a cold read of a codeless account builds no storage table" (fun () ->
+        let bk, root, _ = forked_world () in
+        let st = Statedb.create bk ~root in
+        ratchet "balance and nonce" ~bound:200.0 (words (load st a2));
+        Alcotest.(check (pair int int)) "one record, no table" (1, 0)
+          (let st = Statedb.create bk ~root in
+           let tables = ref 0 in
+           let built = counting accounts (fun () -> tables := counting storage_tables (load st a2)) in
+           (built, !tables)));
+    t "a fork's first read of a parent-cached account copies its fields" (fun () ->
+        let _, _, parent = forked_world () in
+        let f = Statedb.fork parent in
+        ratchet "balance and nonce" ~bound:40.0 (words (load f a2)));
+    t "an account's first slot read pays for its storage tables" (fun () ->
+        let bk, root, _ = forked_world () in
+        let st = Statedb.create bk ~root in
+        let loaded = words (load st a1) in
+        let slot = words (fun () -> ignore (Statedb.get_storage st a1 (u 5))) in
+        ratchet "load, then first slot read" ~bound:371.0 (loaded +. slot);
+        Alcotest.(check int) "the slot read built the tables" 1
+          (let st = Statedb.create bk ~root in
+           load st a1 ();
+           counting storage_tables (fun () -> ignore (Statedb.get_storage st a1 (u 5)))));
+    t "changes_since reports a window's net effects exactly" (fun () ->
+        let bk, root, _ = forked_world () in
+        let st = Statedb.create bk ~root in
+        let coinbase = Address.of_int 0xC0 in
+        Statedb.set_storage st a2 (u 1) (u 11);
+        let mark = Statedb.snapshot st in
+        (* one slot written several times, one zeroed *)
+        List.iter (fun v -> Statedb.set_storage st a1 (u 5) (u v)) [ 1; 2; 3 ];
+        Statedb.set_storage st a1 (u 9) U256.zero;
+        Statedb.incr_nonce st a1;
+        (* inner writes a nested snapshot reverts *)
+        let inner = Statedb.snapshot st in
+        Statedb.set_storage st a1 (u 6) (u 600);
+        Statedb.set_balance st a2 U256.zero;
+        Statedb.revert st inner;
+        (* an account created, then reverted *)
+        let created = Statedb.snapshot st in
+        Statedb.set_balance st a3 (u 3);
+        Statedb.set_storage st a3 (u 1) (u 1);
+        Statedb.revert st created;
+        (* the coinbase credit *)
+        Statedb.add_balance st coinbase (u 21);
+        Alcotest.(check (list string)) "records"
+          [ change a1 ~nonce:1 ~slots:[ (5, 3); (9, 0) ];
+            change coinbase ~balance:21 ~created:true ]
+          (List.map show (Statedb.changes_since st mark)));
+    t "changes_since dedupes 10,000 written slots in n log n" (fun () ->
+        let _, st = fresh () in
+        let n = 10_000 in
+        (* every slot written twice, in a scattered order; the CPU bound is
+           about ten times what sort-and-unique takes, and a quadratic
+           list-scan dedupe takes about forty times *)
+        for round = 0 to 1 do
+          for i = 0 to n - 1 do
+            let k = (i * 7919) mod n in
+            Statedb.set_storage st a1 (u k) (u (k + round))
+          done
+        done;
+        let changes = ref [] in
+        let cpu = ref infinity and w = ref 0.0 in
+        for _ = 1 to 3 do
+          let t0 = Sys.time () in
+          w := words (fun () -> changes := Statedb.changes_since st 0);
+          cpu := Float.min !cpu (Sys.time () -. t0)
+        done;
+        (match !changes with
+        | [ c ] ->
+          Alcotest.(check int) "slots" n (List.length c.ch_slots);
+          Alcotest.(check bool) "sorted, final values" true
+            (List.for_all2
+               (fun i (k, v) -> U256.equal k (u i) && U256.equal v (u (i + 1)))
+               (List.init n Fun.id) c.ch_slots)
+        | l -> Alcotest.failf "%d records, want 1" (List.length l));
+        Alcotest.(check bool) (Printf.sprintf "%.1f ms of CPU" (!cpu *. 1e3)) true (!cpu < 0.1);
+        ratchet "words per written slot" ~bound:15.0 (!w /. float_of_int (2 * n))) ]
+
+let suite =
+  unit_tests @ more_tests @ fork_tests @ key_tests @ (key_property :: property_tests) @ lazy_tests
