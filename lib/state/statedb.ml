@@ -133,18 +133,58 @@ let journal_push t e =
   t.jlen <- t.jlen + 1;
   if !Obs.enabled then Obs.set_max obs_journal_depth (float_of_int t.jlen)
 
-(* ---- account encoding in the accounts trie ---- *)
+(* ---- account records and slot values, written and read in place ----
+   An account record is the list [nonce; balance; storage root; code hash]
+   and a slot value one string; each U256 is its minimal big-endian bytes.
+   Both are sized, then written into one buffer, and read without an
+   [Rlp.item] tree, through the readers [Rlp.decode] reads through. *)
 
-let u256_min_be v =
-  let b = U256.to_bytes_be v in
-  let n = U256.byte_size v in
-  String.sub b (32 - n) n
+let byte_0x80 = U256.of_int 0x80
+
+(* [v] as an RLP string of its [n = U256.byte_size v] bytes: under a
+   header, unless it is one byte below 0x80. *)
+let u256_headed v n = not (n = 1 && U256.lt v byte_0x80)
+let u256_size v n = (if u256_headed v n then Rlp.header_len n else 0) + n
+
+let put_u256 b pos v n =
+  let pos = if u256_headed v n then Rlp.put_header b pos 0x80 n else pos in
+  U256.blit_be v (32 - n) b pos n;
+  pos + n
 
 let encode_account a storage_root =
-  Rlp.encode
-    (Rlp.List
-       [ Rlp.encode_int a.nonce; Rlp.Str (u256_min_be a.balance); Rlp.Str storage_root;
-         Rlp.Str a.code_hash ])
+  let nb = U256.byte_size a.balance in
+  let payload =
+    Rlp.int_size a.nonce + u256_size a.balance nb + Rlp.str_size storage_root
+    + Rlp.str_size a.code_hash
+  in
+  let b = Bytes.create (Rlp.header_len payload + payload) in
+  let pos = Rlp.put_int b (Rlp.put_header b 0 0xc0 payload) a.nonce in
+  let pos = Rlp.put_str b (put_u256 b pos a.balance nb) storage_root in
+  ignore (Rlp.put_str b pos a.code_hash);
+  Bytes.unsafe_to_string b
+
+let encode_slot v =
+  let n = U256.byte_size v in
+  let b = Bytes.create (u256_size v n) in
+  ignore (put_u256 b 0 v n);
+  Bytes.unsafe_to_string b
+
+(* A record of another shape raises what decoding it raises, and [what]
+   when it decodes. *)
+let bad_record what enc =
+  ignore (Rlp.decode enc);
+  invalid_arg what
+
+let bad_account = "Statedb: bad account encoding"
+
+(* The end of the account record's string item at [pos]. *)
+let field_end enc pos =
+  let n = String.length enc in
+  if pos >= n || Rlp.is_list enc pos then bad_record bad_account enc else Rlp.item_end enc pos n
+
+let field enc pos stop =
+  let a = Rlp.payload_start enc pos in
+  String.sub enc a (stop - a)
 
 let account_trie_key addr = Khash.Keccak.digest (Address.to_bytes addr)
 
@@ -185,15 +225,25 @@ let load_acct t addr =
   let key = account_trie_key addr in
   match Trie.get t.base key with
   | None -> None
-  | Some enc -> (
-    match Rlp.decode enc with
-    | Rlp.List [ nonce; Rlp.Str bal; Rlp.Str sroot; Rlp.Str chash ] ->
-      Some
-        (new_acct addr key ~nonce:(Rlp.decode_int nonce) ~balance:(U256.of_bytes_be bal)
-           ~code_hash:chash
-           ~storage_base:(Trie.of_root (Backend.trie_db t.backend) sroot)
-           ~inherited:None)
-    | _ -> invalid_arg "Statedb: bad account encoding")
+  | Some enc ->
+    let n = String.length enc in
+    if n = 0 || not (Rlp.is_list enc 0) || Rlp.item_end enc 0 n <> n then
+      bad_record bad_account enc;
+    let p0 = Rlp.payload_start enc 0 in
+    let p1 = Rlp.item_end enc p0 n in
+    let p2 = field_end enc p1 in
+    let p3 = field_end enc p2 in
+    let p4 = field_end enc p3 in
+    if p4 <> n then bad_record bad_account enc;
+    (* a list nonce fails as [Rlp.decode_int] fails on it, after the
+       balance; any malformed item inside it raises first *)
+    if Rlp.is_list enc p0 then ignore (Rlp.decode enc);
+    let a1 = Rlp.payload_start enc p1 in
+    let balance = U256.of_bytes_be ~off:a1 ~len:(p2 - a1) enc in
+    Some
+      (new_acct addr key ~nonce:(Rlp.int_at enc p0 p1) ~balance ~code_hash:(field enc p3 p4)
+         ~storage_base:(Trie.of_root (Backend.trie_db t.backend) (field enc p2 p3))
+         ~inherited:None)
 
 (* A fork copies the committed fields of an account its parent has cached:
    the parent is clean, so its cached fields are the committed ones. *)
@@ -285,10 +335,12 @@ let storage_read_committed t a s slot =
         Umap.replace s.slot_keys slot key;
         match Trie.get a.storage_base key with
         | None -> U256.zero
-        | Some enc -> (
-          match Rlp.decode enc with
-          | Rlp.Str s -> U256.of_bytes_be s
-          | Rlp.List _ -> invalid_arg "Statedb: bad slot encoding"))
+        | Some enc ->
+          let n = String.length enc in
+          if n = 0 || Rlp.is_list enc 0 || Rlp.item_end enc 0 n <> n then
+            bad_record "Statedb: bad slot encoding" enc;
+          let a = Rlp.payload_start enc 0 in
+          U256.of_bytes_be ~off:a ~len:(n - a) enc)
     in
     Umap.replace s.original slot v;
     v
@@ -528,8 +580,7 @@ let commit_acct t a =
           in
           (if U256.is_zero v then a.storage_base <- Trie.remove a.storage_base key
            else
-             a.storage_base <-
-               Trie.set a.storage_base key (Rlp.encode (Rlp.Str (u256_min_be v))));
+             a.storage_base <- Trie.set a.storage_base key (encode_slot v));
           Umap.replace s.original k v)
       dirty;
     Umap.reset s.dirty_slots);

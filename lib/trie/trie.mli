@@ -11,11 +11,25 @@
     unhashed.  {!commit} encodes each dirty node once, bottom-up, and stores
     it; intermediate nodes that a later write replaced are never stored.
 
+    A write through a stored branch or extension does not decode it: the
+    node keeps its stored encoding plus the children the writes replaced,
+    and {!commit} copies the encoding and writes each new 32-byte child hash
+    over the old one.  An overwrite that ends at a stored leaf with the same
+    path builds the new leaf without reading the old one; a {!remove}
+    through a stored branch whose child stays non-empty splices too.  Only
+    a layout change decodes a stored node: a leaf or extension split, a
+    branch value set or removed, a child added where the branch has none
+    or emptied, and a {!remove} through a leaf or extension.  {!fold}
+    decodes every node it visits.
+
     Lookups walk the trie from the root.  A stored node is read in place:
-    the walk skips item headers to the one child or value the next key
-    nibble selects, without decoding the rest.  The {!Db} counts node loads,
-    which stand in for the LevelDB I/O that dominates cold state access in
-    geth; dirty nodes cost no loads. *)
+    one pass over its items, with {!Rlp.decode}'s checks, finds the child or
+    value the next key nibble selects, without decoding the rest.  Writes
+    make the same one pass over each stored node on their path.  The {!Db}
+    counts node loads, which stand in for the LevelDB I/O that dominates
+    cold state access in geth; dirty nodes cost no loads.  The Obs counters
+    [trie.node_decodes] and [trie.node_splices] count stored nodes decoded
+    and writes that went through a stored node without decoding it. *)
 
 module Db : sig
   type t

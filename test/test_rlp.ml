@@ -128,4 +128,101 @@ let property_tests =
              pos + n = Bytes.length b && String.equal (Bytes.to_string b) (encode item)))
   ]
 
-let suite = unit_tests @ property_tests
+(* ---- the encoder and the in-place readers against [Rlp_ref] ---- *)
+
+(* Items with strings on both sides of the short/long header boundary (55
+   and 56 bytes), so lists reach long headers too. *)
+let arb_wide_item =
+  let open QCheck.Gen in
+  let str =
+    map (fun s -> Str s) (string_size (oneof [ int_bound 3; int_bound 60; int_range 54 300 ]))
+  in
+  let rec gen depth =
+    if depth = 0 then str
+    else
+      frequency
+        [ (3, str); (1, map (fun l -> List l) (list_size (int_bound 6) (gen (depth - 1)))) ]
+  in
+  QCheck.make ~print:(Fmt.to_to_string pp) (gen 3)
+
+(* The item at [pos], read through the in-place readers alone. *)
+let rec read s pos limit =
+  let stop = item_end s pos limit in
+  let a = payload_start s pos in
+  if is_list s pos then begin
+    let rec items acc p =
+      if p = stop then List.rev acc
+      else
+        let it, p' = read s p stop in
+        items (it :: acc) p'
+    in
+    (List (items [] a), stop)
+  end
+  else (Str (String.sub s a (stop - a)), stop)
+
+let read_whole s =
+  let item, stop = read s 0 (String.length s) in
+  if stop <> String.length s then raise (Decode_error "trailing bytes");
+  item
+
+(* [Some item] when accepted, [None] when rejected with [Decode_error]. *)
+let outcome f s = match f s with item -> Some item | exception Decode_error _ -> None
+
+(* The readers, [decode] and the reference decoder accept the same inputs
+   and read the same items out of them. *)
+let agree s =
+  let r = outcome read_whole s in
+  let same a b =
+    match (a, b) with Some x, Some y -> item_equal x y | None, None -> true | _ -> false
+  in
+  same r (outcome decode s) && same r (outcome Rlp_ref.decode s)
+
+(* Every prefix of [s], [s] itself, and [s] with one more byte. *)
+let truncations s = List.init (String.length s + 1) (fun k -> String.sub s 0 k) @ [ s ^ "\x00" ]
+
+let reader_tests =
+  [ QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:500 ~name:"encode equals the reference encoder" arb_wide_item
+         (fun item -> String.equal (encode item) (Rlp_ref.encode item)));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:300 ~name:"encode_int equals the reference"
+         QCheck.(oneof [ int_bound 300; map abs int; oneofl [ 0; 0x7f; 0x80; max_int ] ])
+         (fun n -> item_equal (encode_int n) (Rlp_ref.encode_int n)));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:300 ~name:"readers agree with decode on every truncation"
+         arb_wide_item (fun item -> List.for_all agree (truncations (encode item))));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:1000 ~name:"readers agree with decode on arbitrary bytes"
+         (* random bytes, with the header bytes at each boundary overweighted *)
+         QCheck.(
+           string_gen_of_size
+             Gen.(int_bound 24)
+             Gen.(
+               oneof
+                 [ char;
+                   oneofl
+                     [ '\x00'; '\x01'; '\x38'; '\x80'; '\x81'; '\xa0'; '\xb8'; '\xb9'; '\xc0';
+                       '\xc1'; '\xf8'; '\xf9' ] ]))
+         agree);
+    t "readers agree with decode on non-minimal forms" (fun () ->
+        List.iter
+          (fun (name, enc) ->
+            Alcotest.(check bool) name true (List.for_all agree (truncations enc)))
+          (Test_trie.malformed
+          @ [ ("0x05 under a header", "\x81\x05");
+              ("short length in a long header", "\xb8\x01v");
+              ("leading zero length", "\xb9\x00\x38" ^ String.make 56 'v');
+              ("list with a leading zero length", "\xf9\x00\x38" ^ String.make 56 '\x01') ]));
+    t "int_at reads as the reference decode_int does" (fun () ->
+        let int f s = match f s with n -> Some n | exception Decode_error _ -> None in
+        List.iter
+          (fun s ->
+            let r = int (fun s -> let e = encode (Str s) in int_at e 0 (String.length e)) s in
+            let d = int (fun s -> Rlp_ref.decode_int (Str s)) s in
+            Alcotest.(check (option int)) (Khash.Keccak.to_hex s) d r)
+          [ ""; "\x00"; "\x01"; "\x00\x01"; "\x7f\xff"; String.make 8 '\x7f'; String.make 8 '\xff';
+            String.make 9 '\x01' ];
+        Alcotest.(check bool) "a list raises" true
+          (match int_at "\xc1\x01" 0 2 with _ -> false | exception Decode_error _ -> true)) ]
+
+let suite = unit_tests @ property_tests @ reader_tests

@@ -388,4 +388,187 @@ let codec_tests =
               (raises (fun () -> Trie.set tr "k" "x")))
           malformed) ]
 
-let suite = unit_tests @ golden_tests @ property_tests @ codec_tests
+(* ---- writes through stored nodes ----
+   After a commit, a write through a stored branch or extension splices the
+   new child's hash into the stored encoding; only a layout change decodes
+   the node.  Each case checks the root against [Trie_ref], every lookup
+   and near miss, and [fold], on the dirty handle and once committed. *)
+
+let decodes = Obs.counter "trie.node_decodes"
+let splices = Obs.counter "trie.node_splices"
+
+(* [f ()] with Obs on, and the stored-node decodes and splices it made. *)
+let counted f =
+  let was = !Obs.enabled in
+  Obs.set_enabled true;
+  let d0 = Obs.count decodes and s0 = Obs.count splices in
+  let r = Fun.protect ~finally:(fun () -> Obs.set_enabled was) f in
+  (r, Obs.count decodes - d0, Obs.count splices - s0)
+
+let of_model m = SMap.fold (fun k v tr -> Trie.set tr k v) m (fresh ())
+
+let check_model name m tr =
+  let bindings tr = List.sort compare (Trie.fold tr ~init:[] ~f:(fun acc k v -> (k, v) :: acc)) in
+  List.iter
+    (fun (side, tr) ->
+      let name = name ^ " (" ^ side ^ ")" in
+      Alcotest.(check (list (pair string string))) (name ^ ": fold") (SMap.bindings m) (bindings tr);
+      SMap.iter
+        (fun k _ ->
+          List.iter
+            (fun k' ->
+              Alcotest.(check (option string)) (name ^ ": get " ^ hex k') (SMap.find_opt k' m)
+                (Trie.get tr k'))
+            (if k = "" then [ k ] else k :: near_misses k))
+        m;
+      Alcotest.(check string) (name ^ ": root") (hex (Trie_ref.root (SMap.bindings m)))
+        (hex (Trie.root_hash tr)))
+    [ ("dirty", tr); ("committed", Trie.commit tr) ]
+
+(* Apply [ops] to the trie and to the model alike. *)
+let apply_ops (tr, m) ops =
+  List.fold_left
+    (fun (tr, m) op ->
+      match op with
+      | `Set (k, v) -> (Trie.set tr k v, SMap.add k v m)
+      | `Remove k -> (Trie.remove tr k, SMap.remove k m))
+    (tr, m) ops
+
+let splice_key i = Khash.Keccak.digest ("splice" ^ string_of_int i)
+
+(* 300 keccak keys: a full root branch over full second-level branches. *)
+let splice_base () =
+  let m = SMap.of_seq (Seq.init 300 (fun i -> (splice_key i, String.make (1 + (i mod 40)) 'b'))) in
+  (Trie.commit (of_model m), m)
+
+(* [k] with its first nibble set to [n]. *)
+let with_nibble n k =
+  String.mapi (fun i c -> if i = 0 then Char.chr ((n lsl 4) lor (Char.code c land 0xf)) else c) k
+
+let splice_tests =
+  [ t "overwrites through stored branches decode no node" (fun () ->
+        let base, m = splice_base () in
+        let ops = List.init 40 (fun i -> `Set (splice_key (7 * i), "new" ^ string_of_int i)) in
+        let (tr, m), d, s = counted (fun () -> apply_ops (base, m) ops) in
+        Alcotest.(check int) "decodes" 0 d;
+        Alcotest.(check bool) (Printf.sprintf "%d splices, two or more per write" s) true (s >= 80);
+        check_model "overwrites" m tr);
+    t "sets and removes through stored branches" (fun () ->
+        let base, m = splice_base () in
+        let ops =
+          List.concat
+            (List.init 30 (fun i ->
+                 [ `Set (splice_key (300 + i), "fresh"); `Remove (splice_key (10 * i));
+                   `Set (splice_key ((10 * i) + 3), String.make 60 'o') ]))
+        in
+        let (tr, m), _, s = counted (fun () -> apply_ops (base, m) ops) in
+        Alcotest.(check bool) "splices" true (s > 0);
+        check_model "sets and removes" m tr;
+        (* and again through the patched, still dirty nodes *)
+        let more = List.init 30 (fun i -> `Set (splice_key ((10 * i) + 4), "again")) in
+        let tr, m = apply_ops (tr, m) (more @ List.init 10 (fun i -> `Remove (splice_key (300 + i)))) in
+        check_model "second window" m tr);
+    t "a child added where the item was 0x80, and a branch collapsing to one child" (fun () ->
+        let tail i = String.sub (Khash.Keccak.digest (string_of_int i)) 1 31 in
+        let a = "\x11" ^ tail 0 and b = "\x12" ^ tail 1 and c = "\x20" ^ tail 2 in
+        let m = SMap.of_seq (List.to_seq [ (a, "a"); (b, "b"); (c, "c") ]) in
+        let base = Trie.commit (of_model m) in
+        (* the root's item for nibble 5 is 0x80: a layout change *)
+        let e = "\x50" ^ tail 3 in
+        let (tr, m'), d, _ = counted (fun () -> apply_ops (base, m) [ `Set (e, "e") ]) in
+        Alcotest.(check int) "the root decoded" 1 d;
+        check_model "child added" m' tr;
+        (* removing b leaves its branch one child: it folds into a leaf,
+           and the root takes the new child by a splice *)
+        let (tr, m'), _, s = counted (fun () -> apply_ops (base, m) [ `Remove b ]) in
+        Alcotest.(check int) "root spliced" 1 s;
+        check_model "collapse under the root" m' tr;
+        (* then the root itself is left one child *)
+        let tr, m' = apply_ops (tr, m') [ `Remove c ] in
+        check_model "collapse of the root" m' tr);
+    t "branch values through stored nodes" (fun () ->
+        let m =
+          SMap.of_seq
+            (List.to_seq
+               [ ("", "root"); ("\x01", "one"); ("\x01\x02", "two"); ("\x01\x03", "three");
+                 ("\x01\x03\x04", String.make 50 'f'); ("\x02", "x") ])
+        in
+        let base = Trie.commit (of_model m) in
+        List.iter
+          (fun (name, ops) ->
+            let tr, m = apply_ops (base, m) ops in
+            check_model name m tr)
+          [ ("root value overwritten", [ `Set ("", "ROOT") ]);
+            ("inner value overwritten", [ `Set ("\x01", "ONE") ]);
+            ("child under a valued branch", [ `Set ("\x01\x03\x04", "deep") ]);
+            ("new child under a valued branch", [ `Set ("\x01\x05", "five") ]);
+            ("inner value removed", [ `Remove "\x01" ]);
+            ("root value removed", [ `Remove "" ]);
+            ("value added to a stored branch", [ `Set ("\x01\x03\x04\x05", "v"); `Set ("\x01\x03\x04", "w") ]);
+            ("children removed around a value", [ `Remove "\x01\x02"; `Remove "\x01\x03\x04" ]) ]);
+    t "overwriting and then removing one key inside one window" (fun () ->
+        let base, m = splice_base () in
+        let k = splice_key 42 in
+        let tr, m' = apply_ops (base, m) [ `Set (k, "over"); `Remove k ] in
+        check_model "overwrite, remove" m' tr;
+        let tr, m' = apply_ops (base, m) [ `Set (k, "over"); `Remove k; `Set (k, "back") ] in
+        check_model "overwrite, remove, set" m' tr;
+        let fresh_k = splice_key 1000 in
+        let tr, m' =
+          apply_ops (base, m) [ `Set (fresh_k, "new"); `Set (fresh_k, "newer"); `Remove fresh_k ]
+        in
+        check_model "insert, overwrite, remove" m' tr);
+    t "fold over a dirty trie" (fun () ->
+        let base, m = splice_base () in
+        let ops =
+          List.init 50 (fun i ->
+              if i mod 5 = 0 then `Remove (splice_key i) else `Set (splice_key i, "f"))
+        in
+        let tr, m = apply_ops (base, m) ops in
+        Alcotest.(check (list (pair string string))) "bindings" (SMap.bindings m)
+          (List.sort compare (Trie.fold tr ~init:[] ~f:(fun acc k v -> (k, v) :: acc))));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:200 ~name:"the dirty handle reads like the model" arb_codec_ops
+         (fun ops ->
+           let tr, model =
+             List.fold_left
+               (fun (tr, m) op ->
+                 match op with
+                 | `Set (k, v) -> (Trie.set tr k v, SMap.add k v m)
+                 | `Remove k -> (Trie.remove tr k, SMap.remove k m)
+                 | `Commit -> (Trie.commit tr, m))
+               (fresh (), SMap.empty) ops
+           in
+           SMap.for_all
+             (fun k _ ->
+               List.for_all (fun k' -> Trie.get tr k' = SMap.find_opt k' model) (k :: near_misses k))
+             model
+           && List.sort compare (Trie.fold tr ~init:[] ~f:(fun acc k v -> (k, v) :: acc))
+              = SMap.bindings model));
+    t "writes after a commit reach each malformed node and raise" (fun () ->
+        (* a stored root branch whose nibble 1 holds a good leaf and nibble 2
+           the malformed node *)
+        let k1 = with_nibble 1 (splice_key 0) and k2 = with_nibble 2 (splice_key 1) in
+        List.iter
+          (fun (name, enc) ->
+            let db = Trie.Db.create () in
+            let leaf = Trie_ref.Leaf (Trie_ref.drop 1 (Trie_ref.to_nibbles k1), "v1") in
+            let good = Trie.Db.put db (Trie_ref.encode_node (fun _ -> "") leaf) in
+            let bad = Trie.Db.put db enc in
+            let items =
+              List.init 16 (fun i -> Rlp.Str (if i = 1 then good else if i = 2 then bad else ""))
+            in
+            let root = Rlp.encode (Rlp.List (items @ [ Rlp.Str "" ])) in
+            let tr = Trie.of_root db (Trie.Db.put db root) in
+            Alcotest.(check (option string)) (name ^ ": good leaf") (Some "v1") (Trie.get tr k1);
+            let patched = Trie.set tr k1 "v2" in
+            Alcotest.(check (option string)) (name ^ ": spliced leaf") (Some "v2") (Trie.get patched k1);
+            List.iter
+              (fun (what, f) -> Alcotest.(check bool) (name ^ ": " ^ what) true (raises f))
+              [ ("set", fun () -> ignore (Trie.set tr k2 "x"));
+                ("set through a patch", fun () -> ignore (Trie.set patched k2 "x"));
+                ("get through a patch", fun () -> ignore (Trie.get patched k2));
+                ("remove through a patch", fun () -> ignore (Trie.remove patched k2)) ])
+          malformed) ]
+
+let suite = unit_tests @ golden_tests @ property_tests @ codec_tests @ splice_tests

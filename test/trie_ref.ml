@@ -1,6 +1,6 @@
 (* Reference Merkle-Patricia root for the codec tests in [Test_trie]: the
    node encoding built as an [Rlp.item] tree with a separate hex-prefix
-   pass, and a root computed from the sorted bindings alone, with no
+   pass and encoded by [Rlp_ref], and a root computed from the sorted bindings alone, with no
    writes, deletes or commits.  [Trie.root_hash] must agree with it byte
    for byte.  As in [Trie], every node is stored by its hash, including
    nodes shorter than 32 bytes. *)
@@ -41,12 +41,12 @@ let hp_encode nibbles is_leaf =
 (* [child] gives the hash a child reference is encoded as. *)
 let encode_node child = function
   | Empty -> invalid_arg "Trie_ref.encode_node: empty"
-  | Leaf (path, value) -> Rlp.encode (Rlp.List [ Rlp.Str (hp_encode path true); Rlp.Str value ])
-  | Ext (path, c) -> Rlp.encode (Rlp.List [ Rlp.Str (hp_encode path false); Rlp.Str (child c) ])
+  | Leaf (path, value) -> Rlp_ref.encode (Rlp.List [ Rlp.Str (hp_encode path true); Rlp.Str value ])
+  | Ext (path, c) -> Rlp_ref.encode (Rlp.List [ Rlp.Str (hp_encode path false); Rlp.Str (child c) ])
   | Branch (children, value) ->
     let items = Array.to_list (Array.map (fun c -> Rlp.Str (child c)) children) in
     let v = match value with Some v -> Rlp.Str v | None -> Rlp.Str "" in
-    Rlp.encode (Rlp.List (items @ [ v ]))
+    Rlp_ref.encode (Rlp.List (items @ [ v ]))
 
 let rec hash = function Empty -> "" | n -> Khash.Keccak.digest (encode_node hash n)
 
@@ -78,7 +78,7 @@ let rec build = function
       in
       Branch (children, value)
 
-let empty_root = Khash.Keccak.digest (Rlp.encode (Rlp.Str ""))
+let empty_root = Khash.Keccak.digest (Rlp_ref.encode (Rlp.Str ""))
 
 (* The root of the trie holding exactly [bindings] (byte keys, distinct). *)
 let root bindings =
