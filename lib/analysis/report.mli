@@ -25,8 +25,7 @@ type kind =
           with replaying the segment, or a memo over a live state read *)
   | Well_formedness
       (** local structure: [P_reg] slices outside the 32-byte word,
-          duplicate branch case values, bisection halves that do not
-          partition their parent block, metadata size mismatches *)
+          duplicate branch case values, metadata size mismatches *)
 
 val kind_name : kind -> string
 (** Stable snake_case name, also used for the per-kind Obs counters. *)

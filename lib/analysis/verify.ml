@@ -4,7 +4,7 @@
 
    - a structural pass visits every node and block exactly once (guards
      inside blocks, piece well-formedness, branch case distinctness,
-     bisection partitioning, memo io/replay checks);
+     memo io/replay checks);
    - a per-path pass runs the linear checkers (def-before-use, register
      bounds, schedule conformance, guard coverage, memo downstream
      liveness) over every root→leaf [Dataflow.line].
@@ -251,7 +251,7 @@ let memo_replay_mismatch (instrs : I.instr array) (m : P.memo) =
 
 let pp_regs = Fmt.(brackets (array ~sep:comma int))
 
-let rec check_block acc ~reg_count site (b : P.block) =
+let check_block acc ~reg_count site (b : P.block) =
   let has_read = Array.exists (function I.Read _ -> true | _ -> false) b.instrs in
   Array.iteri
     (fun j ins ->
@@ -301,20 +301,7 @@ let rec check_block acc ~reg_count site (b : P.block) =
           | None -> ()
         end
       end)
-    b.memos;
-  match b.sub with
-  | None -> ()
-  | Some (lh, rh) ->
-    if
-      Array.length lh.instrs = 0
-      || Array.length rh.instrs = 0
-      || Array.append lh.instrs rh.instrs <> b.instrs
-    then
-      report acc R.Well_formedness site
-        "bisection halves (%d + %d instrs) do not partition the %d-instr parent block"
-        (Array.length lh.instrs) (Array.length rh.instrs) (Array.length b.instrs);
-    check_block acc ~reg_count (site ^ ">subL") lh;
-    check_block acc ~reg_count (site ^ ">subR") rh
+    b.memos
 
 let rec check_node acc ~reg_count prefix pos = function
   | P.Seq (b, k) ->

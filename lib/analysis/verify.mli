@@ -19,8 +19,7 @@
       segment through the executor's own arithmetic ({!Ap.Exec.compute})
       reproduces the recorded outputs;
     - {b well-formedness}: [P_reg] slices inside the 32-byte word, [Pack]
-      assembling exactly 32 bytes, distinct branch case values, bisection
-      halves partitioning their parent.
+      assembling exactly 32 bytes, distinct branch case values.
 
     Obs counters (when the registry is enabled):
     ["analysis.programs_checked"], ["analysis.paths_checked"],

@@ -94,24 +94,19 @@ let rec take_memo regs = function
     end
     else take_memo regs rest
 
-(* Run a block, trying its memoization shortcuts first, then its halves,
-   then instruction by instruction.  [use_memos:false] disables shortcuts
-   (the no-memoization ablation). *)
-let rec exec_block ~use_memos st benv regs stats (b : Program.block) =
+(* Run a block, trying its memoization shortcuts first, then instruction
+   by instruction.  [use_memos:false] disables shortcuts (the
+   no-memoization ablation). *)
+let exec_block ~use_memos st benv regs stats (b : Program.block) =
   if use_memos && take_memo regs b.memos then begin
     stats.memo_hits <- stats.memo_hits + 1;
     stats.skipped <- stats.skipped + Array.length b.instrs;
     Obs.incr obs_shortcut_hits
   end
   else
-    match b.sub with
-    | Some (l, r) ->
-      exec_block ~use_memos st benv regs stats l;
-      exec_block ~use_memos st benv regs stats r
-    | None ->
-      for i = 0 to Array.length b.instrs - 1 do
-        exec_instr st benv regs stats b.instrs.(i)
-      done
+    for i = 0 to Array.length b.instrs - 1 do
+      exec_instr st benv regs stats b.instrs.(i)
+    done
 
 let rec exec_blocks ~use_memos st benv regs stats = function
   | [] -> ()

@@ -25,8 +25,7 @@ type memo = {
 
 type block = {
   instrs : I.instr array; (* Compute/Keccak/Pack/Read only *)
-  mutable memos : memo list;
-  sub : (block * block) option; (* bisection for partial-match shortcuts *)
+  memos : memo list;
 }
 
 type leaf = {
@@ -67,7 +66,6 @@ type t = {
 
 let max_memo_alternatives = 4
 let min_block_for_memo = 2
-let bisect_threshold = 8
 
 (* ---- block construction ---- *)
 
@@ -102,26 +100,12 @@ let memo_of instrs reg_values =
 let worth_memoizing instrs in_regs =
   Array.length instrs >= min_block_for_memo && Array.length in_regs <= Array.length instrs
 
-let rec make_block instrs reg_values depth =
+let make_block instrs reg_values =
   let in_regs, _ = block_io instrs in
   let memos =
     if worth_memoizing instrs in_regs then [ memo_of instrs reg_values ] else []
   in
-  let sub =
-    if depth < 2 && Array.length instrs >= bisect_threshold then begin
-      let half = Array.length instrs / 2 in
-      Some
-        ( make_block (Array.sub instrs 0 half) reg_values (depth + 1),
-          make_block (Array.sub instrs half (Array.length instrs - half)) reg_values
-            (depth + 1) )
-    end
-    else None
-  in
-  { instrs; memos; sub }
-
-let rec count_memos b =
-  List.length b.memos
-  + match b.sub with Some (l, r) -> count_memos l + count_memos r | None -> 0
+  { instrs; memos }
 
 (* Chop an instruction run into blocks: Reads always start a fresh block so
    segments between context reads get their own shortcuts (paper's
@@ -145,7 +129,7 @@ let blocks_of_run instrs reg_values =
       | I.Guard _ | I.Guard_size _ | I.Guard_warm _ -> assert false)
     instrs;
   flush ();
-  List.rev_map (fun g -> make_block g reg_values 0) !groups
+  List.rev_map (fun g -> make_block g reg_values) !groups
 
 (* ---- path -> node chain ---- *)
 
@@ -198,19 +182,9 @@ let merge_memos m1 m2 =
     List.filteri (fun i _ -> i < max_memo_alternatives) all
   else all
 
-let rec merge_block b1 b2 =
+let merge_block b1 b2 =
   if b1.instrs <> b2.instrs then None
-  else begin
-    let sub =
-      match (b1.sub, b2.sub) with
-      | Some (l1, r1), Some (l2, r2) -> (
-        match (merge_block l1 l2, merge_block r1 r2) with
-        | Some l, Some r -> Some (l, r)
-        | (Some _ | None), _ -> b1.sub)
-      | (Some _ | None), _ -> b1.sub
-    in
-    Some { instrs = b1.instrs; memos = merge_memos b1.memos b2.memos; sub }
-  end
+  else Some { instrs = b1.instrs; memos = merge_memos b1.memos b2.memos }
 
 let rec merge_node n1 n2 : node option =
   match (n1, n2) with
@@ -254,9 +228,9 @@ and merge_cases acc = function
     | _ :: _ :: _, _ -> None)
 
 let rec count_shortcuts = function
-  | Seq (b, k) -> count_memos b + count_shortcuts k
+  | Seq (b, k) -> List.length b.memos + count_shortcuts k
   | Branch (_, cases) -> List.fold_left (fun acc (_, n) -> acc + count_shortcuts n) 0 cases
-  | Leaf l -> List.fold_left (fun acc b -> acc + count_memos b) 0 l.fast
+  | Leaf l -> List.fold_left (fun acc b -> acc + List.length b.memos) 0 l.fast
 
 let rec count_paths = function
   | Seq (_, k) -> count_paths k

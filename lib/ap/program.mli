@@ -21,8 +21,7 @@ type memo = {
 
 type block = {
   instrs : I.instr array;  (** compute/read instructions, no guards *)
-  mutable memos : memo list;  (** shortcut alternatives, one per future *)
-  sub : (block * block) option;  (** bisection for partial-match shortcuts *)
+  memos : memo list;  (** shortcut alternatives, one per future *)
 }
 
 type leaf = {

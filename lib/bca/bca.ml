@@ -180,7 +180,7 @@ let step acc (st : av list) (i : Evm.Decode.instr) : av list * flow =
   in
   let open Evm in
   match i.Decode.op with
-  | _ when i.Decode.steps = 0 -> (st, F_halt) (* unassigned / fork-unavailable *)
+  | _ when Decode.meta_steps i.Decode.meta = 0 -> (st, F_halt) (* unassigned / fork-unavailable *)
   | Op.STOP | Op.RETURN | Op.REVERT | Op.INVALID -> (st, F_halt)
   | Op.SELFDESTRUCT ->
     acc.a_wild <- true;
@@ -312,10 +312,10 @@ let step acc (st : av list) (i : Evm.Decode.instr) : av list * flow =
     (st, F_next)
   | Op.CREATE | Op.CREATE2 ->
     acc.a_wild <- true;
-    let _, st = popn i.Decode.stack_in st in
+    let _, st = popn (Op.stack_in i.Decode.op) st in
     (V 0 :: st, F_next)
   | Op.CALL | Op.CALLCODE | Op.DELEGATECALL | Op.STATICCALL ->
-    let args, st = popn i.Decode.stack_in st in
+    let args, st = popn (Op.stack_in i.Decode.op) st in
     let tgt, value =
       match (i.Decode.op, args) with
       | Op.CALL, [ _g; t; v; _; _; _; _ ] | Op.CALLCODE, [ _g; t; v; _; _; _; _ ] ->
@@ -342,7 +342,7 @@ let step acc (st : av list) (i : Evm.Decode.instr) : av list * flow =
   | op -> (
     (* arithmetic / comparisons / env reads: fold constants through the
        S-EVM evaluator, otherwise join taints *)
-    let si = i.Decode.stack_in and so = Evm.Op.stack_out i.Decode.op in
+    let si = Op.stack_in i.Decode.op and so = Op.stack_out i.Decode.op in
     let args, st = popn si st in
     match Sevm.Ir.compute_op_of_evm op with
     | Some c ->
@@ -368,7 +368,7 @@ let step acc (st : av list) (i : Evm.Decode.instr) : av list * flow =
 let step_top acc (i : Evm.Decode.instr) : flow =
   let open Evm in
   match i.Decode.op with
-  | _ when i.Decode.steps = 0 -> F_halt
+  | _ when Decode.meta_steps i.Decode.meta = 0 -> F_halt
   | Op.STOP | Op.RETURN | Op.REVERT | Op.INVALID -> F_halt
   | Op.SELFDESTRUCT ->
     acc.a_wild <- true;

@@ -7,7 +7,7 @@
 
     - {b CFG recovery}: basic blocks split at the decoder's leader bitmap
       ({!Evm.Decode.program.leaders}, the same bitmap that certifies
-      PUSH-PUSH-op / DUP1-op fusion), resolved-vs-escaping JUMP targets,
+      PUSH-PUSH-op fusion), resolved-vs-escaping JUMP targets,
       reachability.
     - {b Stack constant propagation}: an abstract stack of
       constants/taints, joined per block with a visit-count widening cap.

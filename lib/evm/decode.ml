@@ -19,28 +19,23 @@ type instr = {
   op : Op.t;
   imm : U256.t;
   imm_i : int;  (** [imm] as a native int, -1 if it does not fit *)
-  static_gas : int;
-  stack_in : int;
-  max_sp : int;
-  steps : int;
   next : int;
-  xop : int;  (** untraced dispatch id: [op_id]; [0x100 + successor] for a
-                  fused PUSH-op pair; [0x200 + successor] for a certified
-                  DUP1-op pair; [0x300 + third] for a certified
-                  PUSH-PUSH-op triple *)
-  meta : int;  (** the scalar metadata above packed into one immediate:
-                   bits 0..9 xop, 10..14 stack_in, 15..25 min(max_sp,2047),
-                   26..40 static_gas, 41 steps — one load per untraced
-                   dispatch instead of five *)
+  meta : int;
+      (** the dispatch scalars packed into one immediate, one load per
+          untraced dispatch: bits 0..9 xop (the untraced dispatch id:
+          [op_id]; [0x100 + successor] for a fused PUSH-op pair;
+          [0x300 + third] for a certified PUSH-PUSH-op triple), 10..14
+          stack_in, 15..25 min(max_sp,2047), 26..40 static_gas, 41 steps *)
 }
 
-let pack_meta i =
-  i.xop land 0x3ff
-  lor (i.stack_in lsl 10)
-  lor (min i.max_sp 2047 lsl 15)
-  lor (i.static_gas lsl 26)
-  lor (i.steps lsl 41)
+let pack_meta ~xop ~stack_in ~max_sp ~static_gas ~steps =
+  xop land 0x3ff
+  lor (stack_in lsl 10)
+  lor (min max_sp 2047 lsl 15)
+  lor (static_gas lsl 26)
+  lor (steps lsl 41)
 
+let with_xop m xop = (m land lnot 0x3ff) lor xop
 let meta_xop m = m land 0x3ff
 let meta_stack_in m = (m lsr 10) land 0x1f
 let meta_max_sp m = (m lsr 15) land 0x7ff
@@ -96,16 +91,15 @@ let decode_at (spec : Spec.t) code pc =
     (* Unassigned byte: permissive bounds so the dispatch table's invalid
        handler raises with no stack check, no charge and no step counted —
        the legacy loop's behaviour for bytes [Op.of_byte] rejects. *)
-    { op_id = b; op = Op.INVALID; imm = U256.zero; imm_i = 0; static_gas = 0;
-      stack_in = 0; max_sp = max_int; steps = 0; next = pc + 1; xop = b; meta = 0 }
+    { op_id = b; op = Op.INVALID; imm = U256.zero; imm_i = 0; next = pc + 1;
+      meta = pack_meta ~xop:b ~stack_in:0 ~max_sp:max_int ~static_gas:0 ~steps:0 }
   | Some _ when not (Spec.available spec b) ->
     (* Assigned byte not yet introduced under this fork: decoded exactly
        like an unassigned one, but dispatched through [invalid_xop] so the
        real handler installed at slot [b] is never reached.  [op_id] keeps
        the original byte for the failure payload. *)
-    { op_id = b; op = Op.INVALID; imm = U256.zero; imm_i = 0; static_gas = 0;
-      stack_in = 0; max_sp = max_int; steps = 0; next = pc + 1; xop = invalid_xop;
-      meta = 0 }
+    { op_id = b; op = Op.INVALID; imm = U256.zero; imm_i = 0; next = pc + 1;
+      meta = pack_meta ~xop:invalid_xop ~stack_in:0 ~max_sp:max_int ~static_gas:0 ~steps:0 }
   | Some op ->
     let si = Op.stack_in op and so = Op.stack_out op in
     let npush = Op.push_bytes op in
@@ -115,13 +109,10 @@ let decode_at (spec : Spec.t) code pc =
       op;
       imm;
       imm_i = (match U256.to_int_opt imm with Some n -> n | None -> -1);
-      static_gas = Array.unsafe_get spec.Spec.static_gas b;
-      stack_in = si;
-      max_sp = max_stack - (so - si);
-      steps = 1;
       next = pc + 1 + npush;
-      xop = b;
-      meta = 0;
+      meta =
+        pack_meta ~xop:b ~stack_in:si ~max_sp:(max_stack - (so - si))
+          ~static_gas:(Array.unsafe_get spec.Spec.static_gas b) ~steps:1;
     }
 
 (* Successor opcodes a PUSH fuses with: the untraced decoded engine
@@ -151,14 +142,6 @@ let triple_ids =
 let triple_fusable = Array.make 256 false
 let () = List.iter (fun id -> triple_fusable.(id) <- true) triple_ids
 
-(* Successors of a certified DUP1-op pair (slot [0x200 + id]): binops only,
-   so the window is a pure x -> op(x,x) rewrite on the existing top. *)
-let dup_ids =
-  [ 0x01; 0x02; 0x03; 0x04; 0x10; 0x11; 0x14; 0x16; 0x17; 0x18 ]
-
-let dup_fusable = Array.make 256 false
-let () = List.iter (fun id -> dup_fusable.(id) <- true) dup_ids
-
 (* Basic-block leaders, the rule lib/bca's CFG splits blocks at: pc 0, every
    JUMPDEST (push data skipped) and the instruction after each JUMPI.
    Control enters a block only at its leader, so a window whose interior
@@ -174,7 +157,6 @@ let leaders_of instrs jumpdests =
   l
 
 let obs_triples = Obs.counter "interp.decode.fused_triples"
-let obs_dups = Obs.counter "interp.decode.fused_dups"
 
 let decode ~hash ~spec code =
   let instrs = Array.init (String.length code) (decode_at spec code) in
@@ -182,30 +164,27 @@ let decode ~hash ~spec code =
   let jumpdests = analyze_jumpdests code in
   let leaders = leaders_of instrs jumpdests in
   (* A PUSH-op pair starts at the PUSH the dispatcher already validated,
-     so it fuses unconditionally.  DUP1-op pairs and PUSH-PUSH-op triples
-     fuse only when no leader lies inside the window: no jump lands there.
-     The second PUSH of a triple keeps its own pair fusion, so a direct
-     dispatch of it (a jump-adjacent stream) still executes correctly. *)
+     so it fuses unconditionally.  PUSH-PUSH-op triples fuse only when no
+     leader lies inside the window: no jump lands there.  The second PUSH
+     of a triple keeps its own pair fusion, so a direct dispatch of it (a
+     jump-adjacent stream) still executes correctly. *)
   let is_push (i : instr) = i.op_id >= 0x60 && i.op_id <= 0x7f in
+  let steps (i : instr) = meta_steps i.meta in
   Array.iteri
     (fun pc i ->
-      if i.steps = 1 && i.next < n then begin
+      if is_push i && steps i = 1 && i.next < n && steps instrs.(i.next) = 1 then begin
         let j = instrs.(i.next) in
-        let straight = j.steps = 1 && not leaders.(i.next) in
         let k = if j.next < n then instrs.(j.next) else j in
-        let xop =
-          if is_push i && is_push j && straight && j.next < n && triple_fusable.(k.op_id)
-             && k.steps = 1 && not leaders.(j.next)
-          then (Obs.incr obs_triples; 0x300 lor k.op_id)
-          else if is_push i && fusable.(j.op_id) && j.steps = 1 then 0x100 lor j.op_id
-          else if i.op_id = 0x80 && dup_fusable.(j.op_id) && straight then
-            (Obs.incr obs_dups; 0x200 lor j.op_id)
-          else i.xop
-        in
-        instrs.(pc) <- { i with xop }
+        if is_push j && j.next < n && triple_fusable.(k.op_id) && steps k = 1
+           && not (leaders.(i.next) || leaders.(j.next))
+        then begin
+          Obs.incr obs_triples;
+          instrs.(pc) <- { i with meta = with_xop i.meta (0x300 lor k.op_id) }
+        end
+        else if fusable.(j.op_id) then
+          instrs.(pc) <- { i with meta = with_xop i.meta (0x100 lor j.op_id) }
       end)
     instrs;
-  Array.iteri (fun pc i -> instrs.(pc) <- { i with meta = pack_meta i }) instrs;
   { code; code_hash = hash; instrs; jumpdests; leaders }
 
 (* ---- the process-wide program cache ----

@@ -4,9 +4,10 @@
     A {!program} is decoded once per code hash and cached process-wide:
     every byte position of the code gets a flat {!instr} record carrying
     the opcode id, the PUSH immediate already materialized as a {!U256.t}
-    (truncated tails zero-padded exactly like the legacy loop), the static
-    gas charge hoisted from {!Spec.static_gas}, and the two precomputed
-    stack bounds that collapse per-step validation to two comparisons.
+    (truncated tails zero-padded exactly like the legacy loop), and one
+    packed word holding the dispatch id, the static gas charge hoisted
+    from {!Spec.static_gas} and the two precomputed stack bounds that
+    collapse per-step validation to two comparisons.
     The JUMPDEST bitmap is folded into the same cached artifact, so
     CALL-family re-entry reuses one decoded object instead of re-scanning
     code. *)
@@ -17,29 +18,32 @@ type instr = {
   imm : U256.t;  (** PUSH immediate, zero-padded on truncation; zero otherwise *)
   imm_i : int;  (** [imm] as a native int, or -1 when it does not fit — lets
                     fused handlers skip [U256.to_int_opt] on offsets/targets *)
-  static_gas : int;  (** hoisted {!Spec.static_gas} (0 for unassigned bytes) *)
-  stack_in : int;  (** underflow iff [sp < stack_in] *)
-  max_sp : int;  (** overflow iff [sp > max_sp] *)
-  steps : int;  (** contribution to [steps_executed]: 1, or 0 for unassigned bytes *)
   next : int;  (** fall-through pc: one past the opcode and its immediate *)
-  xop : int;  (** dispatch id for the untraced engine: [op_id], or
-                  [0x100 + successor_id] for a PUSH fused with the
-                  instruction that consumes it (see {!fusable_ids});
-                  [0x200 + successor_id] / [0x300 + third_id] for the
-                  certified DUP1-op pairs and PUSH-PUSH-op triples *)
   meta : int;  (** the dispatch scalars packed into one int — bits 0..9
                    [xop], 10..14 [stack_in], 15..25 [min max_sp 2047],
                    26..40 [static_gas], 41 [steps] — so the untraced hot
-                   loop issues one load per step (see the [meta_*]
-                   accessors, pinned against the unpacked fields in
-                   [test_gastable.ml]) *)
+                   loop issues one load per step; read them through the
+                   accessors below *)
 }
 
 val meta_xop : int -> int
+(** Dispatch id for the untraced engine: [op_id], or [0x100 + successor_id]
+    for a PUSH fused with the instruction that consumes it (see
+    {!fusable_ids}), or [0x300 + third_id] for a certified PUSH-PUSH-op
+    triple (see {!triple_ids}). *)
+
 val meta_stack_in : int -> int
+(** Underflow iff [sp < stack_in]. *)
+
 val meta_max_sp : int -> int
+(** Overflow iff [sp > max_sp]; clamped to 2047, which [sp] never reaches. *)
+
 val meta_static_gas : int -> int
+(** Hoisted {!Spec.static_gas} (0 for unassigned and unavailable bytes). *)
+
 val meta_steps : int -> int
+(** Contribution to [steps_executed]: 1, or 0 for unassigned and
+    unavailable bytes. *)
 
 type program = {
   code : string;
@@ -74,10 +78,6 @@ val triple_ids : int list
     [0x300 + id]): binops/shifts/MSTORE whose static charge is
     fork-invariant. *)
 
-val dup_ids : int list
-(** Successor opcodes of a certified DUP1-op pair (table slot
-    [0x200 + id]): binops only. *)
-
 val invalid_xop : int
 (** Dispatch id given to opcodes unavailable under the decoding spec: a
     permanently unassigned slot, so both dispatch tables raise through
@@ -89,8 +89,8 @@ val analyze_jumpdests : string -> bool array
 val decode : hash:string -> spec:Spec.t -> string -> program
 (** Decode [code] under [spec], bypassing the cache.  [hash] is
     keccak256 of the code (the account's stored code hash); it is stored,
-    not checked.  PUSH-op pairs always fuse; DUP1-op pairs and PUSH-PUSH-op
-    triples fuse when no leader falls inside the window. *)
+    not checked.  PUSH-op pairs always fuse; PUSH-PUSH-op triples fuse
+    when no leader falls inside the window. *)
 
 val cache_key : hash:string -> spec:Spec.t -> string
 (** Code hash × spec id: the key of this cache and of the analysis facts'. *)

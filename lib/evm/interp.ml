@@ -293,12 +293,12 @@ let run_precompile kind data =
 let handler_table : (ctx -> frame -> Decode.instr -> unit) array =
   Array.make 256 (fun _ _ (i : Decode.instr) -> raise (Fail (Invalid_opcode i.Decode.op_id)))
 
-(* The untraced engine dispatches on [instr.xop] through this wider table:
-   slots 0..255 mirror [handler_table], slots [0x100 + id] hold fused
-   PUSH+op handlers for {!Decode.fusable_ids}, slots [0x200 + id] /
-   [0x300 + id] hold the DUP1+op and PUSH+PUSH+op windows decode
-   certifies against its leader bitmap.  The traced path always
-   dispatches unfused so every step is captured individually. *)
+(* The untraced engine dispatches on the instr's xop through this wider
+   table: slots 0..255 mirror [handler_table], slots [0x100 + id] hold
+   fused PUSH+op handlers for {!Decode.fusable_ids}, slots [0x300 + id]
+   hold the PUSH+PUSH+op windows decode certifies against its leader
+   bitmap.  The traced path always dispatches unfused so every step is
+   captured individually. *)
 let xtable : (ctx -> frame -> Decode.instr -> unit) array =
   Array.make 1024 (fun _ _ (i : Decode.instr) -> raise (Fail (Invalid_opcode i.Decode.op_id)))
 
@@ -405,19 +405,18 @@ and exec_frame_decoded_traced ctx f : status =
        if f.pc >= code_len then result := Some (Returned "")
        else begin
          let i = Array.unsafe_get instrs f.pc in
-         ctx.steps_executed <- ctx.steps_executed + i.Decode.steps;
-         if f.sp < i.Decode.stack_in then raise (Fail Stack_underflow);
-         if f.sp > i.Decode.max_sp then raise (Fail Stack_overflow);
-         let g = i.Decode.static_gas in
+         let m = i.Decode.meta in
+         ctx.steps_executed <- ctx.steps_executed + Decode.meta_steps m;
+         if f.sp < Decode.meta_stack_in m then raise (Fail Stack_underflow);
+         if f.sp > Decode.meta_max_sp m then raise (Fail Stack_overflow);
+         let g = Decode.meta_static_gas m in
          if f.gas < g then raise (Fail Out_of_gas);
          f.gas <- f.gas - g;
-         (* Unfused dispatch: [xop] when it names a plain slot (this also
+         (* Unfused dispatch: the xop when it names a plain slot (this also
             routes spec-unavailable opcodes to the raising default), the
-            PUSH's own [op_id] when [xop] is a fused pair id. *)
-         let h =
-           Array.unsafe_get handler_table
-             (if i.Decode.xop < 256 then i.Decode.xop else i.Decode.op_id)
-         in
+            PUSH's own [op_id] when the xop is a fused window's id. *)
+         let xop = Decode.meta_xop m in
+         let h = Array.unsafe_get handler_table (if xop < 256 then xop else i.Decode.op_id) in
          let op = i.Decode.op in
          let stepped = becomes_step op in
          let ins = if stepped then capture_inputs f op else [||] in
@@ -567,7 +566,7 @@ and exec_op ctx f (op : Op.t) =
   | GAS -> push f (U256.of_int f.gas)
   | JUMPDEST -> ()
   | PUSH n ->
-    push f (load_padded_code f.prog.Decode.code (f.pc + 1) n);
+    push f (load_padded f.prog.Decode.code (f.pc + 1) n);
     f.pc <- f.pc + n
   | DUP n ->
     require f n;
@@ -633,8 +632,6 @@ and load_padded data off len =
     if off + i < String.length data && off + i >= 0 then Bytes.set b i data.[off + i]
   done;
   U256.of_bytes_be (Bytes.to_string b)
-
-and load_padded_code code off len = load_padded code off len
 
 and copy_to_mem f src =
   let dst = as_offset (pop f) and src_off = as_offset (pop f) and len = as_offset (pop f) in
@@ -1175,43 +1172,19 @@ let () =
       f.stack.(f.sp - 1) <- i.Decode.imm;
       f.sp <- f.sp + 1)
 
-(* ---- certified windows: DUP1+op pairs and PUSH+PUSH+op triples ----
+(* ---- certified windows: PUSH+PUSH+op triples ----
 
-   Decode emits [0x200 + id] / [0x300 + id] xops only for windows with no
-   block leader inside, so no jump lands inside the window.  Each
-   handler replays the constituent steps' loop prologues in legacy order
-   — step count, stack bounds, static charge taken from the decoded
-   (spec-correct) instrs — so a window is observationally identical to
-   its unfused steps, including steps_executed and gas at a mid-window
-   failure.  Checks that cannot fire are dropped: after a validated DUP1
-   the binop can neither underflow nor overflow; after two PUSHes the
-   third op (all have stack_in >= 2, stack_out <= 2) cannot underflow or
-   overflow past what the second PUSH's own bound already admitted. *)
+   Decode emits [0x300 + id] xops only for windows with no block leader
+   inside, so no jump lands inside the window.  Each handler replays the
+   constituent steps' loop prologues in legacy order — step count, stack
+   bounds, static charge taken from the decoded (spec-correct) instrs —
+   so a window is observationally identical to its unfused steps,
+   including steps_executed and gas at a mid-window failure.  Checks that
+   cannot fire are dropped: after two PUSHes the third op (all have
+   stack_in >= 2, stack_out <= 2) cannot underflow or overflow past what
+   the second PUSH's own bound already admitted. *)
 
 let () =
-  let dup id g =
-    xtable.(0x200 lor id) <-
-      (fun ctx f (i : Decode.instr) ->
-        let j = Array.unsafe_get f.prog.Decode.instrs i.Decode.next in
-        ctx.steps_executed <- ctx.steps_executed + 1;
-        let sg = j.Decode.static_gas in
-        if f.gas < sg then raise (Fail Out_of_gas);
-        f.gas <- f.gas - sg;
-        (* DUP1 then binop: g (copy of x) x = g x x on the existing top *)
-        let x = f.stack.(f.sp - 1) in
-        f.stack.(f.sp - 1) <- g x x;
-        f.pc <- i.Decode.next)
-  in
-  dup 0x01 U256.add;
-  dup 0x02 U256.mul;
-  dup 0x03 U256.sub;
-  dup 0x04 U256.div;
-  dup 0x10 (fun a b -> bool_word (U256.lt a b));
-  dup 0x11 (fun a b -> bool_word (U256.gt a b));
-  dup 0x14 (fun a b -> bool_word (U256.equal a b));
-  dup 0x16 U256.logand;
-  dup 0x17 U256.logor;
-  dup 0x18 U256.logxor;
   (* Second PUSH + third op prologues.  The second PUSH's overflow check is
      the one bound that can fire mid-window (sp was validated only against
      the first PUSH). *)
@@ -1220,12 +1193,12 @@ let () =
     let i2 = Array.unsafe_get instrs i.Decode.next in
     let i3 = Array.unsafe_get instrs i2.Decode.next in
     ctx.steps_executed <- ctx.steps_executed + 1;
-    if f.sp + 1 > i2.Decode.max_sp then raise (Fail Stack_overflow);
-    let g2 = i2.Decode.static_gas in
+    if f.sp + 1 > Decode.meta_max_sp i2.Decode.meta then raise (Fail Stack_overflow);
+    let g2 = Decode.meta_static_gas i2.Decode.meta in
     if f.gas < g2 then raise (Fail Out_of_gas);
     f.gas <- f.gas - g2;
     ctx.steps_executed <- ctx.steps_executed + 1;
-    let g3 = i3.Decode.static_gas in
+    let g3 = Decode.meta_static_gas i3.Decode.meta in
     if f.gas < g3 then raise (Fail Out_of_gas);
     f.gas <- f.gas - g3;
     i2

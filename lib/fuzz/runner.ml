@@ -410,10 +410,10 @@ let random_code rng =
       byte (Random.State.int rng 256);
       let op = pool.(Random.State.int rng (Array.length pool)) in
       byte op;
-      (* DUP1 followed by a binop: a DUP1-op fusion window *)
+      (* DUP1 followed by a binop *)
       if op = 0x80 then begin
-        let dup_ids = Array.of_list Evm.Decode.dup_ids in
-        byte dup_ids.(Random.State.int rng (Array.length dup_ids))
+        let binops = [| 0x01; 0x02; 0x03; 0x04; 0x10; 0x11; 0x14; 0x16; 0x17; 0x18 |] in
+        byte binops.(Random.State.int rng (Array.length binops))
       end
     | 8 ->
       (* call-family with junk operands (fails fast, exercises arity) *)

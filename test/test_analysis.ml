@@ -109,7 +109,7 @@ let path_tests =
 
 (* ---- AP-level checks ---- *)
 
-let block instrs = { P.instrs; memos = []; sub = None }
+let block instrs = { P.instrs; memos = [] }
 
 (* Some violation of kind [k] sits at [site]. *)
 let check_site name k site vs =
@@ -166,7 +166,6 @@ let ap_tests =
                  I.Compute (1, I.C_add, [| I.Reg 0; I.Const (u 1) |]) |];
             memos =
               [ { P.in_regs = [||]; in_vals = [||]; out_regs = [| 0 |]; out_vals = [| u 2 |] } ];
-            sub = None;
           }
         in
         let ap =
@@ -215,17 +214,6 @@ let ap_tests =
         let vs = Analysis.Verify.verify ap in
         check_site "size operand v4, two cases" R.Reg_bounds "root>br#0" vs;
         check_one_reg_bounds "size operand v4, two cases" vs);
-    t "well-formedness: bisection halves must partition the parent" (fun () ->
-        let c v = I.Compute (v, I.C_add, [| I.Const (u 1); I.Const (u 1) |]) in
-        let b =
-          {
-            P.instrs = [| c 0; c 1 |];
-            memos = [];
-            sub = Some (block [| c 0 |], block [| c 0 |]);
-          }
-        in
-        let ap = program ~reg_count:2 (P.Seq (b, leaf ())) in
-        check_kind "bad bisection" R.Well_formedness (Analysis.Verify.verify ap));
     t "rollback-freedom: guard smuggled into a block" (fun () ->
         let b = block [| I.Guard (I.Const (u 1), u 1) |] in
         let ap = program ~reg_count:1 (P.Seq (b, leaf ())) in

@@ -179,7 +179,6 @@ let structure_tests =
           {
             Ap.Program.instrs = [| I.Compute (1, I.C_add, [| I.Reg 0; I.Const (u 1) |]) |];
             memos = [];
-            sub = None;
           }
         in
         let memo i =
@@ -371,10 +370,11 @@ let fingerprint_tests =
    measure of executor overhead: the state is warm, so the count is the
    executor's own dispatch, codecs and receipt, not I/O.
 
-   The bound is a ratchet: it is the count the executor reaches today,
-   and a change that lowers the count lowers the bound with it. *)
+   The bound is a ratchet: it is the count the executor reaches today
+   (598 words) plus 10%, and a change that lowers the count lowers the
+   bound with it. *)
 
-let words_per_hit_bound = 770.
+let words_per_hit_bound = 657.
 
 let template_hit_words () =
   let token = Address.of_int 0x70C0 in

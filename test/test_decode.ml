@@ -5,12 +5,11 @@
    scenarios run through the same Legacy lane under @fuzz):
    1. a qcheck-generated random-bytecode sweep biased at the decoder's
       corners — truncated PUSH tails, PUSH data that looks like JUMPDEST,
-      out-of-range jumps, unassigned opcode bytes, DUP1-op and
+      out-of-range jumps, unassigned opcode bytes, DUP1-op pairs and
       PUSH-PUSH-op windows — through the Legacy lane's raw-bytecode
       differential (Fuzz.Runner.diff_code); the sweep must decode fused
-      triples and fused dups, every decoded leader bitmap must equal one
-      recomputed from the raw bytes, and no fused window may have a
-      leader inside;
+      triples, every decoded leader bitmap must equal one recomputed from
+      the raw bytes, and no fused window may have a leader inside;
    2. a 4-domain cache hammer: lib/sched workers decoding and executing
       the same code hash concurrently must agree with the single-threaded
       receipt, while a fifth domain decodes more distinct codes than the
@@ -57,7 +56,7 @@ let leaders_of_code code =
   l
 
 (* The decoded leader bitmap must equal the recomputed one, and no fused
-   window (xop 0x2xx / 0x3xx) may have a leader at a pc after its first
+   window (xop 0x3xx) may have a leader at a pc after its first
    instruction.  Returns the number of windows checked. *)
 let check_windows ~case code =
   let p = Evm.Decode.get ~hash:(Khash.Keccak.digest code) ~spec:!Spec.current code in
@@ -72,10 +71,8 @@ let check_windows ~case code =
   Array.iteri
     (fun pc (i : Evm.Decode.instr) ->
       let interior =
-        match i.Evm.Decode.xop lsr 8 with
-        | 2 -> [ next pc ]
-        | 3 -> [ next pc; next (next pc) ]
-        | _ -> []
+        if Evm.Decode.meta_xop i.Evm.Decode.meta lsr 8 = 3 then [ next pc; next (next pc) ]
+        else []
       in
       if interior <> [] then incr windows;
       if List.exists (fun q -> leaders.(q)) interior then
@@ -95,19 +92,17 @@ let raw_battery () =
         (Fuzz.Runner.diff_code ~data ~tx:i code))
     cases;
   Obs.set_enabled false;
-  let triples = Obs.count (Obs.counter "interp.decode.fused_triples")
-  and dups = Obs.count (Obs.counter "interp.decode.fused_dups") in
+  let triples = Obs.count (Obs.counter "interp.decode.fused_triples") in
   let windows = ref 0 in
   List.iteri
     (fun i (code, _) -> windows := !windows + check_windows ~case:(Printf.sprintf "case %d" i) code)
     cases;
   Printf.printf
-    "decode-ci: raw bytecode: %d cases (seed %d), %d fused triples, %d fused dups, %d \
-     windows checked\n%!"
-    raw_iters seed triples dups !windows;
-  if triples = 0 || dups = 0 then begin
+    "decode-ci: raw bytecode: %d cases (seed %d), %d fused triples, %d windows checked\n%!"
+    raw_iters seed triples !windows;
+  if triples = 0 then begin
     incr failures;
-    print_string "decode-ci: RAW: the battery decoded no fused triple or no fused dup\n"
+    print_string "decode-ci: RAW: the battery decoded no fused triple\n"
   end
 
 (* ---- 2: concurrent decode-cache hammer ---- *)

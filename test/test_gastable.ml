@@ -112,38 +112,43 @@ let all_bytes_per_fork () =
           (Decode.static_gas_of_byte spec b);
         Alcotest.(check int)
           (Printf.sprintf "%s decoded instr at pc %d" spec.Spec.name b)
-          expect prog.Decode.instrs.(b).Decode.static_gas
+          expect
+          (Decode.meta_static_gas prog.Decode.instrs.(b).Decode.meta)
       done)
     Spec.all_forks
 
-(* The packed [meta] word must agree with the unpacked scalars for every
-   decoded instruction, on every fork: the untraced hot loop reads only
-   [meta], so a packing-width regression (a charge overflowing its 15-bit
-   field, a fused xop losing its high bits) would silently corrupt
-   dispatch rather than fail a bounds check.  Two streams: the full byte
-   sweep (every opcode class, max static charges) and a fusion-shaped
-   sequence that must decode to exactly one PUSH-PUSH-op triple (xop
-   0x3xx) and one DUP1-op pair (0x2xx) on every fork, so the full 10-bit
-   xop field is exercised. *)
+(* The packed [meta] word must carry what [Op] and the spec say about every
+   decoded instruction, on every fork: the hot loops read only [meta], so a
+   packing-width regression (a charge overflowing its 15-bit field, a
+   fused xop losing its high bits) would silently corrupt dispatch rather
+   than fail a bounds check.  Two streams: the full byte sweep (every
+   opcode class, max static charges, PUSH24 landing on SWAP1 as a fused
+   pair 0x1xx) and a fusion-shaped sequence that must decode to exactly
+   one PUSH-PUSH-op triple (xop 0x3xx) and no DUP1-op window on every
+   fork, so the full 10-bit xop field is exercised.  Each stream lists
+   its fused pcs; every other pc dispatches on its own byte. *)
 let meta_packing () =
   let codes =
-    [ ("all-bytes", String.init 256 Char.chr);
+    [ ("all-bytes", String.init 256 Char.chr, [ (0x77, 0x190) ]);
       (* PUSH1 5; PUSH1 3; ADD; PUSH1 0; MSTORE; DUP1; ADD; STOP *)
-      ("fused", "\x60\x05\x60\x03\x01\x60\x00\x52\x80\x01\x00") ]
+      ( "fused",
+        "\x60\x05\x60\x03\x01\x60\x00\x52\x80\x01\x00",
+        [ (0, 0x301); (2, 0x101); (5, 0x152) ] ) ]
   in
   List.iter
     (fun f ->
       let spec = Spec.resolve f in
       List.iter
-        (fun (name, code) ->
+        (fun (name, code, fused) ->
           let prog = Decode.decode ~hash:(Khash.Keccak.digest code) ~spec code in
           if name = "fused" then begin
             let count base =
               Array.fold_left
-                (fun n (i : Decode.instr) -> if i.Decode.xop land 0xf00 = base then n + 1 else n)
+                (fun n (i : Decode.instr) ->
+                  if Decode.meta_xop i.Decode.meta land 0xf00 = base then n + 1 else n)
                 0 prog.Decode.instrs
             in
-            Alcotest.(check int) (spec.Spec.name ^ "/fused: DUP1-op pairs") 1 (count 0x200);
+            Alcotest.(check int) (spec.Spec.name ^ "/fused: DUP1-op windows") 0 (count 0x200);
             Alcotest.(check int) (spec.Spec.name ^ "/fused: PUSH-PUSH-op triples") 1 (count 0x300)
           end;
           Array.iteri
@@ -154,11 +159,24 @@ let meta_packing () =
                   (Printf.sprintf "%s/%s pc %d: %s" spec.Spec.name name pc what)
                   expect got
               in
-              chk "meta_xop" i.Decode.xop (Decode.meta_xop m);
-              chk "meta_stack_in" i.Decode.stack_in (Decode.meta_stack_in m);
-              chk "meta_max_sp" (min i.Decode.max_sp 2047) (Decode.meta_max_sp m);
-              chk "meta_static_gas" i.Decode.static_gas (Decode.meta_static_gas m);
-              chk "meta_steps" i.Decode.steps (Decode.meta_steps m))
+              let b = Char.code code.[pc] in
+              let live = if Spec.available spec b then Op.of_byte b else None in
+              let plain_xop = if Op.of_byte b <> None && live = None then Decode.invalid_xop else b in
+              chk "meta_xop" (Option.value ~default:plain_xop (List.assoc_opt pc fused))
+                (Decode.meta_xop m);
+              (match live with
+              | Some op ->
+                chk "meta_stack_in" (Op.stack_in op) (Decode.meta_stack_in m);
+                chk "meta_max_sp"
+                  (Decode.max_stack - (Op.stack_out op - Op.stack_in op))
+                  (Decode.meta_max_sp m);
+                chk "meta_static_gas" (Spec.static_gas spec b) (Decode.meta_static_gas m);
+                chk "meta_steps" 1 (Decode.meta_steps m)
+              | None ->
+                chk "meta_stack_in" 0 (Decode.meta_stack_in m);
+                chk "meta_max_sp" 2047 (Decode.meta_max_sp m);
+                chk "meta_static_gas" 0 (Decode.meta_static_gas m);
+                chk "meta_steps" 0 (Decode.meta_steps m)))
             prog.Decode.instrs)
         codes)
     Spec.all_forks
