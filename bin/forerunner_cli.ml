@@ -67,9 +67,10 @@ let jobs_arg ~default =
     value & opt int default
     & info [ "jobs" ] ~docv:"N"
         ~doc:
-          "Speculation worker domains. 1 runs every speculation inline (the \
-           deterministic sequential pipeline); N>1 drains the pending set on N OCaml \
-           domains in parallel.")
+          "Speculation domains. 1 runs every speculation inline (the \
+           deterministic sequential pipeline); N>1 runs the speculations pending at \
+           each tick and block on up to N OCaml domains, the extra ones spawned for \
+           that batch only, applying the same results at the same events as 1.")
 
 let metrics_arg =
   Arg.(

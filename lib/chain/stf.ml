@@ -118,7 +118,7 @@ type spec = {
 type pool = spec Sched.t
 
 let create_pool ~jobs () : pool = Sched.create ~jobs ()
-let shutdown_pool (p : pool) = Sched.shutdown p
+let shutdown_pool (_ : pool) = ()
 
 type par_stats = {
   par_txs : int;
@@ -251,8 +251,7 @@ let apply_txs_parallel ~pool ?(ap = no_ap) ?spec ?(static_partition = true) st
         (fun idx tx ->
           if not serial.(idx) then begin
             incr n_submitted;
-            Sched.submit pool ~hash:(string_of_int idx) ~priority:tx.Evm.Env.gas_price
-              (speculate_one ~spec st ~ap benv idx tx)
+            Sched.submit pool ~hash:(string_of_int idx) (speculate_one ~spec st ~ap benv idx tx)
           end)
         txs_arr;
       Sched.barrier pool);

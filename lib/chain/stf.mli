@@ -41,7 +41,7 @@ val apply_block :
 
 (** {1 Conflict-aware parallel apply}
 
-    Optimistic concurrency over the speculation scheduler's worker domains:
+    Optimistic concurrency over the speculation scheduler's domains:
     every transaction pre-executes on a {!State.Statedb.fork} of the master
     state, which stays read-only until the speculative phase's barrier (AP
     fast path when available, interpreter otherwise) while its read set
@@ -56,15 +56,18 @@ val apply_block :
     The committed state root is byte-identical to {!apply_txs}. *)
 
 type pool
-(** A reusable worker pool (wraps {!Sched.t}); one per node, shared across
-    blocks.  All [apply_*_parallel] calls with one pool must come from the
-    domain that created it. *)
+(** The speculative phase's {!Sched.t}; one per node, shared across blocks.
+    It holds no domain: each block's speculative phase runs on up to
+    [jobs] domains, the caller's and helpers joined at its barrier.  All [apply_*_parallel] calls
+    with one pool must come from the domain that created it. *)
 
 val create_pool : jobs:int -> unit -> pool
 (** [jobs = 1] spawns no domains: the speculative phase runs inline, in
     consensus order — the deterministic mode the tests pin against. *)
 
 val shutdown_pool : pool -> unit
+(** A no-op: a pool holds no domain, so it has nothing to release.  Kept
+    for the benchmark, which still calls it. *)
 
 type par_stats = {
   par_txs : int;

@@ -79,7 +79,7 @@ type config = {
   use_memos : bool; (* ablation: disable memoization shortcuts *)
   prefetch : bool; (* ablation: disable StateDB warming *)
   seed : int;
-  jobs : int; (* speculation worker domains; 1 = inline, fully sequential *)
+  jobs : int; (* domains a speculation batch runs on; 1 = inline, fully sequential *)
   use_apstore : bool;
       (* the shared template store (lib/apstore): speculation publishes
          input-lifted template APs keyed by call shape; execution serves
@@ -214,8 +214,7 @@ let replay ?(config = default_config) ~policy (record : Netsim.Record.t) : resul
         ~tx_hash:entry.p.hash entry.p.tx
     in
     let root = !head_root in
-    Sched.submit sched ~dedupe_key:(spec_key ~root ctxs) ~hash:entry.p.hash
-      ~priority:entry.p.tx.gas_price (fun () ->
+    Sched.submit sched ~dedupe_key:(spec_key ~root ctxs) ~hash:entry.p.hash (fun () ->
         Speculator.speculate entry.spec bk ~root ~now ctxs entry.p.tx;
         entry)
   in
@@ -239,6 +238,13 @@ let replay ?(config = default_config) ~policy (record : Netsim.Record.t) : resul
             | None -> ())
           | _ -> ()))
       (Sched.drain sched)
+  in
+  (* The one collection point, at a Tick, before a block and at the tail:
+     run the pending batch, then apply every result, so jobs=N applies the
+     same results at the same events as jobs=1. *)
+  let collect () =
+    Obs.span l_barrier (fun () -> Sched.barrier sched);
+    apply_results ()
   in
 
   let exec_one st ~canonical benv t_block ~hash (tx : Evm.Env.tx) :
@@ -357,9 +363,6 @@ let replay ?(config = default_config) ~policy (record : Netsim.Record.t) : resul
         | None -> full_exec missed))
   in
 
-  Fun.protect
-    ~finally:(fun () -> Sched.shutdown sched)
-    (fun () ->
   Array.iter
     (fun ev ->
       match ev with
@@ -411,21 +414,17 @@ let replay ?(config = default_config) ~policy (record : Netsim.Record.t) : resul
           end
         end
       | Netsim.Record.Tick _ ->
-        (* speculation-budget boundary: collect whatever the workers have
-           finished so prefetching proceeds between deliveries *)
-        if is_speculative policy then apply_results ()
+        (* speculation-budget boundary: collect the batch so prefetching
+           proceeds between deliveries *)
+        if is_speculative policy then collect ()
       | Netsim.Record.Block (t, b) -> (
         match Hashtbl.find_opt roots_by_hash b.header.parent_hash with
         | None -> () (* orphan: parent never seen; a real node would fetch it *)
         | Some parent_root ->
           let extends_head = String.equal b.header.parent_hash !head_hash in
-          (* Block boundary: quiesce the workers before executing — the
-             commit below writes trie nodes into the shared backend the
-             workers read. *)
-          if is_speculative policy then begin
-            Obs.span l_barrier (fun () -> Sched.barrier sched);
-            apply_results ()
-          end;
+          (* Block boundary: collect before executing — the commit below
+             writes trie nodes into the shared backend the jobs read. *)
+          if is_speculative policy then collect ();
           let exec_st =
             if extends_head then !next_st else Statedb.create bk ~root:parent_root
           in
@@ -520,12 +519,9 @@ let replay ?(config = default_config) ~policy (record : Netsim.Record.t) : resul
             end
           end))
     record.events;
-  (* settle the tail: finish outstanding speculation and surface any
-     worker-side exception before the domains are joined *)
-  if is_speculative policy then begin
-    Sched.barrier sched;
-    apply_results ()
-  end);
+  (* settle the tail: run outstanding speculation and surface any job's
+     exception *)
+  if is_speculative policy then collect ();
   {
     policy;
     txs = List.rev !txs;

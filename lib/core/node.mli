@@ -73,7 +73,7 @@ type config = {
   prefetch : bool;  (** ablation: disable StateDB warming *)
   seed : int;
   jobs : int;
-      (** speculation worker domains; 1 (the default) runs every
+      (** domains a speculation batch runs on; 1 (the default) runs every
           speculation inline at submission — the sequential pipeline *)
   use_apstore : bool;
       (** enable the shared template store (lib/apstore, DESIGN.md §13):

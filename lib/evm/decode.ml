@@ -24,7 +24,7 @@ type instr = {
       (** the dispatch scalars packed into one immediate, one load per
           untraced dispatch: bits 0..9 xop (the untraced dispatch id:
           [op_id]; [0x100 + successor] for a fused PUSH-op pair;
-          [0x300 + third] for a certified PUSH-PUSH-op triple), 10..14
+          [0x200 + third] for a certified PUSH-PUSH-op triple), 10..14
           stack_in, 15..25 min(max_sp,2047), 26..40 static_gas, 41 steps *)
 }
 
@@ -129,7 +129,7 @@ let fusable_ids =
 let fusable = Array.make 256 false
 let () = List.iter (fun id -> fusable.(id) <- true) fusable_ids
 
-(* Third opcodes of a certified PUSH-PUSH-op triple (slot [0x300 + id]):
+(* Third opcodes of a certified PUSH-PUSH-op triple (slot [0x200 + id]):
    stack-neutral-or-shrinking consumers whose static charge is
    fork-invariant, so the fused handler can capture it at install time.
    SLOAD/JUMP/JUMPI stay pair-only (fork-dependent charge / control
@@ -179,7 +179,7 @@ let decode ~hash ~spec code =
            && not (leaders.(i.next) || leaders.(j.next))
         then begin
           Obs.incr obs_triples;
-          instrs.(pc) <- { i with meta = with_xop i.meta (0x300 lor k.op_id) }
+          instrs.(pc) <- { i with meta = with_xop i.meta (0x200 lor k.op_id) }
         end
         else if fusable.(j.op_id) then
           instrs.(pc) <- { i with meta = with_xop i.meta (0x100 lor j.op_id) }

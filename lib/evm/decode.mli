@@ -29,7 +29,7 @@ type instr = {
 val meta_xop : int -> int
 (** Dispatch id for the untraced engine: [op_id], or [0x100 + successor_id]
     for a PUSH fused with the instruction that consumes it (see
-    {!fusable_ids}), or [0x300 + third_id] for a certified PUSH-PUSH-op
+    {!fusable_ids}), or [0x200 + third_id] for a certified PUSH-PUSH-op
     triple (see {!triple_ids}). *)
 
 val meta_stack_in : int -> int
@@ -75,7 +75,7 @@ val static_gas_of_byte : Spec.t -> int -> int
 
 val triple_ids : int list
 (** Third opcodes of a certified PUSH-PUSH-op triple (table slot
-    [0x300 + id]): binops/shifts/MSTORE whose static charge is
+    [0x200 + id]): binops/shifts/MSTORE whose static charge is
     fork-invariant. *)
 
 val invalid_xop : int

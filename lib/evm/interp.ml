@@ -295,12 +295,12 @@ let handler_table : (ctx -> frame -> Decode.instr -> unit) array =
 
 (* The untraced engine dispatches on the instr's xop through this wider
    table: slots 0..255 mirror [handler_table], slots [0x100 + id] hold
-   fused PUSH+op handlers for {!Decode.fusable_ids}, slots [0x300 + id]
+   fused PUSH+op handlers for {!Decode.fusable_ids}, slots [0x200 + id]
    hold the PUSH+PUSH+op windows decode certifies against its leader
    bitmap.  The traced path always dispatches unfused so every step is
    captured individually. *)
 let xtable : (ctx -> frame -> Decode.instr -> unit) array =
-  Array.make 1024 (fun _ _ (i : Decode.instr) -> raise (Fail (Invalid_opcode i.Decode.op_id)))
+  Array.make 768 (fun _ _ (i : Decode.instr) -> raise (Fail (Invalid_opcode i.Decode.op_id)))
 
 (* ---- message execution ---- *)
 
@@ -1174,7 +1174,7 @@ let () =
 
 (* ---- certified windows: PUSH+PUSH+op triples ----
 
-   Decode emits [0x300 + id] xops only for windows with no block leader
+   Decode emits [0x200 + id] xops only for windows with no block leader
    inside, so no jump lands inside the window.  Each handler replays the
    constituent steps' loop prologues in legacy order — step count, stack
    bounds, static charge taken from the decoded (spec-correct) instrs —
@@ -1206,7 +1206,7 @@ let () =
   (* stack after the two pushes: top = i2.imm, second = i.imm; binop's
      argument order is (top, second) *)
   let triple_binop id g =
-    xtable.(0x300 lor id) <-
+    xtable.(0x200 lor id) <-
       (fun ctx f (i : Decode.instr) ->
         let i2 = triple_pre ctx f i in
         f.stack.(f.sp) <- g i2.Decode.imm i.Decode.imm;
@@ -1225,7 +1225,7 @@ let () =
   triple_binop 0x18 U256.logxor;
   (* the second PUSH supplies the shift amount (popped first) *)
   let triple_shift id g =
-    xtable.(0x300 lor id) <-
+    xtable.(0x200 lor id) <-
       (fun ctx f (i : Decode.instr) ->
         let i2 = triple_pre ctx f i in
         let k = i2.Decode.imm_i in
@@ -1237,7 +1237,7 @@ let () =
   triple_shift 0x1b (fun x n -> U256.shift_left x n);
   triple_shift 0x1c (fun x n -> U256.shift_right x n);
   (* PUSH value, PUSH offset, MSTORE *)
-  xtable.(0x300 lor 0x52) <-
+  xtable.(0x200 lor 0x52) <-
     (fun ctx f (i : Decode.instr) ->
       let i2 = triple_pre ctx f i in
       let off = i2.Decode.imm_i in

@@ -667,11 +667,9 @@ let speculate c step () =
 
 let speculate_all c ~jobs =
   let sched : speculated Sched.t = Sched.create ~jobs () in
-  Fun.protect ~finally:(fun () -> Sched.shutdown sched) @@ fun () ->
   List.iter
     (fun step ->
-      Sched.submit sched ~hash:(Evm.Env.tx_hash step.tx) ~priority:step.tx.gas_price
-        (speculate c step))
+      Sched.submit sched ~hash:(Evm.Env.tx_hash step.tx) (speculate c step))
     c.steps;
   Sched.barrier sched;
   List.map
@@ -727,7 +725,6 @@ let apply o c =
   List.iter
     (fun jobs ->
       let pool = Chain.Stf.create_pool ~jobs () in
-      Fun.protect ~finally:(fun () -> Chain.Stf.shutdown_pool pool) @@ fun () ->
       List.iter
         (fun static_partition ->
           let par, (stats : Chain.Stf.par_stats) =

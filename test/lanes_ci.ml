@@ -254,11 +254,7 @@ let record_workload ~name ~seed ~n_users mix =
   let pool = Chain.Stf.create_pool ~jobs:2 () in
   let parent_hits = Obs.counter "statedb.fork.parent_hits" in
   Obs.set_enabled true;
-  Fun.protect
-    ~finally:(fun () ->
-      Obs.set_enabled false;
-      Chain.Stf.shutdown_pool pool)
-  @@ fun () ->
+  Fun.protect ~finally:(fun () -> Obs.set_enabled false) @@ fun () ->
   List.iter
     (fun static_partition ->
       let hits0 = Obs.count parent_hits in
@@ -337,7 +333,6 @@ let max_par_words_per_tx = 2008.0
 let words_gate ((record : Netsim.Record.t), blocks) =
   let bk = record.backend in
   let pool = Chain.Stf.create_pool ~jobs:1 () in
-  Fun.protect ~finally:(fun () -> Chain.Stf.shutdown_pool pool) @@ fun () ->
   let words f =
     let w0 = Gc.minor_words () in
     ignore (Sys.opaque_identity (f ()));

@@ -18,21 +18,19 @@ let seed = 42
 
 (* Duplicate (hash, dedupe_key) storm: 1 real job + n duplicates per hash.
    The broken policy chained every duplicate — completed would read
-   hashes*(n+1) and merged would count the waste. *)
+   hashes*(n+1). *)
 let dedupe_regression ~jobs =
   let s : int Sched.t = Sched.create ~jobs () in
   let hashes = 32 and dups = 8 in
   for h = 0 to hashes - 1 do
     let hash = Printf.sprintf "tx%d" h in
     for _ = 0 to dups do
-      Sched.submit s ~dedupe_key:"ctx" ~hash ~priority:(U256.of_int 1)
-        (fun () -> h)
+      Sched.submit s ~dedupe_key:"ctx" ~hash (fun () -> h)
     done
   done;
   Sched.barrier s;
   let st = Sched.stats s in
   let results = List.length (Sched.drain s) in
-  Sched.shutdown s;
   let fail fmt = Printf.ksprintf (fun m -> prerr_endline m; exit 1) fmt in
   if results <> hashes then
     fail "sched-ci: DEDUPE REGRESSION (jobs=%d): %d results for %d hashes" jobs results
@@ -52,8 +50,7 @@ let forget_bound_regression ~jobs =
   let hashes = List.init n (Printf.sprintf "tx%d") in
   List.iter
     (fun hash ->
-      Sched.submit s ~dedupe_key:"ctx" ~hash ~priority:(U256.of_int 1)
-        (fun () -> 0))
+      Sched.submit s ~dedupe_key:"ctx" ~hash (fun () -> 0))
     hashes;
   Sched.barrier s;
   ignore (Sched.drain s : int Sched.result list);
@@ -69,16 +66,16 @@ let forget_bound_regression ~jobs =
       jobs (Sched.memo_size s) live;
   Sched.forget s hashes;
   if Sched.memo_size s <> 0 then
-    fail "sched-ci: FORGET-BOUND REGRESSION (jobs=%d): memo not empty after full forget" jobs;
-  Sched.shutdown s
+    fail "sched-ci: FORGET-BOUND REGRESSION (jobs=%d): memo not empty after full forget" jobs
 
 (* Node replay identity: 30 s of recorded traffic (a tick each simulated
    second, so speculation results are collected between deliveries like in
    the live pipeline) replayed with [Node.default_config] at jobs=1 and
    jobs=4.  The per-tx (hash, outcome, gas_used, block_number) and
-   per-block (number, root_ok, gas_used) sequences must be equal, and the
-   record must be big enough to say something: at least two blocks and
-   some completed speculation in each run. *)
+   per-block (number, root_ok, gas_used) sequences must be equal, both
+   runs must complete the same number of speculation jobs, and the record
+   must be big enough to say something: at least two blocks and some
+   completed speculation. *)
 let node_replay_identity () =
   let params =
     {
@@ -115,11 +112,10 @@ let node_replay_identity () =
     fail "sched-ci: NODE REPLAY: per-block results differ between jobs=1 and jobs=4";
   let n_blocks = List.length r1.blocks in
   if n_blocks < 2 then fail "sched-ci: NODE REPLAY: only %d block(s) replayed" n_blocks;
-  List.iter
-    (fun (jobs, (r : Core.Node.result)) ->
-      if r.sched.Sched.completed = 0 then
-        fail "sched-ci: NODE REPLAY: no speculation completed at jobs=%d" jobs)
-    [ (1, r1); (4, r4) ];
+  if r1.sched.Sched.completed <> r4.sched.Sched.completed then
+    fail "sched-ci: NODE REPLAY: %d speculation jobs at jobs=1, %d at jobs=4"
+      r1.sched.Sched.completed r4.sched.Sched.completed;
+  if r1.sched.Sched.completed = 0 then fail "sched-ci: NODE REPLAY: no speculation completed";
   Printf.printf
     "sched-ci: node replay: %d blocks, %d txs, %d speculation jobs; jobs=1 and jobs=4 \
      agree on every tx and block\n%!"

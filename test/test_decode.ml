@@ -56,7 +56,7 @@ let leaders_of_code code =
   l
 
 (* The decoded leader bitmap must equal the recomputed one, and no fused
-   window (xop 0x3xx) may have a leader at a pc after its first
+   window (xop 0x2xx) may have a leader at a pc after its first
    instruction.  Returns the number of windows checked. *)
 let check_windows ~case code =
   let p = Evm.Decode.get ~hash:(Khash.Keccak.digest code) ~spec:!Spec.current code in
@@ -71,7 +71,7 @@ let check_windows ~case code =
   Array.iteri
     (fun pc (i : Evm.Decode.instr) ->
       let interior =
-        if Evm.Decode.meta_xop i.Evm.Decode.meta lsr 8 = 3 then [ next pc; next (next pc) ]
+        if Evm.Decode.meta_xop i.Evm.Decode.meta lsr 8 = 2 then [ next pc; next (next pc) ]
         else []
       in
       if interior <> [] then incr windows;
@@ -149,7 +149,7 @@ let hammer_battery () =
   in
   let s : (string * int) Sched.t = Sched.create ~jobs () in
   for i = 0 to n - 1 do
-    Sched.submit s ~hash:(Printf.sprintf "hammer%d" i) ~priority:(U256.of_int 1) run
+    Sched.submit s ~hash:(Printf.sprintf "hammer%d" i) run
   done;
   Sched.barrier s;
   let results =
@@ -164,7 +164,6 @@ let hammer_battery () =
           None)
       (Sched.drain s)
   in
-  Sched.shutdown s;
   Domain.join churn;
   Obs.set_enabled false;
   if List.length results <> n then begin
@@ -225,10 +224,7 @@ let mixed_spec_battery () =
   List.iteri
     (fun fi fork ->
       for i = 0 to per_fork - 1 do
-        Sched.submit s
-          ~hash:(Printf.sprintf "mixed%d-%d" fi i)
-          ~priority:(U256.of_int 1)
-          (fun () ->
+        Sched.submit s ~hash:(Printf.sprintf "mixed%d-%d" fi i) (fun () ->
             let spec = Spec.resolve fork in
             let r, root =
               Fuzz.Runner.run_code ~spec ~engine:Evm.Interp.Decoded ~code:mixed_code
@@ -250,7 +246,6 @@ let mixed_spec_battery () =
           None)
       (Sched.drain s)
   in
-  Sched.shutdown s;
   if List.length results <> List.length Spec.all_forks * per_fork then begin
     incr failures;
     Printf.printf "decode-ci: MIXED: %d results, expected %d\n%!" (List.length results)

@@ -44,11 +44,7 @@ let apply_both ?(jobs = 1) ?ap ?static_partition bk root txs =
   in
   let pool = Chain.Stf.create_pool ~jobs () in
   let par, stats =
-    Fun.protect
-      ~finally:(fun () -> Chain.Stf.shutdown_pool pool)
-      (fun () ->
-        Chain.Stf.apply_txs_parallel ~pool ?ap ?static_partition (Statedb.create bk ~root)
-          benv txs)
+    Chain.Stf.apply_txs_parallel ~pool ?ap ?static_partition (Statedb.create bk ~root) benv txs
   in
   Alcotest.(check string) "parallel root byte-identical to sequential"
     (Khash.Keccak.to_hex seq.Chain.Stf.state_root)
@@ -137,7 +133,6 @@ let test_committed_master () =
   List.iter
     (fun (jobs, static_partition) ->
       let pool = Chain.Stf.create_pool ~jobs () in
-      Fun.protect ~finally:(fun () -> Chain.Stf.shutdown_pool pool) @@ fun () ->
       let master = Statedb.create bk ~root in
       List.iter2
         (fun txs want ->

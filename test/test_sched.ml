@@ -1,112 +1,9 @@
-(* lib/sched tests: qcheck properties over the bounded priority work queue
-   (ordering, nothing lost under concurrent producers/consumers, the
-   backpressure bound), scheduler semantics (inline mode, per-hash
-   chaining, dedupe, forget, barrier quiescence), the 4-domain
-   observability hammer, and the parallel-speculation determinism oracle
-   on generated EVM scenarios. *)
+(* lib/sched tests: scheduler semantics (inline mode, per-hash chaining
+   within and across barriers, the batch bound, dedupe, forget, barrier
+   quiescence), the 4-domain observability hammer, and the
+   parallel-speculation determinism oracle on generated EVM scenarios. *)
 
 let t name f = Alcotest.test_case name `Quick f
-let u = U256.of_int
-
-(* Wait (bounded) for a cross-domain predicate to become true. *)
-let await ?(timeout_s = 20.0) msg pred =
-  let t0 = Obs.now_ns () in
-  let deadline = Int64.add t0 (Int64.of_float (timeout_s *. 1e9)) in
-  while (not (pred ())) && Int64.compare (Obs.now_ns ()) deadline < 0 do
-    Domain.cpu_relax ()
-  done;
-  Alcotest.(check bool) msg true (pred ())
-
-(* A one-shot gate worker jobs park on, so tests can pin jobs in-flight
-   while they poke the queue behind them. *)
-let gate () =
-  let mu = Mutex.create () and cv = Condition.create () and opened = ref false in
-  let wait () =
-    Mutex.lock mu;
-    while not !opened do
-      Condition.wait cv mu
-    done;
-    Mutex.unlock mu
-  in
-  let release () =
-    Mutex.lock mu;
-    opened := true;
-    Condition.broadcast cv;
-    Mutex.unlock mu
-  in
-  (wait, release)
-
-(* ---- Workq properties ---- *)
-
-(* Sequential model: popping drains in (priority desc, insertion asc)
-   order — exactly a stable sort of the submissions by descending
-   priority. *)
-let arb_batch = QCheck.(list_of_size Gen.(int_range 0 60) (int_range 0 7))
-
-let prop_ordering prios =
-  let q = Sched.Workq.create ~capacity:(max 1 (List.length prios)) () in
-  List.iteri (fun i p -> assert (Sched.Workq.push q ~priority:(u p) (i, p))) prios;
-  Sched.Workq.close q;
-  let rec drain acc =
-    match Sched.Workq.pop q with None -> List.rev acc | Some x -> drain (x :: acc)
-  in
-  let got = drain [] in
-  let expect =
-    List.stable_sort
-      (fun (_, p1) (_, p2) -> compare p2 p1)
-      (List.mapi (fun i p -> (i, p)) prios)
-  in
-  got = expect
-
-(* Two producer domains block-push disjoint ids through a deliberately
-   tiny queue while two consumer domains drain it: every id must come out
-   exactly once, and the high-water mark must respect the capacity bound
-   even under contention. *)
-let prop_concurrent prios =
-  let cap = 4 in
-  let q = Sched.Workq.create ~capacity:cap () in
-  let items = List.mapi (fun i p -> (i, p)) prios in
-  let half = List.length items / 2 in
-  let chunk1 = List.filteri (fun i _ -> i < half) items in
-  let chunk2 = List.filteri (fun i _ -> i >= half) items in
-  let producer chunk =
-    Domain.spawn (fun () ->
-        List.iter (fun (id, p) -> ignore (Sched.Workq.push q ~priority:(u p) id)) chunk)
-  in
-  let consumer () =
-    Domain.spawn (fun () ->
-        let rec go acc =
-          match Sched.Workq.pop q with None -> acc | Some id -> go (id :: acc)
-        in
-        go [])
-  in
-  let p1 = producer chunk1 and p2 = producer chunk2 in
-  let c1 = consumer () and c2 = consumer () in
-  Domain.join p1;
-  Domain.join p2;
-  Sched.Workq.close q;
-  let got = Domain.join c1 @ Domain.join c2 in
-  List.sort compare got = List.init (List.length items) Fun.id
-  && Sched.Workq.high_water q <= cap
-
-let test_backpressure () =
-  let q = Sched.Workq.create ~capacity:3 () in
-  for i = 0 to 2 do
-    Alcotest.(check bool) "push under capacity" true (Sched.Workq.push q ~priority:(u i) i)
-  done;
-  Alcotest.(check bool) "full refuses" true (Sched.Workq.try_push q ~priority:(u 9) 9 = `Full);
-  Alcotest.(check int) "length at bound" 3 (Sched.Workq.length q);
-  Alcotest.(check int) "high water at bound" 3 (Sched.Workq.high_water q);
-  Alcotest.(check (option int)) "pop highest" (Some 2) (Sched.Workq.try_pop q);
-  Alcotest.(check bool) "room again" true (Sched.Workq.try_push q ~priority:(u 9) 9 = `Ok);
-  Sched.Workq.close q;
-  Alcotest.(check bool) "closed refuses try_push" true
-    (Sched.Workq.try_push q ~priority:(u 1) 1 = `Closed);
-  Alcotest.(check bool) "closed refuses push" false (Sched.Workq.push q ~priority:(u 1) 1);
-  Alcotest.(check (option int)) "drains after close" (Some 9) (Sched.Workq.try_pop q);
-  Alcotest.(check (option int)) "drains after close" (Some 1) (Sched.Workq.try_pop q);
-  Alcotest.(check (option int)) "drains after close" (Some 0) (Sched.Workq.try_pop q);
-  Alcotest.(check (option int)) "empty after drain" None (Sched.Workq.pop q)
 
 (* ---- Sched semantics ---- *)
 
@@ -118,10 +15,7 @@ let r_ok (r : _ Sched.result) =
 let test_inline () =
   let s : int Sched.t = Sched.create ~jobs:1 () in
   for i = 0 to 9 do
-    Sched.submit s
-      ~hash:(Printf.sprintf "h%d" i)
-      ~priority:(u (i mod 3))
-      (fun () -> i * i)
+    Sched.submit s ~hash:(Printf.sprintf "h%d" i) (fun () -> i * i)
   done;
   Sched.barrier s;
   let rs = Sched.drain s in
@@ -132,17 +26,15 @@ let test_inline () =
     (List.map (fun (r : _ Sched.result) -> r.Sched.r_seq) rs);
   let st = Sched.stats s in
   Alcotest.(check int) "submitted" 10 st.Sched.submitted;
-  Alcotest.(check int) "completed" 10 st.Sched.completed;
-  Sched.shutdown s
+  Alcotest.(check int) "completed" 10 st.Sched.completed
 
 let test_exn () =
   let s : int Sched.t = Sched.create ~jobs:1 () in
-  Sched.submit s ~hash:"boom" ~priority:(u 1) (fun () -> failwith "boom");
-  (match Sched.drain s with
+  Sched.submit s ~hash:"boom" (fun () -> failwith "boom");
+  match Sched.drain s with
   | [ { Sched.r_value = Error (Failure m); _ } ] ->
     Alcotest.(check string) "exception captured" "boom" m
-  | _ -> Alcotest.fail "expected one Error result");
-  Sched.shutdown s
+  | _ -> Alcotest.fail "expected one Error result"
 
 (* Jobs submitted for one hash are chained: they run serialized, in
    submission order, so they may mutate shared per-tx state without any
@@ -151,7 +43,7 @@ let test_chaining () =
   let s : int Sched.t = Sched.create ~jobs:4 () in
   let order = ref [] in
   for i = 0 to 19 do
-    Sched.submit s ~hash:"same-tx" ~priority:(u 1) (fun () ->
+    Sched.submit s ~hash:"same-tx" (fun () ->
         order := i :: !order;
         i)
   done;
@@ -162,30 +54,76 @@ let test_chaining () =
     (List.init 20 Fun.id)
     (List.map r_ok (Sched.drain s));
   let st = Sched.stats s in
-  Alcotest.(check int) "all completed" 20 st.Sched.completed;
-  Sched.shutdown s
+  Alcotest.(check int) "all completed" 20 st.Sched.completed
 
-(* A raising job must not break its hash's chain on a worker domain: the
-   error is published in sequence and the jobs chained behind it still run,
-   in order. *)
+(* One hash's chain spans two barriers at jobs=4, interleaved with other
+   hashes' jobs: it still runs in submission order, every job runs
+   exactly once, and the results drain in submission order. *)
+let test_chain_spans_barriers () =
+  let s : int Sched.t = Sched.create ~jobs:4 () in
+  let n = 40 in
+  let runs = Array.init n (fun _ -> Atomic.make 0) in
+  let order = ref [] in
+  let sub i =
+    let hash = if i mod 2 = 0 then "same-tx" else Printf.sprintf "other%d" i in
+    Sched.submit s ~hash (fun () ->
+        Atomic.incr runs.(i);
+        if i mod 2 = 0 then order := i :: !order;
+        i)
+  in
+  for i = 0 to (n / 2) - 1 do
+    sub i
+  done;
+  Sched.barrier s;
+  for i = n / 2 to n - 1 do
+    sub i
+  done;
+  Sched.barrier s;
+  Alcotest.(check (list int)) "chain ran in submission order across barriers"
+    (List.init (n / 2) (fun k -> 2 * k))
+    (List.rev !order);
+  Alcotest.(check (list int)) "every job ran exactly once" (List.init n (fun _ -> 1))
+    (Array.to_list (Array.map Atomic.get runs));
+  Alcotest.(check (list int)) "results drain in submission order" (List.init n Fun.id)
+    (List.map r_ok (Sched.drain s))
+
+(* The batch bound: without a barrier, the 4096th pending job runs the
+   batch at once, so pending work never exceeds 4096 jobs. *)
+let test_batch_bound () =
+  let s : int Sched.t = Sched.create ~jobs:2 () in
+  for i = 0 to 4096 do
+    Sched.submit s ~hash:(string_of_int i) (fun () -> i)
+  done;
+  let st = Sched.stats s in
+  Alcotest.(check int) "a full batch ran at submit" 4096 st.Sched.completed;
+  Alcotest.(check int) "high water at the bound" 4096 st.Sched.high_water;
+  Sched.barrier s;
+  let st = Sched.stats s in
+  Alcotest.(check int) "the barrier ran the rest" 4097 st.Sched.completed;
+  Alcotest.(check int) "high water stays at the bound" 4096 st.Sched.high_water;
+  Alcotest.(check (list int)) "results drain in submission order" (List.init 4097 Fun.id)
+    (List.map r_ok (Sched.drain s))
+
+(* A raising job must not break its hash's chain in a batch: the error is
+   published in sequence and the jobs chained behind it still run, in
+   order.  Four chains at jobs=2, so the caller and a helper both run
+   some. *)
 let test_chain_survives_exn () =
   let s : int Sched.t = Sched.create ~jobs:2 () in
-  let wait, release = gate () in
-  Sched.submit s ~hash:"tx" ~priority:(u 1) (fun () ->
-      wait ();
-      0);
-  Sched.submit s ~hash:"tx" ~priority:(u 1) (fun () -> failwith "boom");
-  Sched.submit s ~hash:"tx" ~priority:(u 1) (fun () -> 2);
-  release ();
+  let hashes = [ "a"; "b"; "c"; "d" ] in
+  List.iter (fun hash -> Sched.submit s ~hash (fun () -> 0)) hashes;
+  List.iter (fun hash -> Sched.submit s ~hash (fun () -> failwith hash)) hashes;
+  List.iter (fun hash -> Sched.submit s ~hash (fun () -> 2)) hashes;
   Sched.barrier s;
   let outcome (r : int Sched.result) =
     match r.Sched.r_value with Ok v -> string_of_int v | Error e -> Printexc.to_string e
   in
-  Alcotest.(check (list string)) "error published in place, chain continues"
-    [ "0"; Printexc.to_string (Failure "boom"); "2" ]
+  Alcotest.(check (list string)) "errors published in place, chains continue"
+    (List.concat_map
+       (fun row -> List.map row hashes)
+       [ (fun _ -> "0"); (fun h -> Printexc.to_string (Failure h)); (fun _ -> "2") ])
     (List.map outcome (Sched.drain s));
-  Alcotest.(check int) "all three completed" 3 (Sched.stats s).Sched.completed;
-  Sched.shutdown s
+  Alcotest.(check int) "all twelve completed" 12 (Sched.stats s).Sched.completed
 
 (* ---- dedupe memo (the jobs=4 merged-waste regression) ---- *)
 
@@ -196,7 +134,7 @@ let test_chain_survives_exn () =
 let dedupe_script jobs =
   let s : string Sched.t = Sched.create ~jobs () in
   let sub ?dedupe_key hash =
-    Sched.submit s ?dedupe_key ~hash ~priority:(u 1) (fun () -> hash)
+    Sched.submit s ?dedupe_key ~hash (fun () -> hash)
   in
   sub ~dedupe_key:"k1" "x";
   sub ~dedupe_key:"k1" "x" (* duplicate: must be skipped, not chained *);
@@ -210,9 +148,7 @@ let dedupe_script jobs =
   sub ~dedupe_key:"k9" "y" (* forget dropped the memo: runs again *);
   Sched.barrier s;
   let rs = List.map r_hash (Sched.drain s) in
-  let st = Sched.stats s in
-  Sched.shutdown s;
-  (rs, st)
+  (rs, Sched.stats s)
 
 let test_dedupe () =
   let rs, st = dedupe_script 1 in
@@ -224,7 +160,7 @@ let test_dedupe () =
 
 (* The regression itself: at jobs>1 a duplicate used to be *merged* into
    the hash's chain and re-executed (merged=6881 wasted on a jobs=4 replay).
-   Now it must be skipped before touching the cell, and the memo decisions
+   Now it must be skipped before it is recorded, and the memo decisions
    must be identical to jobs=1. *)
 let test_dedupe_jobs4_parity () =
   let rs1, st1 = dedupe_script 1 in
@@ -246,22 +182,20 @@ let test_dedupe_jobs4_parity () =
    makes that possible. *)
 let memo_bound_script jobs =
   let s : int Sched.t = Sched.create ~jobs () in
-  Fun.protect ~finally:(fun () -> Sched.shutdown s) @@ fun () ->
   for i = 0 to 9 do
-    Sched.submit s ~dedupe_key:"ctx" ~hash:(string_of_int i) ~priority:(u 1)
-      (fun () -> i)
+    Sched.submit s ~dedupe_key:"ctx" ~hash:(string_of_int i) (fun () -> i)
   done;
   Sched.barrier s;
   Alcotest.(check int) "memo holds one entry per live hash" 10 (Sched.memo_size s);
   (* a duplicate submission is deduped without growing the memo *)
-  Sched.submit s ~dedupe_key:"ctx" ~hash:"3" ~priority:(u 1) (fun () -> 3);
+  Sched.submit s ~dedupe_key:"ctx" ~hash:"3" (fun () -> 3);
   Alcotest.(check int) "dedupe does not grow the memo" 10 (Sched.memo_size s);
   (* block commit: the node forgets every retired hash (absent ones are a
      no-op), bounding the memo to what is still pending *)
   Sched.forget s [ "0"; "1"; "2"; "absent" ];
   Alcotest.(check int) "forget drops retired hashes" 7 (Sched.memo_size s);
   (* a forgotten hash speculates again instead of being deduped stale *)
-  Sched.submit s ~dedupe_key:"ctx" ~hash:"0" ~priority:(u 1) (fun () -> 0);
+  Sched.submit s ~dedupe_key:"ctx" ~hash:"0" (fun () -> 0);
   Sched.barrier s;
   Alcotest.(check int) "forgotten hash re-memoizes on resubmission" 8 (Sched.memo_size s);
   let st = Sched.stats s in
@@ -275,19 +209,24 @@ let test_barrier_quiesces () =
   let s : int Sched.t = Sched.create ~jobs:3 () in
   for round = 0 to 2 do
     for i = 0 to 49 do
-      Sched.submit s
-        ~hash:(Printf.sprintf "r%d-j%d" round i)
-        ~priority:(u (i mod 5))
-        (fun () -> i)
+      Sched.submit s ~hash:(Printf.sprintf "r%d-j%d" round i) (fun () -> i)
     done;
     Sched.barrier s;
-    let st = Sched.stats s in
-    Alcotest.(check int) "queued after barrier" 0 st.Sched.queued;
-    Alcotest.(check int) "running after barrier" 0 st.Sched.running;
+    Alcotest.(check int) "every job ran" (50 * (round + 1)) (Sched.stats s).Sched.completed;
     Alcotest.(check int) "results all published" 50 (List.length (Sched.drain s))
+  done
+
+(* A batch of one chain runs on the calling domain: the barrier spawns a
+   helper only for a second chain. *)
+let test_one_chain_on_caller () =
+  let s : int Sched.t = Sched.create ~jobs:4 () in
+  for _ = 1 to 5 do
+    Sched.submit s ~hash:"tx" (fun () -> (Domain.self () :> int))
   done;
-  Sched.shutdown s;
-  Sched.shutdown s (* idempotent *)
+  Sched.barrier s;
+  Alcotest.(check (list int)) "every job ran on the caller"
+    (List.init 5 (fun _ -> (Domain.self () :> int)))
+    (List.map r_ok (Sched.drain s))
 
 (* ---- Obs under domains (the thread-safety satellite's smoke test) ---- *)
 
@@ -324,17 +263,11 @@ let test_parallel_oracle () =
   done
 
 let suite =
-  [ QCheck_alcotest.to_alcotest
-      (QCheck.Test.make ~count:200 ~name:"workq pops (priority desc, fifo)" arb_batch
-         prop_ordering);
-    QCheck_alcotest.to_alcotest
-      (QCheck.Test.make ~count:20
-         ~name:"workq loses nothing under 2 producers + 2 consumers" arb_batch
-         prop_concurrent);
-    t "workq backpressure bound and close semantics" test_backpressure;
-    t "inline mode runs at submit, in order" test_inline;
+  [ t "inline mode runs at submit, in order" test_inline;
     t "job exceptions are captured, not propagated" test_exn;
     t "same-hash jobs chain in submission order" test_chaining;
+    t "a chain spans barriers in order at jobs=4" test_chain_spans_barriers;
+    t "a batch of 4096 pending jobs runs at once" test_batch_bound;
     t "a raising job does not break its hash's chain" test_chain_survives_exn;
     t "parallel speculation is deterministic on fuzz scenarios" test_parallel_oracle;
     t "dedupe memo skips duplicate submissions" test_dedupe;
@@ -342,5 +275,6 @@ let suite =
       test_dedupe_jobs4_parity;
     t "forget bounds the dedupe memo to the live pending set" test_memo_bound;
     t "forget bounds the memo at jobs=4 too" test_memo_bound_jobs4;
-    t "barrier quiesces; shutdown is idempotent" test_barrier_quiesces;
+    t "barrier runs and quiesces the batch" test_barrier_quiesces;
+    t "a one-chain batch runs on the caller" test_one_chain_on_caller;
     t "obs counters are exact under 4 hammering domains" test_obs_hammer ]
